@@ -33,6 +33,7 @@ from .core import (
     StochKernel,
     full_simplex,
     invariant_simplex,
+    pth_root,
     stationary_simplex,
     validate,
 )
@@ -225,7 +226,10 @@ def parse_problem(doc: dict):
         if "nu" in marg:
             nu = _measure(marg["nu"], space, comps, "marginals.nu")
 
-    p = float(doc.get("p", 1.0))
+    p = doc.get("p", 1.0)
+    if isinstance(p, bool) or not isinstance(p, (int, float)) or not abs(p) <= sys.float_info.max:
+        raise ParseError("p", f"expected a finite number, got {json.dumps(p)}")
+    p = float(p)
     if p < 1:
         raise ParseError("p", f"order {p} is below 1")
     tol = doc.get("tol")
@@ -313,7 +317,7 @@ def cmd_solve(args) -> int:
         res = solve_constrained_ot(prob["mu"], prob["nu"], cost, get_restriction(prob))
         results["status"] = res.status
         results["p"] = p
-        results["value"] = None if res.status != "optimal" else max(res.value, 0.0) ** (1.0 / p)
+        results["value"] = None if res.status != "optimal" else pth_root(res.value, p)
         results["plan"] = None if res.plan is None else _tolist(res.plan.p)
     else:
         raise ParseError("cost", "solve needs a cost or a metric")
@@ -434,6 +438,8 @@ def parse_random_spec(text: str):
         sizes = tuple(int(t) for t in fields[parts_key].split("+")) if parts_key in fields else None
     except (KeyError, ValueError) as exc:
         raise ParseError("--random", f"bad field: {exc}")
+    if count < 1:
+        raise ParseError("--random", f"count must be at least 1, got {count}")
     specs = []
     for i in range(count):
         if kind == "perm":

@@ -168,19 +168,28 @@ class ConstraintSet:
     <omega, p> is the entrywise inner product. The set may be empty, which
     means the problem is unconstrained. Labels record where each matrix came
     from, e.g. "invariance:g:(0,4)".
+
+    The matrices are stored once, as the read-only (k, n*m) array matrix
+    whose row i is constraint i flattened row-major, so the k pairings with
+    a plan p are matrix @ p.ravel(). omegas holds (label, n x m) views of it.
     """
 
     row_space: FiniteSpace
     col_space: FiniteSpace
     omegas: tuple[tuple[str, np.ndarray], ...]
+    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        oms = tuple((str(lbl), _freeze(m)) for lbl, m in self.omegas)
-        object.__setattr__(self, "omegas", oms)
-        for lbl, m in self.omegas:
-            if m.shape != (self.row_space.n, self.col_space.n):
-                raise ValueError(f"constraint {lbl!r} has shape {m.shape}, expected "
-                                 f"({self.row_space.n}, {self.col_space.n})")
+        shape = (self.row_space.n, self.col_space.n)
+        oms = tuple((str(lbl), m) for lbl, m in self.omegas)
+        for lbl, m in oms:
+            if np.shape(m) != shape:
+                raise ValueError(f"constraint {lbl!r} has shape {np.shape(m)}, expected {shape}")
+        k = len(oms)
+        matrix = _freeze([m for _, m in oms]).reshape(k, shape[0] * shape[1])
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "omegas",
+                           tuple(zip((lbl for lbl, _ in oms), matrix.reshape(k, *shape))))
 
     def __len__(self):
         return len(self.omegas)
@@ -350,3 +359,12 @@ def inverse_perm(g) -> np.ndarray:
     inv = np.empty_like(g)
     inv[g] = np.arange(g.size, dtype=np.intp)
     return inv
+
+
+def pth_root(value: float, p: float) -> float:
+    """Distance from an optimal cost of order p: value ** (1/p), and 0.0 at or below TAU_LP.
+
+    A cost that small is below the solver's resolution; taking the p-th root
+    of pivot noise would inflate it (for p=2, a 1e-17 residue reads as 3e-9).
+    """
+    return 0.0 if value <= TAU_LP else value ** (1.0 / p)

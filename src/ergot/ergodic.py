@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .core import (
@@ -108,30 +107,41 @@ def check_ergodic_kernel(q: StochKernel) -> KernelCheck:
     return KernelCheck(passed=not offending, offending=tuple(offending))
 
 
+def _closed_classes(adj: np.ndarray) -> list[np.ndarray]:
+    """Closed communicating classes of the digraph with Boolean adjacency adj.
+
+    Reachability is closed by repeated squaring. x is recurrent iff every
+    point x reaches reaches x back, and then its class is exactly what it
+    reaches. Each class is a sorted index array; classes are ordered by
+    smallest member.
+    """
+    reach = adj | np.eye(len(adj), dtype=bool)
+    while True:
+        step = reach.astype(np.float32)   # BLAS product; only positivity is read
+        closed = step @ step > 0
+        if np.array_equal(closed, reach):
+            break
+        reach = closed
+    recurrent = ~np.any(reach & ~reach.T, axis=1)
+    smallest = ~np.any(np.tril(reach, -1), axis=1)
+    return [np.flatnonzero(reach[x]) for x in np.flatnonzero(recurrent & smallest)]
+
+
 def stationary_components(q: StochKernel) -> tuple[list[Measure], np.ndarray]:
     """Stationary distributions of the recurrent classes, plus a class map.
 
-    Recurrent communicating classes are the sink components of the SCC
-    condensation of the graph {q[x][y] > TAU_MASS}. Each class gets the
-    unique solution of pi Q = pi supported on it (direct linear solve with a
-    normalization row). The class map sends a point to its component index,
-    or -1 for transient points. Components are ordered by smallest point.
+    Recurrent communicating classes are the closed classes of the graph
+    {q[x][y] > TAU_MASS}. Each class gets the unique solution of pi Q = pi
+    supported on it (direct linear solve with a normalization row). The
+    class map sends a point to its component index, or -1 for transient
+    points. Components are ordered by smallest point.
     """
     n = q.space.n
-    g = nx.DiGraph()
-    g.add_nodes_from(range(n))
-    xs, ys = np.nonzero(q.q > TAU_MASS)
-    g.add_edges_from(zip(xs.tolist(), ys.tolist()))
-    cond = nx.condensation(g)
-    sinks = [c for c in cond.nodes if cond.out_degree(c) == 0]
-    classes = sorted((sorted(cond.nodes[c]["members"]) for c in sinks), key=lambda cl: cl[0])
-
     comps: list[Measure] = []
     class_of = np.full(n, -1, dtype=np.intp)
-    for k, cls in enumerate(classes):
-        idx = np.array(cls, dtype=np.intp)
+    for k, idx in enumerate(_closed_classes(q.q > TAU_MASS)):
         block = q.q[np.ix_(idx, idx)]
-        s = len(cls)
+        s = len(idx)
         lhs = np.vstack([block.T - np.eye(s), np.ones((1, s))])
         rhs = np.zeros(s + 1)
         rhs[-1] = 1.0
@@ -140,7 +150,7 @@ def stationary_components(q: StochKernel) -> tuple[list[Measure], np.ndarray]:
         pi /= pi.sum()
         if np.max(np.abs(pi @ block - pi)) > 1e-10:
             raise RuntimeError(
-                f"stationary solve did not converge on class {cls}; "
+                f"stationary solve did not converge on class {idx.tolist()}; "
                 "the block is not numerically stochastic-irreducible")
         w = np.zeros(n)
         w[idx] = pi

@@ -83,34 +83,36 @@ def _product_space(sx: FiniteSpace, sy: FiniteSpace) -> FiniteSpace:
     return FiniteSpace(tuple(f"({a},{b})" for a in sx.labels for b in sy.labels))
 
 
-def _tree_constraints(product_action: GroupAction, nx_: int, ny: int) -> list[tuple[str, np.ndarray]]:
+def _product_generator(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The move (x, y) -> (g(x), h(y)) as a permutation of row-major product cells."""
+    return (g[:, None] * h.size + h).ravel()
+
+
+def _tree_constraints(paction: GroupAction, n: int, family: str) -> tuple:
     """Spanning-tree difference constraints, one tree per product orbit.
 
     BFS starts at the smallest cell of each orbit and follows generators in
-    order; every tree edge (cell, g(cell)) becomes the matrix with +1 at the
-    parent cell and -1 at the child.
+    order; tree edge e = (cell, g(cell)) becomes row e of the constraint
+    matrix, with +1 at the parent cell and -1 at the child.
     """
-    part = orbit_decompose(product_action)
-    gens = product_action.generators
-    out: list[tuple[str, np.ndarray]] = []
-    for orb in part.orbits:
-        root = min(orb)
-        seen = {root}
-        queue = deque([root])
+    labels, ends = [], []
+    for orb in orbit_decompose(paction).orbits:
+        seen = {orb[0]}
+        queue = deque([orb[0]])
         while queue:
             cell = queue.popleft()
-            for lbl, g in gens:
+            for lbl, g in paction.generators:
                 child = int(g[cell])
                 if child in seen:
                     continue
                 seen.add(child)
                 queue.append(child)
-                m = np.zeros((nx_, ny))
-                m[divmod(cell, ny)] = 1.0
-                m[divmod(child, ny)] = -1.0
-                x, y = divmod(cell, ny)
-                out.append((f"invariance:{lbl}:({x},{y})", m))
-    return out
+                labels.append(f"{family}:{lbl}:({cell // n},{cell % n})")
+                ends.append((cell, child))
+    ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
+    matrix = np.zeros((len(ends), n * n))
+    matrix[np.arange(len(ends))[:, None], ends] = [1.0, -1.0]
+    return tuple(zip(labels, matrix.reshape(-1, n, n)))
 
 
 def invariance_restriction(action: GroupAction) -> LinearRestriction:
@@ -122,17 +124,12 @@ def invariance_restriction(action: GroupAction) -> LinearRestriction:
     """
     n = action.space.n
     pspace = _product_space(action.space, action.space)
-    pgens = []
-    for lbl, g in action.generators:
-        gp = np.empty(n * n, dtype=np.intp)
-        for x in range(n):
-            gp[x * n: (x + 1) * n] = g[x] * n + g
-        pgens.append((lbl, gp))
-    paction = GroupAction(pspace, tuple(pgens))
-    omegas = _tree_constraints(paction, n, n)
+    paction = GroupAction(pspace, tuple((lbl, _product_generator(g, g))
+                                        for lbl, g in action.generators))
     spec = invariant_simplex(action)
     return LinearRestriction(
-        omega=ConstraintSet(action.space, action.space, tuple(omegas)),
+        omega=ConstraintSet(action.space, action.space,
+                            _tree_constraints(paction, n, "invariance")),
         mx_spec=spec, my_spec=spec, product_action=paction)
 
 
@@ -189,20 +186,13 @@ def subgroup_restriction(action: GroupAction, pair_generators) -> LinearRestrict
             f"(sizes {len(proj1)}/{len(proj2)} vs {len(full_group)})")
 
     pspace = _product_space(action.space, action.space)
-    pgens = []
-    for k, (g, h) in enumerate(pairs):
-        garr = np.array(g, dtype=np.intp)
-        harr = np.array(h, dtype=np.intp)
-        gp = np.empty(n * n, dtype=np.intp)
-        for x in range(n):
-            gp[x * n: (x + 1) * n] = garr[x] * n + harr
-        pgens.append((f"pair{k}", gp))
-    paction = GroupAction(pspace, tuple(pgens))
-    omegas = [(lbl.replace("invariance:", "subgroup:", 1), m)
-              for lbl, m in _tree_constraints(paction, n, n)]
+    paction = GroupAction(pspace, tuple(
+        (f"pair{k}", _product_generator(np.array(g, dtype=np.intp), np.array(h, dtype=np.intp)))
+        for k, (g, h) in enumerate(pairs)))
     spec = invariant_simplex(action)
     return LinearRestriction(
-        omega=ConstraintSet(action.space, action.space, tuple(omegas)),
+        omega=ConstraintSet(action.space, action.space,
+                            _tree_constraints(paction, n, "subgroup")),
         mx_spec=spec, my_spec=spec, product_action=paction)
 
 
@@ -222,14 +212,10 @@ def stationarity_restriction(qx: StochKernel, qy: StochKernel) -> LinearRestrict
     nx_, ny = qx.space.n, qy.space.n
     qm = np.kron(qx.q, qy.q)
     pspace = _product_space(qx.space, qy.space)
-    omegas = []
-    eye = np.eye(nx_ * ny)
-    for cell in range(nx_ * ny):
-        vec = eye[cell] - qm[:, cell]
-        if np.max(np.abs(vec)) <= TAU_MASS:
-            continue
-        x, y = divmod(cell, ny)
-        omegas.append((f"stationarity:({x},{y})", vec.reshape(nx_, ny)))
+    rows = np.eye(nx_ * ny) - qm.T
+    cells = np.flatnonzero(np.max(np.abs(rows), axis=1, initial=0.0) > TAU_MASS)
+    omegas = zip((f"stationarity:({c // ny},{c % ny})" for c in cells),
+                 rows[cells].reshape(-1, nx_, ny))
     return LinearRestriction(
         omega=ConstraintSet(qx.space, qy.space, tuple(omegas)),
         mx_spec=stationary_simplex(qx), my_spec=stationary_simplex(qy),
@@ -266,12 +252,8 @@ def product_atoms(r: LinearRestriction) -> tuple[list[tuple[int, ...]], np.ndarr
 
 def plan_violations(pi: TransportPlan, r: LinearRestriction) -> list[tuple[str, float]]:
     """(label, |<omega, p>|) for every constraint the plan breaks beyond TAU_LP."""
-    out = []
-    for lbl, m in r.omega.omegas:
-        v = float(abs(np.sum(m * pi.p)))
-        if v > TAU_LP:
-            out.append((lbl, v))
-    return out
+    v = np.abs(r.omega.matrix @ pi.p.ravel())
+    return [(r.omega.omegas[i][0], float(v[i])) for i in np.flatnonzero(v > TAU_LP)]
 
 
 def check_weak_regularity(r: LinearRestriction, samples: list[tuple[Measure, Measure]]) -> CheckReport:
@@ -288,11 +270,9 @@ def check_weak_regularity(r: LinearRestriction, samples: list[tuple[Measure, Mea
             bad = membership_violation(m, spec)
             if bad is not None:
                 raise NotInSimplexError(f"sample {k} {side}: {bad}")
-        prod = np.outer(mu.w, nu.w)
-        for lbl, m in r.omega.omegas:
-            v = float(abs(np.sum(m * prod)))
-            if v > TAU_LP:
-                failures.append(f"pair {k}: product plan breaks {lbl} by {v:.3g}")
+        prod = TransportPlan(r.row_space, r.col_space, np.outer(mu.w, nu.w))
+        failures += [f"pair {k}: product plan breaks {lbl} by {v:.3g}"
+                     for lbl, v in plan_violations(prod, r)]
     notes = (
         "closedness: automatic, the admissible set is an intersection of closed sets in a compact simplex",
         "continuity: automatic, every linear functional on a finite-dimensional space is continuous",
@@ -329,19 +309,19 @@ def check_geometric(r: LinearRestriction, samples: list[Measure]) -> CheckReport
     """
     if r.row_space.labels != r.col_space.labels:
         raise ValueError("geometricity only makes sense for plans on X x X")
+    n = r.row_space.n
+    mats = r.omega.matrix.reshape(-1, n, n)
+    s = np.array([mu.w for mu in samples]).reshape(len(samples), n)
+    diag = np.abs(mats.diagonal(axis1=1, axis2=2) @ s.T)
+    prod = np.abs(s @ mats @ s.T)
     failures = []
-    for lbl, m in r.omega.omegas:
-        diag = np.diag(m)
-        for k, mu in enumerate(samples):
-            v = float(abs(diag @ mu.w))
-            if v > TAU_LP:
-                failures.append(f"{lbl}: diagonal pairing with sample {k} is {v:.3g}")
-        for ka, mu in enumerate(samples):
-            for kb, nu in enumerate(samples):
-                v = float(abs(mu.w @ m @ nu.w))
-                if v > TAU_LP:
-                    failures.append(f"{lbl}: product pairing with samples ({ka},{kb}) is {v:.3g}")
-    basis = _echelon_basis([m.reshape(-1) for _, m in r.omega.omegas])
+    for i in np.flatnonzero((diag > TAU_LP).any(axis=1) | (prod > TAU_LP).any(axis=(1, 2))):
+        lbl = r.omega.omegas[i][0]
+        failures += [f"{lbl}: diagonal pairing with sample {k} is {diag[i, k]:.3g}"
+                     for k in np.flatnonzero(diag[i] > TAU_LP)]
+        failures += [f"{lbl}: product pairing with samples ({ka},{kb}) is {prod[i, ka, kb]:.3g}"
+                     for ka, kb in np.argwhere(prod[i] > TAU_LP)]
+    basis = _echelon_basis(list(r.omega.matrix))
     for lbl, m in r.omega.omegas:
         residual = _reduce_against(m.T.reshape(-1), basis)
         v = float(np.max(np.abs(residual), initial=0.0))
@@ -358,19 +338,17 @@ def check_coherency(r: LinearRestriction, pi_samples: list[TransportPlan]) -> Ch
     localized pairing is recorded. For the shipped restriction families this
     is a regression test: it holds by construction.
     """
-    atoms, _ = product_atoms(r)
+    atoms, cell_class = product_atoms(r)
+    member = np.zeros((cell_class.size, len(atoms)))
+    on = np.flatnonzero(cell_class >= 0)
+    member[on, cell_class[on]] = 1.0
     failures = []
     for k, pi in enumerate(pi_samples):
         broken = plan_violations(pi, r)
         if broken:
             raise NotFeasibleError(
                 f"sample plan {k} violates {broken[0][0]} by {broken[0][1]:.3g}")
-        flat = pi.p.reshape(-1)
-        for lbl, m in r.omega.omegas:
-            mflat = m.reshape(-1)
-            for a, atom in enumerate(atoms):
-                idx = list(atom)
-                v = float(abs(mflat[idx] @ flat[idx]))
-                if v > TAU_LP:
-                    failures.append(f"plan {k}, {lbl}: pairing on atom {a} is {v:.3g}")
+        pair = np.abs((r.omega.matrix * pi.p.ravel()) @ member)
+        failures += [f"plan {k}, {r.omega.omegas[i][0]}: pairing on atom {a} is {pair[i, a]:.3g}"
+                     for i, a in np.argwhere(pair > TAU_LP)]
     return CheckReport(passed=not failures, failures=tuple(failures))

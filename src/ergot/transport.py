@@ -28,6 +28,7 @@ from .core import (
     NotInSimplexError,
     SimplexSpec,
     TransportPlan,
+    pth_root,
 )
 from .ergodic import membership_violation, simplex_components
 from .lp import LpProblem, LpSolution, solve_lp
@@ -58,11 +59,13 @@ class PlanDecomposition:
     class_of: np.ndarray           # product cell -> component index, -1 if unweighted
 
 
-def _transport_lp(mu_w, nu_w, cost, omegas, forbid=None):
+def _transport_lp(mu_w, nu_w, cost, constraints=None, forbid=None):
     """Assemble the support-restricted transport LP.
 
-    Returns (problem, row_idx, col_idx) where the LP variables are the cells
-    row_idx x col_idx in row-major order. forbid is an optional boolean
+    Returns (problem, row_idx, col_idx, keep) where the LP variables are the
+    kept cells of row_idx x col_idx in row-major order. constraints is an
+    optional (k, n*m) constraint matrix (ConstraintSet.matrix); its rows that
+    vanish on the variable set are dropped. forbid is an optional boolean
     matrix of cells excluded from the variable set (used for +inf costs).
     """
     rows = np.flatnonzero(mu_w > TAU_MASS)
@@ -71,35 +74,19 @@ def _transport_lp(mu_w, nu_w, cost, omegas, forbid=None):
     keep = np.ones(nr * nc, dtype=bool)
     if forbid is not None:
         keep = ~forbid[np.ix_(rows, cols)].reshape(-1)
-    nvars = int(keep.sum())
-    var_of = np.full(nr * nc, -1)
-    var_of[keep] = np.arange(nvars)
-
-    eq_rows = []
-    rhs = []
-    for i in range(nr):
-        row = np.zeros(nvars)
-        vs = var_of[i * nc:(i + 1) * nc]
-        row[vs[vs >= 0]] = 1.0
-        eq_rows.append(row)
-        rhs.append(mu_w[rows[i]])
-    for j in range(nc - 1):
-        row = np.zeros(nvars)
-        vs = var_of[j::nc]
-        row[vs[vs >= 0]] = 1.0
-        eq_rows.append(row)
-        rhs.append(nu_w[cols[j]])
-    for _, m in omegas:
-        sub = m[np.ix_(rows, cols)].reshape(-1)[keep]
-        if np.max(np.abs(sub), initial=0.0) <= 1e-15:
-            continue
+    marginals = np.vstack([np.kron(np.eye(nr), np.ones(nc)),
+                           np.kron(np.ones(nr), np.eye(nc))[:nc - 1]])[:, keep]
+    eq_rows = [marginals]
+    rhs = [mu_w[rows], nu_w[cols[:-1]]]
+    if constraints is not None:
+        cells = (rows[:, None] * cost.shape[1] + cols).reshape(-1)[keep]
+        sub = constraints[:, cells]
+        sub = sub[np.max(np.abs(sub), axis=1, initial=0.0) > 1e-15]
         eq_rows.append(sub)
-        rhs.append(0.0)
+        rhs.append(np.zeros(len(sub)))
 
     obj = cost[np.ix_(rows, cols)].reshape(-1)[keep]
-    prob = LpProblem(objective=obj,
-                     eq_matrix=np.array(eq_rows).reshape(len(eq_rows), nvars),
-                     eq_rhs=np.array(rhs))
+    prob = LpProblem(objective=obj, eq_matrix=np.vstack(eq_rows), eq_rhs=np.concatenate(rhs))
     return prob, rows, cols, keep
 
 
@@ -111,8 +98,8 @@ def _embed_plan(sol: LpSolution, shape, rows, cols, keep) -> np.ndarray:
     return full
 
 
-def _solve_transport(mu: Measure, nu: Measure, c: CostMatrix, omegas) -> OtResult:
-    prob, rows, cols, keep = _transport_lp(mu.w, nu.w, c.c, omegas)
+def _solve_transport(mu: Measure, nu: Measure, c: CostMatrix, constraints=None) -> OtResult:
+    prob, rows, cols, keep = _transport_lp(mu.w, nu.w, c.c, constraints)
     sol = solve_lp(prob)
     if sol.status != "optimal":
         return OtResult(value=math.inf, plan=None, status="infeasible")
@@ -125,7 +112,7 @@ def solve_ot(mu: Measure, nu: Measure, c: CostMatrix) -> OtResult:
     """Unconstrained optimal transport; always solvable (the product plan is feasible)."""
     if mu.space.n != c.row_space.n or nu.space.n != c.col_space.n:
         raise ValueError("marginal sizes do not match the cost matrix")
-    return _solve_transport(mu, nu, c, ())
+    return _solve_transport(mu, nu, c)
 
 
 def solve_constrained_ot(mu: Measure, nu: Measure, c: CostMatrix,
@@ -142,16 +129,14 @@ def solve_constrained_ot(mu: Measure, nu: Measure, c: CostMatrix,
         bad = membership_violation(m, spec)
         if bad is not None:
             raise NotInSimplexError(f"{side}: {bad}")
-    return _solve_transport(mu, nu, c, r.omega.omegas)
+    return _solve_transport(mu, nu, c, r.omega.matrix)
 
 
 def wasserstein(mu: Measure, nu: Measure, d: GroundMetric, p: float,
                 r: LinearRestriction) -> float:
     """Restricted p-Wasserstein distance; +inf when no feasible plan exists.
 
-    An optimal cost below TAU_LP is below the solver's resolution and is
-    reported as distance 0; taking the p-th root of pivot noise would
-    otherwise inflate it (for p=2, a 1e-17 residue reads as 3e-9).
+    An optimal cost at or below TAU_LP is reported as distance 0 (pth_root).
     """
     if p < 1:
         raise ValueError(f"order p must be >= 1, got {p}")
@@ -159,11 +144,7 @@ def wasserstein(mu: Measure, nu: Measure, d: GroundMetric, p: float,
         raise ValueError("wasserstein needs both measures and the metric on one space")
     cost = CostMatrix(d.space, d.space, d.d ** p)
     res = solve_constrained_ot(mu, nu, cost, r)
-    if res.status != "optimal":
-        return math.inf
-    if res.value <= TAU_LP:
-        return 0.0
-    return res.value ** (1.0 / p)
+    return pth_root(res.value, p) if res.status == "optimal" else math.inf
 
 
 def boundary_metric(spec: SimplexSpec, d: GroundMetric, p: float,
@@ -200,7 +181,7 @@ def _outer_ot(wx: np.ndarray, wy: np.ndarray, cost: np.ndarray) -> OtResult:
     sy = FiniteSpace.of_size(k_y, "mass-class-")
     forbid = ~np.isfinite(cost)
     safe_cost = np.where(forbid, 0.0, cost)
-    prob, rows, cols, keep = _transport_lp(wx, wy, safe_cost, (), forbid=forbid)
+    prob, rows, cols, keep = _transport_lp(wx, wy, safe_cost, forbid=forbid)
     sol = solve_lp(prob)
     if sol.status != "optimal":
         return OtResult(value=math.inf, plan=None, status="infeasible")
@@ -233,11 +214,7 @@ def lifted_metric(mu: Measure, nu: Measure, bm: BoundaryMetricMatrix,
     wx = component_weights(mu, spec)
     wy = component_weights(nu, spec)
     res = _outer_ot(wx, wy, bm.dbar ** p)
-    if res.status != "optimal":
-        return math.inf
-    if res.value <= TAU_LP:
-        return 0.0
-    return res.value ** (1.0 / p)
+    return pth_root(res.value, p) if res.status == "optimal" else math.inf
 
 
 def glue_plans(pi12: TransportPlan, pi23: TransportPlan,

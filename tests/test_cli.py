@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 FIXTURE = Path(__file__).parent / "fixtures" / "c3x2.json"
@@ -210,6 +211,40 @@ def test_no_arguments_is_input_error():
 def test_unknown_random_key_rejected():
     out = run_cli("verify", "--random", "perm:n=6,bogus=1,count=2")
     assert out.returncode == 1
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_empty_random_batch_rejected(count):
+    out = run_cli("verify", "--random", f"perm:n=4,count={count}")
+    assert out.returncode == 1
+    assert "--random" in out.stderr
+
+
+@pytest.mark.parametrize("p", [None, "two", True, float("nan"), 10 ** 400])
+def test_non_numeric_p_is_input_error(tmp_path, p):
+    doc = load_fixture()
+    doc["p"] = p
+    out = run_cli("solve", write_problem(tmp_path, doc))
+    assert out.returncode == 1
+    assert out.stderr.strip().endswith("at p")
+
+
+def test_solve_reports_noise_level_distance_as_zero(tmp_path):
+    # mu = nu, so W_2 is 0; the LP optimum here is pivot noise of about 5e-18,
+    # whose square root (2e-9) must not be reported as a distance
+    from ergot import FiniteSpace, GroundMetric, Measure, no_restriction, wasserstein
+    rng = np.random.default_rng(1)
+    pts = rng.uniform(0.0, 1.0, (6, 2))
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    w = rng.dirichlet(np.ones(6))
+    doc = {"version": 1, "space": 6, "metric": d.tolist(), "p": 2,
+           "marginals": {"mu": w.tolist(), "nu": w.tolist()}, "restriction": "none"}
+    out = run_cli("solve", write_problem(tmp_path, doc))
+    assert out.returncode == 0
+    sp = FiniteSpace.of_size(6)
+    direct = wasserstein(Measure(sp, w), Measure(sp, w), GroundMetric(sp, d), 2.0,
+                         no_restriction(sp, sp))
+    assert json.loads(out.stdout)["results"]["value"] == direct == 0.0
 
 
 def test_p_flag_overrides_file(tmp_path):

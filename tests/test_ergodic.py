@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -135,6 +139,63 @@ def test_stationary_components_residual_and_support():
         for k, pi in enumerate(comps):
             assert np.max(np.abs(pi.w @ q - pi.w)) <= 1e-10
             assert set(np.flatnonzero(pi.w > 0)) == set(np.flatnonzero(class_of == k))
+
+
+def bfs_closed_classes(adj):
+    """Closed classes by plain BFS reachability: x is recurrent iff all it reaches reach x."""
+    n = len(adj)
+    reach = []
+    for x in range(n):
+        seen, queue = {x}, deque([x])
+        while queue:
+            for y in np.flatnonzero(adj[queue.popleft()]).tolist():
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        reach.append(seen)
+    classes = {frozenset(reach[x]) for x in range(n) if all(x in reach[y] for y in reach[x])}
+    return sorted((sorted(c) for c in classes), key=lambda c: c[0])
+
+
+def random_digraph_kernel(rng, n):
+    """Random kernel graph: a few closed cycles with chords, transient points feeding in."""
+    adj = np.zeros((n, n), dtype=bool)
+    points = rng.permutation(n)
+    n_sinks = int(rng.integers(1, 4))
+    cuts = np.sort(rng.choice(np.arange(1, n), size=min(n_sinks, n - 1), replace=False))
+    blocks = np.split(points, cuts)
+    for block in blocks[:-1]:
+        adj[block, np.roll(block, 1)] = True
+        extra = rng.integers(0, len(block), size=(len(block), 2))
+        adj[block[extra[:, 0]], block[extra[:, 1]]] = True
+    for x in blocks[-1]:
+        adj[x, rng.choice(n, size=int(rng.integers(1, 4)))] = True
+    return adj
+
+
+def test_stationary_components_match_bfs_reachability_oracle():
+    rng = np.random.default_rng(808)
+    transient_cases = multi_sink_cases = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 16))
+        adj = random_digraph_kernel(rng, n)
+        q = np.where(adj, rng.uniform(0.1, 1.0, (n, n)), 0.0)
+        q /= q.sum(axis=1, keepdims=True)
+        comps, class_of = stationary_components(StochKernel(FiniteSpace.of_size(n), q))
+        want = bfs_closed_classes(adj)
+        got = [np.flatnonzero(class_of == k).tolist() for k in range(len(comps))]
+        assert got == want
+        assert set(np.flatnonzero(class_of < 0)) == set(range(n)) - set().union(*want)
+        transient_cases += bool(np.any(class_of < 0))
+        multi_sink_cases += len(want) > 1
+    assert transient_cases > 100 and multi_sink_cases > 100
+
+
+def test_import_does_not_load_networkx():
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, ergot; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_decompose_uniform_on_two_orbits():
