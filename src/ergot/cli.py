@@ -14,6 +14,7 @@ import concurrent.futures
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -179,6 +180,9 @@ def parse_problem(doc: dict):
         if m.shape != (space.n, space.n):
             raise ParseError("cost", f"shape {m.shape} on a {space.n}-point space")
         cost = CostMatrix(space, space, m)
+        bad = validate(cost)
+        if bad:
+            raise ParseError("cost", bad[0])
 
     rnode = doc.get("restriction")
     if rnode is None:
@@ -226,18 +230,27 @@ def parse_problem(doc: dict):
         if "nu" in marg:
             nu = _measure(marg["nu"], space, comps, "marginals.nu")
 
-    p = doc.get("p", 1.0)
-    if isinstance(p, bool) or not isinstance(p, (int, float)) or not abs(p) <= sys.float_info.max:
-        raise ParseError("p", f"expected a finite number, got {json.dumps(p)}")
-    p = float(p)
-    if p < 1:
-        raise ParseError("p", f"order {p} is below 1")
     tol = doc.get("tol")
     return {
         "space": space, "action": action, "kernel": kernel, "metric": metric,
         "cost": cost, "rnode": rnode, "subgroup_pairs": pairs, "spec": spec,
-        "mu": mu, "nu": nu, "p": p, "tol": None if tol is None else float(tol),
+        "mu": mu, "nu": nu, "p": _order(doc.get("p", 1.0), "p"),
+        "tol": None if tol is None else float(tol),
     }
+
+
+def _order(p, path: str) -> float:
+    """A transport order: a finite number of at least 1, else ParseError at path."""
+    if isinstance(p, bool) or not isinstance(p, (int, float)) or not abs(p) <= sys.float_info.max:
+        raise ParseError(path, f"expected a finite number, got {json.dumps(p)}")
+    if p < 1:
+        raise ParseError(path, f"order {float(p)} is below 1")
+    return float(p)
+
+
+def _chosen_p(args, prob) -> float:
+    """The --p flag if given, else the file's p."""
+    return prob["p"] if args.p is None else _order(args.p, "--p")
 
 
 def get_restriction(prob):
@@ -268,6 +281,15 @@ def _tolist(x):
     return x
 
 
+def _strict(x):
+    """x with every non-finite float replaced by None, so it dumps as strict JSON."""
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _emit(args, payload: dict, csv_matrix=None, csv_header=None, csv_labels=None) -> None:
     if args.format == "csv":
         if csv_matrix is None:
@@ -280,7 +302,7 @@ def _emit(args, payload: dict, csv_matrix=None, csv_header=None, csv_labels=None
                 buf.write(f"{rl},{cl},{csv_matrix[i][j]!r}\n")
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(_strict(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -305,22 +327,17 @@ def cmd_solve(args) -> int:
     prob = parse_problem(doc)
     if prob["mu"] is None or prob["nu"] is None:
         raise ParseError("marginals", "solve needs both mu and nu")
-    p = args.p if args.p is not None else prob["p"]
-    results: dict = {}
-    if prob["cost"] is not None:
-        res = solve_constrained_ot(prob["mu"], prob["nu"], prob["cost"], get_restriction(prob))
-        results["status"] = res.status
-        results["value"] = res.value
-        results["plan"] = None if res.plan is None else _tolist(res.plan.p)
-    elif prob["metric"] is not None:
-        cost = CostMatrix(prob["space"], prob["space"], prob["metric"].d ** p)
-        res = solve_constrained_ot(prob["mu"], prob["nu"], cost, get_restriction(prob))
-        results["status"] = res.status
-        results["p"] = p
-        results["value"] = None if res.status != "optimal" else pth_root(res.value, p)
-        results["plan"] = None if res.plan is None else _tolist(res.plan.p)
-    else:
+    p = _chosen_p(args, prob)
+    cost = prob["cost"]
+    if cost is None and prob["metric"] is None:
         raise ParseError("cost", "solve needs a cost or a metric")
+    if cost is None:
+        cost = CostMatrix(prob["space"], prob["space"], prob["metric"].d ** p)
+    res = solve_constrained_ot(prob["mu"], prob["nu"], cost, get_restriction(prob))
+    results = {"status": res.status, "value": res.value,
+               "plan": None if res.plan is None else _tolist(res.plan.p)}
+    if prob["cost"] is None:
+        results.update(p=p, value=pth_root(res.value, p))
     payload = {"command": "solve", "version": 1,
                "inputs": {"digest": _digest(doc, {"p": p})}, "results": results}
     labels = prob["space"].labels
@@ -389,7 +406,7 @@ def cmd_metric(args) -> int:
     prob = parse_problem(doc)
     if prob["metric"] is None:
         raise ParseError("metric", "metric command needs a ground metric")
-    p = args.p if args.p is not None else prob["p"]
+    p = _chosen_p(args, prob)
     tol = _tolerance(args) if prob["tol"] is None else prob["tol"]
     r = get_restriction(prob)
     bm = boundary_metric(r.mx_spec, prob["metric"], p, r)
@@ -480,6 +497,7 @@ def cmd_verify(args) -> int:
 
     doc = _load(args.file)
     prob = parse_problem(doc)
+    p = _chosen_p(args, prob)
     if prob["tol"] is not None and args.tol is None:
         tol = prob["tol"]
     if args.check is not None:
@@ -493,7 +511,6 @@ def cmd_verify(args) -> int:
     if prob["cost"] is not None:
         cost = prob["cost"]
     elif prob["metric"] is not None:
-        p = args.p if args.p is not None else prob["p"]
         cost = CostMatrix(prob["space"], prob["space"], prob["metric"].d ** p)
     else:
         raise ParseError("cost", "verify needs a cost or a metric")

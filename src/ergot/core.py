@@ -34,7 +34,7 @@ class NotFeasibleError(ValueError):
 
 
 class MissingProductStructureError(ValueError):
-    """A restriction carries neither a product action nor a product kernel."""
+    """A restriction carries no product atoms."""
 
 
 class ProjectionNotFullError(ValueError):
@@ -286,6 +286,9 @@ def validate(obj) -> list[str]:
             i, j, k = np.unravel_index(np.argmax(viol), viol.shape)
             out.append(f"triangle violated at ({i},{j},{k}) by {viol[i, j, k]:g}")
     elif isinstance(obj, Measure):
+        if not np.all(np.isfinite(obj.w)):
+            out.append(f"non-finite mass w[{int(np.argmax(~np.isfinite(obj.w)))}]")
+            return out
         if np.min(obj.w) < 0:
             i = int(np.argmin(obj.w))
             out.append(f"negative mass w[{i}] = {obj.w[i]:g}")
@@ -304,6 +307,10 @@ def validate(obj) -> list[str]:
             if sorted(g.tolist()) != list(range(obj.space.n)):
                 out.append(f"generator {lbl!r} is not a permutation of 0..{obj.space.n - 1}")
     elif isinstance(obj, StochKernel):
+        if not np.all(np.isfinite(obj.q)):
+            x, y = np.unravel_index(int(np.argmax(~np.isfinite(obj.q))), obj.q.shape)
+            out.append(f"non-finite entry q[{x}][{y}]")
+            return out
         if np.min(obj.q) < 0:
             x, y = np.unravel_index(np.argmin(obj.q), obj.q.shape)
             out.append(f"negative entry q[{x}][{y}] = {obj.q[x, y]:g}")

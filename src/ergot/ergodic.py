@@ -52,7 +52,13 @@ def orbit_decompose(action: GroupAction) -> OrbitPartition:
     Orbit ids are assigned by smallest contained point, so the result is
     deterministic regardless of generator order.
     """
-    n = action.space.n
+    orbit_of = _orbit_ids(action.space.n, [g for _, g in action.generators])
+    orbits = tuple(tuple(np.flatnonzero(orbit_of == i).tolist()) for i in np.unique(orbit_of))
+    return OrbitPartition(action.space, orbit_of, orbits)
+
+
+def _orbit_ids(n: int, perms) -> np.ndarray:
+    """Orbit id of each point 0..n-1 under the permutation arrays perms (union-find)."""
     parent = list(range(n))
 
     def find(a):
@@ -61,17 +67,14 @@ def orbit_decompose(action: GroupAction) -> OrbitPartition:
             a = parent[a]
         return a
 
-    for _, g in action.generators:
+    for g in perms:
         for x in range(n):
             ra, rb = find(x), find(int(g[x]))
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
     roots = [find(x) for x in range(n)]
-    reps = sorted(set(roots))
-    rep_to_id = {r: i for i, r in enumerate(reps)}
-    orbit_of = np.array([rep_to_id[r] for r in roots], dtype=np.intp)
-    orbits = tuple(tuple(np.flatnonzero(orbit_of == i).tolist()) for i in range(len(reps)))
-    return OrbitPartition(action.space, orbit_of, orbits)
+    rep_to_id = {r: i for i, r in enumerate(sorted(set(roots)))}
+    return np.array([rep_to_id[r] for r in roots], dtype=np.intp)
 
 
 def averaging_kernel(action: GroupAction) -> StochKernel:

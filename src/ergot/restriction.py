@@ -2,10 +2,10 @@
 
 A restriction bundles a finite set of test matrices omega (a plan is
 admissible when <omega, p> = 0 for each), the simplexes its marginals must
-live in, and, for the shipped families, the structure of the product space:
-a product action (invariance, subgroup) or a product kernel (stationarity).
-That product structure is what later decomposes admissible plans into
-ergodic components.
+live in, and, for the shipped families, the product atoms: the map from each
+product cell to its atom, a product orbit (invariance, subgroup) or a
+rectangle of recurrent classes (stationarity). The atoms are what later
+decompose admissible plans into ergodic components.
 
 Constraint sets are finite spanning sets, never the full linear span: for
 invariance-style restrictions each product orbit contributes a spanning tree
@@ -39,29 +39,33 @@ from .core import (
     SimplexSpec,
     StochKernel,
     TransportPlan,
+    _freeze,
     full_simplex,
     invariant_simplex,
     stationary_simplex,
 )
-from .ergodic import (
-    check_ergodic_kernel,
-    membership_violation,
-    orbit_decompose,
-    stationary_components,
-)
+from .ergodic import _orbit_ids, check_ergodic_kernel, membership_violation, stationary_components
 
 MAX_GROUP_ORDER = 10_000
 
 
 @dataclass(frozen=True, eq=False)
 class LinearRestriction:
-    """R = (omega, marginal simplexes, product structure)."""
+    """R = (omega, marginal simplexes, product atoms).
+
+    atom_of is a read-only integer array mapping each row-major product cell
+    x*m + y to its atom id, or to -1 if the cell is transient; it is None
+    when the restriction carries no product structure.
+    """
 
     omega: ConstraintSet
     mx_spec: SimplexSpec
     my_spec: SimplexSpec
-    product_action: GroupAction | None = None
-    product_kernel: StochKernel | None = None
+    atom_of: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.atom_of is not None:
+            object.__setattr__(self, "atom_of", _freeze(self.atom_of, dtype=np.intp))
 
     @property
     def row_space(self) -> FiniteSpace:
@@ -79,29 +83,26 @@ class CheckReport:
     notes: tuple[str, ...] = ()
 
 
-def _product_space(sx: FiniteSpace, sy: FiniteSpace) -> FiniteSpace:
-    return FiniteSpace(tuple(f"({a},{b})" for a in sx.labels for b in sy.labels))
-
-
 def _product_generator(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """The move (x, y) -> (g(x), h(y)) as a permutation of row-major product cells."""
     return (g[:, None] * h.size + h).ravel()
 
 
-def _tree_constraints(paction: GroupAction, n: int, family: str) -> tuple:
+def _tree_constraints(orbit_of: np.ndarray, gens, n: int, family: str) -> tuple:
     """Spanning-tree difference constraints, one tree per product orbit.
 
+    gens are (label, cell permutation) pairs and orbit_of their orbit ids.
     BFS starts at the smallest cell of each orbit and follows generators in
     order; tree edge e = (cell, g(cell)) becomes row e of the constraint
     matrix, with +1 at the parent cell and -1 at the child.
     """
     labels, ends = [], []
-    for orb in orbit_decompose(paction).orbits:
-        seen = {orb[0]}
-        queue = deque([orb[0]])
+    for root in np.unique(orbit_of, return_index=True)[1].tolist():
+        seen = {root}
+        queue = deque([root])
         while queue:
             cell = queue.popleft()
-            for lbl, g in paction.generators:
+            for lbl, g in gens:
                 child = int(g[cell])
                 if child in seen:
                     continue
@@ -115,6 +116,17 @@ def _tree_constraints(paction: GroupAction, n: int, family: str) -> tuple:
     return tuple(zip(labels, matrix.reshape(-1, n, n)))
 
 
+def _orbit_restriction(action: GroupAction, product_gens, family: str) -> LinearRestriction:
+    """Plans constant on the orbits of product_gens, (label, cell permutation) pairs."""
+    n = action.space.n
+    orbit_of = _orbit_ids(n * n, [g for _, g in product_gens])
+    spec = invariant_simplex(action)
+    return LinearRestriction(
+        omega=ConstraintSet(action.space, action.space,
+                            _tree_constraints(orbit_of, product_gens, n, family)),
+        mx_spec=spec, my_spec=spec, atom_of=orbit_of)
+
+
 def invariance_restriction(action: GroupAction) -> LinearRestriction:
     """Plans invariant under the diagonal action (x, y) -> (g(x), g(y)).
 
@@ -122,15 +134,8 @@ def invariance_restriction(action: GroupAction) -> LinearRestriction:
     the diagonal action on the product space. Marginals must be invariant
     measures.
     """
-    n = action.space.n
-    pspace = _product_space(action.space, action.space)
-    paction = GroupAction(pspace, tuple((lbl, _product_generator(g, g))
-                                        for lbl, g in action.generators))
-    spec = invariant_simplex(action)
-    return LinearRestriction(
-        omega=ConstraintSet(action.space, action.space,
-                            _tree_constraints(paction, n, "invariance")),
-        mx_spec=spec, my_spec=spec, product_action=paction)
+    return _orbit_restriction(action, [(lbl, _product_generator(g, g))
+                                       for lbl, g in action.generators], "invariance")
 
 
 def _mulclose(gens: list[tuple], compose, cap: int) -> set:
@@ -185,15 +190,9 @@ def subgroup_restriction(action: GroupAction, pair_generators) -> LinearRestrict
             "factor projections of the pair group do not generate the full group "
             f"(sizes {len(proj1)}/{len(proj2)} vs {len(full_group)})")
 
-    pspace = _product_space(action.space, action.space)
-    paction = GroupAction(pspace, tuple(
+    return _orbit_restriction(action, [
         (f"pair{k}", _product_generator(np.array(g, dtype=np.intp), np.array(h, dtype=np.intp)))
-        for k, (g, h) in enumerate(pairs)))
-    spec = invariant_simplex(action)
-    return LinearRestriction(
-        omega=ConstraintSet(action.space, action.space,
-                            _tree_constraints(paction, n, "subgroup")),
-        mx_spec=spec, my_spec=spec, product_action=paction)
+        for k, (g, h) in enumerate(pairs)], "subgroup")
 
 
 def stationarity_restriction(qx: StochKernel, qy: StochKernel) -> LinearRestriction:
@@ -202,7 +201,8 @@ def stationarity_restriction(qx: StochKernel, qy: StochKernel) -> LinearRestrict
     Both kernels must individually pass check_ergodic_kernel. One constraint
     matrix is emitted per product cell: the indicator of the cell minus the
     corresponding column of the product kernel; all-zero matrices (identity
-    kernels) are pruned.
+    kernels) are pruned. The atoms are the rectangles of the two factors'
+    recurrent classes, so a cell is transient when either coordinate is.
     """
     for name, q in (("qx", qx), ("qy", qy)):
         chk = check_ergodic_kernel(q)
@@ -210,44 +210,36 @@ def stationarity_restriction(qx: StochKernel, qy: StochKernel) -> LinearRestrict
             raise ValueError(
                 f"{name} fails the decomposing-kernel check at rows {chk.offending}")
     nx_, ny = qx.space.n, qy.space.n
-    qm = np.kron(qx.q, qy.q)
-    pspace = _product_space(qx.space, qy.space)
-    rows = np.eye(nx_ * ny) - qm.T
+    rows = np.eye(nx_ * ny) - np.kron(qx.q, qy.q).T
     cells = np.flatnonzero(np.max(np.abs(rows), axis=1, initial=0.0) > TAU_MASS)
     omegas = zip((f"stationarity:({c // ny},{c % ny})" for c in cells),
                  rows[cells].reshape(-1, nx_, ny))
+    cx, cy = (stationary_components(q)[1] for q in (qx, qy))
+    atom_of = np.where((cx[:, None] < 0) | (cy < 0), -1, cx[:, None] * (cy.max() + 1) + cy)
     return LinearRestriction(
         omega=ConstraintSet(qx.space, qy.space, tuple(omegas)),
         mx_spec=stationary_simplex(qx), my_spec=stationary_simplex(qy),
-        product_kernel=StochKernel(pspace, qm))
+        atom_of=atom_of.ravel())
 
 
 def no_restriction(row_space: FiniteSpace, col_space: FiniteSpace) -> LinearRestriction:
     """The unconstrained problem: empty omega, full simplexes, Dirac atoms."""
-    pspace = _product_space(row_space, col_space)
-    ident = StochKernel(pspace, np.eye(pspace.n))
     return LinearRestriction(
         omega=ConstraintSet(row_space, col_space, ()),
         mx_spec=full_simplex(row_space), my_spec=full_simplex(col_space),
-        product_kernel=ident)
+        atom_of=np.arange(row_space.n * col_space.n))
 
 
 def product_atoms(r: LinearRestriction) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Atoms of the product ergodic partition, as cell-index lists.
+    """Atoms of the product ergodic partition, as cell-index lists, and a copy of atom_of.
 
-    Group-style restrictions partition all cells into product orbits; kernel
-    restrictions use the recurrent classes of the product kernel, leaving
-    transient cells mapped to -1.
+    The atoms are the product orbits of a group-style restriction, or the
+    recurrent classes of the product kernel; transient cells are in none.
     """
-    if r.product_action is not None:
-        part = orbit_decompose(r.product_action)
-        return [tuple(o) for o in part.orbits], part.orbit_of.copy()
-    if r.product_kernel is not None:
-        comps, class_of = stationary_components(r.product_kernel)
-        atoms = [tuple(np.flatnonzero(class_of == k).tolist()) for k in range(len(comps))]
-        return atoms, class_of
-    raise MissingProductStructureError(
-        "restriction carries neither a product action nor a product kernel")
+    if r.atom_of is None:
+        raise MissingProductStructureError("restriction carries no product atoms")
+    return ([tuple(np.flatnonzero(r.atom_of == k).tolist())
+             for k in range(int(r.atom_of.max(initial=-1)) + 1)], r.atom_of.copy())
 
 
 def plan_violations(pi: TransportPlan, r: LinearRestriction) -> list[tuple[str, float]]:
@@ -339,9 +331,7 @@ def check_coherency(r: LinearRestriction, pi_samples: list[TransportPlan]) -> Ch
     is a regression test: it holds by construction.
     """
     atoms, cell_class = product_atoms(r)
-    member = np.zeros((cell_class.size, len(atoms)))
-    on = np.flatnonzero(cell_class >= 0)
-    member[on, cell_class[on]] = 1.0
+    member = (cell_class[:, None] == np.arange(len(atoms))).astype(float)
     failures = []
     for k, pi in enumerate(pi_samples):
         broken = plan_violations(pi, r)

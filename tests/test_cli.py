@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ergot.cli import main
+
 FIXTURE = Path(__file__).parent / "fixtures" / "c3x2.json"
 
 
@@ -220,13 +222,80 @@ def test_empty_random_batch_rejected(count):
     assert "--random" in out.stderr
 
 
-@pytest.mark.parametrize("p", [None, "two", True, float("nan"), 10 ** 400])
+@pytest.mark.parametrize("p", [None, "two", True, float("nan"), 10 ** 400, 0.5, float("inf")])
 def test_non_numeric_p_is_input_error(tmp_path, p):
     doc = load_fixture()
     doc["p"] = p
     out = run_cli("solve", write_problem(tmp_path, doc))
     assert out.returncode == 1
     assert out.stderr.strip().endswith("at p")
+
+
+@pytest.mark.parametrize("value", ["nan", "0.5", "inf"])
+@pytest.mark.parametrize("command", ["solve", "metric", "verify"])
+def test_bad_p_flag_is_input_error(capsys, command, value):
+    # the flag obeys the same rule as the file's p
+    assert main([command, str(FIXTURE), "--p", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().endswith("at --p")
+
+
+def _fixture_cost_with(value):
+    doc = load_fixture()
+    doc["cost"] = [list(row) for row in doc["metric"]]
+    doc["cost"][0][1] = value
+    return doc
+
+
+@pytest.mark.parametrize("field, doc", [
+    ("cost", _fixture_cost_with(float("nan"))),
+    ("cost", _fixture_cost_with(float("inf"))),
+    ("marginals.mu", {"version": 1, "space": 3, "restriction": "none",
+                      "cost": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+                      "marginals": {"mu": [float("nan"), 0.5, 0.5], "nu": [0.2, 0.3, 0.5]}}),
+    ("kernel", {"version": 1, "space": 2, "kernel": [[float("nan")] * 2, [0.5, 0.5]],
+                "cost": [[0.0, 1.0], [1.0, 0.0]],
+                "marginals": {"mu": [0.5, 0.5], "nu": [0.5, 0.5]}}),
+], ids=["nan-cost", "inf-cost", "nan-mu", "nan-kernel-row"])
+def test_non_finite_input_is_input_error(tmp_path, capsys, field, doc):
+    assert main(["solve", write_problem(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+    assert captured.err.strip().endswith(f"at {field}")
+
+
+def _strict_json(text):
+    def reject(token):
+        raise AssertionError(f"non-strict JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("with_cost", [False, True], ids=["metric", "cost"])
+def test_infeasible_solve_emits_strict_json(tmp_path, capsys, monkeypatch, with_cost):
+    from ergot import OtResult
+    monkeypatch.setattr("ergot.cli.solve_constrained_ot",
+                        lambda *a: OtResult(value=float("inf"), plan=None, status="infeasible"))
+    doc = load_fixture()
+    if with_cost:
+        doc["cost"] = doc["metric"]
+    assert main(["solve", write_problem(tmp_path, doc)]) == 2
+    res = _strict_json(capsys.readouterr().out)["results"]
+    assert res["status"] == "infeasible"
+    assert res["value"] is None and res["plan"] is None
+
+
+def test_infeasible_verify_emits_strict_json(capsys, monkeypatch):
+    from types import SimpleNamespace
+    inf = float("inf")
+    report = SimpleNamespace(lhs=inf, rhs=0.5, gap=inf, inner_table=np.array([[0.5, inf]]),
+                             qopt_ok=True, atoms_finer=False)
+    monkeypatch.setattr("ergot.cli.verify_decomposition", lambda *a: report)
+    assert main(["verify", str(FIXTURE)]) == 2
+    res = _strict_json(capsys.readouterr().out)["results"]
+    assert res["lhs"] is None and res["gap"] is None and res["pass"] is False
+    assert res["inner_table"] == [[0.5, None]]
 
 
 def test_solve_reports_noise_level_distance_as_zero(tmp_path):

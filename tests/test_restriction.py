@@ -5,6 +5,7 @@ from ergot import (
     ConstraintSet,
     FiniteSpace,
     GroupAction,
+    InstanceSpec,
     LinearRestriction,
     Measure,
     MissingProductStructureError,
@@ -14,15 +15,20 @@ from ergot import (
     TransportPlan,
     averaging_kernel,
     check_coherency,
+    check_ergodic_kernel,
     check_geometric,
     check_weak_regularity,
     full_simplex,
+    generate_instance,
     invariance_restriction,
+    inverse_perm,
     no_restriction,
+    orbit_decompose,
     plan_violations,
     product_atoms,
     simplex_components,
     stationarity_restriction,
+    stationary_components,
     subgroup_restriction,
 )
 
@@ -148,12 +154,13 @@ def test_stationarity_of_averaging_kernel_is_product_group_invariance():
 
 
 def test_stationarity_product_kernel_passes_check():
-    from ergot import check_ergodic_kernel
-    act = c3x2_action()
-    q = averaging_kernel(act)
+    # the restriction stores only the atoms; the product kernel they come
+    # from must still decompose its own stationary measures
+    q = averaging_kernel(c3x2_action())
     r = stationarity_restriction(q, q)
-    assert r.product_kernel is not None
-    assert check_ergodic_kernel(r.product_kernel).passed
+    prod = StochKernel(FiniteSpace.of_size(36), np.kron(q.q, q.q))
+    assert check_ergodic_kernel(prod).passed
+    assert np.array_equal(product_atoms(r)[1], stationary_components(prod)[1])
 
 
 def test_stationarity_rejects_non_decomposing_kernel():
@@ -237,7 +244,7 @@ def test_coherency_failure_recorded_for_local_imbalance():
     base = invariance_restriction(act)
     r = LinearRestriction(
         ConstraintSet(sp, sp, (("tilt", om),)),
-        base.mx_spec, base.my_spec, product_action=base.product_action)
+        base.mx_spec, base.my_spec, atom_of=base.atom_of)
     pi = TransportPlan(sp, sp, np.full((2, 2), 0.25))
     rep = check_coherency(r, [pi])
     assert not rep.passed
@@ -279,3 +286,93 @@ def test_extreme_product_plans_have_extreme_marginals():
             nu = pi.col_marginal()
             assert len(decompose_measure(mu, r.mx_spec).components) == 1
             assert len(decompose_measure(nu, r.my_spec).components) == 1
+
+
+# Oracles: the atoms as derived from the full product structure, which the
+# restrictions no longer build.
+
+def orbit_oracle(n, pairs):
+    gens = tuple((f"p{k}", (np.asarray(g)[:, None] * n + np.asarray(h)).ravel())
+                 for k, (g, h) in enumerate(pairs))
+    part = orbit_decompose(GroupAction(FiniteSpace.of_size(n * n), gens))
+    return [tuple(o) for o in part.orbits], part.orbit_of
+
+
+def kernel_oracle(qx, qy):
+    prod = StochKernel(FiniteSpace.of_size(qx.space.n * qy.space.n), np.kron(qx.q, qy.q))
+    comps, class_of = stationary_components(prod)
+    return [tuple(np.flatnonzero(class_of == k).tolist()) for k in range(len(comps))], class_of
+
+
+def assert_same_atoms(r, want):
+    atoms, class_of = product_atoms(r)
+    assert atoms == want[0]
+    assert class_of.dtype == want[1].dtype and np.array_equal(class_of, want[1])
+
+
+def random_decomposing_kernel(rng, n):
+    """Every recurrent row is its class's stationary law; a transient row is one of those laws."""
+    k = int(rng.integers(1, min(n, 3) + 1))
+    n_rec = int(rng.integers(k, n + 1))
+    points = rng.permutation(n)
+    blocks = np.split(points[:n_rec], np.sort(rng.choice(np.arange(1, n_rec), k - 1, replace=False)))
+    laws = []
+    for block in blocks:
+        w = np.zeros(n)
+        w[block] = rng.uniform(0.1, 1.0, block.size)
+        laws.append(w / w.sum())
+    q = np.empty((n, n))
+    for block, w in zip(blocks, laws):
+        q[block] = w
+    for x in points[n_rec:]:
+        q[x] = laws[int(rng.integers(k))]
+    return StochKernel(FiniteSpace.of_size(n), q)
+
+
+def random_partition(rng, n):
+    cuts = rng.choice(np.arange(1, n), size=int(rng.integers(0, min(3, n - 1) + 1)), replace=False)
+    return tuple(np.diff(np.concatenate([[0], np.sort(cuts), [n]])).tolist())
+
+
+def test_orbit_atoms_match_product_action_oracle():
+    rng = np.random.default_rng(7)
+    for n in range(1, 13):
+        for seed in range(4):
+            inst = generate_instance(InstanceSpec(n=n, kind="perm", seed=seed,
+                                                  cycle_type=random_partition(rng, n)))
+            g = inst.action.generators[0][1]
+            assert_same_atoms(inst.restriction, orbit_oracle(n, [(g, g)]))
+            e = np.arange(n)
+            for pairs in ([(g, g)], [(g, inverse_perm(g))], [(g, e), (e, g)]):
+                assert_same_atoms(subgroup_restriction(inst.action, pairs), orbit_oracle(n, pairs))
+
+
+def test_kernel_atoms_match_product_kernel_oracle():
+    rng = np.random.default_rng(9)
+    for n in range(1, 10):
+        for seed in range(3):
+            inst = generate_instance(InstanceSpec(n=n, kind="kernel", seed=seed,
+                                                  class_sizes=random_partition(rng, n)))
+            assert_same_atoms(inst.restriction, kernel_oracle(inst.kernel, inst.kernel))
+
+
+def test_rectangle_atoms_match_product_kernel_with_transient_states():
+    rng = np.random.default_rng(111)
+    transient_unequal = multi_class = 0
+    for _ in range(120):
+        qx = random_decomposing_kernel(rng, int(rng.integers(1, 8)))
+        qy = random_decomposing_kernel(rng, int(rng.integers(1, 8)))
+        want = kernel_oracle(qx, qy)
+        assert check_ergodic_kernel(qx).passed and check_ergodic_kernel(qy).passed
+        assert_same_atoms(stationarity_restriction(qx, qy), want)
+        transient_unequal += bool(np.any(want[1] < 0)) and qx.space.n != qy.space.n
+        multi_class += len(want[0]) > 1
+    assert transient_unequal > 40 and multi_class > 40
+
+
+def test_no_restriction_atoms_are_singletons():
+    r = no_restriction(FiniteSpace.of_size(3), FiniteSpace.of_size(5))
+    atoms, class_of = product_atoms(r)
+    assert atoms == [(c,) for c in range(15)]
+    assert np.array_equal(class_of, np.arange(15))
+    assert not r.atom_of.flags.writeable
