@@ -235,17 +235,31 @@ def parse_problem(doc: dict):
         "space": space, "action": action, "kernel": kernel, "metric": metric,
         "cost": cost, "rnode": rnode, "subgroup_pairs": pairs, "spec": spec,
         "mu": mu, "nu": nu, "p": _order(doc.get("p", 1.0), "p"),
-        "tol": None if tol is None else float(tol),
+        "tol": None if tol is None else _tol(tol, "tol"),
     }
+
+
+def _finite(x, path: str) -> float:
+    """x as a float if it is a finite number (not a bool), else ParseError at path."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= sys.float_info.max:
+        raise ParseError(path, f"expected a finite number, got {json.dumps(x)}")
+    return float(x)
 
 
 def _order(p, path: str) -> float:
     """A transport order: a finite number of at least 1, else ParseError at path."""
-    if isinstance(p, bool) or not isinstance(p, (int, float)) or not abs(p) <= sys.float_info.max:
-        raise ParseError(path, f"expected a finite number, got {json.dumps(p)}")
+    p = _finite(p, path)
     if p < 1:
-        raise ParseError(path, f"order {float(p)} is below 1")
-    return float(p)
+        raise ParseError(path, f"order {p} is below 1")
+    return p
+
+
+def _tol(t, path: str) -> float:
+    """A gap tolerance: a finite number of at least 0, else ParseError at path."""
+    t = _finite(t, path)
+    if t < 0:
+        raise ParseError(path, f"tolerance {t} is below 0")
+    return t
 
 
 def _chosen_p(args, prob) -> float:
@@ -311,15 +325,23 @@ def _emit(args, payload: dict, csv_matrix=None, csv_header=None, csv_labels=None
 
 
 def _tolerance(args) -> float:
+    """The --tol flag if given, else ERGOT_TOL if set, else DEFAULT_TOL."""
     if args.tol is not None:
-        return args.tol
+        return _tol(args.tol, "--tol")
     env = os.environ.get("ERGOT_TOL")
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError:
-            raise ParseError("ERGOT_TOL", f"cannot read tolerance {env!r}")
-    return DEFAULT_TOL
+    if env is None:
+        return DEFAULT_TOL
+    try:
+        value = float(env)
+    except ValueError:
+        raise ParseError("ERGOT_TOL", f"cannot read tolerance {env!r}")
+    return _tol(value, "ERGOT_TOL")
+
+
+def _chosen_tol(args, prob) -> float:
+    """--tol if given, else the file's tol, else ERGOT_TOL, else DEFAULT_TOL."""
+    tol = _tolerance(args)
+    return prob["tol"] if prob["tol"] is not None and args.tol is None else tol
 
 
 def cmd_solve(args) -> int:
@@ -407,7 +429,7 @@ def cmd_metric(args) -> int:
     if prob["metric"] is None:
         raise ParseError("metric", "metric command needs a ground metric")
     p = _chosen_p(args, prob)
-    tol = _tolerance(args) if prob["tol"] is None else prob["tol"]
+    tol = _chosen_tol(args, prob)
     r = get_restriction(prob)
     bm = boundary_metric(r.mx_spec, prob["metric"], p, r)
     results: dict = {"p": p, "dbar": _tolist(bm.dbar),
@@ -498,8 +520,7 @@ def cmd_verify(args) -> int:
     doc = _load(args.file)
     prob = parse_problem(doc)
     p = _chosen_p(args, prob)
-    if prob["tol"] is not None and args.tol is None:
-        tol = prob["tol"]
+    tol = _chosen_tol(args, prob)
     if args.check is not None:
         results = _run_checks(prob, (args.check,))
         payload = {"command": "verify", "version": 1,

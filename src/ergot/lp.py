@@ -1,4 +1,4 @@
-"""Dense two-phase simplex with Bland's rule, plus a vertex-enumeration oracle.
+"""Two-phase simplex with Bland's rule, plus a vertex-enumeration oracle.
 
 The solver is deliberately boring. Standard form is
 
@@ -12,6 +12,12 @@ negative reduced cost, the leaving row is picked by the minimum ratio test
 with ties broken by the lowest basic variable index. Bland's rule cannot
 cycle, and the fixed tie-breaking makes every solve reproducible, basis and
 all, which the verification layers depend on.
+
+Each pivot updates the tableau in place, and only where the pivot column
+and the pivot row are both nonzero. Every other entry of the rank-1 update
+would subtract a zero product, so the nonzero entries come out bit for bit
+as a full dense update would leave them; only the sign of a zero can differ,
+and the solution vector folds -0.0 to 0.0.
 
 ``enumerate_vertices`` is an independent brute-force oracle: it tries every
 basis-sized column subset of the equality system and keeps the nonnegative
@@ -63,50 +69,63 @@ class LpSolution:
     x: np.ndarray | None = None
     value: float | None = None
     basis: tuple[int, ...] = ()
-    pivots: int = 0                # informational, for anti-cycling assertions
+    pivots: int = 0                # all pivots, both phases
+    phase1_pivots: int = 0         # pivots before phase two, artificial drive-out included
+    degenerate_pivots: int = 0     # ratio-test pivots whose leaving ratio is <= PIVOT_EPS
 
 
-def _bland_iterate(T, basis, ncols, pivots):
+def _bland_iterate(T, basis, ncols, pivots, degenerate):
     """Run Bland pivots in place until optimal or unbounded.
 
     T is the tableau with the reduced-cost row last and the rhs column last;
-    only the first ncols columns may enter. Returns (status, pivots).
+    only the first ncols columns may enter. Returns (status, pivots,
+    degenerate), the two counts carried on from the arguments.
     """
     m = T.shape[0] - 1
     while True:
-        red = T[-1, :ncols]
-        entering = -1
-        for j in range(ncols):
-            if red[j] < -PIVOT_EPS:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal", pivots
+        negative = T[-1, :ncols] < -PIVOT_EPS
+        entering = int(negative.argmax())
+        if not negative[entering]:
+            return "optimal", pivots, degenerate
         col = T[:m, entering]
+        cand = (col > PIVOT_EPS).nonzero()[0]
+        ratios = T[cand, -1] / col[cand]
+        # the tie band chains from the running best, so no argmin can stand in
         best_ratio = math.inf
         leave = -1
-        for i in range(m):
-            if col[i] > PIVOT_EPS:
-                ratio = T[i, -1] / col[i]
-                if ratio < best_ratio - PIVOT_EPS or (
-                    abs(ratio - best_ratio) <= PIVOT_EPS and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
+        for i, ratio in zip(cand.tolist(), ratios.tolist()):
+            if ratio < best_ratio - PIVOT_EPS or (
+                abs(ratio - best_ratio) <= PIVOT_EPS and (leave < 0 or basis[i] < basis[leave])
+            ):
+                best_ratio = ratio
+                leave = i
         if leave < 0:
-            return "unbounded", pivots
+            return "unbounded", pivots, degenerate
         _pivot(T, leave, entering)
         basis[leave] = entering
         pivots += 1
+        if best_ratio <= PIVOT_EPS:
+            degenerate += 1
         if pivots > MAX_PIVOTS:
             raise RuntimeError("pivot cap exceeded; this should be unreachable with Bland's rule")
 
 
 def _pivot(T, row, col):
+    """Pivot T in place on (row, col), touching only nonzero rows and columns.
+
+    The rank-1 update runs on the rows where the pivot column is nonzero and
+    the columns where the pivot row is nonzero. It is the same product and
+    the same subtraction a dense np.outer update makes there, and elsewhere
+    the dense update subtracts a zero, so every nonzero entry is bit for bit
+    the dense result; only the sign of a zero entry can differ.
+    """
     T[row] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    rows = factors.nonzero()[0]
+    prow = T[row]
+    cols = prow.nonzero()[0]
+    T[rows[:, None], cols] -= factors[rows, None] * prow[cols]
     # keep the pivot column numerically exact
     T[:, col] = 0.0
     T[row, col] = 1.0
@@ -131,49 +150,51 @@ def solve_lp(prob: LpProblem) -> LpSolution:
     T[-1, :n] = -A.sum(axis=0)
     T[-1, -1] = -b.sum()
 
-    status, pivots = _bland_iterate(T, basis, n + m, 0)
+    status, pivots, degenerate = _bland_iterate(T, basis, n + m, 0, 0)
     phase1 = -T[-1, -1]
     if status != "optimal" or phase1 > TAU_LP:
-        return LpSolution(status="infeasible", pivots=pivots)
+        return LpSolution(status="infeasible", pivots=pivots, phase1_pivots=pivots,
+                          degenerate_pivots=degenerate)
 
     # drive leftover artificials out of the basis; rows that cannot pivot on
     # any original column are redundant and get dropped
     drop_rows = []
     for i in range(m):
         if basis[i] >= n:
-            entering = -1
-            for j in range(n):
-                if abs(T[i, j]) > PIVOT_EPS:
-                    entering = j
-                    break
-            if entering < 0:
+            movable = np.abs(T[i, :n]) > PIVOT_EPS
+            entering = int(movable.argmax())
+            if not movable[entering]:
                 drop_rows.append(i)
             else:
                 _pivot(T, i, entering)
                 basis[i] = entering
                 pivots += 1
+    phase1_pivots = pivots
     if drop_rows:
-        keep = [i for i in range(m) if i not in set(drop_rows)]
+        dropped = set(drop_rows)
+        keep = [i for i in range(m) if i not in dropped]
         T = T[keep + [m]]
         basis = [basis[i] for i in keep]
 
-    # phase two: real objective over the original columns only
-    T = np.hstack([T[:, :n], T[:, -1:]])
+    # phase two: real objective over the original columns only, the rhs
+    # moved next to them
+    T[:, n] = T[:, -1]
+    T = T[:, :n + 1]
     T[-1, :] = 0.0
     T[-1, :n] = prob.objective
     for i, bi in enumerate(basis):
         T[-1] -= T[-1, bi] * T[i]
 
-    status, pivots = _bland_iterate(T, basis, n, pivots)
+    status, pivots, degenerate = _bland_iterate(T, basis, n, pivots, degenerate)
+    counts = {"pivots": pivots, "phase1_pivots": phase1_pivots, "degenerate_pivots": degenerate}
     if status == "unbounded":
-        return LpSolution(status="unbounded", pivots=pivots)
+        return LpSolution(status="unbounded", **counts)
 
     x = np.zeros(n)
     for i, bi in enumerate(basis):
-        x[bi] = T[i, -1]
+        x[bi] = T[i, -1] + 0.0   # a skipped zero can be -0.0; fold it
     value = float(prob.objective @ x)
-    return LpSolution(status="optimal", x=x, value=value,
-                      basis=tuple(sorted(basis)), pivots=pivots)
+    return LpSolution(status="optimal", x=x, value=value, basis=tuple(sorted(basis)), **counts)
 
 
 def _independent_rows(A, b):

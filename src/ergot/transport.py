@@ -5,6 +5,8 @@ the support of the marginals only (zero-mass rows and columns force their
 cells to zero, so dropping them is exact), with one marginal equality per
 support row, one per support column except the last (the marginal system
 overdetermines by one row), and one equality per constraint matrix.
+Cost cells of +inf are left out of the variable set, so no plan can use
+them; a NaN or -inf cost is an error.
 
 Infeasibility is data here, not an error: the restricted distance of an
 infeasible pair is +inf, which keeps the metric axioms total.
@@ -98,21 +100,33 @@ def _embed_plan(sol: LpSolution, shape, rows, cols, keep) -> np.ndarray:
     return full
 
 
-def _solve_transport(mu: Measure, nu: Measure, c: CostMatrix, constraints=None) -> OtResult:
-    prob, rows, cols, keep = _transport_lp(mu.w, nu.w, c.c, constraints)
+def _solve_transport(mu_w, nu_w, cost, row_space, col_space, constraints=None) -> OtResult:
+    """The transport LP between two weight vectors, as a plan over the two spaces.
+
+    +inf cost cells are excluded from the variable set; a NaN or -inf cost
+    raises ValueError.
+    """
+    if np.isnan(cost).any() or np.isneginf(cost).any():
+        raise ValueError("cost has a NaN or -inf entry")
+    forbid = np.isposinf(cost)
+    infeasible = OtResult(value=math.inf, plan=None, status="infeasible")
+    if forbid[np.ix_(mu_w > TAU_MASS, nu_w > TAU_MASS)].all():
+        return infeasible
+    safe_cost = np.where(forbid, 0.0, cost)
+    prob, rows, cols, keep = _transport_lp(mu_w, nu_w, safe_cost, constraints, forbid)
     sol = solve_lp(prob)
     if sol.status != "optimal":
-        return OtResult(value=math.inf, plan=None, status="infeasible")
-    p = _embed_plan(sol, c.c.shape, rows, cols, keep)
-    plan = TransportPlan(c.row_space, c.col_space, p)
-    return OtResult(value=float(np.sum(c.c * p)), plan=plan, status="optimal")
+        return infeasible
+    p = _embed_plan(sol, cost.shape, rows, cols, keep)
+    return OtResult(value=float(np.sum(safe_cost * p)),
+                    plan=TransportPlan(row_space, col_space, p), status="optimal")
 
 
 def solve_ot(mu: Measure, nu: Measure, c: CostMatrix) -> OtResult:
     """Unconstrained optimal transport; always solvable (the product plan is feasible)."""
     if mu.space.n != c.row_space.n or nu.space.n != c.col_space.n:
         raise ValueError("marginal sizes do not match the cost matrix")
-    return _solve_transport(mu, nu, c)
+    return _solve_transport(mu.w, nu.w, c.c, c.row_space, c.col_space)
 
 
 def solve_constrained_ot(mu: Measure, nu: Measure, c: CostMatrix,
@@ -129,7 +143,7 @@ def solve_constrained_ot(mu: Measure, nu: Measure, c: CostMatrix,
         bad = membership_violation(m, spec)
         if bad is not None:
             raise NotInSimplexError(f"{side}: {bad}")
-    return _solve_transport(mu, nu, c, r.omega.matrix)
+    return _solve_transport(mu.w, nu.w, c.c, c.row_space, c.col_space, r.omega.matrix)
 
 
 def wasserstein(mu: Measure, nu: Measure, d: GroundMetric, p: float,
@@ -177,17 +191,8 @@ def _outer_ot(wx: np.ndarray, wy: np.ndarray, cost: np.ndarray) -> OtResult:
     feasible coupling the result is infeasible (value +inf).
     """
     k_x, k_y = cost.shape
-    sx = FiniteSpace.of_size(k_x, "mass-class-")
-    sy = FiniteSpace.of_size(k_y, "mass-class-")
-    forbid = ~np.isfinite(cost)
-    safe_cost = np.where(forbid, 0.0, cost)
-    prob, rows, cols, keep = _transport_lp(wx, wy, safe_cost, forbid=forbid)
-    sol = solve_lp(prob)
-    if sol.status != "optimal":
-        return OtResult(value=math.inf, plan=None, status="infeasible")
-    p = _embed_plan(sol, cost.shape, rows, cols, keep)
-    return OtResult(value=float(np.sum(safe_cost * p)),
-                    plan=TransportPlan(sx, sy, p), status="optimal")
+    return _solve_transport(wx, wy, cost, FiniteSpace.of_size(k_x, "mass-class-"),
+                            FiniteSpace.of_size(k_y, "mass-class-"))
 
 
 def component_weights(mu: Measure, spec: SimplexSpec) -> np.ndarray:

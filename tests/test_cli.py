@@ -173,6 +173,15 @@ def test_tolerance_env_and_flag(tmp_path):
     assert relaxed.returncode == 0
 
 
+@pytest.mark.parametrize("command", ["verify", "metric"])
+def test_tol_flag_overrides_file(tmp_path, command):
+    doc = load_fixture()
+    doc["tol"] = 1e-300
+    path = write_problem(tmp_path, doc)
+    assert main([command, path, "--out", str(tmp_path / "strict.json")]) == 2
+    assert main([command, path, "--tol", "1e-6", "--out", str(tmp_path / "relaxed.json")]) == 0
+
+
 def test_out_flag_writes_file(tmp_path):
     target = tmp_path / "report.json"
     out = run_cli("solve", str(FIXTURE), "--out", str(target))
@@ -239,6 +248,33 @@ def test_bad_p_flag_is_input_error(capsys, command, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip().endswith("at --p")
+
+
+@pytest.mark.parametrize("source, value, path", [
+    ("file", float("nan"), "tol"), ("file", -1, "tol"), ("file", "abc", "tol"),
+    ("file", True, "tol"),
+    ("flag", "nan", "--tol"), ("flag", "-1", "--tol"), ("flag", "inf", "--tol"),
+    ("env", "nan", "ERGOT_TOL"), ("env", "-1", "ERGOT_TOL"), ("env", "inf", "ERGOT_TOL"),
+    ("env", "abc", "ERGOT_TOL"),
+])
+@pytest.mark.parametrize("command", ["verify", "metric"])
+def test_bad_tolerance_is_input_error(tmp_path, monkeypatch, capsys, command, source, value, path):
+    # the file's tol, --tol and ERGOT_TOL share one rule: a finite number >= 0;
+    # a valid tol in the file does not hide a bad flag or environment value
+    doc = load_fixture()
+    doc["tol"] = 1e-6
+    monkeypatch.delenv("ERGOT_TOL", raising=False)
+    if source == "file":
+        doc["tol"] = value
+    elif source == "env":
+        monkeypatch.setenv("ERGOT_TOL", value)
+    argv = [command, write_problem(tmp_path, doc)]
+    if source == "flag":
+        argv += ["--tol", value]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().endswith(f"at {path}")
 
 
 def _fixture_cost_with(value):

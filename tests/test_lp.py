@@ -1,15 +1,27 @@
 """Two-phase simplex and the brute-force vertex oracle.
 
 The transport-shaped systems here are built by hand so the LP layer is
-exercised without going through the transport module.
+exercised without going through the transport module, except in the
+differential tests, which also replay the LPs that verification solves.
 """
 
-import itertools
+import math
 
 import numpy as np
 import pytest
 
-from ergot import LpProblem, VertexCapExceededError, enumerate_vertices, solve_lp
+import ergot.transport
+from ergot import (
+    InstanceSpec,
+    LpProblem,
+    VertexCapExceededError,
+    enumerate_vertices,
+    generate_instance,
+    solve_lp,
+    verify_decomposition,
+)
+from ergot.core import TAU_LP
+from ergot.lp import PIVOT_EPS
 
 
 def transport_problem(mu, nu, cost):
@@ -139,3 +151,218 @@ def test_vertices_deduplicated():
     verts = enumerate_vertices(LpProblem(np.zeros(3), A, b))
     as_tuples = {tuple(np.round(v, 10)) for v in verts}
     assert len(as_tuples) == len(verts)
+
+
+# ---------------------------------------------------------------- dense oracle
+# The solver as it was before the sparse in-place pivot: a full np.outer
+# update on every pivot, Python loops for the ratio test and the artificial
+# drive-out. solve_lp must reproduce its pivots, bases and nonzero entries
+# bit for bit. The oracle also counts phase-one and degenerate pivots, the
+# way LpSolution defines them.
+
+def _dense_pivot(T, row, col):
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+
+
+def _dense_bland(T, basis, ncols, pivots, degenerate):
+    m = T.shape[0] - 1
+    while True:
+        red = T[-1, :ncols]
+        entering = -1
+        for j in range(ncols):
+            if red[j] < -PIVOT_EPS:
+                entering = j
+                break
+        if entering < 0:
+            return "optimal", pivots, degenerate
+        col = T[:m, entering]
+        best_ratio = math.inf
+        leave = -1
+        for i in range(m):
+            if col[i] > PIVOT_EPS:
+                ratio = T[i, -1] / col[i]
+                if ratio < best_ratio - PIVOT_EPS or (
+                    abs(ratio - best_ratio) <= PIVOT_EPS and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded", pivots, degenerate
+        _dense_pivot(T, leave, entering)
+        basis[leave] = entering
+        pivots += 1
+        degenerate += best_ratio <= PIVOT_EPS
+
+
+def dense_solve_lp(prob):
+    """(status, x, value, basis, (pivots, phase-one pivots, degenerate pivots))."""
+    m, n = prob.eq_matrix.shape
+    A = prob.eq_matrix.copy()
+    b = prob.eq_rhs.copy()
+    neg = b < 0
+    A[neg] *= -1.0
+    b[neg] *= -1.0
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n:n + m] = np.eye(m)
+    T[:m, -1] = b
+    basis = list(range(n, n + m))
+    T[-1, :n] = -A.sum(axis=0)
+    T[-1, -1] = -b.sum()
+    status, pivots, degenerate = _dense_bland(T, basis, n + m, 0, 0)
+    if status != "optimal" or -T[-1, -1] > TAU_LP:
+        return "infeasible", None, None, (), (pivots, pivots, degenerate)
+    drop_rows = []
+    for i in range(m):
+        if basis[i] >= n:
+            entering = -1
+            for j in range(n):
+                if abs(T[i, j]) > PIVOT_EPS:
+                    entering = j
+                    break
+            if entering < 0:
+                drop_rows.append(i)
+            else:
+                _dense_pivot(T, i, entering)
+                basis[i] = entering
+                pivots += 1
+    phase1 = pivots
+    if drop_rows:
+        keep = [i for i in range(m) if i not in set(drop_rows)]
+        T = T[keep + [m]]
+        basis = [basis[i] for i in keep]
+    T = np.hstack([T[:, :n], T[:, -1:]])
+    T[-1, :] = 0.0
+    T[-1, :n] = prob.objective
+    for i, bi in enumerate(basis):
+        T[-1] -= T[-1, bi] * T[i]
+    status, pivots, degenerate = _dense_bland(T, basis, n, pivots, degenerate)
+    counts = (pivots, phase1, degenerate)
+    if status == "unbounded":
+        return "unbounded", None, None, (), counts
+    x = np.zeros(n)
+    for i, bi in enumerate(basis):
+        x[bi] = T[i, -1]
+    return "optimal", x, float(prob.objective @ x), tuple(sorted(basis)), counts
+
+
+def assert_matches_dense(prob):
+    status, x, value, basis, counts = dense_solve_lp(prob)
+    sol = solve_lp(prob)
+    assert (sol.status, sol.basis) == (status, basis)
+    assert (sol.pivots, sol.phase1_pivots, sol.degenerate_pivots) == counts
+    assert sol.phase1_pivots <= sol.pivots
+    if status != "optimal":
+        assert sol.x is None and sol.value is None
+        return sol
+    assert sol.value == value
+    assert sol.x.tobytes() == x.tobytes()
+    assert not np.any(np.signbit(sol.x[sol.x == 0.0]))
+    return sol
+
+
+def recorded_lps(monkeypatch, run):
+    """Every LpProblem the transport layer solves while run() executes."""
+    seen = []
+
+    def recording(prob):
+        seen.append(prob)
+        return solve_lp(prob)
+
+    monkeypatch.setattr(ergot.transport, "solve_lp", recording)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+PINNED_FALSE_INFEASIBLE = [(6, (3, 3), 126), (7, (4, 3), 102), (12, (4, 4, 4), 98)]
+
+
+@pytest.mark.parametrize("spec", [
+    *(InstanceSpec(n=n, kind="perm", cycle_type=ct, seed=s)
+      for n, ct in ((6, (3, 3)), (8, (4, 4)), (9, (4, 3, 2)), (12, (6, 6))) for s in (0, 1, 2)),
+    *(InstanceSpec(n=sum(cs), kind="kernel", class_sizes=cs, seed=s)
+      for cs in ((3, 3), (4, 3, 3), (4, 4, 4)) for s in (0, 1, 2)),
+    *(InstanceSpec(n=n, kind="kernel", class_sizes=cs, seed=s)
+      for n, cs, s in PINNED_FALSE_INFEASIBLE),
+], ids=lambda s: f"{s.kind}-{'+'.join(map(str, s.cycle_type or s.class_sizes))}-seed{s.seed}")
+def test_sparse_pivots_match_dense_on_verification_lps(monkeypatch, spec):
+    inst = generate_instance(spec)
+    lps = recorded_lps(monkeypatch, lambda: verify_decomposition(
+        inst.mu, inst.nu, inst.cost, inst.restriction))
+    assert lps
+    statuses = [assert_matches_dense(prob).status for prob in lps]
+    if (spec.n, spec.class_sizes, spec.seed) in PINNED_FALSE_INFEASIBLE:
+        # the lifted solve of a pinned reproducer is wrongly infeasible, so
+        # the infeasible exit is compared here too
+        assert statuses[0] == "infeasible"
+
+
+def random_transport(rng, m, n):
+    mu = rng.dirichlet(np.ones(m))
+    nu = rng.dirichlet(np.ones(n))
+    return transport_problem(mu, nu, rng.uniform(0, 1, (m, n)))
+
+
+def test_sparse_pivots_match_dense_on_random_transport():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        m, n = rng.integers(2, 9, size=2)
+        assert_matches_dense(random_transport(rng, m, n))
+
+
+def test_sparse_pivots_match_dense_with_negative_rhs_rows():
+    rng = np.random.default_rng(37)
+    for _ in range(30):
+        prob = random_transport(rng, *rng.integers(2, 7, size=2))
+        flip = np.where(rng.random(prob.eq_rhs.size) < 0.5, -1.0, 1.0)
+        flip[0] = -1.0
+        assert_matches_dense(LpProblem(prob.objective, prob.eq_matrix * flip[:, None],
+                                       prob.eq_rhs * flip))
+
+
+def test_sparse_pivots_match_dense_with_redundant_rows():
+    # duplicated rows and sums of rows leave artificials basic after phase
+    # one, so the drive-out pivots and the row drop both run
+    rng = np.random.default_rng(41)
+    dropped = 0
+    for _ in range(30):
+        prob = random_transport(rng, *rng.integers(2, 7, size=2))
+        k = prob.eq_rhs.size
+        mix = rng.integers(0, 2, size=(3, k)).astype(float)
+        A = np.vstack([prob.eq_matrix, prob.eq_matrix[:2], mix @ prob.eq_matrix])
+        b = np.concatenate([prob.eq_rhs, prob.eq_rhs[:2], mix @ prob.eq_rhs])
+        sol = assert_matches_dense(LpProblem(prob.objective, A, b))
+        dropped += b.size - len(sol.basis)
+    assert dropped > 0
+
+
+def test_sparse_pivots_match_dense_on_infeasible_and_unbounded():
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        prob = random_transport(rng, *rng.integers(2, 6, size=2))
+        # ask the first row for more mass than the columns can take
+        rhs = prob.eq_rhs.copy()
+        rhs[0] += 0.5
+        assert assert_matches_dense(LpProblem(prob.objective, prob.eq_matrix, rhs)).status \
+            == "infeasible"
+        # a free direction: a column in no row, with negative cost
+        A = np.hstack([prob.eq_matrix, np.zeros((rhs.size, 1))])
+        obj = np.append(prob.objective, -1.0)
+        assert assert_matches_dense(LpProblem(obj, A, prob.eq_rhs)).status == "unbounded"
+
+
+def test_degenerate_transport_lp_reports_degenerate_pivots():
+    # equal-mass points make the lifted transport polytope degenerate
+    inst = generate_instance(InstanceSpec(n=6, kind="perm", cycle_type=(3, 3), seed=0))
+    prob, *_ = ergot.transport._transport_lp(inst.mu.w, inst.nu.w, inst.cost.c,
+                                              inst.restriction.omega.matrix)
+    sol = solve_lp(prob)
+    assert sol.status == "optimal"
+    assert 0 < sol.degenerate_pivots < sol.pivots
+    assert 0 < sol.phase1_pivots < sol.pivots

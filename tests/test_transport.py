@@ -7,6 +7,8 @@ here (0.5, 2.0, 1.0, [[0,2],[2,0]]) were confirmed by vertex enumeration on
 the orbit-reduced LP before being written down.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,55 @@ def test_infeasible_reported_not_raised():
     assert res.plan is None
     d = GroundMetric(sp, np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert wasserstein(dirac, dirac, d, 1.0, r) == np.inf
+
+
+def _three_point_problem(index, value):
+    """Cost |x - y| on three points with c[index] = value."""
+    sp = FiniteSpace.of_size(3)
+    mu = Measure(sp, np.array([0.5, 0.3, 0.2]))
+    nu = Measure(sp, np.array([0.2, 0.5, 0.3]))
+    c = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
+    c[index] = value
+    return mu, nu, CostMatrix(sp, sp, c), no_restriction(sp, sp)
+
+
+@pytest.mark.parametrize("solve", ["plain", "constrained"])
+def test_inf_cost_cell_is_forbidden(solve):
+    # the cheap move 0 -> 1 is forbidden; a large finite cost there gives the
+    # same optimum, since the plan can avoid the cell
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        results = []
+        for value in (np.inf, 100.0):
+            mu, nu, c, r = _three_point_problem((0, 1), value)
+            results.append(solve_ot(mu, nu, c) if solve == "plain"
+                           else solve_constrained_ot(mu, nu, c, r))
+    forbidden, big = results
+    assert forbidden.status == "optimal"
+    assert np.isfinite(forbidden.value)
+    assert forbidden.plan.p[0, 1] == 0.0
+    assert forbidden.value == pytest.approx(big.value, abs=1e-12)
+    assert np.allclose(forbidden.plan.p, big.plan.p, atol=1e-12)
+
+
+@pytest.mark.parametrize("solve", ["plain", "constrained"])
+def test_all_inf_cost_row_is_infeasible(solve):
+    mu, nu, c, r = _three_point_problem(0, np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = solve_ot(mu, nu, c) if solve == "plain" else solve_constrained_ot(mu, nu, c, r)
+    assert res.status == "infeasible"
+    assert res.value == np.inf
+    assert res.plan is None
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_nan_or_negative_inf_cost_is_rejected(bad):
+    mu, nu, c, r = _three_point_problem((0, 1), bad)
+    with pytest.raises(ValueError, match="cost"):
+        solve_ot(mu, nu, c)
+    with pytest.raises(ValueError, match="cost"):
+        solve_constrained_ot(mu, nu, c, r)
 
 
 def test_wasserstein_identity():
