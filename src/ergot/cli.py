@@ -355,7 +355,7 @@ def cmd_solve(args) -> int:
         raise ParseError("cost", "solve needs a cost or a metric")
     if cost is None:
         cost = CostMatrix(prob["space"], prob["space"], prob["metric"].d ** p)
-    res = solve_constrained_ot(prob["mu"], prob["nu"], cost, get_restriction(prob))
+    res = solve_constrained_ot(prob["mu"], prob["nu"], cost, get_restriction(prob), method="lp")
     results = {"status": res.status, "value": res.value,
                "plan": None if res.plan is None else _tolist(res.plan.p)}
     if prob["cost"] is None:
@@ -436,7 +436,7 @@ def cmd_metric(args) -> int:
                      "components": [_tolist(c.w) for c in bm.components]}
     code = 0
     if prob["mu"] is not None and prob["nu"] is not None:
-        direct = wasserstein(prob["mu"], prob["nu"], prob["metric"], p, r)
+        direct = wasserstein(prob["mu"], prob["nu"], prob["metric"], p, r, method="lp")
         lifted = lifted_metric(prob["mu"], prob["nu"], bm, r.mx_spec, p)
         gap = abs(direct - lifted) if np.isfinite(direct) or np.isfinite(lifted) else 0.0
         results.update({"direct": direct, "lifted": lifted, "gap": gap,

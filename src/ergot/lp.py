@@ -53,8 +53,10 @@ class LpProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "objective", np.asarray(self.objective, dtype=float))
-        object.__setattr__(self, "eq_matrix", np.asarray(self.eq_matrix, dtype=float).reshape(-1, self.objective.size))
         object.__setattr__(self, "eq_rhs", np.asarray(self.eq_rhs, dtype=float))
+        # with no variables the row count cannot be inferred; it is the rhs length
+        rows = -1 if self.objective.size else self.eq_rhs.size
+        object.__setattr__(self, "eq_matrix", np.asarray(self.eq_matrix, dtype=float).reshape(rows, self.objective.size))
         if self.eq_rhs.shape != (self.eq_matrix.shape[0],):
             raise ValueError(f"rhs length {self.eq_rhs.shape} does not match row count {self.eq_matrix.shape[0]}")
 
@@ -84,8 +86,8 @@ def _bland_iterate(T, basis, ncols, pivots, degenerate):
     m = T.shape[0] - 1
     while True:
         negative = T[-1, :ncols] < -PIVOT_EPS
-        entering = int(negative.argmax())
-        if not negative[entering]:
+        entering = int(negative.argmax()) if ncols else 0   # argmax refuses an empty row
+        if not ncols or not negative[entering]:
             return "optimal", pivots, degenerate
         col = T[:m, entering]
         cand = (col > PIVOT_EPS).nonzero()[0]
@@ -161,11 +163,11 @@ def solve_lp(prob: LpProblem) -> LpSolution:
     drop_rows = []
     for i in range(m):
         if basis[i] >= n:
-            movable = np.abs(T[i, :n]) > PIVOT_EPS
-            entering = int(movable.argmax())
-            if not movable[entering]:
+            movable = (np.abs(T[i, :n]) > PIVOT_EPS).nonzero()[0]
+            if not movable.size:
                 drop_rows.append(i)
             else:
+                entering = int(movable[0])
                 _pivot(T, i, entering)
                 basis[i] = entering
                 pivots += 1

@@ -1,10 +1,19 @@
 """Constrained and unconstrained Kantorovich solvers and the derived metrics.
 
-All solvers reduce to the dense simplex in ``lp``. The LP is assembled over
-the support of the marginals only (zero-mass rows and columns force their
-cells to zero, so dropping them is exact), with one marginal equality per
-support row, one per support column except the last (the marginal system
-overdetermines by one row), and one equality per constraint matrix.
+A restriction that carries product atoms (every shipped family does) is
+solved on them by default: each atom's plan spreads the product of the two
+extreme measures over the atom, the cheapest atom of each pair of ergodic
+components gives that pair's inner cost, and one small transport between
+the component weights mixes them. That is the paper's two-stage theorem
+used as an algorithm, and its plan is checked against every constraint.
+
+Everything else, and the closed form's outer problem, reduces to the dense
+simplex in ``lp`` (``method="lp"`` keeps a restricted solve there, as the
+independent witness). The LP is assembled over the support of the marginals
+only (zero-mass rows and columns force their cells to zero, so dropping them
+is exact), with one marginal equality per support row, one per support
+column except the last (the marginal system overdetermines by one row), and
+one equality per constraint matrix.
 Cost cells of +inf are left out of the variable set, so no plan can use
 them; a NaN or -inf cost is an error.
 
@@ -26,6 +35,7 @@ from .core import (
     FiniteSpace,
     GroundMetric,
     Measure,
+    MissingProductStructureError,
     NotFeasibleError,
     NotInSimplexError,
     SimplexSpec,
@@ -42,6 +52,7 @@ class OtResult:
     value: float
     plan: TransportPlan | None
     status: str                    # "optimal" | "infeasible"
+    method: str = "lp"             # "atoms" (closed form) | "lp" (a transport LP)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,23 +111,25 @@ def _embed_plan(sol: LpSolution, shape, rows, cols, keep) -> np.ndarray:
     return full
 
 
+def _forbidden_cells(cost):
+    """(+inf mask, cost with those cells set to 0); NaN or -inf raises ValueError."""
+    if np.isnan(cost).any() or np.isneginf(cost).any():
+        raise ValueError("cost has a NaN or -inf entry")
+    forbid = np.isposinf(cost)
+    return forbid, np.where(forbid, 0.0, cost)
+
+
 def _solve_transport(mu_w, nu_w, cost, row_space, col_space, constraints=None) -> OtResult:
     """The transport LP between two weight vectors, as a plan over the two spaces.
 
     +inf cost cells are excluded from the variable set; a NaN or -inf cost
     raises ValueError.
     """
-    if np.isnan(cost).any() or np.isneginf(cost).any():
-        raise ValueError("cost has a NaN or -inf entry")
-    forbid = np.isposinf(cost)
-    infeasible = OtResult(value=math.inf, plan=None, status="infeasible")
-    if forbid[np.ix_(mu_w > TAU_MASS, nu_w > TAU_MASS)].all():
-        return infeasible
-    safe_cost = np.where(forbid, 0.0, cost)
+    forbid, safe_cost = _forbidden_cells(cost)
     prob, rows, cols, keep = _transport_lp(mu_w, nu_w, safe_cost, constraints, forbid)
     sol = solve_lp(prob)
     if sol.status != "optimal":
-        return infeasible
+        return OtResult(value=math.inf, plan=None, status="infeasible")
     p = _embed_plan(sol, cost.shape, rows, cols, keep)
     return OtResult(value=float(np.sum(safe_cost * p)),
                     plan=TransportPlan(row_space, col_space, p), status="optimal")
@@ -130,34 +143,117 @@ def solve_ot(mu: Measure, nu: Measure, c: CostMatrix) -> OtResult:
 
 
 def solve_constrained_ot(mu: Measure, nu: Measure, c: CostMatrix,
-                         r: LinearRestriction) -> OtResult:
+                         r: LinearRestriction, method: str | None = None) -> OtResult:
     """Optimal transport over plans annihilating every constraint matrix.
+
+    method "atoms" solves on the product atoms in closed form (see
+    _atoms_ot); "lp" solves the lifted LP, one variable per support cell.
+    None picks "atoms" when r carries atoms and "lp" otherwise, so a
+    hand-built restriction keeps the LP. "atoms" without atoms raises
+    MissingProductStructureError. Both methods reach the same optimal value;
+    where several plans tie they may return different ones.
 
     Marginals must belong to their restriction simplexes (NotInSimplexError
     otherwise). Infeasibility of the constrained polytope is reported in the
     result status, never silently relaxed.
     """
+    if method is None:
+        method = "lp" if r.atom_of is None else "atoms"
+    if method not in ("atoms", "lp"):
+        raise ValueError(f"method must be 'atoms', 'lp' or None, got {method!r}")
+    if method == "atoms" and r.atom_of is None:
+        raise MissingProductStructureError("method 'atoms' needs a restriction with product atoms")
     if mu.space.n != c.row_space.n or nu.space.n != c.col_space.n:
         raise ValueError("marginal sizes do not match the cost matrix")
     for m, spec, side in ((mu, r.mx_spec, "mu"), (nu, r.my_spec, "nu")):
         bad = membership_violation(m, spec)
         if bad is not None:
             raise NotInSimplexError(f"{side}: {bad}")
+    if method == "atoms":
+        return _atoms_ot(mu, nu, c, r)
     return _solve_transport(mu.w, nu.w, c.c, c.row_space, c.col_space, r.omega.matrix)
 
 
+def _atoms_ot(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction) -> OtResult:
+    """The restricted optimum as an outer transport over component weights.
+
+    Each live product cell (x, y) gets the weight m_a(x) m_b(y), where m_a
+    and m_b are the extreme measures of the classes of x and y. Normalised
+    on one atom, that weight is a feasible plan between m_a and m_b (the
+    uniform measure on a product orbit, or the product measure on a
+    rectangle of recurrent classes), and the restricted plans between m_a
+    and m_b are the mixtures of these. So the inner cost of the component
+    pair (a, b) is the least mean cost over its atoms, attained on the
+    cheapest atom (ties go to the lowest atom id); an atom with a +inf cell
+    costs +inf. The outer transport between the component weights then
+    mixes the chosen atom plans. The plan is checked against every
+    constraint; a failure means atom_of does not describe the constraints.
+    """
+    forbid, safe_cost = _forbidden_cells(c.c)
+    comps_x, class_x = simplex_components(r.mx_spec)
+    comps_y, class_y = simplex_components(r.my_spec)
+    ky = len(comps_y)
+    # each point's mass under its own extreme measure; supports are disjoint
+    ext_x = np.sum([m.w for m in comps_x], axis=0)
+    ext_y = np.sum([m.w for m in comps_y], axis=0)
+
+    ny = class_y.size
+    cells = (r.atom_of >= 0).nonzero()[0]
+    atom = r.atom_of[cells]
+    xs, ys = cells // ny, cells % ny
+    a, b = class_x[xs], class_y[ys]
+    rect_cell = np.where((a < 0) | (b < 0), -1, a * ky + b)
+    n_atoms = int(atom.max(initial=-1)) + 1
+    rect = np.full(n_atoms, -1, dtype=np.intp)
+    rect[atom] = rect_cell
+    if np.any(rect_cell < 0) or np.any(rect[atom] != rect_cell):
+        raise ValueError("atom_of does not fit the marginal simplexes: an atom holds a "
+                         "transient point or spans two component pairs")
+    w = ext_x[xs] * ext_y[ys]
+    mass = np.bincount(atom, weights=w, minlength=n_atoms)
+    used = ((rect >= 0) & (mass > 0)).nonzero()[0]
+    mean = np.full(n_atoms, math.inf)
+    mean[used] = np.bincount(atom, weights=w * safe_cost.ravel()[cells],
+                             minlength=n_atoms)[used] / mass[used]
+    mean[np.bincount(atom, weights=forbid.ravel()[cells], minlength=n_atoms) > 0] = math.inf
+
+    # the cheapest atom of each rectangle, the lowest id among equals
+    order = used[np.lexsort((used, mean[used], rect[used]))]
+    best = order[np.unique(rect[order], return_index=True)[1]]
+    inner = np.full(len(comps_x) * ky, math.inf)
+    inner[rect[best]] = mean[best]
+    outer = _outer_ot(component_weights(mu, r.mx_spec), component_weights(nu, r.my_spec),
+                      inner.reshape(len(comps_x), ky))
+    if outer.status != "optimal":
+        return OtResult(value=math.inf, plan=None, status="infeasible", method="atoms")
+
+    share = np.zeros(n_atoms)
+    share[best] = outer.plan.p.ravel()[rect[best]] / mass[best]
+    p = np.zeros(c.c.size)
+    p[cells] = w * share[atom]
+    plan = TransportPlan(c.row_space, c.col_space, p.reshape(c.c.shape))
+    broken = plan_violations(plan, r)
+    if broken:
+        raise ValueError(f"atom_of does not describe the constraints: the atom plan breaks "
+                         f"{broken[0][0]} by {broken[0][1]:.3g}")
+    return OtResult(value=float(np.sum(safe_cost * plan.p)), plan=plan, status="optimal",
+                    method="atoms")
+
+
 def wasserstein(mu: Measure, nu: Measure, d: GroundMetric, p: float,
-                r: LinearRestriction) -> float:
+                r: LinearRestriction, method: str | None = None) -> float:
     """Restricted p-Wasserstein distance; +inf when no feasible plan exists.
 
-    An optimal cost at or below TAU_LP is reported as distance 0 (pth_root).
+    method is passed to solve_constrained_ot: by default the closed form on
+    the product atoms when r has them, else the lifted LP. An optimal cost
+    at or below TAU_LP is reported as distance 0 (pth_root).
     """
     if p < 1:
         raise ValueError(f"order p must be >= 1, got {p}")
     if mu.space.labels != nu.space.labels or mu.space.labels != d.space.labels:
         raise ValueError("wasserstein needs both measures and the metric on one space")
     cost = CostMatrix(d.space, d.space, d.d ** p)
-    res = solve_constrained_ot(mu, nu, cost, r)
+    res = solve_constrained_ot(mu, nu, cost, r, method)
     return pth_root(res.value, p) if res.status == "optimal" else math.inf
 
 
@@ -168,7 +264,8 @@ def boundary_metric(spec: SimplexSpec, d: GroundMetric, p: float,
     The restriction must be geometric on the component set (otherwise the
     result need not be a metric); that is checked here and a failure raises.
     Both triangles of the matrix are computed independently, so symmetry is
-    observable rather than forced. Entries may be +inf.
+    observable rather than forced. Entries may be +inf. Each entry is
+    solved in closed form on the product atoms (wasserstein's default).
     """
     comps, _ = simplex_components(spec)
     geo = check_geometric(r, comps)

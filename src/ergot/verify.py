@@ -5,7 +5,9 @@ value with the two-stage value: decompose both marginals into ergodic
 components, solve the constrained problem between every component pair
 (build_qopt), then couple the component weights with those values as costs.
 Both sides are computed by independent LP solves, so agreement is evidence,
-not tautology.
+not tautology. That is why every restricted solve here asks for the lifted
+LP (method "lp"): the closed form on product atoms is the two-stage formula
+itself, so it cannot witness it.
 
 verify_metric_decomposition does the same for distances: the restricted
 p-Wasserstein distance against the lifted boundary metric, plus the metric
@@ -143,7 +145,7 @@ def build_qopt(spec_x: SimplexSpec, spec_y: SimplexSpec, c: CostMatrix,
     plans = [[None] * ky for _ in range(kx)]
     for a in range(kx):
         for b in range(ky):
-            res = solve_constrained_ot(comps_x[a], comps_y[b], c, r)
+            res = solve_constrained_ot(comps_x[a], comps_y[b], c, r, method="lp")
             values[a, b] = res.value
             statuses[a, b] = res.status
             plans[a][b] = res.plan
@@ -158,7 +160,7 @@ def verify_decomposition(mu: Measure, nu: Measure, c: CostMatrix,
     piece produced by decompose_plan costs at least the inner optimum of its
     component pair (the inner table really is optimal piecewise).
     """
-    lhs_res = solve_constrained_ot(mu, nu, c, r)
+    lhs_res = solve_constrained_ot(mu, nu, c, r, method="lp")
     values, plans, statuses = build_qopt(r.mx_spec, r.my_spec, c, r)
     wx = component_weights(mu, r.mx_spec)
     wy = component_weights(nu, r.my_spec)
@@ -236,7 +238,7 @@ def sample_member_pairs(spec: SimplexSpec, count: int,
 def verify_metric_decomposition(spec: SimplexSpec, d: GroundMetric, p: float,
                                 r: LinearRestriction,
                                 samples) -> MetricReport:
-    """Direct restricted distance vs the lifted boundary metric, pair by pair.
+    """Direct restricted distance (lifted LP) vs the lifted boundary metric, pair by pair.
 
     samples is either a list of (mu, nu) pairs or an integer count, in which
     case that many pairs are drawn by sample_member_pairs with its default
@@ -254,7 +256,7 @@ def verify_metric_decomposition(spec: SimplexSpec, d: GroundMetric, p: float,
     def direct(x, y):
         key = (x.w.tobytes(), y.w.tobytes())
         if key not in cache_d:
-            cache_d[key] = wasserstein(x, y, d, p, r)
+            cache_d[key] = wasserstein(x, y, d, p, r, method="lp")
         return cache_d[key]
 
     def lifted(x, y):

@@ -131,6 +131,9 @@ def test_two_stage_decomposition_equality_on_200_instances_under_a_minute():
         wy = component_weights(inst.nu, inst.restriction.my_spec)
         assert np.max(np.abs(rep.outer_plan.p.sum(axis=1) - wx)) <= 1e-9
         assert np.max(np.abs(rep.outer_plan.p.sum(axis=0) - wy)) <= 1e-9
+        # the closed form on the atoms agrees with the lifted left-hand side
+        atoms = solve_constrained_ot(inst.mu, inst.nu, inst.cost, inst.restriction)
+        assert abs(atoms.value - rep.lhs) <= 1e-12, f"instance {i}: closed form {atoms.value!r}"
         worst = max(worst, rep.gap)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"200 instances took {elapsed:.1f}s"

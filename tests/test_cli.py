@@ -312,7 +312,7 @@ def _strict_json(text):
 def test_infeasible_solve_emits_strict_json(tmp_path, capsys, monkeypatch, with_cost):
     from ergot import OtResult
     monkeypatch.setattr("ergot.cli.solve_constrained_ot",
-                        lambda *a: OtResult(value=float("inf"), plan=None, status="infeasible"))
+                        lambda *a, **kw: OtResult(value=float("inf"), plan=None, status="infeasible"))
     doc = load_fixture()
     if with_cost:
         doc["cost"] = doc["metric"]

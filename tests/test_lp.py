@@ -60,6 +60,18 @@ def test_two_by_two_identity_coupling():
     assert np.allclose(sol.x.reshape(2, 2), np.diag([0.5, 0.5]), atol=1e-12)
 
 
+@pytest.mark.parametrize("rhs,status", [([1.0, 0.0], "infeasible"), ([0.0, 0.0], "optimal"),
+                                        ([], "optimal")])
+def test_zero_variable_lp(rhs, status):
+    prob = LpProblem(np.zeros(0), np.zeros((len(rhs), 0)), np.array(rhs))
+    assert prob.eq_matrix.shape == (len(rhs), 0)
+    sol = solve_lp(prob)
+    assert sol.status == status and sol.pivots == 0
+    if status == "optimal":
+        assert sol.x.shape == (0,) and sol.value == 0.0 and sol.basis == ()
+    assert len(enumerate_vertices(prob)) == (status == "optimal")
+
+
 def test_unbounded_detected():
     prob = LpProblem(np.array([-1.0, 0.0]), np.array([[0.0, 1.0]]), np.array([1.0]))
     assert solve_lp(prob).status == "unbounded"

@@ -188,13 +188,25 @@ def test_all_inf_cost_row_is_infeasible(solve):
     assert res.plan is None
 
 
+@pytest.mark.parametrize("solve", ["plain", "atoms", "lp"])
+def test_all_inf_cost_is_infeasible(solve):
+    # every cell forbidden: the transport LP has no variables at all
+    mu, nu, c, r = _three_point_problem(slice(None), np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = solve_ot(mu, nu, c) if solve == "plain" else solve_constrained_ot(
+            mu, nu, c, r, method=solve)
+    assert (res.status, res.value, res.plan) == ("infeasible", np.inf, None)
+
+
 @pytest.mark.parametrize("bad", [np.nan, -np.inf])
 def test_nan_or_negative_inf_cost_is_rejected(bad):
     mu, nu, c, r = _three_point_problem((0, 1), bad)
     with pytest.raises(ValueError, match="cost"):
         solve_ot(mu, nu, c)
-    with pytest.raises(ValueError, match="cost"):
-        solve_constrained_ot(mu, nu, c, r)
+    for method in ("atoms", "lp"):
+        with pytest.raises(ValueError, match="cost"):
+            solve_constrained_ot(mu, nu, c, r, method=method)
 
 
 def test_wasserstein_identity():

@@ -181,13 +181,26 @@ def test_theorem_equality_small_batch():
             assert rep.qopt_ok
 
 
+# feasible kernel instances that the lifted LP reports infeasible
+FALSE_INFEASIBLE = [(6, (3, 3), 126), (7, (4, 3), 102), (12, (4, 4, 4), 98),
+                    (12, (4, 4, 4), 150)]
+
+
 @pytest.mark.xfail(strict=True, reason="open solver defect: phase one ends 'optimal' above "
                    "sum(b), pointing to pivot growth under the absolute PIVOT_EPS")
-@pytest.mark.parametrize("n,class_sizes,seed", [(6, (3, 3), 126), (7, (4, 3), 102),
-                                                (12, (4, 4, 4), 98)])
+@pytest.mark.parametrize("n,class_sizes,seed", FALSE_INFEASIBLE)
 def test_feasible_kernel_instances_are_solved(n, class_sizes, seed):
     inst = generate_instance(InstanceSpec(n=n, kind="kernel", class_sizes=class_sizes, seed=seed))
-    res = solve_constrained_ot(inst.mu, inst.nu, inst.cost, inst.restriction)
+    res = solve_constrained_ot(inst.mu, inst.nu, inst.cost, inst.restriction, method="lp")
     rep = verify_decomposition(inst.mu, inst.nu, inst.cost, inst.restriction)
     assert res.status == "optimal"
     assert abs(res.value - rep.rhs) <= 1e-8
+
+
+@pytest.mark.parametrize("n,class_sizes,seed", FALSE_INFEASIBLE)
+def test_atoms_solve_the_false_infeasible_kernel_instances(n, class_sizes, seed):
+    inst = generate_instance(InstanceSpec(n=n, kind="kernel", class_sizes=class_sizes, seed=seed))
+    res = solve_constrained_ot(inst.mu, inst.nu, inst.cost, inst.restriction)
+    rep = verify_decomposition(inst.mu, inst.nu, inst.cost, inst.restriction)
+    assert res.method == "atoms" and res.status == "optimal"
+    assert abs(res.value - rep.rhs) <= 1e-12
