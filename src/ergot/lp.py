@@ -84,10 +84,12 @@ def _bland_iterate(T, basis, ncols, pivots, degenerate):
     degenerate), the two counts carried on from the arguments.
     """
     m = T.shape[0] - 1
+    if not ncols:
+        return "optimal", pivots, degenerate   # no column can enter
     while True:
         negative = T[-1, :ncols] < -PIVOT_EPS
-        entering = int(negative.argmax()) if ncols else 0   # argmax refuses an empty row
-        if not ncols or not negative[entering]:
+        entering = int(negative.argmax())
+        if not negative[entering]:
             return "optimal", pivots, degenerate
         col = T[:m, entering]
         cand = (col > PIVOT_EPS).nonzero()[0]

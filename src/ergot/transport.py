@@ -192,12 +192,11 @@ def _atoms_ot(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction) -> 
     forbid, safe_cost = _forbidden_cells(c.c)
     comps_x, class_x = simplex_components(r.mx_spec)
     comps_y, class_y = simplex_components(r.my_spec)
-    ky = len(comps_y)
+    kx, ky, ny = len(comps_x), len(comps_y), class_y.size
     # each point's mass under its own extreme measure; supports are disjoint
     ext_x = np.sum([m.w for m in comps_x], axis=0)
     ext_y = np.sum([m.w for m in comps_y], axis=0)
 
-    ny = class_y.size
     cells = (r.atom_of >= 0).nonzero()[0]
     atom = r.atom_of[cells]
     xs, ys = cells // ny, cells % ny
@@ -220,10 +219,10 @@ def _atoms_ot(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction) -> 
     # the cheapest atom of each rectangle, the lowest id among equals
     order = used[np.lexsort((used, mean[used], rect[used]))]
     best = order[np.unique(rect[order], return_index=True)[1]]
-    inner = np.full(len(comps_x) * ky, math.inf)
+    inner = np.full(kx * ky, math.inf)
     inner[rect[best]] = mean[best]
     outer = _outer_ot(component_weights(mu, r.mx_spec), component_weights(nu, r.my_spec),
-                      inner.reshape(len(comps_x), ky))
+                      inner.reshape(kx, ky))
     if outer.status != "optimal":
         return OtResult(value=math.inf, plan=None, status="infeasible", method="atoms")
 
