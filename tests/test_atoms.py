@@ -12,7 +12,6 @@ import pytest
 
 import ergot.transport
 from ergot import (
-    ConstraintSet,
     CostMatrix,
     FiniteSpace,
     GroundMetric,
@@ -22,7 +21,6 @@ from ergot import (
     Measure,
     MissingProductStructureError,
     enumerate_vertices,
-    full_simplex,
     generate_instance,
     invariance_restriction,
     no_restriction,
@@ -34,6 +32,7 @@ from ergot import (
     stationarity_restriction,
     subgroup_restriction,
     verify_decomposition,
+    verify_metric_decomposition,
     wasserstein,
 )
 from ergot.transport import _transport_lp
@@ -219,14 +218,6 @@ def test_result_names_the_path_it_took():
     assert res.method == "lp"
     assert res.value == pytest.approx(solve_constrained_ot(mu, nu, cost, r).value, abs=VALUE_TOL)
     assert solve_ot(mu, nu, cost).method == "lp"
-    sp = FiniteSpace.of_size(2)
-    om = np.zeros((2, 2))
-    om[0, 0] = 1.0
-    blocked = LinearRestriction(ConstraintSet(sp, sp, (("block00", om),)),
-                                full_simplex(sp), full_simplex(sp))
-    dirac = Measure(sp, np.array([1.0, 0.0]))
-    infeasible = solve_constrained_ot(dirac, dirac, CostMatrix(sp, sp, np.ones((2, 2))), blocked)
-    assert (infeasible.status, infeasible.method) == ("infeasible", "lp")
 
 
 @pytest.mark.parametrize("spec", [InstanceSpec(n=8, kind="perm", cycle_type=(4, 2, 2), seed=3),
@@ -242,10 +233,30 @@ def test_verify_decomposition_stays_on_the_lp(monkeypatch, spec):
 
     monkeypatch.setattr(ergot.transport, "solve_lp", counting)
     rep = verify_decomposition(inst.mu, inst.nu, inst.cost, inst.restriction)
-    k = len(simplex_components(inst.restriction.mx_spec)[0])
+    comps, _ = simplex_components(inst.restriction.mx_spec)
+    k = len(comps)
     assert len(calls) == 2 + k * k
-    # the first solve is the lifted left-hand side, one variable per support cell
-    support = np.sum(inst.mu.w > 0) * np.sum(inst.nu.w > 0)
-    assert calls[0] == support
+    # the left-hand side and every inner value are lifted: one variable per
+    # support cell, where the closed form would solve a 1 x 1 outer problem
+    size = [int(np.sum(m.w > 0)) for m in comps]
+    assert calls[0] == np.sum(inst.mu.w > 0) * np.sum(inst.nu.w > 0)
+    assert calls[1:-1] == [sa * sb for sa in size for sb in size]
     atoms = solve_constrained_ot(inst.mu, inst.nu, inst.cost, inst.restriction)
     assert abs(atoms.value - rep.lhs) <= VALUE_TOL
+
+
+def test_metric_decomposition_direct_side_stays_on_the_lp(monkeypatch):
+    mu, nu, cost, r = fixture()
+    sizes = []
+
+    def recording(prob):
+        sizes.append(prob.num_vars)
+        return solve_lp(prob)
+
+    monkeypatch.setattr(ergot.transport, "solve_lp", recording)
+    rep = verify_metric_decomposition(r.mx_spec, GroundMetric(mu.space, cost.c), 1.0, r,
+                                      [(mu, nu)])
+    assert rep.passed
+    # the boundary metric and the lifted distance solve outer problems of at
+    # most 2 x 2 cells; the direct distance is the lifted 6 x 6 LP
+    assert max(sizes) == 36

@@ -40,6 +40,10 @@ def test_solve_fixture_value():
     assert doc["results"]["status"] == "optimal"
     assert abs(doc["results"]["value"] - 0.5) <= 1e-9
     assert "digest" in doc["inputs"]
+    # the cross-block orbits tie; solve stays on the lifted LP, whose vertex
+    # carries the orbit of cell (0, 4), not the closed form's orbit of (0, 3)
+    plan = doc["results"]["plan"]
+    assert plan[0][4] > 0 and plan[0][3] == 0.0
 
 
 def test_solve_mass_error_message(tmp_path):

@@ -142,6 +142,7 @@ def test_infeasible_reported_not_raised():
     c = CostMatrix(sp, sp, np.ones((2, 2)))
     res = solve_constrained_ot(dirac, dirac, c, r)
     assert res.status == "infeasible"
+    assert res.method == "lp"           # a hand-built restriction has no atoms
     assert res.value == np.inf
     assert res.plan is None
     d = GroundMetric(sp, np.array([[0.0, 1.0], [1.0, 0.0]]))
