@@ -66,6 +66,10 @@ class LinearRestriction:
     def __post_init__(self):
         if self.atom_of is not None:
             object.__setattr__(self, "atom_of", _freeze(self.atom_of, dtype=np.intp))
+            cells = self.row_space.n * self.col_space.n
+            if self.atom_of.shape != (cells,):
+                raise ValueError(f"atom_of has shape {self.atom_of.shape}, "
+                                 f"expected one entry per product cell ({cells},)")
 
     @property
     def row_space(self) -> FiniteSpace:

@@ -194,6 +194,8 @@ def test_atoms_that_miss_the_constraints_raise():
     one_atom = LinearRestriction(r.omega, r.mx_spec, r.my_spec, atom_of=np.zeros(36))
     with pytest.raises(ValueError, match="atom_of"):
         solve_constrained_ot(mu, nu, cost, one_atom)
+    with pytest.raises(ValueError, match="atom_of"):
+        LinearRestriction(r.omega, r.mx_spec, r.my_spec, atom_of=np.arange(25))
     # the lifted LP never reads atom_of
     assert solve_constrained_ot(mu, nu, cost, dirac_atoms, method="lp").status == "optimal"
 
