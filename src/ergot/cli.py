@@ -32,6 +32,7 @@ from .core import (
     ProjectionNotFullError,
     SimplexSpec,
     StochKernel,
+    TransportPlan,
     full_simplex,
     invariant_simplex,
     pth_root,
@@ -403,7 +404,6 @@ def _run_checks(prob, which) -> dict:
         rep = check_geometric(restriction, comps)
         out["geometric"] = {"passed": rep.passed, "failures": list(rep.failures)}
     if "coherent" in which:
-        from .core import TransportPlan
         plans = [TransportPlan(restriction.row_space, restriction.col_space,
                                np.outer(a.w, b.w)) for a in comps for b in comps]
         rep = check_coherency(restriction, plans)
@@ -495,6 +495,8 @@ def _verify_one(spec: InstanceSpec) -> float:
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise ParseError("--jobs", f"need at least 1 worker, got {args.jobs}")
     tol = _tolerance(args)
     flags = {"tol": tol, "seed": args.seed, "jobs": args.jobs,
              "random": args.random, "check": args.check}
@@ -504,8 +506,10 @@ def cmd_verify(args) -> int:
             specs = [InstanceSpec(n=s.n, kind=s.kind, cycle_type=s.cycle_type,
                                   class_sizes=s.class_sizes, seed=args.seed + i)
                      for i, s in enumerate(specs)]
-        if args.jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool forks all its workers on the first submit, so size it to the batch
+        workers = min(args.jobs, len(specs))
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 gaps = list(pool.map(_verify_one, specs))
         else:
             gaps = [_verify_one(s) for s in specs]
@@ -560,28 +564,32 @@ def _load(path: str) -> dict:
         raise ParseError("file", f"invalid JSON: {exc}")
 
 
+_FLAGS = {"--tol": {"type": float}, "--seed": {"type": int},
+          "--jobs": {"type": int, "default": 1}, "--p": {"type": float}}
+
+
 def build_parser() -> _Parser:
+    """One subparser per command, each registering only the flags it reads."""
     parser = _Parser(prog="ergot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("solve", cmd_solve), ("decompose", cmd_decompose),
-                     ("verify", cmd_verify), ("metric", cmd_metric),
-                     ("check", cmd_check)):
+    for name, fn, flags in (("solve", cmd_solve, ("--p",)),
+                            ("decompose", cmd_decompose, ()),
+                            ("verify", cmd_verify, tuple(_FLAGS)),
+                            ("metric", cmd_metric, ("--tol", "--p")),
+                            ("check", cmd_check, ())):
         sp = sub.add_parser(name)
         sp.set_defaults(fn=fn)
         if name == "verify":
             sp.add_argument("file", nargs="?")
             sp.add_argument("--random", help="kind:n=..,cycles=..,count=..,seed=..")
-            sp.add_argument("--check", choices=_CHECKS)
         else:
             sp.add_argument("file")
-            if name == "check":
-                sp.add_argument("--check", choices=_CHECKS)
+        if name in ("verify", "check"):
+            sp.add_argument("--check", choices=_CHECKS)
         sp.add_argument("--out")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--jobs", type=int, default=1)
-        sp.add_argument("--p", type=float)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
     return parser
 
 

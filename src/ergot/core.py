@@ -17,7 +17,7 @@ import numpy as np
 TAU_MASS = 1e-12     # mass bookkeeping (sums to one, marginal identities)
 TAU_METRIC = 1e-9    # triangle inequality and other metric comparisons
 TAU_LP = 1e-9        # LP feasibility and optimality
-TAU_RANK = 1e-8      # numerical rank decisions (row-reduction pivots)
+TAU_RANK = 1e-8      # numerical rank decisions (singular-value cut-off)
 TAU_THM = 1e-8       # agreement of independently computed quantities
 
 

@@ -276,31 +276,15 @@ def check_weak_regularity(r: LinearRestriction, samples: list[tuple[Measure, Mea
     return CheckReport(passed=not failures, failures=tuple(failures), notes=notes)
 
 
-def _echelon_basis(rows: list[np.ndarray]) -> list[np.ndarray]:
-    """Reduced independent spanning rows, by elimination with TAU_RANK pivots."""
-    basis: list[np.ndarray] = []
-    for row in rows:
-        v = _reduce_against(row, basis)
-        piv = float(np.max(np.abs(v), initial=0.0))
-        if piv > TAU_RANK:
-            basis.append(v / piv)
-    return basis
-
-
-def _reduce_against(v: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    v = v.astype(float).copy()
-    for b in basis:
-        j = int(np.argmax(np.abs(b)))
-        v -= (v[j] / b[j]) * b
-    return v
-
-
 def check_geometric(r: LinearRestriction, samples: list[Measure]) -> CheckReport:
     """The three conditions that make the restricted distance a metric.
 
     (1) every omega vanishes on the diagonal pushforward of each sample,
     (2) every omega vanishes on products of samples, and (3) the constraint
-    row space is closed under matrix transposition (numerical rank test).
+    row space is closed under matrix transposition. For (3) the right
+    singular vectors of the stacked constraint matrix whose singular values
+    exceed TAU_RANK span the row space; each transposed omega is projected
+    off them, and a max-abs residual above TAU_RANK records a failure.
     Requires both marginal spaces to coincide.
     """
     if r.row_space.labels != r.col_space.labels:
@@ -317,12 +301,14 @@ def check_geometric(r: LinearRestriction, samples: list[Measure]) -> CheckReport
                      for k in np.flatnonzero(diag[i] > TAU_LP)]
         failures += [f"{lbl}: product pairing with samples ({ka},{kb}) is {prod[i, ka, kb]:.3g}"
                      for ka, kb in np.argwhere(prod[i] > TAU_LP)]
-    basis = _echelon_basis(list(r.omega.matrix))
-    for lbl, m in r.omega.omegas:
-        residual = _reduce_against(m.T.reshape(-1), basis)
-        v = float(np.max(np.abs(residual), initial=0.0))
-        if v > TAU_RANK:
-            failures.append(f"{lbl}: transpose leaves the constraint row space (residual {v:.3g})")
+    rows = r.omega.matrix
+    if len(rows):
+        _, sv, vt = np.linalg.svd(rows, full_matrices=False)
+        basis = vt[sv > TAU_RANK]
+        flipped = rows[:, np.arange(n * n).reshape(n, n).T.ravel()]
+        residual = np.max(np.abs(flipped - (flipped @ basis.T) @ basis), axis=1)
+        failures += [f"{r.omega.omegas[i][0]}: transpose leaves the constraint row space "
+                     f"(residual {residual[i]:.3g})" for i in np.flatnonzero(residual > TAU_RANK)]
     return CheckReport(passed=not failures, failures=tuple(failures))
 
 

@@ -221,7 +221,7 @@ def _atoms_ot(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction) -> 
     best = order[np.unique(rect[order], return_index=True)[1]]
     inner = np.full(kx * ky, math.inf)
     inner[rect[best]] = mean[best]
-    outer = _outer_ot(component_weights(mu, r.mx_spec), component_weights(nu, r.my_spec),
+    outer = _outer_ot(_class_weights(mu.w, class_x, kx), _class_weights(nu.w, class_y, ky),
                       inner.reshape(kx, ky))
     if outer.status != "optimal":
         return OtResult(value=math.inf, plan=None, status="infeasible", method="atoms")
@@ -294,10 +294,12 @@ def _outer_ot(wx: np.ndarray, wy: np.ndarray, cost: np.ndarray) -> OtResult:
 def component_weights(mu: Measure, spec: SimplexSpec) -> np.ndarray:
     """Mass of each simplex component class under mu (in component order)."""
     comps, class_of = simplex_components(spec)
-    w = np.zeros(len(comps))
-    for k in range(len(comps)):
-        w[k] = float(mu.w[class_of == k].sum())
-    return w
+    return _class_weights(mu.w, class_of, len(comps))
+
+
+def _class_weights(w: np.ndarray, class_of: np.ndarray, k: int) -> np.ndarray:
+    """Mass of w on each of the classes 0..k-1 of class_of."""
+    return np.array([w[class_of == j].sum() for j in range(k)], dtype=float)
 
 
 def lifted_metric(mu: Measure, nu: Measure, bm: BoundaryMetricMatrix,

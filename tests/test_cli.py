@@ -387,3 +387,57 @@ def test_infeasible_solve_exits_two(tmp_path):
     out = run_cli("solve", path)
     assert out.returncode == 2
     assert "NotInSimplex" in out.stderr
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_input_error(capsys, jobs):
+    assert main(["verify", "--random", "perm:n=4,count=2", "--jobs", jobs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().endswith("at --jobs")
+
+
+@pytest.mark.parametrize("jobs, count, sizes", [("5000", 3, [3]), ("2", 3, [2]), ("4", 1, [])])
+def test_verify_pool_is_sized_to_the_batch(tmp_path, monkeypatch, jobs, count, sizes):
+    # the pool forks all max_workers processes on its first submit, so a
+    # large --jobs must not reach it; the stand-in pool maps in process
+    import ergot.cli
+    recorded = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(ergot.cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    argv = ["verify", "--random", f"perm:n=4,cycles=2+2,count={count},seed=1",
+            "--out", str(tmp_path / "out.json")]
+    assert main(argv + ["--jobs", jobs]) == 0
+    assert recorded == sizes
+    pooled = (tmp_path / "out.json").read_text()
+    assert main(argv + ["--jobs", "1"]) == 0
+    serial = (tmp_path / "out.json").read_text()
+    assert json.loads(pooled)["results"] == json.loads(serial)["results"]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("solve", "--tol", "1e-6"), ("solve", "--seed", "1"), ("solve", "--jobs", "2"),
+    ("decompose", "--tol", "1e-6"), ("decompose", "--seed", "1"),
+    ("decompose", "--jobs", "2"), ("decompose", "--p", "2"),
+    ("check", "--tol", "1e-6"), ("check", "--seed", "1"),
+    ("check", "--jobs", "2"), ("check", "--p", "2"),
+    ("metric", "--seed", "1"), ("metric", "--jobs", "2"),
+])
+def test_flag_a_command_ignores_is_usage_error(capsys, command, flag, value):
+    assert main([command, str(FIXTURE), flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err

@@ -227,6 +227,48 @@ def test_geometric_empty_constraints():
     assert rep.passed
 
 
+def _transpose_failures(mats):
+    n = mats.shape[1]
+    sp = FiniteSpace.of_size(n)
+    r = LinearRestriction(ConstraintSet(sp, sp, tuple((f"w{i}", m) for i, m in enumerate(mats))),
+                          full_simplex(sp), full_simplex(sp))
+    rep = check_geometric(r, [Measure(sp, np.full(n, 1.0 / n))])
+    return [f for f in rep.failures if "transpose" in f]
+
+
+def test_geometric_transpose_rule_matches_rank_oracle():
+    # the span of the constraints is closed under transposition exactly when
+    # stacking the transposed constraints onto them leaves the rank unchanged;
+    # integer entries keep the oracle's rank exact
+    rng = np.random.default_rng(7)
+    verdicts = []
+    for t in range(200):
+        n = int(rng.integers(2, 5))
+        j = int(rng.integers(1, 4))
+        base = rng.integers(-3, 4, size=(j, n, n)) * (rng.random((j, n, n)) < 0.4)
+        if t % 2:
+            pool = np.concatenate([base, base.transpose(0, 2, 1)])
+            mix = rng.integers(-2, 3, size=(int(rng.integers(1, 2 * j + 2)), 2 * j))
+            mats = np.einsum("kj,jxy->kxy", mix, pool).astype(float)
+        else:
+            mats = base.astype(float)
+        m = mats.reshape(len(mats), -1)
+        mt = mats.transpose(0, 2, 1).reshape(len(mats), -1)
+        closed = np.linalg.matrix_rank(np.vstack([m, mt])) == np.linalg.matrix_rank(m)
+        assert (not _transpose_failures(mats)) == closed, mats
+        verdicts.append(closed)
+    assert 20 <= sum(verdicts) <= 180  # both verdicts are exercised
+
+
+def test_geometric_transpose_failure_names_its_constraint():
+    # w0 is its own transpose; the transpose of w1 is outside the span of both
+    mats = np.zeros((2, 3, 3))
+    mats[0, 0, 1] = mats[0, 1, 0] = 1.0
+    mats[1, 0, 2] = 1.0
+    (failure,) = _transpose_failures(mats)
+    assert failure.startswith("w1: transpose leaves the constraint row space (residual ")
+
+
 def test_coherency_of_invariance_on_feasible_plans():
     r = invariance_restriction(c3x2_action())
     pi = TransportPlan(r.row_space, r.col_space, np.full((6, 6), 1.0 / 36.0))
