@@ -17,6 +17,7 @@ from .core import (
     Measure,
     MissingProductStructureError,
     NotFeasibleError,
+    NotGeometricError,
     NotInSimplexError,
     ProjectionNotFullError,
     SimplexSpec,

@@ -4,7 +4,8 @@ Subcommands: solve, decompose, verify, metric, check. Input is a JSON
 problem file (see parse_problem for the shape); output is a JSON document
 with a stable schema {command, version, inputs: {digest}, results}, or CSV
 for matrix-valued results. Exit codes: 0 success, 1 input error, 2
-mathematical infeasibility or membership failure.
+mathematical infeasibility, membership failure or a restriction that is
+not geometric.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .core import (
     GroupAction,
     Measure,
     NotFeasibleError,
+    NotGeometricError,
     NotInSimplexError,
     ProjectionNotFullError,
     SimplexSpec,
@@ -269,31 +271,20 @@ def _chosen_p(args, prob) -> float:
 
 
 def get_restriction(prob):
-    """Build the restriction named by the problem file (cached on the dict)."""
-    if "restriction" in prob:
-        return prob["restriction"]
+    """Build the restriction named by the problem file."""
     rnode = prob["rnode"]
     if rnode == "invariance":
-        r = invariance_restriction(prob["action"])
-    elif rnode == "stationarity":
-        r = stationarity_restriction(prob["kernel"], prob["kernel"])
-    elif rnode == "none":
-        r = no_restriction(prob["space"], prob["space"])
-    else:
-        r = subgroup_restriction(prob["action"], prob["subgroup_pairs"])
-    prob["restriction"] = r
-    return r
+        return invariance_restriction(prob["action"])
+    if rnode == "stationarity":
+        return stationarity_restriction(prob["kernel"], prob["kernel"])
+    if rnode == "none":
+        return no_restriction(prob["space"], prob["space"])
+    return subgroup_restriction(prob["action"], prob["subgroup_pairs"])
 
 
 def _digest(doc, flags: dict) -> str:
     blob = json.dumps({"file": doc, "flags": flags}, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def _tolist(x):
-    if isinstance(x, np.ndarray):
-        return [_tolist(v) for v in x.tolist()] if x.ndim > 1 else x.tolist()
-    return x
 
 
 def _strict(x):
@@ -358,7 +349,7 @@ def cmd_solve(args) -> int:
         cost = CostMatrix(prob["space"], prob["space"], prob["metric"].d ** p)
     res = solve_constrained_ot(prob["mu"], prob["nu"], cost, get_restriction(prob), method="lp")
     results = {"status": res.status, "value": res.value,
-               "plan": None if res.plan is None else _tolist(res.plan.p)}
+               "plan": None if res.plan is None else res.plan.p.tolist()}
     if prob["cost"] is None:
         results.update(p=p, value=pth_root(res.value, p))
     payload = {"command": "solve", "version": 1,
@@ -377,9 +368,9 @@ def cmd_decompose(args) -> int:
     dec = decompose_measure(prob["mu"], prob["spec"])
     recon = barycenter(dec)
     results = {
-        "weights": _tolist(dec.weights),
-        "components": [_tolist(c.w) for c in dec.components],
-        "class_of": _tolist(dec.class_of),
+        "weights": dec.weights.tolist(),
+        "components": [c.w.tolist() for c in dec.components],
+        "class_of": dec.class_of.tolist(),
         "round_trip_error": float(np.max(np.abs(recon.w - prob["mu"].w))),
     }
     payload = {"command": "decompose", "version": 1,
@@ -432,8 +423,8 @@ def cmd_metric(args) -> int:
     tol = _chosen_tol(args, prob)
     r = get_restriction(prob)
     bm = boundary_metric(r.mx_spec, prob["metric"], p, r)
-    results: dict = {"p": p, "dbar": _tolist(bm.dbar),
-                     "components": [_tolist(c.w) for c in bm.components]}
+    results: dict = {"p": p, "dbar": bm.dbar.tolist(),
+                     "components": [c.w.tolist() for c in bm.components]}
     code = 0
     if prob["mu"] is not None and prob["nu"] is not None:
         direct = wasserstein(prob["mu"], prob["nu"], prob["metric"], p, r, method="lp")
@@ -445,7 +436,7 @@ def cmd_metric(args) -> int:
     payload = {"command": "metric", "version": 1,
                "inputs": {"digest": _digest(doc, {"p": p})}, "results": results}
     k = len(bm.components)
-    _emit(args, payload, csv_matrix=_tolist(bm.dbar), csv_header=("from", "to", "distance"),
+    _emit(args, payload, csv_matrix=bm.dbar.tolist(), csv_header=("from", "to", "distance"),
           csv_labels=([str(i) for i in range(k)], [str(i) for i in range(k)]))
     return code
 
@@ -542,7 +533,7 @@ def cmd_verify(args) -> int:
     rep = verify_decomposition(prob["mu"], prob["nu"], cost, get_restriction(prob))
     results = {
         "lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap, "tol": tol,
-        "inner_table": _tolist(rep.inner_table),
+        "inner_table": rep.inner_table.tolist(),
         "qopt_ok": rep.qopt_ok, "atoms_finer": rep.atoms_finer,
         "pass": bool(rep.gap <= tol and rep.qopt_ok),
     }
@@ -604,7 +595,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NotInSimplexError, NotFeasibleError, ProjectionNotFullError) as exc:
+    except (NotInSimplexError, NotFeasibleError, NotGeometricError,
+            ProjectionNotFullError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

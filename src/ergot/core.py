@@ -41,6 +41,10 @@ class ProjectionNotFullError(ValueError):
     """Pair generators whose factor projections do not generate the full group."""
 
 
+class NotGeometricError(ValueError):
+    """A restriction fails a geometric condition, so its distance need not be a metric."""
+
+
 def _freeze(a, dtype=float) -> np.ndarray:
     arr = np.array(a, dtype=dtype)
     arr.flags.writeable = False
@@ -166,33 +170,34 @@ class ConstraintSet:
     """Labeled test matrices; a plan p is admissible when <omega, p> = 0 for all.
 
     <omega, p> is the entrywise inner product. The set may be empty, which
-    means the problem is unconstrained. Labels record where each matrix came
-    from, e.g. "invariance:g:(0,4)".
-
-    The matrices are stored once, as the read-only (k, n*m) array matrix
-    whose row i is constraint i flattened row-major, so the k pairings with
-    a plan p are matrix @ p.ravel(). omegas holds (label, n x m) views of it.
+    means the problem is unconstrained. labels[i] records where constraint i
+    came from, e.g. "invariance:g:(0,4)", and row i of the read-only
+    (k, n*m) array matrix is that constraint flattened row-major, so the k
+    pairings with a plan p are matrix @ p.ravel().
     """
 
     row_space: FiniteSpace
     col_space: FiniteSpace
-    omegas: tuple[tuple[str, np.ndarray], ...]
-    matrix: np.ndarray = field(init=False, repr=False)
+    labels: tuple[str, ...]
+    matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        shape = (self.row_space.n, self.col_space.n)
-        oms = tuple((str(lbl), m) for lbl, m in self.omegas)
-        for lbl, m in oms:
-            if np.shape(m) != shape:
-                raise ValueError(f"constraint {lbl!r} has shape {np.shape(m)}, expected {shape}")
-        k = len(oms)
-        matrix = _freeze([m for _, m in oms]).reshape(k, shape[0] * shape[1])
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "omegas",
-                           tuple(zip((lbl for lbl, _ in oms), matrix.reshape(k, *shape))))
+        object.__setattr__(self, "labels", tuple(self.labels))
+        shape = (len(self.labels), self.row_space.n * self.col_space.n)
+        if np.size(self.matrix) != shape[0] * shape[1]:
+            raise ValueError(f"constraint matrix has shape {np.shape(self.matrix)}, expected {shape}")
+        object.__setattr__(self, "matrix", _freeze(self.matrix).reshape(shape))
 
     def __len__(self):
-        return len(self.omegas)
+        return len(self.labels)
+
+    @property
+    def omegas(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """(label, n x m view) pairs derived from labels and matrix. Only
+        perfbench's build counter reads them (res.omega.omegas), and the
+        benchmark's files change only with the benchmark itself."""
+        k, n, m = len(self), self.row_space.n, self.col_space.n
+        return tuple(zip(self.labels, self.matrix.reshape(k, n, m)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,9 +328,8 @@ def validate(obj) -> list[str]:
             i, j = np.unravel_index(int(np.argmax(~np.isfinite(obj.c))), obj.c.shape)
             out.append(f"non-finite cost at ({i},{j})")
     elif isinstance(obj, ConstraintSet):
-        for lbl, m in obj.omegas:
-            if not np.all(np.isfinite(m)):
-                out.append(f"constraint {lbl!r} has non-finite entries")
+        for i in np.flatnonzero(~np.isfinite(obj.matrix).all(axis=1)):
+            out.append(f"constraint {obj.labels[i]!r} has non-finite entries")
     elif isinstance(obj, SimplexSpec):
         if obj.kind == "group":
             out.extend(validate(obj.action))

@@ -44,7 +44,7 @@ from .core import (
     invariant_simplex,
     stationary_simplex,
 )
-from .ergodic import _orbit_ids, check_ergodic_kernel, membership_violation, stationary_components
+from .ergodic import check_ergodic_kernel, membership_violation, stationary_components
 
 MAX_GROUP_ORDER = 10_000
 
@@ -92,43 +92,41 @@ def _product_generator(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (g[:, None] * h.size + h).ravel()
 
 
-def _tree_constraints(orbit_of: np.ndarray, gens, n: int, family: str) -> tuple:
-    """Spanning-tree difference constraints, one tree per product orbit.
+def _orbit_restriction(action: GroupAction, product_gens, family: str) -> LinearRestriction:
+    """Plans constant on the orbits of product_gens, (label, cell permutation) pairs.
 
-    gens are (label, cell permutation) pairs and orbit_of their orbit ids.
-    BFS starts at the smallest cell of each orbit and follows generators in
-    order; tree edge e = (cell, g(cell)) becomes row e of the constraint
-    matrix, with +1 at the parent cell and -1 at the child.
+    One pass numbers the orbits and emits their spanning-tree constraints.
+    Each cell not yet numbered, in increasing order, starts a new atom and a
+    BFS that follows the generators in order; tree edge e = (cell, g(cell))
+    becomes row e of the constraint matrix, with +1 at the parent cell and
+    -1 at the child.
     """
+    n = action.space.n
+    gens = [(lbl, g.tolist()) for lbl, g in product_gens]
+    atom_of = [-1] * (n * n)
     labels, ends = [], []
-    for root in np.unique(orbit_of, return_index=True)[1].tolist():
-        seen = {root}
+    atoms = 0
+    for root in range(n * n):
+        if atom_of[root] >= 0:
+            continue
+        atom_of[root] = atoms
         queue = deque([root])
         while queue:
             cell = queue.popleft()
             for lbl, g in gens:
-                child = int(g[cell])
-                if child in seen:
-                    continue
-                seen.add(child)
-                queue.append(child)
-                labels.append(f"{family}:{lbl}:({cell // n},{cell % n})")
-                ends.append((cell, child))
+                child = g[cell]
+                if atom_of[child] < 0:
+                    atom_of[child] = atoms
+                    queue.append(child)
+                    labels.append(f"{family}:{lbl}:({cell // n},{cell % n})")
+                    ends.append((cell, child))
+        atoms += 1
     ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
     matrix = np.zeros((len(ends), n * n))
     matrix[np.arange(len(ends))[:, None], ends] = [1.0, -1.0]
-    return tuple(zip(labels, matrix.reshape(-1, n, n)))
-
-
-def _orbit_restriction(action: GroupAction, product_gens, family: str) -> LinearRestriction:
-    """Plans constant on the orbits of product_gens, (label, cell permutation) pairs."""
-    n = action.space.n
-    orbit_of = _orbit_ids(n * n, [g for _, g in product_gens])
     spec = invariant_simplex(action)
-    return LinearRestriction(
-        omega=ConstraintSet(action.space, action.space,
-                            _tree_constraints(orbit_of, product_gens, n, family)),
-        mx_spec=spec, my_spec=spec, atom_of=orbit_of)
+    return LinearRestriction(omega=ConstraintSet(action.space, action.space, labels, matrix),
+                             mx_spec=spec, my_spec=spec, atom_of=atom_of)
 
 
 def invariance_restriction(action: GroupAction) -> LinearRestriction:
@@ -142,14 +140,15 @@ def invariance_restriction(action: GroupAction) -> LinearRestriction:
                                        for lbl, g in action.generators], "invariance")
 
 
-def _mulclose(gens: list[tuple], compose, cap: int) -> set:
+def _mulclose(gens: list[tuple], cap: int) -> set:
+    """The group of permutations (image tuples) generated by gens."""
     group = set(gens)
     frontier = list(group)
     while frontier:
         new = []
         for a in frontier:
             for b in gens:
-                c = compose(a, b)
+                c = tuple(a[i] for i in b)
                 if c not in group:
                     group.add(c)
                     new.append(c)
@@ -177,18 +176,13 @@ def subgroup_restriction(action: GroupAction, pair_generators) -> LinearRestrict
         if sorted(g) != list(range(n)) or sorted(h) != list(range(n)):
             raise ValueError("pair generators must permute the same space as action")
 
-    def compose_one(a, b):
-        return tuple(a[i] for i in b)
-
-    def compose_pair(a, b):
-        return compose_one(a[0], b[0]), compose_one(a[1], b[1])
-
-    base = [tuple(int(v) for v in g) for _, g in action.generators]
+    # the image of the pair group under a factor projection is the group
+    # generated by the projected generators
     ident = tuple(range(n))
-    full_group = _mulclose(base + [ident], compose_one, MAX_GROUP_ORDER)
-    pair_group = _mulclose(pairs + [(ident, ident)], compose_pair, MAX_GROUP_ORDER)
-    proj1 = {g for g, _ in pair_group}
-    proj2 = {h for _, h in pair_group}
+    full_group = _mulclose([tuple(int(v) for v in g) for _, g in action.generators] + [ident],
+                           MAX_GROUP_ORDER)
+    proj1 = _mulclose([g for g, _ in pairs] + [ident], MAX_GROUP_ORDER)
+    proj2 = _mulclose([h for _, h in pairs] + [ident], MAX_GROUP_ORDER)
     if proj1 != full_group or proj2 != full_group:
         raise ProjectionNotFullError(
             "factor projections of the pair group do not generate the full group "
@@ -216,12 +210,11 @@ def stationarity_restriction(qx: StochKernel, qy: StochKernel) -> LinearRestrict
     nx_, ny = qx.space.n, qy.space.n
     rows = np.eye(nx_ * ny) - np.kron(qx.q, qy.q).T
     cells = np.flatnonzero(np.max(np.abs(rows), axis=1, initial=0.0) > TAU_MASS)
-    omegas = zip((f"stationarity:({c // ny},{c % ny})" for c in cells),
-                 rows[cells].reshape(-1, nx_, ny))
+    labels = [f"stationarity:({c // ny},{c % ny})" for c in cells]
     cx, cy = (stationary_components(q)[1] for q in (qx, qy))
     atom_of = np.where((cx[:, None] < 0) | (cy < 0), -1, cx[:, None] * (cy.max() + 1) + cy)
     return LinearRestriction(
-        omega=ConstraintSet(qx.space, qy.space, tuple(omegas)),
+        omega=ConstraintSet(qx.space, qy.space, labels, rows[cells]),
         mx_spec=stationary_simplex(qx), my_spec=stationary_simplex(qy),
         atom_of=atom_of.ravel())
 
@@ -229,7 +222,7 @@ def stationarity_restriction(qx: StochKernel, qy: StochKernel) -> LinearRestrict
 def no_restriction(row_space: FiniteSpace, col_space: FiniteSpace) -> LinearRestriction:
     """The unconstrained problem: empty omega, full simplexes, Dirac atoms."""
     return LinearRestriction(
-        omega=ConstraintSet(row_space, col_space, ()),
+        omega=ConstraintSet(row_space, col_space, (), np.zeros((0, row_space.n * col_space.n))),
         mx_spec=full_simplex(row_space), my_spec=full_simplex(col_space),
         atom_of=np.arange(row_space.n * col_space.n))
 
@@ -249,7 +242,7 @@ def product_atoms(r: LinearRestriction) -> tuple[list[tuple[int, ...]], np.ndarr
 def plan_violations(pi: TransportPlan, r: LinearRestriction) -> list[tuple[str, float]]:
     """(label, |<omega, p>|) for every constraint the plan breaks beyond TAU_LP."""
     v = np.abs(r.omega.matrix @ pi.p.ravel())
-    return [(r.omega.omegas[i][0], float(v[i])) for i in np.flatnonzero(v > TAU_LP)]
+    return [(r.omega.labels[i], float(v[i])) for i in np.flatnonzero(v > TAU_LP)]
 
 
 def check_weak_regularity(r: LinearRestriction, samples: list[tuple[Measure, Measure]]) -> CheckReport:
@@ -296,7 +289,7 @@ def check_geometric(r: LinearRestriction, samples: list[Measure]) -> CheckReport
     prod = np.abs(s @ mats @ s.T)
     failures = []
     for i in np.flatnonzero((diag > TAU_LP).any(axis=1) | (prod > TAU_LP).any(axis=(1, 2))):
-        lbl = r.omega.omegas[i][0]
+        lbl = r.omega.labels[i]
         failures += [f"{lbl}: diagonal pairing with sample {k} is {diag[i, k]:.3g}"
                      for k in np.flatnonzero(diag[i] > TAU_LP)]
         failures += [f"{lbl}: product pairing with samples ({ka},{kb}) is {prod[i, ka, kb]:.3g}"
@@ -307,7 +300,7 @@ def check_geometric(r: LinearRestriction, samples: list[Measure]) -> CheckReport
         basis = vt[sv > TAU_RANK]
         flipped = rows[:, np.arange(n * n).reshape(n, n).T.ravel()]
         residual = np.max(np.abs(flipped - (flipped @ basis.T) @ basis), axis=1)
-        failures += [f"{r.omega.omegas[i][0]}: transpose leaves the constraint row space "
+        failures += [f"{r.omega.labels[i]}: transpose leaves the constraint row space "
                      f"(residual {residual[i]:.3g})" for i in np.flatnonzero(residual > TAU_RANK)]
     return CheckReport(passed=not failures, failures=tuple(failures))
 
@@ -329,6 +322,6 @@ def check_coherency(r: LinearRestriction, pi_samples: list[TransportPlan]) -> Ch
             raise NotFeasibleError(
                 f"sample plan {k} violates {broken[0][0]} by {broken[0][1]:.3g}")
         pair = np.abs((r.omega.matrix * pi.p.ravel()) @ member)
-        failures += [f"plan {k}, {r.omega.omegas[i][0]}: pairing on atom {a} is {pair[i, a]:.3g}"
+        failures += [f"plan {k}, {r.omega.labels[i]}: pairing on atom {a} is {pair[i, a]:.3g}"
                      for i, a in np.argwhere(pair > TAU_LP)]
     return CheckReport(passed=not failures, failures=tuple(failures))

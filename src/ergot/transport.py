@@ -37,6 +37,7 @@ from .core import (
     Measure,
     MissingProductStructureError,
     NotFeasibleError,
+    NotGeometricError,
     NotInSimplexError,
     SimplexSpec,
     TransportPlan,
@@ -261,7 +262,8 @@ def boundary_metric(spec: SimplexSpec, d: GroundMetric, p: float,
     """Restricted distance between every pair of extreme measures.
 
     The restriction must be geometric on the component set (otherwise the
-    result need not be a metric); that is checked here and a failure raises.
+    result need not be a metric); that is checked here and a failure raises
+    NotGeometricError.
     Both triangles of the matrix are computed independently, so symmetry is
     observable rather than forced. Entries may be +inf. Each entry is
     solved in closed form on the product atoms (wasserstein's default).
@@ -269,8 +271,8 @@ def boundary_metric(spec: SimplexSpec, d: GroundMetric, p: float,
     comps, _ = simplex_components(spec)
     geo = check_geometric(r, comps)
     if not geo.passed:
-        raise ValueError("restriction is not geometric on the component set: "
-                         + "; ".join(geo.failures[:3]))
+        raise NotGeometricError("restriction is not geometric on the component set: "
+                                + "; ".join(geo.failures[:3]))
     k = len(comps)
     dbar = np.zeros((k, k))
     for a in range(k):

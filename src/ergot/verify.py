@@ -49,6 +49,7 @@ from .restriction import (
 )
 from .transport import (
     OtResult,
+    _forbidden_cells,
     _outer_ot,
     boundary_metric,
     component_weights,
@@ -158,7 +159,9 @@ def verify_decomposition(mu: Measure, nu: Measure, c: CostMatrix,
 
     Also checks, on the optimal constrained plan, that every conditional
     piece produced by decompose_plan costs at least the inner optimum of its
-    component pair (the inner table really is optimal piecewise).
+    component pair (the inner table really is optimal piecewise). A +inf
+    cost cell carries no mass in these pieces, so they are costed with it set
+    to 0, as the solvers cost their plans.
     """
     lhs_res = solve_constrained_ot(mu, nu, c, r, method="lp")
     values, plans, statuses = build_qopt(r.mx_spec, r.my_spec, c, r)
@@ -179,8 +182,9 @@ def verify_decomposition(mu: Measure, nu: Measure, c: CostMatrix,
         dec = decompose_plan(lhs_res.plan, r)
         atoms, _ = product_atoms(r)
         ny = nu.space.n
+        safe_cost = _forbidden_cells(c.c)[1]
         for comp, weight in zip(dec.components, dec.weights):
-            cost_k = float(np.sum(c.c * comp.p))
+            cost_k = float(np.sum(safe_cost * comp.p))
             comps_costs.append(cost_k)
             cell = int(np.flatnonzero(dec.class_of == len(comps_costs) - 1)[0])
             a, b = class_x[cell // ny], class_y[cell % ny]

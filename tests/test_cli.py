@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ergot import InstanceSpec, generate_instance
 from ergot.cli import main
 
 FIXTURE = Path(__file__).parent / "fixtures" / "c3x2.json"
@@ -163,6 +164,23 @@ def test_metric_subcommand():
     assert res["dbar"] == [[0.0, 2.0], [2.0, 0.0]]
     assert res["pass"] is True
     assert abs(res["direct"] - res["lifted"]) <= 1e-9
+
+
+def test_metric_exits_2_when_the_restriction_is_not_geometric(tmp_path, capsys):
+    # a well-formed file whose stationarity restriction fails the diagonal
+    # condition: metric exits 2, as check does on the same file
+    inst = generate_instance(InstanceSpec(n=6, kind="kernel", class_sizes=(3, 3), seed=1))
+    pts = np.random.default_rng(0).uniform(size=(6, 2))
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    path = write_problem(tmp_path, {
+        "version": 1, "space": 6, "kernel": inst.kernel.q.tolist(), "metric": d.tolist(),
+        "restriction": "stationarity",
+        "marginals": {"mu": inst.mu.w.tolist(), "nu": inst.nu.w.tolist()}})
+    assert main(["metric", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "NotGeometricError" in captured.err and "diagonal pairing" in captured.err
+    assert main(["check", path]) == 2
 
 
 def test_tolerance_env_and_flag(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ergot import (
+    ConstraintSet,
     CostMatrix,
     FiniteSpace,
     GroundMetric,
@@ -170,3 +171,29 @@ def test_of_size_labels():
     sp = FiniteSpace.of_size(3, prefix="x")
     assert sp.labels == ("x0", "x1", "x2")
     assert sp.n == 3
+
+
+def test_constraint_set_stores_labels_and_one_read_only_matrix():
+    sp = space2()
+    om = np.array([[1.0, -1.0], [0.0, 0.0]])
+    cs = ConstraintSet(sp, sp, ["tie"], om)
+    assert cs.labels == ("tie",) and len(cs) == 1
+    assert cs.matrix.shape == (1, 4) and not cs.matrix.flags.writeable
+    ((lbl, view),) = cs.omegas
+    assert lbl == "tie" and np.array_equal(view, om)
+
+
+def test_constraint_set_rejects_a_mis_shaped_matrix():
+    sp = space2()
+    with pytest.raises(ValueError, match=r"shape \(1, 4\), expected \(2, 4\)"):
+        ConstraintSet(sp, sp, ("a", "b"), np.zeros((1, 4)))
+    with pytest.raises(ValueError, match=r"expected \(0, 6\)"):
+        ConstraintSet(sp, FiniteSpace.of_size(3), (), np.zeros((1, 6)))
+
+
+def test_validate_names_a_non_finite_constraint():
+    sp = space2()
+    m = np.zeros((2, 4))
+    m[1, 2] = np.inf
+    assert validate(ConstraintSet(sp, sp, ("ok", "bad"), m)) == [
+        "constraint 'bad' has non-finite entries"]

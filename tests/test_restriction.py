@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from ergot import (
     stationary_components,
     subgroup_restriction,
 )
+from test_acceptance import CYCLE_TYPES
 
 
 def c3x2_action():
@@ -43,11 +46,10 @@ def swap_action():
     return GroupAction(sp, (("s", np.array([1, 0], dtype=np.intp)),))
 
 
-def numerical_rank(mats, tol=1e-8):
-    if not mats:
-        return 0
-    stack = np.array([m.ravel() for m in mats])
-    return int(np.linalg.matrix_rank(stack, tol=tol))
+def numerical_rank(*matrices, tol=1e-8):
+    """Rank of the constraint matrices stacked on one another."""
+    stack = np.vstack(matrices)
+    return int(np.linalg.matrix_rank(stack, tol=tol)) if len(stack) else 0
 
 
 def test_identity_action_no_constraints():
@@ -101,10 +103,9 @@ def test_subgroup_diagonal_pairs_reproduce_invariance():
     g = act.generators[0][1]
     inv = invariance_restriction(act)
     sub = subgroup_restriction(act, [(g, g)])
-    mats_inv = [m for _, m in inv.omega.omegas]
-    mats_sub = [m for _, m in sub.omega.omegas]
+    mats_inv, mats_sub = inv.omega.matrix, sub.omega.matrix
     assert numerical_rank(mats_inv) == numerical_rank(mats_sub)
-    assert numerical_rank(mats_inv + mats_sub) == numerical_rank(mats_inv)
+    assert numerical_rank(mats_inv, mats_sub) == numerical_rank(mats_inv)
 
 
 def test_subgroup_one_sided_pairs_give_block_orbits():
@@ -122,6 +123,19 @@ def test_subgroup_rejects_partial_projection():
     e = np.arange(6, dtype=np.intp)
     with pytest.raises(ProjectionNotFullError):
         subgroup_restriction(act, [(act.generators[0][1], e)])
+
+
+def test_subgroup_projections_close_without_the_pair_group():
+    # the pairs generate S5 x S5, 14,400 elements, above MAX_GROUP_ORDER;
+    # each factor projection generates only S5, 120 elements
+    a = np.array([1, 2, 3, 4, 0])
+    b = np.array([1, 0, 2, 3, 4])
+    e = np.arange(5)
+    act = GroupAction(FiniteSpace.of_size(5), (("a", a), ("b", b)))
+    r = subgroup_restriction(act, [(a, a), (b, b), (a, e), (b, e)])
+    atoms, _ = product_atoms(r)
+    assert atoms == [tuple(range(25))]
+    assert len(r.omega) == 24
 
 
 def test_stationarity_identity_kernel_prunes_to_empty():
@@ -143,13 +157,13 @@ def test_stationarity_of_averaging_kernel_is_product_group_invariance():
         g = act.generators[0][1]
         e = np.arange(n, dtype=np.intp)
         q = averaging_kernel(act)
-        mk = [m for _, m in stationarity_restriction(q, q).omega.omegas]
-        mp = [m for _, m in subgroup_restriction(act, [(g, e), (e, g)]).omega.omegas]
-        md = [m for _, m in invariance_restriction(act).omega.omegas]
+        mk = stationarity_restriction(q, q).omega.matrix
+        mp = subgroup_restriction(act, [(g, e), (e, g)]).omega.matrix
+        md = invariance_restriction(act).omega.matrix
         assert numerical_rank(mk) == numerical_rank(mp)
-        assert numerical_rank(mk + mp) == numerical_rank(mk)
+        assert numerical_rank(mk, mp) == numerical_rank(mk)
         # diagonal invariance sits strictly inside
-        assert numerical_rank(mk + md) == numerical_rank(mk)
+        assert numerical_rank(mk, md) == numerical_rank(mk)
         assert numerical_rank(md) < numerical_rank(mk)
 
 
@@ -183,7 +197,7 @@ def test_weak_regularity_failure_on_forbidden_cell():
     om = np.zeros((2, 2))
     om[0, 0] = 1.0
     r = LinearRestriction(
-        ConstraintSet(sp, sp, (("cell00", om),)),
+        ConstraintSet(sp, sp, ("cell00",), om),
         full_simplex(sp), full_simplex(sp))
     dirac = Measure(sp, np.array([1.0, 0.0]))
     rep = check_weak_regularity(r, [(dirac, dirac)])
@@ -214,7 +228,7 @@ def test_geometric_fails_on_single_cell_constraint():
     om = np.zeros((2, 2))
     om[0, 1] = 1.0
     r = LinearRestriction(
-        ConstraintSet(sp, sp, (("cell01", om),)),
+        ConstraintSet(sp, sp, ("cell01",), om),
         full_simplex(sp), full_simplex(sp))
     uniform = Measure(sp, np.array([0.5, 0.5]))
     rep = check_geometric(r, [uniform])
@@ -230,7 +244,7 @@ def test_geometric_empty_constraints():
 def _transpose_failures(mats):
     n = mats.shape[1]
     sp = FiniteSpace.of_size(n)
-    r = LinearRestriction(ConstraintSet(sp, sp, tuple((f"w{i}", m) for i, m in enumerate(mats))),
+    r = LinearRestriction(ConstraintSet(sp, sp, [f"w{i}" for i in range(len(mats))], mats),
                           full_simplex(sp), full_simplex(sp))
     rep = check_geometric(r, [Measure(sp, np.full(n, 1.0 / n))])
     return [f for f in rep.failures if "transpose" in f]
@@ -285,7 +299,7 @@ def test_coherency_failure_recorded_for_local_imbalance():
     om[0, 1] = -1.0
     base = invariance_restriction(act)
     r = LinearRestriction(
-        ConstraintSet(sp, sp, (("tilt", om),)),
+        ConstraintSet(sp, sp, ("tilt",), om),
         base.mx_spec, base.my_spec, atom_of=base.atom_of)
     pi = TransportPlan(sp, sp, np.full((2, 2), 0.25))
     rep = check_coherency(r, [pi])
@@ -309,7 +323,8 @@ def test_coherency_empty_constraints():
 
 def test_product_atoms_require_structure():
     sp = FiniteSpace.of_size(2)
-    r = LinearRestriction(ConstraintSet(sp, sp, ()), full_simplex(sp), full_simplex(sp))
+    r = LinearRestriction(ConstraintSet(sp, sp, (), np.zeros((0, 4))), full_simplex(sp),
+                          full_simplex(sp))
     with pytest.raises(MissingProductStructureError):
         product_atoms(r)
 
@@ -418,3 +433,44 @@ def test_no_restriction_atoms_are_singletons():
     assert atoms == [(c,) for c in range(15)]
     assert np.array_equal(class_of, np.arange(15))
     assert not r.atom_of.flags.writeable
+
+
+# SHA-256 of every builder's labels, constraint matrix and atom_of below. The
+# BFS order (roots in increasing cell order, generators in their given order)
+# fixes each label, row and atom id, and with them the lifted LP and its
+# tie-broken Bland plans, so any change to it shows here.
+BUILDER_DIGEST = "9a2efcc17ea7e2bb228554ee54585d050c5b99a4e33603f005901fc23d49abe9"
+
+
+def builder_restrictions():
+    cycle_types = [(1, (1,)), (2, (2,)), (3, (2, 1))] + CYCLE_TYPES
+    for n, ct in cycle_types:
+        for seed in range(2):
+            inst = generate_instance(InstanceSpec(n=n, kind="perm", cycle_type=ct, seed=seed))
+            g = inst.action.generators[0][1]
+            yield inst.restriction
+            yield subgroup_restriction(inst.action, [(g, g), (g, np.arange(n))])
+    rng = np.random.default_rng(113)
+    for _ in range(40):
+        qx = random_decomposing_kernel(rng, int(rng.integers(1, 8)))
+        qy = random_decomposing_kernel(rng, int(rng.integers(1, 8)))
+        yield stationarity_restriction(qx, qy)
+    for n in range(1, 13):
+        inst = generate_instance(InstanceSpec(n=n, kind="kernel", seed=n,
+                                              class_sizes=random_partition(rng, n)))
+        yield inst.restriction
+    for n, m in ((1, 1), (3, 5), (6, 6)):
+        yield no_restriction(FiniteSpace.of_size(n), FiniteSpace.of_size(m))
+
+
+def builder_digest(restrictions):
+    h = hashlib.sha256()
+    for r in restrictions:
+        h.update("\n".join(r.omega.labels).encode() + b"\0")
+        h.update(np.ascontiguousarray(r.omega.matrix, dtype=np.float64).tobytes())
+        h.update(np.asarray(r.atom_of, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def test_builders_are_bit_identical():
+    assert builder_digest(builder_restrictions()) == BUILDER_DIGEST

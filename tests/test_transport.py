@@ -136,7 +136,7 @@ def test_infeasible_reported_not_raised():
     sp = FiniteSpace.of_size(2)
     om = np.zeros((2, 2))
     om[0, 0] = 1.0
-    r = LinearRestriction(ConstraintSet(sp, sp, (("block00", om),)),
+    r = LinearRestriction(ConstraintSet(sp, sp, ("block00",), om),
                           full_simplex(sp), full_simplex(sp))
     dirac = Measure(sp, np.array([1.0, 0.0]))
     c = CostMatrix(sp, sp, np.ones((2, 2)))

@@ -204,3 +204,16 @@ def test_atoms_solve_the_false_infeasible_kernel_instances(n, class_sizes, seed)
     rep = verify_decomposition(inst.mu, inst.nu, inst.cost, inst.restriction)
     assert res.method == "atoms" and res.status == "optimal"
     assert abs(res.value - rep.rhs) <= 1e-12
+
+
+def test_inf_cost_cell_leaves_the_piece_costs_finite():
+    # the conditional pieces put no mass on the +inf cell, so they cost as
+    # the solvers cost plans: with that cell at 0, not inf * 0 = nan
+    inst = generate_instance(InstanceSpec(n=6, kind="perm", cycle_type=(3, 3), seed=1))
+    c = inst.cost.c.copy()
+    c[0, 1] = np.inf
+    rep = verify_decomposition(inst.mu, inst.nu, CostMatrix(inst.space, inst.space, c),
+                               inst.restriction)
+    assert rep.component_costs and np.all(np.isfinite(rep.component_costs))
+    assert rep.qopt_ok
+    assert rep.gap <= 1e-8
