@@ -32,7 +32,14 @@ from .core import (
     transpose_plan,
     validate,
 )
-from .lp import LpProblem, LpSolution, VertexCapExceededError, enumerate_vertices, solve_lp
+from .lp import (
+    LpProblem,
+    LpSolution,
+    VertexCapExceededError,
+    enumerate_vertices,
+    solve_lp,
+    transport_simplex,
+)
 from .ergodic import (
     KernelCheck,
     OrbitPartition,

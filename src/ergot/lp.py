@@ -1,6 +1,13 @@
-"""Two-phase simplex with Bland's rule, plus a vertex-enumeration oracle.
+"""Two LP solvers, a transportation simplex and a two-phase Bland simplex,
+plus a vertex-enumeration oracle.
 
-The solver is deliberately boring. Standard form is
+``transport_simplex`` solves plain transport problems (marginal equalities
+only) on a spanning-tree basis: the network simplex of the transportation
+problem, each pivot O(rows + columns) besides pricing. Every unconstrained
+transport solve runs on it. ``solve_lp`` is the general solver, kept for
+the lifted LPs, whose constraint rows leave no tree structure.
+
+The general solver is deliberately boring. Standard form is
 
     min  c . x   subject to   A x = b,  x >= 0,
 
@@ -36,7 +43,7 @@ import numpy as np
 from .core import TAU_LP
 
 PIVOT_EPS = 1e-11   # entries smaller than this never serve as pivots
-MAX_PIVOTS = 2_000_000  # safety net only; Bland's rule terminates on its own
+MAX_PIVOTS = 2_000_000  # safety net only; both pivot rules terminate on their own
 
 
 class VertexCapExceededError(RuntimeError):
@@ -72,8 +79,10 @@ class LpSolution:
     value: float | None = None
     basis: tuple[int, ...] = ()
     pivots: int = 0                # all pivots, both phases
-    phase1_pivots: int = 0         # pivots before phase two, artificial drive-out included
-    degenerate_pivots: int = 0     # ratio-test pivots whose leaving ratio is <= PIVOT_EPS
+    phase1_pivots: int = 0         # pivots before phase two, artificial drive-out included;
+                                   # transport_simplex: pivots that cut the forbidden mass
+    degenerate_pivots: int = 0     # ratio-test pivots whose leaving ratio is <= PIVOT_EPS;
+                                   # transport_simplex: pivots that move no flow
 
 
 def _bland_iterate(T, basis, ncols, pivots, degenerate):
@@ -199,6 +208,205 @@ def solve_lp(prob: LpProblem) -> LpSolution:
         x[bi] = T[i, -1] + 0.0   # a skipped zero can be -0.0; fold it
     value = float(prob.objective @ x)
     return LpSolution(status="optimal", x=x, value=value, basis=tuple(sorted(basis)), **counts)
+
+
+def transport_simplex(supply, demand, cost) -> LpSolution:
+    """Network simplex for min <cost, P> s.t. P 1 = supply, P^T 1 = demand, P >= 0.
+
+    supply (nr) and demand (nc) must be positive; the last demand entry takes
+    whatever the supply leaves, as the LP's dropped redundant row would. A
+    total mismatch above TAU_LP (relative) is infeasible. cost is (nr, nc);
+    +inf cells are forbidden, and a NaN or -inf cell raises ValueError.
+
+    The basis is a spanning tree of nr + nc - 1 cells over the row and
+    column nodes, rooted at row 0. The north-west corner builds the first
+    one; on a tie the row moves on, so every zero-flow cell hangs a row
+    below its column and positive flow can reach the root from every node
+    (a strongly feasible tree). The potentials u, v solve
+    u_i + v_j = c_ij on the tree. The cell with the most negative reduced
+    cost enters, the lowest flat index among those within the entering
+    tolerance of the minimum; that tolerance is PIVOT_EPS times the largest
+    finite |cost|, so the cost units do not matter. The leaving cell is the
+    last blocking cell met going round the cycle along the entering cell
+    from the apex (Cunningham 1976), which keeps the tree strongly feasible
+    and so cannot cycle. A pivot shifts the potentials of the subtree the
+    leaving cell cuts off and nothing else.
+
+    +inf cells carry a second cost level: the objective is (forbidden mass,
+    cost), compared lexicographically, with potentials and reduced costs as
+    pairs, so no big-M constant enters. Pivots on the first level are the
+    phase-one pivots. If the forbidden mass left at the optimum is above
+    TAU_LP the problem is infeasible; otherwise those cells report zero.
+
+    x is the plan in row-major order, basis the sorted tree cells.
+    Deterministic: the same input gives the same plan, bit for bit.
+    """
+    a = np.asarray(supply, dtype=float)
+    b = np.asarray(demand, dtype=float)
+    c = np.asarray(cost, dtype=float)
+    nr, nc = a.size, b.size
+    if a.ndim != 1 or b.ndim != 1 or c.shape != (nr, nc) or not nr or not nc:
+        raise ValueError(f"need nonempty supply ({a.shape}) and demand ({b.shape}) "
+                         f"vectors and a cost of shape ({nr}, {nc}), got {c.shape}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and a.min() > 0 and b.min() > 0):
+        raise ValueError("supply and demand must be positive and finite")
+    if np.isnan(c).any() or np.isneginf(c).any():
+        raise ValueError("cost has a NaN or -inf entry")
+    if abs(a.sum() - b.sum()) > TAU_LP * max(a.sum(), b.sum()):
+        return LpSolution(status="infeasible")
+
+    forbid = np.isposinf(c)
+    lo = np.where(forbid, 0.0, c)
+    hi = forbid.astype(float) if forbid.any() else None
+    tol = PIVOT_EPS * float(np.max(np.abs(lo)))
+    lo_flat = lo.ravel()
+
+    # the tree: nodes 0..nr-1 are rows, nr..nr+nc-1 columns; pcell is the
+    # flat cell joining a node to its parent
+    size = nr + nc
+    parent, pcell, depth = [-1] * size, [-1] * size, [0] * size
+    children: list[list[int]] = [[] for _ in range(size)]
+    order = [0]
+    flow: dict[int, float] = {}
+
+    def attach(node, par, cell):
+        parent[node], pcell[node], depth[node] = par, cell, depth[par] + 1
+        children[par].append(node)
+        order.append(node)
+
+    ra, rb = a.tolist(), b.tolist()
+    i = j = 0
+    left_a, left_b = ra[0], rb[0]
+    attach(nr, 0, 0)
+    while i < nr - 1 or j < nc - 1:
+        cell = i * nc + j
+        if j == nc - 1 or (i < nr - 1 and left_a <= left_b):  # row i runs out, or both
+            flow[cell] = left_a
+            left_b -= left_a
+            i += 1
+            left_a = ra[i]
+            attach(i, nr + j, i * nc + j)
+        else:                                                  # column j runs out first
+            flow[cell] = left_b
+            left_a -= left_b
+            j += 1
+            left_b = rb[j]
+            attach(nr + j, i, i * nc + j)
+    flow[nr * nc - 1] = left_a
+
+    def potentials(costs):
+        pot = np.zeros(size)
+        flat = costs.ravel().tolist()
+        for node in order[1:]:
+            pot[node] = flat[pcell[node]] - pot[parent[node]]
+        return pot
+
+    pot = potentials(lo)
+    pot_hi = potentials(hi) if hi is not None else None
+    red = np.empty((nr, nc))
+    red_hi = np.empty((nr, nc)) if hi is not None else None
+    pivots = phase1 = degenerate = 0
+    while True:
+        if hi is not None:
+            np.subtract(hi, pot_hi[:nr, None], out=red_hi)
+            red_hi -= pot_hi[None, nr:]
+        if hi is not None and red_hi.min() < 0:
+            k = int(red_hi.argmin())     # integral, so exact: lowest index of the minimum
+            phase1 += 1
+        else:
+            np.subtract(lo, pot[:nr, None], out=red)
+            red -= pot[None, nr:]
+            if hi is not None:
+                red[red_hi != 0] = math.inf
+            flat = red.ravel()
+            k = int(flat.argmin())
+            if not flat[k] < -tol:
+                break
+            # the lowest index within tol of the minimum, so rounding noise
+            # in the potentials cannot reorder tied cells
+            k = int((flat[:k + 1] <= min(flat[k] + tol, -tol)).argmax())
+        i, j = divmod(k, nc)
+        p, q = i, nr + j
+
+        # the cycle: both endpoints climb to their apex; on each side the
+        # cell next to the entering one loses flow, and signs alternate
+        up_p, up_q = [], []
+        top_p, top_q = p, q
+        while depth[top_p] > depth[top_q]:
+            up_p.append(top_p)
+            top_p = parent[top_p]
+        while depth[top_q] > depth[top_p]:
+            up_q.append(top_q)
+            top_q = parent[top_q]
+        while top_p != top_q:
+            up_p.append(top_p)
+            top_p = parent[top_p]
+            up_q.append(top_q)
+            top_q = parent[top_q]
+        losing = up_p[0::2] + up_q[0::2]
+        theta = min(flow[pcell[z]] for z in losing)
+        # going round along the entering cell p -> q from the apex meets p's
+        # side from the apex down, then q's side from q up: scan backwards
+        out, side = None, up_q
+        for z in reversed(up_q[0::2]):
+            if flow[pcell[z]] == theta:
+                out = z
+                break
+        if out is None:
+            side = up_p
+            out = next(z for z in up_p[0::2] if flow[pcell[z]] == theta)
+
+        for z in losing:
+            flow[pcell[z]] -= theta
+        for z in up_p[1::2] + up_q[1::2]:
+            flow[pcell[z]] += theta
+        del flow[pcell[out]]
+        flow[k] = theta
+
+        # re-hang the cut-off subtree from the entering endpoint on its side
+        s, t = (p, q) if side is up_p else (q, p)
+        path = side[:side.index(out) + 1]
+        cells = [pcell[z] for z in path]
+        children[parent[out]].remove(out)
+        for m in range(len(path) - 1, 0, -1):
+            children[path[m]].remove(path[m - 1])
+            children[path[m - 1]].append(path[m])
+            parent[path[m]], pcell[path[m]] = path[m - 1], cells[m - 1]
+        parent[s], pcell[s] = t, k
+        children[t].append(s)
+        depth[s] = depth[t] + 1
+        sub = [s]
+        for z in sub:                    # breadth first; sub grows as it is read
+            below = children[z]
+            for ch in below:
+                depth[ch] = depth[z] + 1
+            sub += below
+        # s's own potential moves by the entering reduced cost, its side
+        # with it and the other side against it
+        sub = np.array(sub)
+        sign = np.where((sub < nr) == (s < nr), 1.0, -1.0)
+        pot[sub] += sign * (lo_flat[k] - pot[i] - pot[q])
+        if hi is not None:
+            pot_hi[sub] += sign * red_hi.flat[k]
+
+        pivots += 1
+        if theta == 0.0:
+            degenerate += 1
+        if pivots > MAX_PIVOTS:
+            raise RuntimeError("pivot cap exceeded; this should be unreachable with "
+                               "strongly feasible trees")
+
+    x = np.zeros(nr * nc)
+    cells = np.fromiter(flow, dtype=np.intp, count=len(flow))
+    x[cells] = np.maximum(np.fromiter(flow.values(), dtype=float, count=len(flow)), 0.0)
+    counts = {"pivots": pivots, "phase1_pivots": phase1, "degenerate_pivots": degenerate}
+    if hi is not None:
+        banned = forbid.ravel()
+        if x[banned].sum() > TAU_LP:
+            return LpSolution(status="infeasible", **counts)
+        x[banned] = 0.0
+    return LpSolution(status="optimal", x=x, value=float(lo_flat @ x),
+                      basis=tuple(sorted(flow)), **counts)
 
 
 def _independent_rows(A, b):

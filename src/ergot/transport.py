@@ -7,15 +7,18 @@ components gives that pair's inner cost, and one small transport between
 the component weights mixes them. That is the paper's two-stage theorem
 used as an algorithm, and its plan is checked against every constraint.
 
-Everything else, and the closed form's outer problem, reduces to the dense
-simplex in ``lp`` (``method="lp"`` keeps a restricted solve there, as the
-independent witness). The LP is assembled over the support of the marginals
-only (zero-mass rows and columns force their cells to zero, so dropping them
-is exact), with one marginal equality per support row, one per support
-column except the last (the marginal system overdetermines by one row), and
-one equality per constraint matrix.
-Cost cells of +inf are left out of the variable set, so no plan can use
-them; a NaN or -inf cost is an error.
+Plain transport (``solve_ot``, and the closed form's outer problem) runs on
+the transportation simplex in ``lp``. Everything else is the lifted LP on
+the dense simplex in ``lp`` (``method="lp"`` keeps a restricted solve there,
+as the independent witness), and its plan is checked against every
+constraint before it is returned. Both are posed over the support of the
+marginals only (zero-mass rows and columns force their cells to zero, so
+dropping them is exact). The lifted LP has one marginal equality per
+support row, one per support column except the last (the marginal system
+overdetermines by one row), and one equality per constraint matrix.
+Cost cells of +inf carry no mass: the lifted LP leaves them out of its
+variable set, the transportation simplex forbids them; a NaN or -inf cost
+is an error.
 
 Infeasibility is data here, not an error: the restricted distance of an
 infeasible pair is +inf, which keeps the metric axioms total.
@@ -44,7 +47,7 @@ from .core import (
     pth_root,
 )
 from .ergodic import membership_violation, simplex_components
-from .lp import LpProblem, LpSolution, solve_lp
+from .lp import LpProblem, solve_lp, transport_simplex
 from .restriction import LinearRestriction, check_geometric, plan_violations, product_atoms
 
 
@@ -73,14 +76,14 @@ class PlanDecomposition:
     class_of: np.ndarray           # product cell -> component index, -1 if unweighted
 
 
-def _transport_lp(mu_w, nu_w, cost, constraints=None, forbid=None):
-    """Assemble the support-restricted transport LP.
+def _transport_lp(mu_w, nu_w, cost, constraints, forbid=None):
+    """Assemble the support-restricted lifted transport LP.
 
     Returns (problem, row_idx, col_idx, keep) where the LP variables are the
-    kept cells of row_idx x col_idx in row-major order. constraints is an
-    optional (k, n*m) constraint matrix (ConstraintSet.matrix); its rows that
-    vanish on the variable set are dropped. forbid is an optional boolean
-    matrix of cells excluded from the variable set (used for +inf costs).
+    kept cells of row_idx x col_idx in row-major order. constraints is the
+    (k, n*m) constraint matrix (ConstraintSet.matrix); its rows that vanish
+    on the variable set are dropped. forbid is an optional boolean matrix of
+    cells excluded from the variable set (used for +inf costs).
     """
     rows = np.flatnonzero(mu_w > TAU_MASS)
     cols = np.flatnonzero(nu_w > TAU_MASS)
@@ -90,26 +93,13 @@ def _transport_lp(mu_w, nu_w, cost, constraints=None, forbid=None):
         keep = ~forbid[np.ix_(rows, cols)].reshape(-1)
     marginals = np.vstack([np.kron(np.eye(nr), np.ones(nc)),
                            np.kron(np.ones(nr), np.eye(nc))[:nc - 1]])[:, keep]
-    eq_rows = [marginals]
-    rhs = [mu_w[rows], nu_w[cols[:-1]]]
-    if constraints is not None:
-        cells = (rows[:, None] * cost.shape[1] + cols).reshape(-1)[keep]
-        sub = constraints[:, cells]
-        sub = sub[np.max(np.abs(sub), axis=1, initial=0.0) > 1e-15]
-        eq_rows.append(sub)
-        rhs.append(np.zeros(len(sub)))
-
+    cells = (rows[:, None] * cost.shape[1] + cols).reshape(-1)[keep]
+    sub = constraints[:, cells]
+    sub = sub[np.max(np.abs(sub), axis=1, initial=0.0) > 1e-15]
     obj = cost[np.ix_(rows, cols)].reshape(-1)[keep]
-    prob = LpProblem(objective=obj, eq_matrix=np.vstack(eq_rows), eq_rhs=np.concatenate(rhs))
+    prob = LpProblem(objective=obj, eq_matrix=np.vstack([marginals, sub]),
+                     eq_rhs=np.concatenate([mu_w[rows], nu_w[cols[:-1]], np.zeros(len(sub))]))
     return prob, rows, cols, keep
-
-
-def _embed_plan(sol: LpSolution, shape, rows, cols, keep) -> np.ndarray:
-    cell_vals = np.zeros(rows.size * cols.size)
-    cell_vals[keep] = np.maximum(sol.x, 0.0)
-    full = np.zeros(shape)
-    full[np.ix_(rows, cols)] = cell_vals.reshape(rows.size, cols.size)
-    return full
 
 
 def _forbidden_cells(cost):
@@ -120,24 +110,46 @@ def _forbidden_cells(cost):
     return forbid, np.where(forbid, 0.0, cost)
 
 
-def _solve_transport(mu_w, nu_w, cost, row_space, col_space, constraints=None) -> OtResult:
-    """The transport LP between two weight vectors, as a plan over the two spaces.
+def _solve_transport(mu_w, nu_w, cost, row_space, col_space,
+                     r: LinearRestriction | None = None) -> OtResult:
+    """The transport problem between two weight vectors, as a plan over the two spaces.
 
-    +inf cost cells are excluded from the variable set; a NaN or -inf cost
-    raises ValueError.
+    Without a restriction it runs on the network simplex (transport_simplex)
+    over the support of the weights; with one, on the lifted LP, whose plan
+    is then checked against every constraint (NotFeasibleError if it breaks
+    one). +inf cost cells carry no mass; a NaN or -inf cost raises ValueError.
     """
     forbid, safe_cost = _forbidden_cells(cost)
-    prob, rows, cols, keep = _transport_lp(mu_w, nu_w, safe_cost, constraints, forbid)
-    sol = solve_lp(prob)
+    if r is None:
+        rows = np.flatnonzero(mu_w > TAU_MASS)
+        cols = np.flatnonzero(nu_w > TAU_MASS)
+        sol = transport_simplex(mu_w[rows], nu_w[cols], cost[np.ix_(rows, cols)])
+        keep = slice(None)
+    else:
+        prob, rows, cols, keep = _transport_lp(mu_w, nu_w, safe_cost, r.omega.matrix, forbid)
+        sol = solve_lp(prob)
     if sol.status != "optimal":
         return OtResult(value=math.inf, plan=None, status="infeasible")
-    p = _embed_plan(sol, cost.shape, rows, cols, keep)
-    return OtResult(value=float(np.sum(safe_cost * p)),
-                    plan=TransportPlan(row_space, col_space, p), status="optimal")
+    cell_vals = np.zeros(rows.size * cols.size)
+    cell_vals[keep] = np.maximum(sol.x, 0.0)
+    p = np.zeros(cost.shape)
+    p[np.ix_(rows, cols)] = cell_vals.reshape(rows.size, cols.size)
+    plan = TransportPlan(row_space, col_space, p)
+    if r is not None:
+        broken = plan_violations(plan, r)
+        if broken:
+            raise NotFeasibleError(
+                f"the lifted LP plan breaks {broken[0][0]} by {broken[0][1]:.3g} "
+                f"({len(broken)} constraints broken)")
+    return OtResult(value=float(np.sum(safe_cost * p)), plan=plan, status="optimal")
 
 
 def solve_ot(mu: Measure, nu: Measure, c: CostMatrix) -> OtResult:
-    """Unconstrained optimal transport; always solvable (the product plan is feasible)."""
+    """Unconstrained optimal transport on the transportation simplex.
+
+    Always solvable (the product plan is feasible) unless +inf cost cells
+    leave no coupling, which is reported as infeasible.
+    """
     if mu.space.n != c.row_space.n or nu.space.n != c.col_space.n:
         raise ValueError("marginal sizes do not match the cost matrix")
     return _solve_transport(mu.w, nu.w, c.c, c.row_space, c.col_space)
@@ -172,7 +184,7 @@ def solve_constrained_ot(mu: Measure, nu: Measure, c: CostMatrix,
             raise NotInSimplexError(f"{side}: {bad}")
     if method == "atoms":
         return _atoms_ot(mu, nu, c, r)
-    return _solve_transport(mu.w, nu.w, c.c, c.row_space, c.col_space, r.omega.matrix)
+    return _solve_transport(mu.w, nu.w, c.c, c.row_space, c.col_space, r)
 
 
 def _atoms_ot(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction) -> OtResult:
@@ -285,8 +297,8 @@ def boundary_metric(spec: SimplexSpec, d: GroundMetric, p: float,
 def _outer_ot(wx: np.ndarray, wy: np.ndarray, cost: np.ndarray) -> OtResult:
     """Small transport problem between component-weight vectors.
 
-    +inf cost cells are excluded from the variable set; if that leaves no
-    feasible coupling the result is infeasible (value +inf).
+    +inf cost cells carry no mass; if no coupling avoids them the result is
+    infeasible (value +inf).
     """
     k_x, k_y = cost.shape
     return _solve_transport(wx, wy, cost, FiniteSpace.of_size(k_x, "mass-class-"),

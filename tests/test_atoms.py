@@ -31,6 +31,7 @@ from ergot import (
     solve_ot,
     stationarity_restriction,
     subgroup_restriction,
+    transport_simplex,
     verify_decomposition,
     verify_metric_decomposition,
     wasserstein,
@@ -227,22 +228,29 @@ def test_result_names_the_path_it_took():
                          ids=["perm", "kernel"])
 def test_verify_decomposition_stays_on_the_lp(monkeypatch, spec):
     inst = generate_instance(spec)
-    calls = []
+    calls, outer = [], []
 
     def counting(prob):
         calls.append(prob.num_vars)
         return solve_lp(prob)
 
+    def counting_outer(supply, demand, cost):
+        outer.append(cost.shape)
+        return transport_simplex(supply, demand, cost)
+
     monkeypatch.setattr(ergot.transport, "solve_lp", counting)
+    monkeypatch.setattr(ergot.transport, "transport_simplex", counting_outer)
     rep = verify_decomposition(inst.mu, inst.nu, inst.cost, inst.restriction)
     comps, _ = simplex_components(inst.restriction.mx_spec)
     k = len(comps)
-    assert len(calls) == 2 + k * k
+    assert len(calls) == 1 + k * k
     # the left-hand side and every inner value are lifted: one variable per
     # support cell, where the closed form would solve a 1 x 1 outer problem
     size = [int(np.sum(m.w > 0)) for m in comps]
     assert calls[0] == np.sum(inst.mu.w > 0) * np.sum(inst.nu.w > 0)
-    assert calls[1:-1] == [sa * sb for sa in size for sb in size]
+    assert calls[1:] == [sa * sb for sa in size for sb in size]
+    # only the outer coupling of the component weights is plain transport
+    assert len(outer) == 1 and outer[0][0] <= k and outer[0][1] <= k
     atoms = solve_constrained_ot(inst.mu, inst.nu, inst.cost, inst.restriction)
     assert abs(atoms.value - rep.lhs) <= VALUE_TOL
 

@@ -18,6 +18,7 @@ from ergot import (
     enumerate_vertices,
     generate_instance,
     solve_lp,
+    transport_simplex,
     verify_decomposition,
 )
 from ergot.core import TAU_LP
@@ -378,3 +379,180 @@ def test_degenerate_transport_lp_reports_degenerate_pivots():
     assert sol.status == "optimal"
     assert 0 < sol.degenerate_pivots < sol.pivots
     assert 0 < sol.phase1_pivots < sol.pivots
+
+
+# ---------------------------------------------------------------- transport simplex
+# transport_simplex runs every unconstrained transport problem. solve_lp on
+# the same problem (all row equalities, all column equalities but the last,
+# +inf cells left out) and the vertex enumeration are its witnesses.
+
+def transport_lp(a, b, c):
+    """The LP the transport layer used to build: +inf cells dropped, last column row implied."""
+    nr, nc = len(a), len(b)
+    keep = ~np.isposinf(c).ravel()
+    A = np.vstack([np.kron(np.eye(nr), np.ones(nc)), np.kron(np.ones(nr), np.eye(nc))[:nc - 1]])
+    return LpProblem(c.ravel()[keep], A[:, keep],
+                     np.concatenate([a, b[:-1]])), keep
+
+
+def assert_matches_lp(a, b, c):
+    sol = transport_simplex(a, b, c)
+    prob, keep = transport_lp(a, b, c)
+    ref = solve_lp(prob)
+    assert sol.status == ref.status
+    if sol.status == "optimal":
+        assert abs(sol.value - ref.value) <= 1e-12
+        plan = sol.x.reshape(len(a), len(b))
+        assert plan.min() >= 0.0
+        assert np.max(np.abs(plan.sum(axis=1) - a)) <= 1e-12
+        assert np.max(np.abs(plan.sum(axis=0) - b)) <= 1e-12
+        assert np.all(sol.x[~keep] == 0.0)
+        assert len(sol.basis) == len(a) + len(b) - 1
+    return sol
+
+
+def random_shape(rng):
+    return tuple(int(k) for k in rng.integers(1, 9, size=2))
+
+
+def test_transport_simplex_matches_solve_lp_on_random_problems():
+    rng = np.random.default_rng(51)
+    for _ in range(80):
+        nr, nc = random_shape(rng)
+        assert_matches_lp(rng.dirichlet(np.ones(nr)), rng.dirichlet(np.ones(nc)),
+                          rng.uniform(0.0, 1.0, (nr, nc)))
+
+
+def test_transport_simplex_matches_solve_lp_on_degenerate_problems():
+    rng = np.random.default_rng(53)
+    degenerate = 0
+    for t in range(120):
+        nr, nc = random_shape(rng)
+        if t % 3 == 2:
+            # every column takes exactly two rows, so the north-west corner
+            # ties at each column
+            nr, nc = 2 * nr, nr
+        a, b = np.full(nr, 1 / nr), np.full(nc, 1 / nc)
+        cost = rng.integers(0, 2 + t % 2, size=(nr, nc)).astype(float)
+        sol = assert_matches_lp(a, b, cost)
+        assert_strongly_feasible(sol, nr, nc)
+        degenerate += sol.degenerate_pivots
+    assert degenerate > 0
+
+
+def assert_strongly_feasible(sol, nr, nc):
+    """The tree spans all nr + nc nodes, and every zero cell hangs its row below its column.
+
+    Rooted at row 0, that is the strongly feasible tree the leaving rule
+    keeps, and what rules out cycling on degenerate pivots.
+    """
+    adj = [[] for _ in range(nr + nc)]
+    for cell in sol.basis:
+        i, j = divmod(cell, nc)
+        adj[i].append(nr + j)
+        adj[nr + j].append(i)
+    depth = {0: 0}
+    queue = [0]
+    for z in queue:
+        for w in adj[z]:
+            if w not in depth:
+                depth[w] = depth[z] + 1
+                queue.append(w)
+    assert len(depth) == nr + nc == len(sol.basis) + 1
+    for cell in sol.basis:
+        i, j = divmod(cell, nc)
+        if sol.x[cell] == 0.0:
+            assert depth[i] > depth[nr + j], f"zero cell ({i}, {j}) hangs its column below its row"
+
+
+def test_transport_simplex_degenerate_north_west_corner():
+    # a = b: every north-west step ties, so the first tree holds zero cells
+    for n in (2, 3, 5):
+        a = np.full(n, 1 / n)
+        cost = np.ones((n, n)) - np.eye(n)[::-1]      # the anti-diagonal is free
+        sol = assert_matches_lp(a, a, cost)
+        assert_strongly_feasible(sol, n, n)
+        assert sol.value == 0.0
+        assert np.array_equal(sol.x.reshape(n, n), np.diag(a)[::-1])
+
+
+def test_transport_simplex_reaches_the_least_vertex():
+    rng = np.random.default_rng(57)
+    for nr, nc in ((2, 2), (2, 5), (3, 4), (4, 4), (2, 8), (5, 3)):
+        for _ in range(4):
+            a, b = rng.dirichlet(np.ones(nr)), rng.dirichlet(np.ones(nc))
+            cost = rng.uniform(0.0, 1.0, (nr, nc))
+            sol = transport_simplex(a, b, cost)
+            vertices = enumerate_vertices(transport_lp(a, b, cost)[0])
+            assert abs(sol.value - min(cost.ravel() @ v for v in vertices)) <= 1e-12
+            # the plan is itself a vertex
+            assert any(np.max(np.abs(sol.x - v)) <= 1e-12 for v in vertices)
+
+
+def test_transport_simplex_inf_cells_match_the_vertex_oracle():
+    rng = np.random.default_rng(59)
+    statuses = set()
+    for t in range(60):
+        nr, nc = (2, 2) if t < 10 else (3, 3) if t < 35 else (4, 4)
+        a, b = rng.dirichlet(np.ones(nr)), rng.dirichlet(np.ones(nc))
+        cost = rng.uniform(0.0, 1.0, (nr, nc))
+        cost[rng.random((nr, nc)) < 0.45] = np.inf
+        if t == 0:
+            cost[0] = np.inf                      # a row with nowhere to go
+        sol = assert_matches_lp(a, b, cost)
+        prob, keep = transport_lp(a, b, cost)
+        vertices = enumerate_vertices(prob) if prob.num_vars else []
+        statuses.add(sol.status)
+        if not vertices:
+            assert sol.status == "infeasible"
+            continue
+        assert sol.status == "optimal"
+        assert abs(sol.value - min(prob.objective @ v for v in vertices)) <= 1e-12
+    assert statuses == {"optimal", "infeasible"}
+
+
+def test_transport_simplex_all_inf_is_infeasible():
+    sol = transport_simplex(np.full(3, 1 / 3), np.full(2, 1 / 2), np.full((3, 2), np.inf))
+    assert sol.status == "infeasible" and sol.x is None
+
+
+def test_transport_simplex_is_deterministic_and_unit_free():
+    rng = np.random.default_rng(61)
+    for t in range(30):
+        nr, nc = (12, 12) if t < 10 else random_shape(rng)
+        a, b = rng.dirichlet(np.ones(nr)), rng.dirichlet(np.ones(nc))
+        if t % 2:
+            cost = rng.integers(0, 3, size=(nr, nc)).astype(float)
+            a, b = np.full(nr, 1 / nr), np.full(nc, 1 / nc)
+        else:
+            cost = rng.uniform(0.0, 1.0, (nr, nc))
+        first = transport_simplex(a, b, cost)
+        again = transport_simplex(a, b, cost)
+        assert first.x.tobytes() == again.x.tobytes() and first.basis == again.basis
+        for scale in (1e-9, 1e9):
+            scaled = transport_simplex(a, b, cost * scale)
+            assert scaled.x.tobytes() == first.x.tobytes()
+            assert scaled.pivots == first.pivots
+
+
+@pytest.mark.parametrize("nr,nc", [(1, 1), (1, 5), (5, 1)])
+def test_transport_simplex_single_row_or_column(nr, nc):
+    rng = np.random.default_rng(nr * 10 + nc)
+    a, b = rng.dirichlet(np.ones(nr)), rng.dirichlet(np.ones(nc))
+    sol = assert_matches_lp(a, b, rng.uniform(0.0, 1.0, (nr, nc)))
+    # one row or one column has exactly one feasible plan
+    assert np.allclose(sol.x.reshape(nr, nc), np.outer(a, b), atol=1e-15)
+    assert sol.pivots == 0
+
+
+def test_transport_simplex_rejects_bad_input():
+    a = np.array([0.5, 0.5])
+    with pytest.raises(ValueError, match="cost"):
+        transport_simplex(a, a, np.array([[0.0, np.nan], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="cost"):
+        transport_simplex(a, a, np.array([[0.0, -np.inf], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="positive"):
+        transport_simplex(np.array([1.0, 0.0]), a, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="shape"):
+        transport_simplex(a, a, np.ones((2, 3)))
+    assert transport_simplex(a, a * 2, np.ones((2, 2))).status == "infeasible"

@@ -7,11 +7,14 @@ here (0.5, 2.0, 1.0, [[0,2],[2,0]]) were confirmed by vertex enumeration on
 the orbit-reduced LP before being written down.
 """
 
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ergot.transport
 from ergot import (
     ConstraintSet,
     CostMatrix,
@@ -38,7 +41,8 @@ from ergot import (
     transpose_plan,
     wasserstein,
 )
-from ergot.lp import LpProblem
+from ergot.cli import main
+from ergot.lp import LpProblem, LpSolution, solve_lp
 
 
 def fixture():
@@ -147,6 +151,29 @@ def test_infeasible_reported_not_raised():
     assert res.plan is None
     d = GroundMetric(sp, np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert wasserstein(dirac, dirac, d, 1.0, r) == np.inf
+
+
+def test_lifted_plan_that_breaks_a_constraint_raises(monkeypatch, capsys):
+    # a solver fault that reports "optimal" with an infeasible plan must not
+    # reach the caller as a result
+    sp, _, metric, r, comps = fixture()
+    mu, nu = mixture(comps, [0.3, 0.7]), mixture(comps, [0.6, 0.4])
+
+    def breaking(prob):
+        sol = solve_lp(prob)
+        x = np.zeros_like(sol.x)
+        x[0] = 1.0                      # all mass on cell (0, 0), off its orbit
+        return LpSolution(status="optimal", x=x, value=float(prob.objective @ x))
+
+    monkeypatch.setattr(ergot.transport, "solve_lp", breaking)
+    dirac = np.zeros((6, 6))
+    dirac[0, 0] = 1.0
+    label, size = plan_violations(TransportPlan(sp, sp, dirac), r)[0]
+    with pytest.raises(NotFeasibleError, match=re.escape(f"breaks {label} by {size:.3g} ")):
+        solve_constrained_ot(mu, nu, CostMatrix(sp, sp, metric.d), r, method="lp")
+    fixture_path = Path(__file__).parent / "fixtures" / "c3x2.json"
+    assert main(["solve", str(fixture_path)]) == 2
+    assert "NotFeasibleError" in capsys.readouterr().err
 
 
 def _three_point_problem(index, value):
