@@ -115,8 +115,9 @@ def subgroup_instance(n, cycle_type, seed):
 
 # subgroup instances whose lifted LP is wrong: one 12-cycle, so the pairs
 # (g, g), (g, id) generate every (g^i, g^j) and the whole 12 x 12 rectangle is
-# one atom. The LP calls seed 1 infeasible, and for seed 2 returns a plan
-# that breaks 9 constraints, 4.7e-9 below the optimum.
+# one atom. The LP calls seed 1 infeasible, and for seed 2 finds a plan that
+# breaks 9 constraints, 4.7e-9 below the optimum, which the plan check turns
+# into a NotFeasibleError.
 LP_WRONG_SUBGROUP = [(12, (12,), 1), (12, (12,), 2)]
 
 
@@ -139,7 +140,8 @@ def test_atoms_solve_the_full_product_orbit(n, cycle_type, seed):
 
 
 @pytest.mark.xfail(strict=True, reason="open solver defect: the lifted LP of one full "
-                   "product orbit comes out infeasible or off the constraints")
+                   "product orbit comes out infeasible, or its plan breaks the "
+                   "constraints (NotFeasibleError)")
 @pytest.mark.parametrize("n,cycle_type,seed", LP_WRONG_SUBGROUP)
 def test_lifted_lp_solves_the_full_product_orbit(n, cycle_type, seed):
     inst, r = subgroup_instance(n, cycle_type, seed)
