@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import hashlib
-import io
 import json
 import math
 import os
@@ -32,7 +32,6 @@ from .core import (
     NotGeometricError,
     NotInSimplexError,
     ProjectionNotFullError,
-    SimplexSpec,
     StochKernel,
     TransportPlan,
     full_simplex,
@@ -41,7 +40,7 @@ from .core import (
     stationary_simplex,
     validate,
 )
-from .ergodic import barycenter, decompose_measure, simplex_components
+from .ergodic import barycenter, check_ergodic_kernel, decompose_measure, simplex_components
 from .restriction import (
     check_coherency,
     check_geometric,
@@ -55,6 +54,12 @@ from .transport import boundary_metric, lifted_metric, solve_constrained_ot, was
 from .verify import InstanceSpec, generate_instance, verify_decomposition
 
 DEFAULT_TOL = 1e-8
+# Matrices and component lists hold n² floats: a bare point count must not
+# allocate without limit before any n-sized field is read.
+MAX_POINTS = 2000
+# The solvers add and scale costs, so entries near the float maximum
+# (1.8e308) overflow in them; this bound leaves eight orders of room.
+MAX_MAGNITUDE = 1e300
 
 
 class ParseError(ValueError):
@@ -68,24 +73,50 @@ class _Parser(argparse.ArgumentParser):
     # mathematical infeasibility, so remap usage errors to 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._emit(message))
-
-    def _emit(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
+
+
+def _array(node, path: str, shape: tuple, message) -> np.ndarray:
+    """node as a float array of the given shape, else ParseError at path.
+
+    message(arr) words the complaint when the array has another shape. Finite
+    entries must lie within MAX_MAGNITUDE; validate names non-finite ones.
+    """
+    try:
+        arr = np.asarray(node, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(path, "expected an array of numbers") from None
+    if arr.shape != shape:
+        raise ParseError(path, message(arr))
+    if np.any(np.abs(arr[np.isfinite(arr)]) > MAX_MAGNITUDE):
+        raise ParseError(path, f"an entry exceeds {MAX_MAGNITUDE:g} in magnitude")
+    return arr
+
+
+def _checked(obj, path: str):
+    """obj if validate finds nothing wrong with it, else ParseError at path."""
+    bad = validate(obj)
+    if bad:
+        raise ParseError(path, bad[0])
+    return obj
 
 
 def parse_permutation(text, n: int, path: str) -> np.ndarray:
     """A permutation as a one-line image array or a cycle-notation string.
 
-    Cycle notation accepts "(0 1 2)(3 4 5)" with spaces or commas inside the
-    parentheses; unmentioned points are fixed.
+    An image array holds the integers 0..n-1, each once. Cycle notation
+    accepts "(0 1 2)(3 4 5)" with spaces or commas inside the parentheses;
+    unmentioned points are fixed.
     """
     if isinstance(text, list):
-        arr = np.asarray(text, dtype=np.intp)
-        if sorted(arr.tolist()) != list(range(n)):
-            raise ParseError(path, f"{text} is not a permutation of 0..{n - 1}")
-        return arr
+        message = f"{text} is not a permutation of 0..{n - 1}"
+        arr = _array(text, path, (n,), lambda _: message)
+        # as floats, so 1.5 is not truncated to 1; JSON true would read as 1
+        if any(isinstance(x, (bool, str)) for x in text) or not np.array_equal(
+                np.sort(arr), np.arange(n)):
+            raise ParseError(path, message)
+        return arr.astype(np.intp)
     if not isinstance(text, str):
         raise ParseError(path, "permutation must be a string or an array")
     s = text.strip()
@@ -109,20 +140,14 @@ def _measure(node, space, comps, path) -> Measure:
             raise ParseError(path, "expected a vector or {\"weights\": [...]}")
         if comps is None:
             raise ParseError(path, "component weights need an action or kernel restriction")
-        w = np.asarray(node["weights"], dtype=float)
-        if w.size != len(comps):
-            raise ParseError(path + ".weights",
-                             f"{w.size} weights for {len(comps)} components")
-        mu = Measure(space, sum(float(a) * c.w for a, c in zip(w, comps)))
-    else:
-        arr = np.asarray(node, dtype=float)
-        if arr.shape != (space.n,):
-            raise ParseError(path, f"length {arr.size} vector on a {space.n}-point space")
-        mu = Measure(space, arr)
-    bad = validate(mu)
-    if bad:
-        raise ParseError(path, bad[0])
-    return mu
+        w = _array(node["weights"], path + ".weights", (len(comps),),
+                   lambda a: f"{a.size} weights for {len(comps)} components")
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN, which _checked names
+            mixed = sum(float(a) * c.w for a, c in zip(w, comps))
+        return _checked(Measure(space, mixed), path)
+    arr = _array(node, path, (space.n,),
+                 lambda a: f"length {a.size} vector on a {space.n}-point space")
+    return _checked(Measure(space, arr), path)
 
 
 def parse_problem(doc: dict):
@@ -140,52 +165,34 @@ def parse_problem(doc: dict):
     sp = doc.get("space")
     if sp is None:
         raise ParseError("space", "missing")
-    if isinstance(sp, int):
-        space = FiniteSpace.of_size(sp)
-    elif isinstance(sp, list):
-        space = FiniteSpace(tuple(str(x) for x in sp))
-        if len(set(space.labels)) != space.n:
-            raise ParseError("space", "labels are not unique")
-    else:
+    if isinstance(sp, list):
+        space = _checked(FiniteSpace(tuple(str(x) for x in sp)), "space")
+    elif isinstance(sp, bool) or not isinstance(sp, int):
         raise ParseError("space", "expected a label list or a point count")
+    elif not 1 <= sp <= MAX_POINTS:
+        raise ParseError("space", f"point count is not from 1 to {MAX_POINTS}")
+    else:
+        space = FiniteSpace.of_size(sp)
 
-    action = kernel = None
+    action = None
     if "action" in doc:
         if not isinstance(doc["action"], dict) or not doc["action"]:
             raise ParseError("action", "expected {name: permutation}")
         gens = []
         for name, text in doc["action"].items():
             gens.append((name, parse_permutation(text, space.n, f"action.{name}")))
-        action = GroupAction(space, tuple(gens))
-        bad = validate(action)
-        if bad:
-            raise ParseError("action", bad[0])
-    if "kernel" in doc:
-        q = np.asarray(doc["kernel"], dtype=float)
-        if q.shape != (space.n, space.n):
-            raise ParseError("kernel", f"shape {q.shape} on a {space.n}-point space")
-        kernel = StochKernel(space, q)
-        bad = validate(kernel)
-        if bad:
-            raise ParseError("kernel", bad[0])
+        action = _checked(GroupAction(space, tuple(gens)), "action")
 
-    metric = cost = None
-    if "metric" in doc:
-        m = np.asarray(doc["metric"], dtype=float)
-        if m.shape != (space.n, space.n):
-            raise ParseError("metric", f"shape {m.shape} on a {space.n}-point space")
-        metric = GroundMetric(space, m)
-        bad = validate(metric)
-        if bad:
-            raise ParseError("metric", bad[0])
-    if "cost" in doc:
-        m = np.asarray(doc["cost"], dtype=float)
-        if m.shape != (space.n, space.n):
-            raise ParseError("cost", f"shape {m.shape} on a {space.n}-point space")
-        cost = CostMatrix(space, space, m)
-        bad = validate(cost)
-        if bad:
-            raise ParseError("cost", bad[0])
+    def square(key, make):
+        if key not in doc:
+            return None
+        m = _array(doc[key], key, (space.n, space.n),
+                   lambda a: f"shape {a.shape} on a {space.n}-point space")
+        return _checked(make(m), key)
+
+    kernel = square("kernel", lambda m: StochKernel(space, m))
+    metric = square("metric", lambda m: GroundMetric(space, m))
+    cost = square("cost", lambda m: CostMatrix(space, space, m))
 
     rnode = doc.get("restriction")
     if rnode is None:
@@ -203,6 +210,8 @@ def parse_problem(doc: dict):
         raise ParseError("restriction", "subgroup needs an action")
     pairs = None
     if isinstance(rnode, dict):
+        if not isinstance(rnode["subgroup"], list):
+            raise ParseError("restriction.subgroup", "expected a list of [g, h] pairs")
         pairs = []
         for i, pair in enumerate(rnode["subgroup"]):
             if not isinstance(pair, list) or len(pair) != 2:
@@ -266,8 +275,22 @@ def _tol(t, path: str) -> float:
 
 
 def _chosen_p(args, prob) -> float:
-    """The --p flag if given, else the file's p."""
-    return prob["p"] if args.p is None else _order(args.p, "--p")
+    """The --p flag if given, else the file's p; metric**p stays within MAX_MAGNITUDE."""
+    path = "p" if args.p is None else "--p"
+    p = prob["p"] if args.p is None else _order(args.p, path)
+    d_max = 1.0 if prob["metric"] is None else max(float(np.max(prob["metric"].d)), 1.0)
+    if p * math.log10(d_max) > math.log10(MAX_MAGNITUDE):
+        raise ParseError(path, f"the metric to the power {p} exceeds {MAX_MAGNITUDE:g}")
+    return p
+
+
+def _cost(prob, p: float, command: str) -> CostMatrix:
+    """The file's cost, else its metric to the power p."""
+    if prob["cost"] is not None:
+        return prob["cost"]
+    if prob["metric"] is None:
+        raise ParseError("cost", f"{command} needs a cost or a metric")
+    return CostMatrix(prob["space"], prob["space"], prob["metric"].d ** p)
 
 
 def get_restriction(prob):
@@ -276,15 +299,14 @@ def get_restriction(prob):
     if rnode == "invariance":
         return invariance_restriction(prob["action"])
     if rnode == "stationarity":
+        chk = check_ergodic_kernel(prob["kernel"])
+        if not chk.passed:
+            raise ParseError("kernel",
+                             f"fails the decomposing-kernel check at rows {chk.offending}")
         return stationarity_restriction(prob["kernel"], prob["kernel"])
     if rnode == "none":
         return no_restriction(prob["space"], prob["space"])
     return subgroup_restriction(prob["action"], prob["subgroup_pairs"])
-
-
-def _digest(doc, flags: dict) -> str:
-    blob = json.dumps({"file": doc, "flags": flags}, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
 
 
 def _strict(x):
@@ -296,24 +318,31 @@ def _strict(x):
     return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
-def _emit(args, payload: dict, csv_matrix=None, csv_header=None, csv_labels=None) -> None:
+def _report(args, command: str, doc, flags: dict, results: dict, ok: bool = True,
+            csv=None) -> int:
+    """Write the report {command, version, inputs: {digest}, results}; 0 if ok, else 2.
+
+    csv is (header, row labels, column labels, matrix) for a command whose
+    result is one matrix; --format csv is an input error when it has none.
+    """
     if args.format == "csv":
-        if csv_matrix is None:
+        if csv is None or csv[3] is None:
             raise ParseError("--format", "csv output is only available for matrix results")
-        buf = io.StringIO()
-        buf.write(",".join(csv_header) + "\n")
-        rows, cols = csv_labels
-        for i, rl in enumerate(rows):
-            for j, cl in enumerate(cols):
-                buf.write(f"{rl},{cl},{csv_matrix[i][j]!r}\n")
-        text = buf.getvalue()
+        header, rows, cols, matrix = csv
+        text = ",".join(header) + "\n" + "".join(
+            f"{rl},{cl},{matrix[i][j]!r}\n"
+            for i, rl in enumerate(rows) for j, cl in enumerate(cols))
     else:
+        blob = json.dumps({"file": doc, "flags": flags}, sort_keys=True).encode()
+        payload = {"command": command, "version": 1,
+                   "inputs": {"digest": hashlib.sha256(blob).hexdigest()}, "results": results}
         text = json.dumps(_strict(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0 if ok else 2
 
 
 def _tolerance(args) -> float:
@@ -342,22 +371,15 @@ def cmd_solve(args) -> int:
     if prob["mu"] is None or prob["nu"] is None:
         raise ParseError("marginals", "solve needs both mu and nu")
     p = _chosen_p(args, prob)
-    cost = prob["cost"]
-    if cost is None and prob["metric"] is None:
-        raise ParseError("cost", "solve needs a cost or a metric")
-    if cost is None:
-        cost = CostMatrix(prob["space"], prob["space"], prob["metric"].d ** p)
-    res = solve_constrained_ot(prob["mu"], prob["nu"], cost, get_restriction(prob), method="lp")
+    res = solve_constrained_ot(prob["mu"], prob["nu"], _cost(prob, p, "solve"),
+                               get_restriction(prob), method="lp")
     results = {"status": res.status, "value": res.value,
                "plan": None if res.plan is None else res.plan.p.tolist()}
     if prob["cost"] is None:
         results.update(p=p, value=pth_root(res.value, p))
-    payload = {"command": "solve", "version": 1,
-               "inputs": {"digest": _digest(doc, {"p": p})}, "results": results}
     labels = prob["space"].labels
-    _emit(args, payload, csv_matrix=results["plan"], csv_header=("row", "col", "mass"),
-          csv_labels=(labels, labels))
-    return 0 if results["status"] == "optimal" else 2
+    return _report(args, "solve", doc, {"p": p}, results, ok=res.status == "optimal",
+                   csv=(("row", "col", "mass"), labels, labels, results["plan"]))
 
 
 def cmd_decompose(args) -> int:
@@ -373,16 +395,14 @@ def cmd_decompose(args) -> int:
         "class_of": dec.class_of.tolist(),
         "round_trip_error": float(np.max(np.abs(recon.w - prob["mu"].w))),
     }
-    payload = {"command": "decompose", "version": 1,
-               "inputs": {"digest": _digest(doc, {})}, "results": results}
-    _emit(args, payload)
-    return 0
+    return _report(args, "decompose", doc, {}, results)
 
 
 _CHECKS = ("weak", "geometric", "coherent")
 
 
-def _run_checks(prob, which) -> dict:
+def _checks_report(args, command: str, doc, flags: dict, prob, which) -> int:
+    """Run the named restriction checks and report them; exit 2 if one fails."""
     restriction = get_restriction(prob)
     comps, _ = simplex_components(restriction.mx_spec)
     out = {}
@@ -399,19 +419,14 @@ def _run_checks(prob, which) -> dict:
                                np.outer(a.w, b.w)) for a in comps for b in comps]
         rep = check_coherency(restriction, plans)
         out["coherent"] = {"passed": rep.passed, "failures": list(rep.failures)}
-    return out
+    return _report(args, command, doc, flags, out, ok=all(v["passed"] for v in out.values()))
 
 
 def cmd_check(args) -> int:
     doc = _load(args.file)
     prob = parse_problem(doc)
     which = _CHECKS if args.check is None else (args.check,)
-    results = _run_checks(prob, which)
-    payload = {"command": "check", "version": 1,
-               "inputs": {"digest": _digest(doc, {"check": list(which)})},
-               "results": results}
-    _emit(args, payload)
-    return 0 if all(v["passed"] for v in results.values()) else 2
+    return _checks_report(args, "check", doc, {"check": list(which)}, prob, which)
 
 
 def cmd_metric(args) -> int:
@@ -425,20 +440,15 @@ def cmd_metric(args) -> int:
     bm = boundary_metric(r.mx_spec, prob["metric"], p, r)
     results: dict = {"p": p, "dbar": bm.dbar.tolist(),
                      "components": [c.w.tolist() for c in bm.components]}
-    code = 0
     if prob["mu"] is not None and prob["nu"] is not None:
         direct = wasserstein(prob["mu"], prob["nu"], prob["metric"], p, r, method="lp")
         lifted = lifted_metric(prob["mu"], prob["nu"], bm, r.mx_spec, p)
         gap = abs(direct - lifted) if np.isfinite(direct) or np.isfinite(lifted) else 0.0
         results.update({"direct": direct, "lifted": lifted, "gap": gap,
                         "pass": bool(gap <= tol)})
-        code = 0 if results["pass"] else 2
-    payload = {"command": "metric", "version": 1,
-               "inputs": {"digest": _digest(doc, {"p": p})}, "results": results}
-    k = len(bm.components)
-    _emit(args, payload, csv_matrix=bm.dbar.tolist(), csv_header=("from", "to", "distance"),
-          csv_labels=([str(i) for i in range(k)], [str(i) for i in range(k)]))
-    return code
+    ids = [str(i) for i in range(len(bm.components))]
+    return _report(args, "metric", doc, {"p": p}, results, ok=results.get("pass", True),
+                   csv=(("from", "to", "distance"), ids, ids, results["dbar"]))
 
 
 _RANDOM_SPEC_RE = re.compile(r"^(perm|kernel):(.*)$")
@@ -460,23 +470,24 @@ def parse_random_spec(text: str):
     unknown = set(fields) - known
     if unknown:
         raise ParseError("--random", f"unknown keys {sorted(unknown)}")
+    parts_key, sizes_key = (("cycles", "cycle_type") if kind == "perm"
+                            else ("classes", "class_sizes"))
     try:
         n = int(fields["n"])
         count = int(fields.get("count", 1))
         seed = int(fields.get("seed", 0))
-        parts_key = "cycles" if kind == "perm" else "classes"
         sizes = tuple(int(t) for t in fields[parts_key].split("+")) if parts_key in fields else None
     except (KeyError, ValueError) as exc:
         raise ParseError("--random", f"bad field: {exc}")
     if count < 1:
         raise ParseError("--random", f"count must be at least 1, got {count}")
-    specs = []
-    for i in range(count):
-        if kind == "perm":
-            specs.append(InstanceSpec(n=n, kind="perm", cycle_type=sizes, seed=seed + i))
-        else:
-            specs.append(InstanceSpec(n=n, kind="kernel", class_sizes=sizes, seed=seed + i))
-    return specs
+    if seed < 0:
+        raise ParseError("--random", f"seed must be at least 0, got {seed}")
+    try:
+        return [InstanceSpec(n=n, kind=kind, seed=seed + i, **{sizes_key: sizes})
+                for i in range(count)]
+    except ValueError as exc:
+        raise ParseError("--random", str(exc))
 
 
 def _verify_one(spec: InstanceSpec) -> float:
@@ -494,9 +505,9 @@ def cmd_verify(args) -> int:
     if args.random:
         specs = parse_random_spec(args.random)
         if args.seed is not None:
-            specs = [InstanceSpec(n=s.n, kind=s.kind, cycle_type=s.cycle_type,
-                                  class_sizes=s.class_sizes, seed=args.seed + i)
-                     for i, s in enumerate(specs)]
+            if args.seed < 0:
+                raise ParseError("--seed", f"seed must be at least 0, got {args.seed}")
+            specs = [dataclasses.replace(s, seed=args.seed + i) for i, s in enumerate(specs)]
         # the pool forks all its workers on the first submit, so size it to the batch
         workers = min(args.jobs, len(specs))
         if workers > 1:
@@ -504,43 +515,25 @@ def cmd_verify(args) -> int:
                 gaps = list(pool.map(_verify_one, specs))
         else:
             gaps = [_verify_one(s) for s in specs]
-        results = {"count": len(gaps), "gaps": gaps, "max_gap": max(gaps),
-                   "tol": tol, "pass": bool(max(gaps) <= tol)}
-        payload = {"command": "verify", "version": 1,
-                   "inputs": {"digest": _digest({"random": args.random}, flags)},
-                   "results": results}
-        _emit(args, payload)
-        return 0 if results["pass"] else 2
+        ok = bool(max(gaps) <= tol)
+        results = {"count": len(gaps), "gaps": gaps, "max_gap": max(gaps), "tol": tol, "pass": ok}
+        return _report(args, "verify", {"random": args.random}, flags, results, ok=ok)
 
     doc = _load(args.file)
     prob = parse_problem(doc)
     p = _chosen_p(args, prob)
     tol = _chosen_tol(args, prob)
     if args.check is not None:
-        results = _run_checks(prob, (args.check,))
-        payload = {"command": "verify", "version": 1,
-                   "inputs": {"digest": _digest(doc, flags)}, "results": results}
-        _emit(args, payload)
-        return 0 if all(v["passed"] for v in results.values()) else 2
+        return _checks_report(args, "verify", doc, flags, prob, (args.check,))
     if prob["mu"] is None or prob["nu"] is None:
         raise ParseError("marginals", "verify needs both mu and nu")
-    if prob["cost"] is not None:
-        cost = prob["cost"]
-    elif prob["metric"] is not None:
-        cost = CostMatrix(prob["space"], prob["space"], prob["metric"].d ** p)
-    else:
-        raise ParseError("cost", "verify needs a cost or a metric")
-    rep = verify_decomposition(prob["mu"], prob["nu"], cost, get_restriction(prob))
-    results = {
-        "lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap, "tol": tol,
-        "inner_table": rep.inner_table.tolist(),
-        "qopt_ok": rep.qopt_ok, "atoms_finer": rep.atoms_finer,
-        "pass": bool(rep.gap <= tol and rep.qopt_ok),
-    }
-    payload = {"command": "verify", "version": 1,
-               "inputs": {"digest": _digest(doc, flags)}, "results": results}
-    _emit(args, payload)
-    return 0 if results["pass"] else 2
+    rep = verify_decomposition(prob["mu"], prob["nu"], _cost(prob, p, "verify"),
+                               get_restriction(prob))
+    ok = bool(rep.gap <= tol and rep.qopt_ok)
+    results = {"lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap, "tol": tol,
+               "inner_table": rep.inner_table.tolist(), "qopt_ok": rep.qopt_ok,
+               "atoms_finer": rep.atoms_finer, "pass": ok}
+    return _report(args, "verify", doc, flags, results, ok=ok)
 
 
 def _load(path: str) -> dict:
@@ -551,7 +544,9 @@ def _load(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise ParseError("file", f"no such file: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ParseError("file", f"cannot read {path}: {exc.strerror}")
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, overlong integers
         raise ParseError("file", f"invalid JSON: {exc}")
 
 

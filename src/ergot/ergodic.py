@@ -208,31 +208,28 @@ def decompose_measure(mu: Measure, spec: SimplexSpec) -> ErgodicDecomposition:
     specific TransientMassError. Classes carrying no mass are dropped, so an
     extreme measure decomposes into exactly one component of weight 1.
     """
+    comps_all, class_all = simplex_components(spec)
     if spec.kind == "kernel":
-        comps_all, class_all = simplex_components(spec)
         transient = float(mu.w[class_all < 0].sum()) if np.any(class_all < 0) else 0.0
         if transient > TAU_MASS:
             raise TransientMassError(
                 f"measure puts mass {transient:.3g} on transient states "
                 f"{np.flatnonzero(class_all < 0).tolist()}")
-    else:
-        comps_all, class_all = simplex_components(spec)
     bad = membership_violation(mu, spec)
     if bad is not None:
         raise NotInSimplexError(bad)
 
-    kept_comps: list[Measure] = []
-    kept_weights: list[float] = []
-    class_of = np.full(mu.space.n, -1, dtype=np.intp)
-    for k, comp in enumerate(comps_all):
-        mask = class_all == k
-        weight = float(mu.w[mask].sum())
-        if weight <= TAU_MASS:
-            continue
-        class_of[mask] = len(kept_comps)
-        kept_comps.append(comp)
-        kept_weights.append(weight)
-    return ErgodicDecomposition(tuple(kept_comps), np.array(kept_weights), class_of)
+    weights = _class_weights(mu.w, class_all, len(comps_all))
+    kept = np.flatnonzero(weights > TAU_MASS)
+    renumber = np.full(len(comps_all) + 1, -1, dtype=np.intp)  # the last slot keeps -1 at -1
+    renumber[kept] = np.arange(len(kept))
+    return ErgodicDecomposition(tuple(comps_all[k] for k in kept), weights[kept],
+                                renumber[class_all])
+
+
+def _class_weights(w: np.ndarray, class_of: np.ndarray, k: int) -> np.ndarray:
+    """Mass of w on each of the classes 0..k-1 of class_of."""
+    return np.array([w[class_of == j].sum() for j in range(k)], dtype=float)
 
 
 def barycenter(dec: ErgodicDecomposition) -> Measure:

@@ -46,7 +46,7 @@ from .core import (
     TransportPlan,
     pth_root,
 )
-from .ergodic import membership_violation, simplex_components
+from .ergodic import _class_weights, membership_violation, simplex_components
 from .lp import LpProblem, solve_lp, transport_simplex
 from .restriction import LinearRestriction, check_geometric, plan_violations, product_atoms
 
@@ -309,11 +309,6 @@ def component_weights(mu: Measure, spec: SimplexSpec) -> np.ndarray:
     """Mass of each simplex component class under mu (in component order)."""
     comps, class_of = simplex_components(spec)
     return _class_weights(mu.w, class_of, len(comps))
-
-
-def _class_weights(w: np.ndarray, class_of: np.ndarray, k: int) -> np.ndarray:
-    """Mass of w on each of the classes 0..k-1 of class_of."""
-    return np.array([w[class_of == j].sum() for j in range(k)], dtype=float)
 
 
 def lifted_metric(mu: Measure, nu: Measure, bm: BoundaryMetricMatrix,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ergot import InstanceSpec, generate_instance
-from ergot.cli import main
+from ergot.cli import MAX_POINTS, main
 
 FIXTURE = Path(__file__).parent / "fixtures" / "c3x2.json"
 
@@ -236,6 +236,111 @@ def test_bad_cycle_string_is_input_error(tmp_path):
     assert "action.g" in out.stderr
 
 
+@pytest.mark.parametrize("field, value, path", [
+    ("action", {"g": [1.5, 2.2, 0.1, 4, 5, 3]}, "action.g"),
+    ("action", {"g": [True, False, 2, 3, 4, 5]}, "action.g"),
+    ("action", {"g": ["a", 0, 2, 3, 4, 5]}, "action.g"),
+    ("action", {"g": [1, 2, 0, 4, 5, float("inf")]}, "action.g"),
+    ("restriction", {"subgroup": 5}, "restriction.subgroup"),
+    ("restriction", {"subgroup": None}, "restriction.subgroup"),
+    ("restriction", {"subgroup": [["", [0, 1, 2, 3, 4, 5.5]]]}, "restriction.subgroup[0][1]"),
+], ids=["float", "bool", "string", "inf", "subgroup-int", "subgroup-null", "subgroup-float"])
+def test_bad_permutation_array_or_subgroup_is_input_error(tmp_path, capsys, field, value, path):
+    # an image array holds the integers 0..n-1; 1.5 is not truncated to 1
+    doc = load_fixture()
+    doc[field] = value
+    assert main(["solve", write_problem(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().endswith(f"at {path}")
+
+
+def test_integer_image_array_is_a_permutation(tmp_path, capsys):
+    doc = load_fixture()
+    doc["action"] = {"g": [1, 2, 0, 4, 5, 3]}
+    array_report = main(["solve", write_problem(tmp_path, doc)]), capsys.readouterr().out
+    doc["action"] = {"g": [1.0, 2.0, 0.0, 4.0, 5.0, 3.0]}
+    float_report = main(["solve", write_problem(tmp_path, doc)]), capsys.readouterr().out
+    assert array_report[0] == 0 and float_report[0] == 0
+    assert json.loads(array_report[1])["results"] == json.loads(float_report[1])["results"]
+
+
+@pytest.mark.parametrize("space, path", [
+    (True, "space"), (0, "space"), (-3, "space"), (10 ** 30, "space"), ("six", "space"),
+    ([], "space"), (MAX_POINTS + 1, "space"),
+    (MAX_POINTS, "metric"),  # the largest count is read, and the 6x6 metric no longer fits
+])
+def test_space_is_a_bounded_positive_count(tmp_path, capsys, space, path):
+    doc = load_fixture()
+    doc["space"] = space
+    assert main(["solve", write_problem(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().endswith(f"at {path}")
+
+
+@pytest.mark.parametrize("field, value, path", [
+    ("metric", [[0.0, 1.0]] * 5 + [[0.0, [1.0]]], "metric"),
+    ("cost", "cheap", "cost"),
+    ("kernel", [[0.5, 0.5], {"row": 1}], "kernel"),
+    ("mu", [0.5, "half", 0, 0, 0, 0], "marginals.mu"),
+    ("mu", [1 / 6] * 5 + [10 ** 400], "marginals.mu"),
+    ("nu", {"weights": [0.5, [0.5]]}, "marginals.nu.weights"),
+    ("nu", {"weights": [float("inf"), 0.5]}, "marginals.nu"),
+    ("cost", [[1e308] * 6] * 6, "cost"),
+], ids=["ragged-metric", "string-cost", "object-in-kernel", "string-in-mu", "huge-int-in-mu",
+        "ragged-weights", "inf-weight", "huge-cost"])
+def test_array_that_is_not_numeric_is_input_error(tmp_path, capsys, field, value, path):
+    doc = load_fixture()
+    if field in ("mu", "nu"):
+        doc["marginals"][field] = value
+    else:
+        doc[field] = value
+    assert main(["solve", write_problem(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().endswith(f"at {path}")
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["solve", str(FIXTURE), "--p", "1000"], "--p"),
+    (["metric", str(FIXTURE), "--p", "1e300"], "--p"),
+    (["verify", str(FIXTURE), "--p", "1e300"], "--p"),
+], ids=["solve", "metric", "verify"])
+def test_order_that_overflows_the_metric_is_input_error(capsys, argv, path):
+    # the fixture's largest distance is 2, and 2**1000 is beyond MAX_MAGNITUDE
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().endswith(f"at {path}")
+
+
+def test_kernel_that_does_not_decompose_is_named(tmp_path, capsys):
+    doc = {"version": 1, "space": 2, "kernel": [[0.0, 1.0], [1.0, 0.0]],
+           "cost": [[0.0, 1.0], [1.0, 0.0]], "restriction": "stationarity",
+           "marginals": {"mu": [0.5, 0.5], "nu": [0.5, 0.5]}}
+    path = write_problem(tmp_path, doc)
+    for command in ("solve", "check", "verify"):
+        assert main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().endswith("at kernel")
+    # decompose needs only the stationary components, which this kernel has
+    assert main(["decompose", path]) == 0
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_file_is_input_error(tmp_path, capsys, kind):
+    path = tmp_path
+    if kind == "not-utf8":
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"space": "\xff"}')
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().endswith("at file")
+
+
 def test_no_arguments_is_input_error():
     out = run_cli()
     assert out.returncode == 1
@@ -251,6 +356,21 @@ def test_empty_random_batch_rejected(count):
     out = run_cli("verify", "--random", f"perm:n=4,count={count}")
     assert out.returncode == 1
     assert "--random" in out.stderr
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--random", "perm:n=0"], "--random"),
+    (["--random", "perm:n=6,cycles=3+2"], "--random"),
+    (["--random", "kernel:n=6,classes=0+6"], "--random"),
+    (["--random", "perm:n=6,seed=-1"], "--random"),
+    (["--random", "perm:n=4,count=2", "--seed", "-5"], "--seed"),
+], ids=["n-0", "cycles-not-a-partition", "empty-class", "negative-spec-seed", "negative-flag-seed"])
+def test_bad_random_spec_or_seed_names_the_flag(capsys, argv, flag):
+    # the flag is named, not left to the instance generator's or numpy's message
+    assert main(["verify", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().endswith(f"at {flag}")
 
 
 @pytest.mark.parametrize("p", [None, "two", True, float("nan"), 10 ** 400, 0.5, float("inf")])
