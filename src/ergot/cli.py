@@ -60,6 +60,8 @@ MAX_POINTS = 2000
 # The solvers add and scale costs, so entries near the float maximum
 # (1.8e308) overflow in them; this bound leaves eight orders of room.
 MAX_MAGNITUDE = 1e300
+# --random builds its whole batch of instance specs before solving any.
+MAX_RANDOM_COUNT = 10_000
 
 
 class ParseError(ValueError):
@@ -365,6 +367,11 @@ def _chosen_tol(args, prob) -> float:
     return prob["tol"] if prob["tol"] is not None and args.tol is None else tol
 
 
+def _unit(m: np.ndarray) -> float:
+    """max(1, largest finite |entry| of m): gaps pass when at most tol times this."""
+    return max(1.0, float(np.max(np.abs(m[np.isfinite(m)]), initial=0.0)))
+
+
 def cmd_solve(args) -> int:
     doc = _load(args.file)
     prob = parse_problem(doc)
@@ -445,7 +452,7 @@ def cmd_metric(args) -> int:
         lifted = lifted_metric(prob["mu"], prob["nu"], bm, r.mx_spec, p)
         gap = abs(direct - lifted) if np.isfinite(direct) or np.isfinite(lifted) else 0.0
         results.update({"direct": direct, "lifted": lifted, "gap": gap,
-                        "pass": bool(gap <= tol)})
+                        "pass": bool(gap <= tol * _unit(prob["metric"].d))})
     ids = [str(i) for i in range(len(bm.components))]
     return _report(args, "metric", doc, {"p": p}, results, ok=results.get("pass", True),
                    csv=(("from", "to", "distance"), ids, ids, results["dbar"]))
@@ -479,8 +486,10 @@ def parse_random_spec(text: str):
         sizes = tuple(int(t) for t in fields[parts_key].split("+")) if parts_key in fields else None
     except (KeyError, ValueError) as exc:
         raise ParseError("--random", f"bad field: {exc}")
-    if count < 1:
-        raise ParseError("--random", f"count must be at least 1, got {count}")
+    if not 1 <= count <= MAX_RANDOM_COUNT:
+        raise ParseError("--random", f"count is not from 1 to {MAX_RANDOM_COUNT}, got {count}")
+    if not 1 <= n <= MAX_POINTS:
+        raise ParseError("--random", f"n is not from 1 to {MAX_POINTS}, got {n}")
     if seed < 0:
         raise ParseError("--random", f"seed must be at least 0, got {seed}")
     try:
@@ -490,10 +499,11 @@ def parse_random_spec(text: str):
         raise ParseError("--random", str(exc))
 
 
-def _verify_one(spec: InstanceSpec) -> float:
+def _verify_one(spec: InstanceSpec) -> tuple[float, float]:
+    """The instance's gap and the unit it is measured in (see _unit)."""
     inst = generate_instance(spec)
     rep = verify_decomposition(inst.mu, inst.nu, inst.cost, inst.restriction)
-    return float(rep.gap)
+    return float(rep.gap), _unit(inst.cost.c)
 
 
 def cmd_verify(args) -> int:
@@ -512,10 +522,11 @@ def cmd_verify(args) -> int:
         workers = min(args.jobs, len(specs))
         if workers > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                gaps = list(pool.map(_verify_one, specs))
+                runs = list(pool.map(_verify_one, specs))
         else:
-            gaps = [_verify_one(s) for s in specs]
-        ok = bool(max(gaps) <= tol)
+            runs = [_verify_one(s) for s in specs]
+        gaps = [gap for gap, _ in runs]
+        ok = all(gap <= tol * unit for gap, unit in runs)
         results = {"count": len(gaps), "gaps": gaps, "max_gap": max(gaps), "tol": tol, "pass": ok}
         return _report(args, "verify", {"random": args.random}, flags, results, ok=ok)
 
@@ -527,9 +538,9 @@ def cmd_verify(args) -> int:
         return _checks_report(args, "verify", doc, flags, prob, (args.check,))
     if prob["mu"] is None or prob["nu"] is None:
         raise ParseError("marginals", "verify needs both mu and nu")
-    rep = verify_decomposition(prob["mu"], prob["nu"], _cost(prob, p, "verify"),
-                               get_restriction(prob))
-    ok = bool(rep.gap <= tol and rep.qopt_ok)
+    cost = _cost(prob, p, "verify")
+    rep = verify_decomposition(prob["mu"], prob["nu"], cost, get_restriction(prob))
+    ok = bool(rep.gap <= tol * _unit(cost.c) and rep.qopt_ok)
     results = {"lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap, "tol": tol,
                "inner_table": rep.inner_table.tolist(), "qopt_ok": rep.qopt_ok,
                "atoms_finer": rep.atoms_finer, "pass": ok}

@@ -48,7 +48,7 @@ from .core import (
 )
 from .ergodic import _class_weights, membership_violation, simplex_components
 from .lp import LpProblem, solve_lp, transport_simplex
-from .restriction import LinearRestriction, check_geometric, plan_violations, product_atoms
+from .restriction import LinearRestriction, _atom_table, check_geometric, plan_violations
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,24 +210,14 @@ def _atoms_ot(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction) -> 
     ext_x = np.sum([m.w for m in comps_x], axis=0)
     ext_y = np.sum([m.w for m in comps_y], axis=0)
 
-    cells = (r.atom_of >= 0).nonzero()[0]
-    atom = r.atom_of[cells]
-    xs, ys = cells // ny, cells % ny
-    a, b = class_x[xs], class_y[ys]
-    rect_cell = np.where((a < 0) | (b < 0), -1, a * ky + b)
-    n_atoms = int(atom.max(initial=-1)) + 1
-    rect = np.full(n_atoms, -1, dtype=np.intp)
-    rect[atom] = rect_cell
-    if np.any(rect_cell < 0) or np.any(rect[atom] != rect_cell):
-        raise ValueError("atom_of does not fit the marginal simplexes: an atom holds a "
-                         "transient point or spans two component pairs")
-    w = ext_x[xs] * ext_y[ys]
-    mass = np.bincount(atom, weights=w, minlength=n_atoms)
+    cells, atom, rect = _atom_table(r, class_x, class_y)
+    w = ext_x[cells // ny] * ext_y[cells % ny]
+    mass = np.bincount(atom, weights=w, minlength=rect.size)
     used = ((rect >= 0) & (mass > 0)).nonzero()[0]
-    mean = np.full(n_atoms, math.inf)
+    mean = np.full(rect.size, math.inf)
     mean[used] = np.bincount(atom, weights=w * safe_cost.ravel()[cells],
-                             minlength=n_atoms)[used] / mass[used]
-    mean[np.bincount(atom, weights=forbid.ravel()[cells], minlength=n_atoms) > 0] = math.inf
+                             minlength=rect.size)[used] / mass[used]
+    mean[np.bincount(atom, weights=forbid.ravel()[cells], minlength=rect.size) > 0] = math.inf
 
     # the cheapest atom of each rectangle, the lowest id among equals
     order = used[np.lexsort((used, mean[used], rect[used]))]
@@ -239,7 +229,7 @@ def _atoms_ot(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction) -> 
     if outer.status != "optimal":
         return OtResult(value=math.inf, plan=None, status="infeasible", method="atoms")
 
-    share = np.zeros(n_atoms)
+    share = np.zeros(rect.size)
     share[best] = outer.plan.p.ravel()[rect[best]] / mass[best]
     p = np.zeros(c.c.size)
     p[cells] = w * share[atom]
@@ -365,35 +355,32 @@ def decompose_plan(pi: TransportPlan, r: LinearRestriction) -> PlanDecomposition
         raise NotFeasibleError(
             f"plan violates {broken[0][0]} by {broken[0][1]:.3g} "
             f"({len(broken)} constraints broken)")
-    atoms, cell_class = product_atoms(r)
+    comps_x, class_x = simplex_components(r.mx_spec)
+    comps_y, class_y = simplex_components(r.my_spec)
+    cells, atom, pair = _atom_table(r, class_x, class_y)
     flat = pi.p.reshape(-1)
-    stray = float(flat[cell_class < 0].sum()) if np.any(cell_class < 0) else 0.0
+    stray = float(flat[r.atom_of < 0].sum())
     if stray > TAU_MASS:
         raise NotFeasibleError(f"plan puts mass {stray:.3g} on transient product cells")
 
-    comps_x, class_x = simplex_components(r.mx_spec)
-    comps_y, class_y = simplex_components(r.my_spec)
-    ny = pi.col_space.n
+    masses = np.bincount(atom, weights=flat[cells], minlength=pair.size)
+    charged = np.flatnonzero(masses > TAU_MASS)
     kept: list[TransportPlan] = []
-    weights: list[float] = []
     class_of = np.full(len(flat), -1, dtype=np.intp)
-    for atom in atoms:
-        idx = np.array(atom, dtype=np.intp)
-        mass = float(flat[idx].sum())
-        if mass <= TAU_MASS:
-            continue
+    for k, mass in zip(charged, masses[charged]):
+        idx = cells[atom == k]
         cond = np.zeros_like(flat)
         cond[idx] = flat[idx] / mass
         comp = TransportPlan(pi.row_space, pi.col_space, cond.reshape(pi.p.shape))
-        x0, y0 = divmod(int(idx[0]), ny)
+        x0, y0 = divmod(int(idx[0]), pi.col_space.n)
+        a, b = divmod(int(pair[k]), len(comps_y))
         tol = TAU_LP / max(mass, TAU_LP)
-        dev_r = float(np.max(np.abs(comp.row_marginal().w - comps_x[class_x[x0]].w)))
-        dev_c = float(np.max(np.abs(comp.col_marginal().w - comps_y[class_y[y0]].w)))
+        dev_r = float(np.max(np.abs(comp.row_marginal().w - comps_x[a].w)))
+        dev_c = float(np.max(np.abs(comp.col_marginal().w - comps_y[b].w)))
         if dev_r > tol or dev_c > tol:
             raise NotFeasibleError(
                 f"conditional plan on atom at cell ({x0},{y0}) does not have extreme "
                 f"marginals (deviations {dev_r:.3g}/{dev_c:.3g} at weight {mass:.3g})")
         class_of[idx] = len(kept)
         kept.append(comp)
-        weights.append(mass)
-    return PlanDecomposition(tuple(kept), np.array(weights), class_of)
+    return PlanDecomposition(tuple(kept), masses[charged], class_of)

@@ -42,9 +42,9 @@ from .core import (
 from .ergodic import simplex_components, stationary_components
 from .restriction import (
     LinearRestriction,
+    _atom_table,
     check_geometric,
     invariance_restriction,
-    product_atoms,
     stationarity_restriction,
 )
 from .transport import (
@@ -67,11 +67,9 @@ class DecompositionReport:
     gap: float
     inner_table: np.ndarray        # k_x x k_y constrained values between components
     outer_plan: TransportPlan | None
-    per_component_plans: tuple
-    lhs_plan: TransportPlan | None
     component_costs: tuple[float, ...]   # costs of the LHS plan's conditional pieces
     qopt_ok: bool                  # every conditional piece >= its inner value
-    atoms_finer: bool              # some product atom is smaller than its class rectangle
+    atoms_finer: bool              # some class rectangle holds two or more product atoms
     statuses: np.ndarray
 
 
@@ -164,7 +162,7 @@ def verify_decomposition(mu: Measure, nu: Measure, c: CostMatrix,
     to 0, as the solvers cost their plans.
     """
     lhs_res = solve_constrained_ot(mu, nu, c, r, method="lp")
-    values, plans, statuses = build_qopt(r.mx_spec, r.my_spec, c, r)
+    values, _, statuses = build_qopt(r.mx_spec, r.my_spec, c, r)
     wx = component_weights(mu, r.mx_spec)
     wy = component_weights(nu, r.my_spec)
     outer = _outer_ot(wx, wy, values)
@@ -173,34 +171,26 @@ def verify_decomposition(mu: Measure, nu: Measure, c: CostMatrix,
     gap = abs(lhs - rhs) if math.isfinite(lhs) and math.isfinite(rhs) else (
         0.0 if lhs == rhs else math.inf)
 
-    comps_costs: list[float] = []
+    comps_costs = np.zeros(0)
     qopt_ok = True
     atoms_finer = False
     if lhs_res.plan is not None:
         _, class_x = simplex_components(r.mx_spec)
         _, class_y = simplex_components(r.my_spec)
         dec = decompose_plan(lhs_res.plan, r)
-        atoms, _ = product_atoms(r)
-        ny = nu.space.n
-        safe_cost = _forbidden_cells(c.c)[1]
-        for comp, weight in zip(dec.components, dec.weights):
-            cost_k = float(np.sum(safe_cost * comp.p))
-            comps_costs.append(cost_k)
-            cell = int(np.flatnonzero(dec.class_of == len(comps_costs) - 1)[0])
-            a, b = class_x[cell // ny], class_y[cell % ny]
-            if cost_k < values[a, b] - TAU_LP:
-                qopt_ok = False
-        for atom in atoms:
-            x0, y0 = divmod(atom[0], ny)
-            a, b = class_x[x0], class_y[y0]
-            rect = int(np.sum(class_x == a)) * int(np.sum(class_y == b))
-            if len(atom) < rect:
-                atoms_finer = True
+        _, _, pair = _atom_table(r, class_x, class_y)
+        # each conditional piece's cost, held on its cells against their pairs' inner values
+        on = dec.class_of >= 0
+        cell_cost = _forbidden_cells(c.c)[1].ravel() * lhs_res.plan.p.ravel()
+        comps_costs = np.bincount(dec.class_of[on], weights=cell_cost[on]) / dec.weights
+        inner = values.ravel()[pair[r.atom_of[on]]]
+        qopt_ok = not np.any(comps_costs[dec.class_of[on]] < inner - TAU_LP)
+        # the atoms are finer than the class rectangles when two share a pair
+        atoms_finer = bool(np.unique(pair[pair >= 0]).size < np.count_nonzero(pair >= 0))
     return DecompositionReport(
         lhs=lhs, rhs=rhs, gap=gap, inner_table=values, outer_plan=outer.plan,
-        per_component_plans=tuple(tuple(row) for row in plans),
-        lhs_plan=lhs_res.plan, component_costs=tuple(comps_costs),
-        qopt_ok=qopt_ok, atoms_finer=atoms_finer, statuses=statuses)
+        component_costs=tuple(comps_costs.tolist()), qopt_ok=qopt_ok,
+        atoms_finer=atoms_finer, statuses=statuses)
 
 
 def _axiom_suite(dist, triples, tol) -> list[str]:

@@ -20,6 +20,7 @@ from ergot import (
     LinearRestriction,
     Measure,
     MissingProductStructureError,
+    decompose_plan,
     enumerate_vertices,
     generate_instance,
     invariance_restriction,
@@ -201,6 +202,31 @@ def test_atoms_that_miss_the_constraints_raise():
         LinearRestriction(r.omega, r.mx_spec, r.my_spec, atom_of=np.arange(25))
     # the lifted LP never reads atom_of
     assert solve_constrained_ot(mu, nu, cost, dirac_atoms, method="lp").status == "optimal"
+
+
+def joined_atoms(r, cells):
+    """r with the atoms of the given cells merged into the first one's."""
+    atom_of = r.atom_of.copy()
+    atom_of[np.isin(atom_of, atom_of[list(cells)])] = atom_of[cells[0]]
+    return LinearRestriction(r.omega, r.mx_spec, r.my_spec, atom_of=atom_of)
+
+
+@pytest.mark.parametrize("cells", [(0, 3), (0, 3, 18), tuple(range(36))],
+                         ids=["two-pairs", "three-pairs", "one-atom"])
+def test_atoms_that_join_component_pairs_raise_on_every_path(cells):
+    # cells 0, 3 and 18, that is (0, 0), (0, 3) and (3, 0), lie in the
+    # component pairs (0, 0), (0, 1) and (1, 0); the lifted LP never reads
+    # atom_of, so its plan is feasible and the error comes from the atom
+    # table each path reads
+    mu, nu, cost, r = fixture()
+    joined = joined_atoms(r, cells)
+    plan = solve_constrained_ot(mu, nu, cost, r, method="lp").plan
+    with pytest.raises(ValueError, match="atom_of"):
+        solve_constrained_ot(mu, nu, cost, joined)
+    with pytest.raises(ValueError, match="atom_of"):
+        decompose_plan(plan, joined)
+    with pytest.raises(ValueError, match="atom_of"):
+        verify_decomposition(mu, nu, cost, joined)
 
 
 def test_method_is_validated():

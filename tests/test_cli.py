@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ergot import InstanceSpec, generate_instance
-from ergot.cli import MAX_POINTS, main
+from ergot.cli import MAX_POINTS, MAX_RANDOM_COUNT, main, parse_random_spec
 
 FIXTURE = Path(__file__).parent / "fixtures" / "c3x2.json"
 
@@ -364,13 +364,42 @@ def test_empty_random_batch_rejected(count):
     (["--random", "kernel:n=6,classes=0+6"], "--random"),
     (["--random", "perm:n=6,seed=-1"], "--random"),
     (["--random", "perm:n=4,count=2", "--seed", "-5"], "--seed"),
-], ids=["n-0", "cycles-not-a-partition", "empty-class", "negative-spec-seed", "negative-flag-seed"])
+    (["--random", f"perm:n={MAX_POINTS + 1}"], "--random"),
+    (["--random", f"kernel:n=4,count={MAX_RANDOM_COUNT + 1}"], "--random"),
+    (["--random", "perm:n=4,count=300000"], "--random"),
+], ids=["n-0", "cycles-not-a-partition", "empty-class", "negative-spec-seed", "negative-flag-seed",
+        "n-above-max-points", "count-above-max", "count-far-above-max"])
 def test_bad_random_spec_or_seed_names_the_flag(capsys, argv, flag):
     # the flag is named, not left to the instance generator's or numpy's message
     assert main(["verify", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip().endswith(f"at {flag}")
+
+
+def test_random_batch_bounds_are_inclusive():
+    assert len(parse_random_spec(f"perm:n=1,count={MAX_RANDOM_COUNT}")) == MAX_RANDOM_COUNT
+    assert parse_random_spec(f"perm:n={MAX_POINTS}")[0].n == MAX_POINTS
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8, 1e12])
+@pytest.mark.parametrize("command", ["verify", "metric"])
+def test_pass_tolerance_follows_the_units_of_the_metric(tmp_path, capsys, command, scale):
+    # rounding grows with the values (the gap is 3.7e-8 at 1e8 and 3.1e-4 at
+    # 1e12), so the gap is held against tol times the largest metric entry
+    doc = load_fixture()
+    doc["metric"] = (np.array(doc["metric"]) * scale).tolist()
+    assert main([command, write_problem(tmp_path, doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["pass"] is True
+
+
+def test_check_scales_to_many_components(tmp_path, capsys):
+    # one transposition on 40 points: 39 orbits, so 1,521 component pairs,
+    # each a plan to test for coherency on 1,522 product atoms
+    path = write_problem(tmp_path, {"version": 1, "space": 40, "action": {"g": "(0 1)"}})
+    assert main(["check", path]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert all(results[name]["passed"] for name in ("weak", "geometric", "coherent"))
 
 
 @pytest.mark.parametrize("p", [None, "two", True, float("nan"), 10 ** 400, 0.5, float("inf")])

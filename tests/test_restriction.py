@@ -306,6 +306,46 @@ def test_coherency_failure_recorded_for_local_imbalance():
     assert not rep.passed
 
 
+def dense_coherency_failures(r, plans):
+    """check_coherency's failures as the dense (constraint x atom) pairing computes them."""
+    member = (r.atom_of[:, None] == np.arange(r.atom_of.max() + 1)).astype(float)
+    failures = []
+    for k, pi in enumerate(plans):
+        pair = np.abs((r.omega.matrix * pi.p.ravel()) @ member)
+        failures += [f"plan {k}, {r.omega.labels[i]}: pairing on atom {a} is {pair[i, a]:.3g}"
+                     for i, a in np.argwhere(pair > 1e-9)]
+    return failures
+
+
+def test_coherency_matches_the_dense_pairing_on_random_two_cell_constraints():
+    # each row pairs two random cells with weights that cancel on the plan,
+    # so the plan is feasible and the row breaks coherency exactly when its
+    # cells lie in different atoms
+    rng = np.random.default_rng(11)
+    broken = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        inst = generate_instance(InstanceSpec(n=n, kind="perm", seed=int(rng.integers(1000)),
+                                              cycle_type=random_partition(rng, n)))
+        base = inst.restriction
+        p = rng.uniform(0.1, 1.0, n * n)
+        p /= p.sum()
+        rows = int(rng.integers(1, 7))
+        matrix = np.zeros((rows, n * n))
+        for i in range(rows):
+            c1, c2 = rng.choice(n * n, size=2, replace=False)
+            scale = rng.uniform(0.5, 2.0)
+            matrix[i, [c1, c2]] = scale * p[c2], -scale * p[c1]
+        r = LinearRestriction(ConstraintSet(base.row_space, base.col_space,
+                                            [f"w{i}" for i in range(rows)], matrix),
+                              base.mx_spec, base.my_spec, atom_of=base.atom_of)
+        pi = TransportPlan(r.row_space, r.col_space, p.reshape(n, n))
+        rep = check_coherency(r, [pi, pi])
+        assert list(rep.failures) == dense_coherency_failures(r, [pi, pi])
+        broken += not rep.passed
+    assert 0 < broken < 200
+
+
 def test_coherency_requires_feasible_samples():
     r = invariance_restriction(swap_action())
     lopsided = TransportPlan(r.row_space, r.col_space,

@@ -8,6 +8,7 @@ from ergot import (
     GroupAction,
     InstanceSpec,
     Measure,
+    averaging_kernel,
     build_qopt,
     full_simplex,
     generate_instance,
@@ -16,6 +17,8 @@ from ergot import (
     simplex_components,
     solve_constrained_ot,
     solve_ot,
+    stationarity_restriction,
+    subgroup_restriction,
     verify_decomposition,
     verify_metric_decomposition,
 )
@@ -78,6 +81,28 @@ def test_verify_decomposition_fixture():
     assert rep.rhs == pytest.approx(0.5, abs=1e-9)
     assert rep.gap <= 1e-8
     assert rep.qopt_ok
+
+
+@pytest.mark.parametrize("restriction, finer", [
+    ("invariance", True), ("stationarity", False), ("one-sided", False), ("none", False)])
+def test_verify_decomposition_flags_on_the_fixture_action(restriction, finer):
+    # only the diagonal action cuts a class rectangle (3 x 3) into smaller
+    # atoms (three diagonal orbits); the averaging kernel's stationarity and
+    # the subgroup of one-sided moves keep whole rectangles, and no
+    # restriction keeps Dirac cells, each the rectangle of two Dirac components
+    sp, metric, r, comps = fixture()
+    act = r.mx_spec.action
+    g, e = act.generators[0][1], np.arange(6)
+    restrictions = {
+        "invariance": r,
+        "stationarity": stationarity_restriction(averaging_kernel(act), averaging_kernel(act)),
+        "one-sided": subgroup_restriction(act, [(g, e), (e, g)]),
+        "none": no_restriction(sp, sp)}
+    rep = verify_decomposition(mixture(comps, [0.5, 0.5]), mixture(comps, [0.25, 0.75]),
+                               CostMatrix(sp, sp, metric.d), restrictions[restriction])
+    assert rep.gap <= 1e-8
+    assert rep.atoms_finer is finer
+    assert rep.qopt_ok is True
 
 
 def test_verify_decomposition_identical_marginals():
