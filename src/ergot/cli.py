@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -23,6 +24,7 @@ import sys
 import numpy as np
 
 from .core import (
+    TAU_THM,
     CostMatrix,
     FiniteSpace,
     GroundMetric,
@@ -51,9 +53,8 @@ from .restriction import (
     subgroup_restriction,
 )
 from .transport import boundary_metric, lifted_metric, solve_constrained_ot, wasserstein
-from .verify import InstanceSpec, generate_instance, verify_decomposition
+from .verify import InstanceSpec, agreement, generate_instance, verify_decomposition
 
-DEFAULT_TOL = 1e-8
 # Matrices and component lists hold n² floats: a bare point count must not
 # allocate without limit before any n-sized field is read.
 MAX_POINTS = 2000
@@ -348,12 +349,12 @@ def _report(args, command: str, doc, flags: dict, results: dict, ok: bool = True
 
 
 def _tolerance(args) -> float:
-    """The --tol flag if given, else ERGOT_TOL if set, else DEFAULT_TOL."""
+    """The --tol flag if given, else ERGOT_TOL if set, else TAU_THM."""
     if args.tol is not None:
         return _tol(args.tol, "--tol")
     env = os.environ.get("ERGOT_TOL")
     if env is None:
-        return DEFAULT_TOL
+        return TAU_THM
     try:
         value = float(env)
     except ValueError:
@@ -362,14 +363,9 @@ def _tolerance(args) -> float:
 
 
 def _chosen_tol(args, prob) -> float:
-    """--tol if given, else the file's tol, else ERGOT_TOL, else DEFAULT_TOL."""
+    """--tol if given, else the file's tol, else ERGOT_TOL, else TAU_THM."""
     tol = _tolerance(args)
     return prob["tol"] if prob["tol"] is not None and args.tol is None else tol
-
-
-def _unit(m: np.ndarray) -> float:
-    """max(1, largest finite |entry| of m): gaps pass when at most tol times this."""
-    return max(1.0, float(np.max(np.abs(m[np.isfinite(m)]), initial=0.0)))
 
 
 def cmd_solve(args) -> int:
@@ -422,8 +418,8 @@ def _checks_report(args, command: str, doc, flags: dict, prob, which) -> int:
         rep = check_geometric(restriction, comps)
         out["geometric"] = {"passed": rep.passed, "failures": list(rep.failures)}
     if "coherent" in which:
-        plans = [TransportPlan(restriction.row_space, restriction.col_space,
-                               np.outer(a.w, b.w)) for a in comps for b in comps]
+        plans = (TransportPlan(restriction.row_space, restriction.col_space,
+                               np.outer(a.w, b.w)) for a in comps for b in comps)
         rep = check_coherency(restriction, plans)
         out["coherent"] = {"passed": rep.passed, "failures": list(rep.failures)}
     return _report(args, command, doc, flags, out, ok=all(v["passed"] for v in out.values()))
@@ -450,9 +446,8 @@ def cmd_metric(args) -> int:
     if prob["mu"] is not None and prob["nu"] is not None:
         direct = wasserstein(prob["mu"], prob["nu"], prob["metric"], p, r, method="lp")
         lifted = lifted_metric(prob["mu"], prob["nu"], bm, r.mx_spec, p)
-        gap = abs(direct - lifted) if np.isfinite(direct) or np.isfinite(lifted) else 0.0
-        results.update({"direct": direct, "lifted": lifted, "gap": gap,
-                        "pass": bool(gap <= tol * _unit(prob["metric"].d))})
+        gap, ok = agreement(direct, lifted, tol, prob["metric"].d)
+        results.update({"direct": direct, "lifted": lifted, "gap": gap, "pass": ok})
     ids = [str(i) for i in range(len(bm.components))]
     return _report(args, "metric", doc, {"p": p}, results, ok=results.get("pass", True),
                    csv=(("from", "to", "distance"), ids, ids, results["dbar"]))
@@ -499,11 +494,11 @@ def parse_random_spec(text: str):
         raise ParseError("--random", str(exc))
 
 
-def _verify_one(spec: InstanceSpec) -> tuple[float, float]:
-    """The instance's gap and the unit it is measured in (see _unit)."""
+def _verify_one(spec: InstanceSpec, tol: float) -> tuple[float, bool]:
+    """The instance's gap and whether its report passes at tol."""
     inst = generate_instance(spec)
-    rep = verify_decomposition(inst.mu, inst.nu, inst.cost, inst.restriction)
-    return float(rep.gap), _unit(inst.cost.c)
+    rep = verify_decomposition(inst.mu, inst.nu, inst.cost, inst.restriction, tol=tol)
+    return float(rep.gap), rep.passed
 
 
 def cmd_verify(args) -> int:
@@ -522,13 +517,13 @@ def cmd_verify(args) -> int:
         workers = min(args.jobs, len(specs))
         if workers > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                runs = list(pool.map(_verify_one, specs))
+                runs = list(pool.map(functools.partial(_verify_one, tol=tol), specs))
         else:
-            runs = [_verify_one(s) for s in specs]
-        gaps = [gap for gap, _ in runs]
-        ok = all(gap <= tol * unit for gap, unit in runs)
-        results = {"count": len(gaps), "gaps": gaps, "max_gap": max(gaps), "tol": tol, "pass": ok}
-        return _report(args, "verify", {"random": args.random}, flags, results, ok=ok)
+            runs = [_verify_one(s, tol) for s in specs]
+        gaps, passes = zip(*runs)
+        results = {"count": len(gaps), "gaps": gaps, "max_gap": max(gaps), "tol": tol,
+                   "pass": all(passes)}
+        return _report(args, "verify", {"random": args.random}, flags, results, ok=all(passes))
 
     doc = _load(args.file)
     prob = parse_problem(doc)
@@ -539,12 +534,11 @@ def cmd_verify(args) -> int:
     if prob["mu"] is None or prob["nu"] is None:
         raise ParseError("marginals", "verify needs both mu and nu")
     cost = _cost(prob, p, "verify")
-    rep = verify_decomposition(prob["mu"], prob["nu"], cost, get_restriction(prob))
-    ok = bool(rep.gap <= tol * _unit(cost.c) and rep.qopt_ok)
+    rep = verify_decomposition(prob["mu"], prob["nu"], cost, get_restriction(prob), tol=tol)
     results = {"lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap, "tol": tol,
                "inner_table": rep.inner_table.tolist(), "qopt_ok": rep.qopt_ok,
-               "atoms_finer": rep.atoms_finer, "pass": ok}
-    return _report(args, "verify", doc, flags, results, ok=ok)
+               "atoms_finer": rep.atoms_finer, "pass": rep.passed}
+    return _report(args, "verify", doc, flags, results, ok=rep.passed)
 
 
 def _load(path: str) -> dict:

@@ -285,11 +285,15 @@ def validate(obj) -> list[str]:
         if np.min(off) <= 0:
             i, j = np.unravel_index(np.argmin(off), d.shape)
             out.append(f"non-positive off-diagonal distance d[{i}][{j}] = {d[i, j]:g}")
-        # triangle inequality, all index triples at once
-        viol = d[:, None, :] - (d[:, :, None] + d[None, :, :])
-        if np.max(viol) > TAU_METRIC:
-            i, j, k = np.unravel_index(np.argmax(viol), viol.shape)
-            out.append(f"triangle violated at ({i},{j},{k}) by {viol[i, j, k]:g}")
+        # triangle inequality per middle point j, in n x n memory; ties name the first (i,j,k)
+        viol, worst = np.empty_like(d), []
+        for j in range(obj.space.n):
+            np.subtract(d, np.add(d[:, j, None], d[None, j, :], out=viol), out=viol)
+            i, k = np.unravel_index(np.argmax(viol), viol.shape)
+            worst.append((-viol[i, k], i, j, k))
+        v, i, j, k = min(worst)
+        if -v > TAU_METRIC:
+            out.append(f"triangle violated at ({i},{j},{k}) by {-v:g}")
     elif isinstance(obj, Measure):
         if not np.all(np.isfinite(obj.w)):
             out.append(f"non-finite mass w[{int(np.argmax(~np.isfinite(obj.w)))}]")

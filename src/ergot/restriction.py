@@ -20,6 +20,7 @@ violated outright.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -324,13 +325,14 @@ def check_geometric(r: LinearRestriction, samples: list[Measure]) -> CheckReport
     return CheckReport(passed=not failures, failures=tuple(failures))
 
 
-def check_coherency(r: LinearRestriction, pi_samples: list[TransportPlan]) -> CheckReport:
+def check_coherency(r: LinearRestriction, pi_samples: Iterable[TransportPlan]) -> CheckReport:
     """Constraints must vanish atom by atom, not only globally.
 
-    For each feasible sample plan, each constraint is re-paired with the
-    plan restricted to every atom of the product partition; any nonzero
-    localized pairing is recorded. For the shipped restriction families this
-    is a regression test: it holds by construction.
+    pi_samples is any iterable of plans, a generator included, read once. For
+    each feasible sample plan, each constraint is re-paired with the plan
+    restricted to every atom of the product partition; any nonzero localized
+    pairing is recorded. For the shipped restriction families this is a
+    regression test: it holds by construction.
     """
     _, cell_class = product_atoms(r)
     # the nonzero entries on live cells, grouped by (constraint, atom) in row-major order

@@ -21,7 +21,6 @@ invariant, marginals are random mixtures of the ergodic components.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,7 @@ import numpy as np
 from .core import (
     TAU_LP,
     TAU_MASS,
+    TAU_THM,
     CostMatrix,
     FiniteSpace,
     GroundMetric,
@@ -71,6 +71,7 @@ class DecompositionReport:
     qopt_ok: bool                  # every conditional piece >= its inner value
     atoms_finer: bool              # some class rectangle holds two or more product atoms
     statuses: np.ndarray
+    passed: bool                   # lhs and rhs agree at tol (see agreement) and qopt_ok
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,6 +128,17 @@ class GeneratedInstance:
     restriction: LinearRestriction
 
 
+def _scale(m: np.ndarray) -> float:
+    """max(1, largest finite |entry| of m): the unit a gap tolerance is relative to."""
+    return max(1.0, float(np.max(np.abs(m[np.isfinite(m)]), initial=0.0)))
+
+
+def agreement(a: float, b: float, tol: float, m: np.ndarray) -> tuple[float, bool]:
+    """|a - b| (0.0 if both are +inf), and whether it is at most tol * _scale(cost or metric m)."""
+    gap = 0.0 if a == b else abs(a - b)
+    return gap, bool(gap <= tol * _scale(m))
+
+
 def build_qopt(spec_x: SimplexSpec, spec_y: SimplexSpec, c: CostMatrix,
                r: LinearRestriction):
     """Constrained optimal value and plan between every component pair.
@@ -152,8 +164,8 @@ def build_qopt(spec_x: SimplexSpec, spec_y: SimplexSpec, c: CostMatrix,
 
 
 def verify_decomposition(mu: Measure, nu: Measure, c: CostMatrix,
-                         r: LinearRestriction) -> DecompositionReport:
-    """Compare the constrained value with the two-stage component value.
+                         r: LinearRestriction, tol: float = TAU_THM) -> DecompositionReport:
+    """Compare the constrained value with the two-stage component value at tol.
 
     Also checks, on the optimal constrained plan, that every conditional
     piece produced by decompose_plan costs at least the inner optimum of its
@@ -166,10 +178,7 @@ def verify_decomposition(mu: Measure, nu: Measure, c: CostMatrix,
     wx = component_weights(mu, r.mx_spec)
     wy = component_weights(nu, r.my_spec)
     outer = _outer_ot(wx, wy, values)
-    rhs = outer.value
-    lhs = lhs_res.value
-    gap = abs(lhs - rhs) if math.isfinite(lhs) and math.isfinite(rhs) else (
-        0.0 if lhs == rhs else math.inf)
+    gap, agree = agreement(lhs_res.value, outer.value, tol, c.c)
 
     comps_costs = np.zeros(0)
     qopt_ok = True
@@ -188,9 +197,9 @@ def verify_decomposition(mu: Measure, nu: Measure, c: CostMatrix,
         # the atoms are finer than the class rectangles when two share a pair
         atoms_finer = bool(np.unique(pair[pair >= 0]).size < np.count_nonzero(pair >= 0))
     return DecompositionReport(
-        lhs=lhs, rhs=rhs, gap=gap, inner_table=values, outer_plan=outer.plan,
+        lhs=lhs_res.value, rhs=outer.value, gap=gap, inner_table=values, outer_plan=outer.plan,
         component_costs=tuple(comps_costs.tolist()), qopt_ok=qopt_ok,
-        atoms_finer=atoms_finer, statuses=statuses)
+        atoms_finer=atoms_finer, statuses=statuses, passed=agree and qopt_ok)
 
 
 def _axiom_suite(dist, triples, tol) -> list[str]:
@@ -238,8 +247,8 @@ def verify_metric_decomposition(spec: SimplexSpec, d: GroundMetric, p: float,
     case that many pairs are drawn by sample_member_pairs with its default
     seed. The boundary metric is computed once (its geometricity precondition
     is enforced there). Sampled pairs are then chained into triples for the
-    axiom suite, which runs on both distance functions, including their
-    pairwise agreement.
+    axiom suite on both distance functions (to TAU_LP), which must also agree
+    on every pair (to TAU_THM), each tolerance relative to the metric's scale.
     """
     if isinstance(samples, int):
         samples = sample_member_pairs(spec, samples)
@@ -259,29 +268,20 @@ def verify_metric_decomposition(spec: SimplexSpec, d: GroundMetric, p: float,
             cache_l[key] = lifted_metric(x, y, bm, spec, p)
         return cache_l[key]
 
-    gaps = []
-    for mu, nu in samples:
-        w_direct = direct(mu, nu)
-        w_lift = lifted(mu, nu)
-        if math.isinf(w_direct) and math.isinf(w_lift):
-            gaps.append(0.0)
-        else:
-            gaps.append(abs(w_direct - w_lift))
-    triples = []
-    for i in range(len(samples)):
-        a, b = samples[i]
-        cc = samples[(i + 1) % len(samples)][0]
-        triples.append((a, b, cc))
-
-    failures = [f"direct: {f}" for f in _axiom_suite(direct, triples, TAU_LP)]
-    failures += [f"lifted: {f}" for f in _axiom_suite(lifted, triples, TAU_LP)]
-    for t, (a, b, _) in enumerate(triples):
-        dv, lv = direct(a, b), lifted(a, b)
-        if abs(dv - lv) > 1e-8:
-            failures.append(f"agreement: triple {t} direct {dv:.9g} vs lifted {lv:.9g}")
-    max_gap = max(gaps) if gaps else 0.0
-    passed = max_gap <= 1e-8 and not failures
-    return MetricReport(passed=passed, max_gap=max_gap, gaps=tuple(gaps),
+    gaps, disagree = [], []
+    for t, (mu, nu) in enumerate(samples):
+        dv, lv = direct(mu, nu), lifted(mu, nu)
+        gap, agree = agreement(dv, lv, TAU_THM, d.d)
+        gaps.append(gap)
+        if not agree:
+            disagree.append(f"agreement: triple {t} direct {dv:.9g} vs lifted {lv:.9g}")
+    # triple t opens with sample pair t, so the loop above is its agreement check
+    triples = [(a, b, samples[(t + 1) % len(samples)][0]) for t, (a, b) in enumerate(samples)]
+    tol = TAU_LP * _scale(d.d)
+    failures = [f"direct: {f}" for f in _axiom_suite(direct, triples, tol)]
+    failures += [f"lifted: {f}" for f in _axiom_suite(lifted, triples, tol)]
+    failures += disagree
+    return MetricReport(passed=not failures, max_gap=max(gaps, default=0.0), gaps=tuple(gaps),
                         axiom_failures=tuple(failures))
 
 

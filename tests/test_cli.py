@@ -497,12 +497,21 @@ def test_infeasible_verify_emits_strict_json(capsys, monkeypatch):
     from types import SimpleNamespace
     inf = float("inf")
     report = SimpleNamespace(lhs=inf, rhs=0.5, gap=inf, inner_table=np.array([[0.5, inf]]),
-                             qopt_ok=True, atoms_finer=False)
-    monkeypatch.setattr("ergot.cli.verify_decomposition", lambda *a: report)
+                             qopt_ok=True, atoms_finer=False, passed=False)
+    monkeypatch.setattr("ergot.cli.verify_decomposition", lambda *a, **k: report)
     assert main(["verify", str(FIXTURE)]) == 2
     res = _strict_json(capsys.readouterr().out)["results"]
     assert res["lhs"] is None and res["gap"] is None and res["pass"] is False
     assert res["inner_table"] == [[0.5, None]]
+
+
+def test_random_verify_fails_an_instance_whose_pieces_undercut_the_inner_table(capsys, monkeypatch):
+    # costing the restricted plan's conditional pieces at zero puts each below
+    # its positive inner optimum (qopt_ok false) and leaves both values alone
+    monkeypatch.setattr("ergot.verify._forbidden_cells", lambda c: (None, np.zeros_like(c)))
+    assert main(["verify", "--random", "perm:n=6,cycles=3+3,count=2,seed=1"]) == 2
+    res = _strict_json(capsys.readouterr().out)["results"]
+    assert res["pass"] is False and res["max_gap"] <= res["tol"]
 
 
 def test_solve_reports_noise_level_distance_as_zero(tmp_path):

@@ -51,6 +51,44 @@ def test_validate_metric_catches_triangle():
     assert any("triangle" in v for v in out)
 
 
+def dense_triangle_message(d):
+    """The triangle check as the all-triples (n x n x n) array states it."""
+    viol = d[:, None, :] - (d[:, :, None] + d[None, :, :])
+    i, j, k = np.unravel_index(np.argmax(viol), viol.shape)
+    return f"triangle violated at ({i},{j},{k}) by {viol[i, j, k]:g}"
+
+
+def test_validate_triangle_message_matches_the_all_triples_array():
+    # small integer distances tie often, so the first worst triple in (i, j, k) order matters
+    rng = np.random.default_rng(5)
+    broken = 0
+    for t in range(400):
+        n = int(rng.integers(3, 8))
+        d = rng.integers(1, 5, (n, n)).astype(float) if t % 2 else rng.uniform(0.1, 3.0, (n, n))
+        d = np.maximum(d, d.T)
+        np.fill_diagonal(d, 0.0)
+        found = [v for v in validate(GroundMetric(FiniteSpace.of_size(n), d)) if "triangle" in v]
+        if found:
+            broken += 1
+            assert found == [dense_triangle_message(d)]
+    assert broken > 100
+
+
+def test_validate_metric_holds_no_cube_of_the_point_count():
+    import tracemalloc
+    n = 300  # the all-triples array alone would be 216 MB
+    pts = np.random.default_rng(0).uniform(0.0, 1.0, (n, 2))
+    m = GroundMetric(FiniteSpace.of_size(n),
+                     np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)))
+    tracemalloc.start()
+    try:
+        assert validate(m) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * n * n * 8
+
+
 def test_validate_metric_catches_asymmetry_and_diagonal():
     sp = space2()
     out = validate(GroundMetric(sp, np.array([[0.5, 1.0], [2.0, 0.0]])))

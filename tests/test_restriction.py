@@ -287,6 +287,7 @@ def test_coherency_of_invariance_on_feasible_plans():
     r = invariance_restriction(c3x2_action())
     pi = TransportPlan(r.row_space, r.col_space, np.full((6, 6), 1.0 / 36.0))
     assert check_coherency(r, [pi]).passed
+    assert check_coherency(r, (pi for _ in range(3))).passed
 
 
 def test_coherency_failure_recorded_for_local_imbalance():

@@ -145,13 +145,15 @@ def test_verify_decomposition_sandwich():
         assert rep.lhs >= free.value - 1e-9
 
 
-def test_verify_metric_decomposition_fixture():
-    _, metric, r, _ = fixture()
-    spec = r.mx_spec
+@pytest.mark.parametrize("scale", [1.0, 1e8, 1e12], ids=["1", "1e8", "1e12"])
+def test_verify_metric_decomposition_fixture(scale):
+    # the verdict is relative to the largest distance, so the metric's units do not matter
+    sp, metric, r, _ = fixture()
+    metric = GroundMetric(sp, scale * metric.d)
     for p in (1.0, 2.0):
-        rep = verify_metric_decomposition(spec, metric, p, r, samples=12)
+        rep = verify_metric_decomposition(r.mx_spec, metric, p, r, samples=12)
         assert rep.passed, rep.axiom_failures
-        assert rep.max_gap <= 1e-8
+        assert rep.max_gap <= 1e-8 * scale
 
 
 def test_verify_metric_decomposition_single_orbit():
