@@ -15,6 +15,7 @@ points; barycenter mixes it back. The round trip is exact to TAU_MASS.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from .core import (
     SimplexSpec,
     StochKernel,
     TransientMassError,
+    _freeze,
     pushforward,
 )
 
@@ -167,21 +169,35 @@ def simplex_components(spec: SimplexSpec) -> tuple[list[Measure], np.ndarray]:
 
     Unlike decompose_measure this does not depend on any particular member:
     it enumerates Diracs (full), orbit-uniform measures (group) or recurrent
-    stationary distributions (kernel). Transient points map to -1.
+    stationary distributions (kernel). Transient points map to -1. A spec and
+    all it holds are frozen, so its components are derived once and
+    remembered for as long as the spec lives; each call returns a fresh list
+    and the one read-only class map.
     """
+    if spec not in _COMPONENTS:
+        _COMPONENTS[spec] = _derive_components(spec)
+    comps, class_of = _COMPONENTS[spec]
+    return list(comps), class_of
+
+
+_COMPONENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _derive_components(spec: SimplexSpec) -> tuple[tuple[Measure, ...], np.ndarray]:
     n = spec.space.n
     if spec.kind == "full":
-        comps = [Measure(spec.space, np.eye(n)[i]) for i in range(n)]
-        return comps, np.arange(n, dtype=np.intp)
-    if spec.kind == "group":
+        comps, class_of = [Measure(spec.space, np.eye(n)[i]) for i in range(n)], np.arange(n)
+    elif spec.kind == "group":
         part = orbit_decompose(spec.action)
         comps = []
         for orb in part.orbits:
             w = np.zeros(n)
             w[list(orb)] = 1.0 / len(orb)
             comps.append(Measure(spec.space, w))
-        return comps, part.orbit_of.copy()
-    return stationary_components(spec.kernel)
+        class_of = part.orbit_of
+    else:
+        comps, class_of = stationary_components(spec.kernel)
+    return tuple(comps), _freeze(class_of, dtype=np.intp)
 
 
 def membership_violation(mu: Measure, spec: SimplexSpec) -> str | None:

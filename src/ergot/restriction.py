@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .core import (
     invariant_simplex,
     stationary_simplex,
 )
-from .ergodic import check_ergodic_kernel, membership_violation, stationary_components
+from .ergodic import check_ergodic_kernel, membership_violation, simplex_components
 
 MAX_GROUP_ORDER = 10_000
 
@@ -56,21 +56,42 @@ class LinearRestriction:
 
     atom_of is a read-only integer array mapping each row-major product cell
     x*m + y to its atom id, or to -1 if the cell is transient; it is None
-    when the restriction carries no product structure.
+    when the restriction carries no product structure. Both simplexes must
+    live on the constraints' spaces, and every atom's points in one pair of
+    components (a, b); atom_pair, derived here, maps atom k to a * k_y + b,
+    or to -1 at an id with no cell. ValueError otherwise.
     """
 
     omega: ConstraintSet
     mx_spec: SimplexSpec
     my_spec: SimplexSpec
     atom_of: np.ndarray | None = None
+    atom_pair: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
-        if self.atom_of is not None:
-            object.__setattr__(self, "atom_of", _freeze(self.atom_of, dtype=np.intp))
-            cells = self.row_space.n * self.col_space.n
-            if self.atom_of.shape != (cells,):
-                raise ValueError(f"atom_of has shape {self.atom_of.shape}, "
-                                 f"expected one entry per product cell ({cells},)")
+        for spec, space, side in ((self.mx_spec, self.row_space, "mx_spec"),
+                                  (self.my_spec, self.col_space, "my_spec")):
+            if spec.space.n != space.n:
+                raise ValueError(f"{side} lives on {spec.space.n} points, the constraints "
+                                 f"on {space.n}")
+        if self.atom_of is None:
+            return
+        object.__setattr__(self, "atom_of", _freeze(self.atom_of, dtype=np.intp))
+        cells = self.row_space.n * self.col_space.n
+        if self.atom_of.shape != (cells,):
+            raise ValueError(f"atom_of has shape {self.atom_of.shape}, "
+                             f"expected one entry per product cell ({cells},)")
+        class_x, class_y = (simplex_components(s)[1] for s in (self.mx_spec, self.my_spec))
+        live = np.flatnonzero(self.atom_of >= 0)
+        atom = self.atom_of[live]
+        a, b = class_x[live // class_y.size], class_y[live % class_y.size]
+        cell_pair = np.where((a < 0) | (b < 0), -1, a * (int(class_y.max()) + 1) + b)
+        pair = np.full(int(atom.max(initial=-1)) + 1, -1, dtype=np.intp)
+        pair[atom] = cell_pair
+        if np.any(cell_pair < 0) or np.any(pair[atom] != cell_pair):
+            raise ValueError("atom_of does not fit the marginal simplexes: an atom holds a "
+                             "transient point or spans two component pairs")
+        object.__setattr__(self, "atom_pair", _freeze(pair, dtype=np.intp))
 
     @property
     def row_space(self) -> FiniteSpace:
@@ -212,12 +233,11 @@ def stationarity_restriction(qx: StochKernel, qy: StochKernel) -> LinearRestrict
     rows = np.eye(nx_ * ny) - np.kron(qx.q, qy.q).T
     cells = np.flatnonzero(np.max(np.abs(rows), axis=1, initial=0.0) > TAU_MASS)
     labels = [f"stationarity:({c // ny},{c % ny})" for c in cells]
-    cx, cy = (stationary_components(q)[1] for q in (qx, qy))
+    mx_spec, my_spec = stationary_simplex(qx), stationary_simplex(qy)
+    cx, cy = (simplex_components(spec)[1] for spec in (mx_spec, my_spec))
     atom_of = np.where((cx[:, None] < 0) | (cy < 0), -1, cx[:, None] * (cy.max() + 1) + cy)
-    return LinearRestriction(
-        omega=ConstraintSet(qx.space, qy.space, labels, rows[cells]),
-        mx_spec=stationary_simplex(qx), my_spec=stationary_simplex(qy),
-        atom_of=atom_of.ravel())
+    return LinearRestriction(omega=ConstraintSet(qx.space, qy.space, labels, rows[cells]),
+                             mx_spec=mx_spec, my_spec=my_spec, atom_of=atom_of.ravel())
 
 
 def no_restriction(row_space: FiniteSpace, col_space: FiniteSpace) -> LinearRestriction:
@@ -240,29 +260,18 @@ def product_atoms(r: LinearRestriction) -> tuple[list[tuple[int, ...]], np.ndarr
              for k in range(int(r.atom_of.max(initial=-1)) + 1)], r.atom_of.copy())
 
 
-def _atom_table(r: LinearRestriction, class_x: np.ndarray, class_y: np.ndarray):
-    """(cells, atom, pair): the live cells in increasing order, their atoms, and
-    pair[k] = a * k_y + b for the components a and b (numbered as in class_x and
-    class_y, -1 if transient) of atom k's points, -1 at an atom id with no cell.
-    Raises ValueError when an atom holds a transient point or spans two pairs."""
-    if r.atom_of is None:
-        raise MissingProductStructureError("restriction carries no product atoms")
-    cells = np.flatnonzero(r.atom_of >= 0)
-    atom = r.atom_of[cells]
-    a, b = class_x[cells // class_y.size], class_y[cells % class_y.size]
-    cell_pair = np.where((a < 0) | (b < 0), -1, a * (int(class_y.max()) + 1) + b)
-    pair = np.full(int(atom.max(initial=-1)) + 1, -1, dtype=np.intp)
-    pair[atom] = cell_pair
-    if np.any(cell_pair < 0) or np.any(pair[atom] != cell_pair):
-        raise ValueError("atom_of does not fit the marginal simplexes: an atom holds a "
-                         "transient point or spans two component pairs")
-    return cells, atom, pair
-
-
 def plan_violations(pi: TransportPlan, r: LinearRestriction) -> list[tuple[str, float]]:
     """(label, |<omega, p>|) for every constraint the plan breaks beyond TAU_LP."""
     v = np.abs(r.omega.matrix @ pi.p.ravel())
     return [(r.omega.labels[i], float(v[i])) for i in np.flatnonzero(v > TAU_LP)]
+
+
+def _require_feasible(pi: TransportPlan, r: LinearRestriction, what: str, error=NotFeasibleError):
+    """Raise error, naming what, the first broken constraint and the count, if pi breaks any."""
+    broken = plan_violations(pi, r)
+    if broken:
+        raise error(f"{what} breaks {broken[0][0]} by {broken[0][1]:.3g} "
+                    f"({len(broken)} constraints broken)")
 
 
 def check_weak_regularity(r: LinearRestriction, samples: list[tuple[Measure, Measure]]) -> CheckReport:
@@ -340,10 +349,7 @@ def check_coherency(r: LinearRestriction, pi_samples: Iterable[TransportPlan]) -
     keys, group = np.unique(np.column_stack([rows, cell_class[cells]]), axis=0, return_inverse=True)
     failures = []
     for k, pi in enumerate(pi_samples):
-        broken = plan_violations(pi, r)
-        if broken:
-            raise NotFeasibleError(
-                f"sample plan {k} violates {broken[0][0]} by {broken[0][1]:.3g}")
+        _require_feasible(pi, r, f"sample plan {k}")
         pair = np.abs(np.bincount(group, weights=r.omega.matrix[rows, cells] * pi.p.ravel()[cells]))
         failures += [f"plan {k}, {r.omega.labels[i]}: pairing on atom {a} is {v:.3g}"
                      for (i, a), v in zip(keys.tolist(), pair.tolist()) if v > TAU_LP]

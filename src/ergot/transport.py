@@ -48,7 +48,7 @@ from .core import (
 )
 from .ergodic import _class_weights, membership_violation, simplex_components
 from .lp import LpProblem, solve_lp, transport_simplex
-from .restriction import LinearRestriction, _atom_table, check_geometric, plan_violations
+from .restriction import LinearRestriction, _require_feasible, check_geometric, plan_violations
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,11 +136,7 @@ def _solve_transport(mu_w, nu_w, cost, row_space, col_space,
     p[np.ix_(rows, cols)] = cell_vals.reshape(rows.size, cols.size)
     plan = TransportPlan(row_space, col_space, p)
     if r is not None:
-        broken = plan_violations(plan, r)
-        if broken:
-            raise NotFeasibleError(
-                f"the lifted LP plan breaks {broken[0][0]} by {broken[0][1]:.3g} "
-                f"({len(broken)} constraints broken)")
+        _require_feasible(plan, r, "the lifted LP plan")
     return OtResult(value=float(np.sum(safe_cost * p)), plan=plan, status="optimal")
 
 
@@ -210,7 +206,8 @@ def _atoms_ot(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction) -> 
     ext_x = np.sum([m.w for m in comps_x], axis=0)
     ext_y = np.sum([m.w for m in comps_y], axis=0)
 
-    cells, atom, rect = _atom_table(r, class_x, class_y)
+    cells = np.flatnonzero(r.atom_of >= 0)
+    atom, rect = r.atom_of[cells], r.atom_pair
     w = ext_x[cells // ny] * ext_y[cells % ny]
     mass = np.bincount(atom, weights=w, minlength=rect.size)
     used = ((rect >= 0) & (mass > 0)).nonzero()[0]
@@ -234,10 +231,8 @@ def _atoms_ot(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction) -> 
     p = np.zeros(c.c.size)
     p[cells] = w * share[atom]
     plan = TransportPlan(c.row_space, c.col_space, p.reshape(c.c.shape))
-    broken = plan_violations(plan, r)
-    if broken:
-        raise ValueError(f"atom_of does not describe the constraints: the atom plan breaks "
-                         f"{broken[0][0]} by {broken[0][1]:.3g}")
+    _require_feasible(plan, r, "atom_of does not describe the constraints: the atom plan",
+                      ValueError)
     return OtResult(value=float(np.sum(safe_cost * plan.p)), plan=plan, status="optimal",
                     method="atoms")
 
@@ -350,14 +345,13 @@ def decompose_plan(pi: TransportPlan, r: LinearRestriction) -> PlanDecomposition
     solver tolerance scaled by the component weight (renormalizing divides
     absolute errors by the weight).
     """
-    broken = plan_violations(pi, r)
-    if broken:
-        raise NotFeasibleError(
-            f"plan violates {broken[0][0]} by {broken[0][1]:.3g} "
-            f"({len(broken)} constraints broken)")
-    comps_x, class_x = simplex_components(r.mx_spec)
-    comps_y, class_y = simplex_components(r.my_spec)
-    cells, atom, pair = _atom_table(r, class_x, class_y)
+    _require_feasible(pi, r, "plan")
+    if r.atom_of is None:
+        raise MissingProductStructureError("restriction carries no product atoms")
+    comps_x, _ = simplex_components(r.mx_spec)
+    comps_y, _ = simplex_components(r.my_spec)
+    cells = np.flatnonzero(r.atom_of >= 0)
+    atom, pair = r.atom_of[cells], r.atom_pair
     flat = pi.p.reshape(-1)
     stray = float(flat[r.atom_of < 0].sum())
     if stray > TAU_MASS:

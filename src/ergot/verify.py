@@ -37,18 +37,10 @@ from .core import (
     SimplexSpec,
     StochKernel,
     TransportPlan,
-    invariant_simplex,
 )
 from .ergodic import simplex_components, stationary_components
-from .restriction import (
-    LinearRestriction,
-    _atom_table,
-    check_geometric,
-    invariance_restriction,
-    stationarity_restriction,
-)
+from .restriction import LinearRestriction, invariance_restriction, stationarity_restriction
 from .transport import (
-    OtResult,
     _forbidden_cells,
     _outer_ot,
     boundary_metric,
@@ -184,10 +176,8 @@ def verify_decomposition(mu: Measure, nu: Measure, c: CostMatrix,
     qopt_ok = True
     atoms_finer = False
     if lhs_res.plan is not None:
-        _, class_x = simplex_components(r.mx_spec)
-        _, class_y = simplex_components(r.my_spec)
         dec = decompose_plan(lhs_res.plan, r)
-        _, _, pair = _atom_table(r, class_x, class_y)
+        pair = r.atom_pair
         # each conditional piece's cost, held on its cells against their pairs' inner values
         on = dec.class_of >= 0
         cell_cost = _forbidden_cells(c.c)[1].ravel() * lhs_res.plan.p.ravel()
@@ -238,6 +228,18 @@ def sample_member_pairs(spec: SimplexSpec, count: int,
     return pairs
 
 
+def _memo(dist):
+    """dist, computed once per pair of weight vectors."""
+    cache: dict = {}
+
+    def cached(x, y):
+        key = (x.w.tobytes(), y.w.tobytes())
+        if key not in cache:
+            cache[key] = dist(x, y)
+        return cache[key]
+    return cached
+
+
 def verify_metric_decomposition(spec: SimplexSpec, d: GroundMetric, p: float,
                                 r: LinearRestriction,
                                 samples) -> MetricReport:
@@ -253,20 +255,8 @@ def verify_metric_decomposition(spec: SimplexSpec, d: GroundMetric, p: float,
     if isinstance(samples, int):
         samples = sample_member_pairs(spec, samples)
     bm = boundary_metric(spec, d, p, r)
-    cache_d: dict = {}
-    cache_l: dict = {}
-
-    def direct(x, y):
-        key = (x.w.tobytes(), y.w.tobytes())
-        if key not in cache_d:
-            cache_d[key] = wasserstein(x, y, d, p, r, method="lp")
-        return cache_d[key]
-
-    def lifted(x, y):
-        key = (x.w.tobytes(), y.w.tobytes())
-        if key not in cache_l:
-            cache_l[key] = lifted_metric(x, y, bm, spec, p)
-        return cache_l[key]
+    direct = _memo(lambda x, y: wasserstein(x, y, d, p, r, method="lp"))
+    lifted = _memo(lambda x, y: lifted_metric(x, y, bm, spec, p))
 
     gaps, disagree = [], []
     for t, (mu, nu) in enumerate(samples):
@@ -304,7 +294,7 @@ def generate_instance(spec: InstanceSpec) -> GeneratedInstance:
         g = _perm_from_cycle_type(rng, spec.n, spec.cycle_type)
         action = GroupAction(space, (("g", g),))
         restriction = invariance_restriction(action)
-        comps, _ = simplex_components(invariant_simplex(action))
+        comps, _ = simplex_components(restriction.mx_spec)
         kernel = None
     else:
         order = rng.permutation(spec.n)

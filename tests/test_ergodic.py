@@ -1,5 +1,7 @@
+import gc
 import subprocess
 import sys
+import weakref
 from collections import deque
 
 import numpy as np
@@ -298,3 +300,18 @@ def test_full_simplex_components_are_diracs():
     assert len(comps) == 3
     assert np.array_equal(comps[1].w, [0.0, 1.0, 0.0])
     assert np.array_equal(class_of, [0, 1, 2])
+
+
+def test_simplex_components_are_derived_once_per_spec():
+    spec = invariant_simplex(c3x2_action())
+    comps, class_of = simplex_components(spec)
+    again, class_again = simplex_components(spec)
+    assert class_again is class_of and not class_of.flags.writeable
+    assert again == comps and again is not comps
+    again.append(comps[0])                # the list is the caller's own
+    assert len(simplex_components(spec)[0]) == 2
+    # the memo does not keep a spec alive
+    gone = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert gone() is None

@@ -1,8 +1,12 @@
 import hashlib
+import inspect
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ergot.restriction
 from ergot import (
     ConstraintSet,
     FiniteSpace,
@@ -515,3 +519,25 @@ def builder_digest(restrictions):
 
 def test_builders_are_bit_identical():
     assert builder_digest(builder_restrictions()) == BUILDER_DIGEST
+
+
+def test_restriction_rejects_simplexes_off_the_constraint_spaces():
+    sp3, sp4 = FiniteSpace.of_size(3), FiniteSpace.of_size(4)
+    omega = ConstraintSet(sp3, sp3, (), np.zeros((0, 9)))
+    with pytest.raises(ValueError, match="mx_spec lives on 4 points, the constraints on 3"):
+        LinearRestriction(omega, full_simplex(sp4), full_simplex(sp4), atom_of=np.arange(9))
+    with pytest.raises(ValueError, match="my_spec"):
+        LinearRestriction(omega, full_simplex(sp3), full_simplex(sp4))
+    r = LinearRestriction(omega, full_simplex(sp3), full_simplex(sp3), atom_of=np.arange(9))
+    assert np.array_equal(r.atom_pair, np.arange(9)) and not r.atom_pair.flags.writeable
+
+
+def test_every_public_restriction_function_has_a_span_group():
+    # the benchmark's tracer files each public function of ergot.restriction
+    # under a group of perfbench/spans.py; a function missing there crashes
+    # traced runs, so it fails here first (the file is only read)
+    groups = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "spans.py"))["GROUPS"]
+    public = [name for name, obj in vars(ergot.restriction).items()
+              if inspect.isfunction(obj) and obj.__module__ == "ergot.restriction"
+              and not name.startswith("_")]
+    assert public and [name for name in public if name not in groups] == []

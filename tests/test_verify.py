@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+import ergot.ergodic
 from ergot import (
     CostMatrix,
     FiniteSpace,
@@ -244,3 +247,43 @@ def test_inf_cost_cell_leaves_the_piece_costs_finite():
     assert rep.component_costs and np.all(np.isfinite(rep.component_costs))
     assert rep.qopt_ok
     assert rep.gap <= 1e-8
+
+
+def count_derivations(monkeypatch):
+    """Every ergot binding of stationary_components and orbit_decompose, counting its calls."""
+    calls = []
+    for name in ("stationary_components", "orbit_decompose"):
+        original = getattr(ergot.ergodic, name)
+
+        def counted(*args, _f=original, _name=name):
+            calls.append(_name)
+            return _f(*args)
+        for mod in [m for k, m in sys.modules.items() if k == "ergot" or k.startswith("ergot.")]:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec, limit", [(InstanceSpec(n=12, kind="kernel", class_sizes=(4, 4, 4),
+                                                       seed=1), 2),
+                                         (InstanceSpec(n=8, kind="perm", cycle_type=(4, 4),
+                                                       seed=7), 1)],
+                         ids=["kernel", "perm"])
+def test_verify_derives_each_simplex_once(monkeypatch, spec, limit):
+    # the restriction is built inside the count, on specs no call has seen
+    inst = generate_instance(spec)
+    calls = count_derivations(monkeypatch)
+    if spec.kind == "kernel":
+        r = stationarity_restriction(inst.kernel, inst.kernel)
+    else:
+        r = invariance_restriction(inst.action)
+    assert verify_decomposition(inst.mu, inst.nu, inst.cost, r).passed
+    assert len(calls) <= limit, calls
+
+
+def test_stationarity_build_and_solve_derive_each_simplex_once(monkeypatch):
+    inst = generate_instance(InstanceSpec(n=9, kind="kernel", class_sizes=(3, 3, 3), seed=4))
+    calls = count_derivations(monkeypatch)
+    r = stationarity_restriction(inst.kernel, inst.kernel)
+    assert solve_constrained_ot(inst.mu, inst.nu, inst.cost, r).method == "atoms"
+    assert len(calls) <= 2, calls
