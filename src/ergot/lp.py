@@ -83,6 +83,8 @@ class LpSolution:
                                    # transport_simplex: pivots that cut the forbidden mass
     degenerate_pivots: int = 0     # ratio-test pivots whose leaving ratio is <= PIVOT_EPS;
                                    # transport_simplex: pivots that move no flow
+    duals: tuple[np.ndarray, np.ndarray] | None = None   # transport_simplex, when optimal:
+                                   # the row and column potentials of the final tree
 
 
 def _bland_iterate(T, basis, ncols, pivots, degenerate):
@@ -238,7 +240,12 @@ def transport_simplex(supply, demand, cost) -> LpSolution:
     phase-one pivots. If the forbidden mass left at the optimum is above
     TAU_LP the problem is infeasible; otherwise those cells report zero.
 
-    x is the plan in row-major order, basis the sorted tree cells.
+    x is the plan in row-major order, basis the sorted tree cells, and duals
+    the final potentials (u, v): u_i + v_j is the cost on every finite tree
+    cell and at most the cost plus the entering tolerance on every finite
+    cell, so they are the transport dual. With +inf cells the second level
+    is folded in, (u, v) = first + M * second with M just large enough for
+    every finite cell; at zero forbidden mass the dual value is unchanged.
     Deterministic: the same input gives the same plan, bit for bit.
     """
     a = np.asarray(supply, dtype=float)
@@ -405,8 +412,13 @@ def transport_simplex(supply, demand, cost) -> LpSolution:
         if x[banned].sum() > TAU_LP:
             return LpSolution(status="infeasible", **counts)
         x[banned] = 0.0
+        # finite cells priced out by the second level may be negative on the first
+        np.subtract(lo, pot[:nr, None], out=red)
+        red -= pot[None, nr:]
+        lifted = (red_hi > 0) & ~forbid
+        pot += max(0.0, float(np.max(-red[lifted] / red_hi[lifted], initial=0.0))) * pot_hi
     return LpSolution(status="optimal", x=x, value=float(lo_flat @ x),
-                      basis=tuple(sorted(flow)), **counts)
+                      basis=tuple(sorted(flow)), duals=(pot[:nr], pot[nr:]), **counts)
 
 
 def _independent_rows(A, b):

@@ -223,8 +223,10 @@ def stationarity_restriction(qx: StochKernel, qy: StochKernel) -> LinearRestrict
     corresponding column of the product kernel; all-zero matrices (identity
     kernels) are pruned. The atoms are the rectangles of the two factors'
     recurrent classes, so a cell is transient when either coordinate is.
+    When qy is qx, one simplex serves both sides, so its classes are derived
+    once.
     """
-    for name, q in (("qx", qx), ("qy", qy)):
+    for name, q in (("qx", qx),) if qy is qx else (("qx", qx), ("qy", qy)):
         chk = check_ergodic_kernel(q)
         if not chk.passed:
             raise ValueError(
@@ -233,7 +235,8 @@ def stationarity_restriction(qx: StochKernel, qy: StochKernel) -> LinearRestrict
     rows = np.eye(nx_ * ny) - np.kron(qx.q, qy.q).T
     cells = np.flatnonzero(np.max(np.abs(rows), axis=1, initial=0.0) > TAU_MASS)
     labels = [f"stationarity:({c // ny},{c % ny})" for c in cells]
-    mx_spec, my_spec = stationary_simplex(qx), stationary_simplex(qy)
+    mx_spec = stationary_simplex(qx)
+    my_spec = mx_spec if qy is qx else stationary_simplex(qy)
     cx, cy = (simplex_components(spec)[1] for spec in (mx_spec, my_spec))
     atom_of = np.where((cx[:, None] < 0) | (cy < 0), -1, cx[:, None] * (cy.max() + 1) + cy)
     return LinearRestriction(omega=ConstraintSet(qx.space, qy.space, labels, rows[cells]),

@@ -8,12 +8,15 @@ the component weights mixes them. That is the paper's two-stage theorem
 used as an algorithm, and its plan is checked against every constraint.
 
 Plain transport (``solve_ot``, and the closed form's outer problem) runs on
-the transportation simplex in ``lp``. Everything else is the lifted LP on
-the dense simplex in ``lp`` (``method="lp"`` keeps a restricted solve there,
-as the independent witness), and its plan is checked against every
-constraint before it is returned. Both are posed over the support of the
-marginals only (zero-mass rows and columns force their cells to zero, so
-dropping them is exact). The lifted LP has one marginal equality per
+the transportation simplex in ``lp``, and its result carries the simplex's
+potentials, extended to the rows and columns without mass: the transport
+dual that verify's certificates are built from. Everything else is the
+lifted LP on the dense simplex in ``lp`` (``method="lp"`` keeps a
+restricted solve there: ``ergot solve``, the direct side of the metric
+identity and the tests' cross-checks ask for it), and its plan is checked
+against every constraint before it is returned. Both are posed over the
+support of the marginals only (zero-mass rows and columns force their
+cells to zero, so dropping them is exact). The lifted LP has one marginal equality per
 support row, one per support column except the last (the marginal system
 overdetermines by one row), and one equality per constraint matrix.
 Cost cells of +inf carry no mass: the lifted LP leaves them out of its
@@ -57,6 +60,8 @@ class OtResult:
     plan: TransportPlan | None
     status: str                    # "optimal" | "infeasible"
     method: str = "lp"             # "atoms" (closed form) | "lp" (a transport LP)
+    duals: tuple[np.ndarray, np.ndarray] | None = None   # plain transport, when optimal:
+                                   # potentials (u, v) over both whole spaces
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +140,38 @@ def _solve_transport(mu_w, nu_w, cost, row_space, col_space,
     p = np.zeros(cost.shape)
     p[np.ix_(rows, cols)] = cell_vals.reshape(rows.size, cols.size)
     plan = TransportPlan(row_space, col_space, p)
-    if r is not None:
+    duals = None
+    if r is None:
+        duals = _extend_potentials(*sol.duals, rows, cols, cost)
+    else:
         _require_feasible(plan, r, "the lifted LP plan")
-    return OtResult(value=float(np.sum(safe_cost * p)), plan=plan, status="optimal")
+    return OtResult(value=float(np.sum(safe_cost * p)), plan=plan, status="optimal", duals=duals)
+
+
+def _extend_potentials(u_known, v_known, rows, cols, cost):
+    """Potentials over all rows and columns of cost, given on the index arrays rows and cols.
+
+    Each other column gets the least cost - u over the known rows, then each
+    other row the least cost - v over all columns, each over finite cells
+    only (0 where there is none). So u_i + v_j <= cost_ij holds on every
+    finite cell off the known block, tightly where it decides the min.
+    """
+    nr, nc = cost.shape
+    if rows.size == nr and cols.size == nc:
+        return np.asarray(u_known, dtype=float), np.asarray(v_known, dtype=float)
+    u, v = np.zeros(nr), np.zeros(nc)
+    u[rows], v[cols] = u_known, v_known
+    free = np.ones(nc, dtype=bool)
+    free[cols] = False
+    if free.any():
+        least = np.min(cost[rows][:, free] - u[rows, None], axis=0, initial=math.inf)
+        v[free] = np.where(np.isfinite(least), least, 0.0)
+    free = np.ones(nr, dtype=bool)
+    free[rows] = False
+    if free.any():
+        least = np.min(cost[free] - v, axis=1, initial=math.inf)
+        u[free] = np.where(np.isfinite(least), least, 0.0)
+    return u, v
 
 
 def solve_ot(mu: Measure, nu: Measure, c: CostMatrix) -> OtResult:
@@ -172,19 +206,40 @@ def solve_constrained_ot(mu: Measure, nu: Measure, c: CostMatrix,
         raise ValueError(f"method must be 'atoms', 'lp' or None, got {method!r}")
     if method == "atoms" and r.atom_of is None:
         raise MissingProductStructureError("method 'atoms' needs a restriction with product atoms")
+    _check_marginals(mu, nu, c, r)
+    if method == "atoms":
+        return _atoms_ot(mu, nu, c, r)
+    return _solve_transport(mu.w, nu.w, c.c, c.row_space, c.col_space, r)
+
+
+def _check_marginals(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction):
+    """ValueError unless mu and nu fit the cost; NotInSimplexError unless in r's simplexes."""
     if mu.space.n != c.row_space.n or nu.space.n != c.col_space.n:
         raise ValueError("marginal sizes do not match the cost matrix")
     for m, spec, side in ((mu, r.mx_spec, "mu"), (nu, r.my_spec, "nu")):
         bad = membership_violation(m, spec)
         if bad is not None:
             raise NotInSimplexError(f"{side}: {bad}")
-    if method == "atoms":
-        return _atoms_ot(mu, nu, c, r)
-    return _solve_transport(mu.w, nu.w, c.c, c.row_space, c.col_space, r)
 
 
-def _atoms_ot(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction) -> OtResult:
-    """The restricted optimum as an outer transport over component weights.
+@dataclass(frozen=True, eq=False)
+class _AtomTable:
+    """A restriction's product atoms costed under one cost matrix (see _atoms_ot)."""
+
+    class_x: np.ndarray            # point -> component class of each marginal simplex
+    class_y: np.ndarray
+    cells: np.ndarray              # the live product cells, flat
+    atom: np.ndarray               # their atom ids
+    weight: np.ndarray             # m_a(x) m_b(y) on each live cell
+    mass: np.ndarray               # each atom id's total weight
+    mean: np.ndarray               # each atom id's weighted mean cost; +inf on a +inf cell
+    best: np.ndarray               # each component pair a * k_y + b: its cheapest atom, -1 if none
+    inner: np.ndarray              # (k_x, k_y) each pair's least mean cost, +inf if none is finite
+    safe_cost: np.ndarray          # the cost with +inf cells set to 0
+
+
+def _atom_table(c: CostMatrix, r: LinearRestriction) -> _AtomTable:
+    """Each atom's weights and mean cost, and the cheapest atom of each component pair.
 
     Each live product cell (x, y) gets the weight m_a(x) m_b(y), where m_a
     and m_b are the extreme measures of the classes of x and y. Normalised
@@ -194,10 +249,10 @@ def _atoms_ot(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction) -> 
     and m_b are the mixtures of these. So the inner cost of the component
     pair (a, b) is the least mean cost over its atoms, attained on the
     cheapest atom (ties go to the lowest atom id); an atom with a +inf cell
-    costs +inf. The outer transport between the component weights then
-    mixes the chosen atom plans. The plan is checked against every
-    constraint; a failure means atom_of does not describe the constraints.
+    costs +inf.
     """
+    if r.atom_of is None:
+        raise MissingProductStructureError("restriction carries no product atoms")
     forbid, safe_cost = _forbidden_cells(c.c)
     comps_x, class_x = simplex_components(r.mx_spec)
     comps_y, class_y = simplex_components(r.my_spec)
@@ -219,21 +274,43 @@ def _atoms_ot(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction) -> 
     # the cheapest atom of each rectangle, the lowest id among equals
     order = used[np.lexsort((used, mean[used], rect[used]))]
     best = order[np.unique(rect[order], return_index=True)[1]]
+    best_of = np.full(kx * ky, -1, dtype=np.intp)
+    best_of[rect[best]] = best
     inner = np.full(kx * ky, math.inf)
     inner[rect[best]] = mean[best]
-    outer = _outer_ot(_class_weights(mu.w, class_x, kx), _class_weights(nu.w, class_y, ky),
-                      inner.reshape(kx, ky))
+    return _AtomTable(class_x, class_y, cells, atom, w, mass, mean, best_of,
+                      inner.reshape(kx, ky), safe_cost)
+
+
+def _atom_plan(t: _AtomTable, pair_mass: np.ndarray, c: CostMatrix) -> TransportPlan:
+    """pair_mass[a * k_y + b] spread over the cheapest atom of each pair, as its weights."""
+    on = np.flatnonzero(t.best >= 0)
+    share = np.zeros(t.mass.size)
+    share[t.best[on]] = pair_mass[on] / t.mass[t.best[on]]
+    p = np.zeros(c.c.size)
+    p[t.cells] = t.weight * share[t.atom]
+    return TransportPlan(c.row_space, c.col_space, p.reshape(c.c.shape))
+
+
+def _atoms_ot(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction) -> OtResult:
+    """The restricted optimum as an outer transport over component weights.
+
+    The inner cost of each pair of ergodic components is its cheapest
+    atom's mean cost (_atom_table); the outer transport between the
+    component weights then mixes the chosen atom plans. The plan is checked
+    against every constraint; a failure means atom_of does not describe the
+    constraints.
+    """
+    t = _atom_table(c, r)
+    kx, ky = t.inner.shape
+    outer = _outer_ot(_class_weights(mu.w, t.class_x, kx), _class_weights(nu.w, t.class_y, ky),
+                      t.inner)
     if outer.status != "optimal":
         return OtResult(value=math.inf, plan=None, status="infeasible", method="atoms")
-
-    share = np.zeros(rect.size)
-    share[best] = outer.plan.p.ravel()[rect[best]] / mass[best]
-    p = np.zeros(c.c.size)
-    p[cells] = w * share[atom]
-    plan = TransportPlan(c.row_space, c.col_space, p.reshape(c.c.shape))
+    plan = _atom_plan(t, outer.plan.p.ravel(), c)
     _require_feasible(plan, r, "atom_of does not describe the constraints: the atom plan",
                       ValueError)
-    return OtResult(value=float(np.sum(safe_cost * plan.p)), plan=plan, status="optimal",
+    return OtResult(value=float(np.sum(t.safe_cost * plan.p)), plan=plan, status="optimal",
                     method="atoms")
 
 

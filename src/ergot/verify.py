@@ -2,12 +2,18 @@
 
 verify_decomposition compares, on one instance, the constrained transport
 value with the two-stage value: decompose both marginals into ergodic
-components, solve the constrained problem between every component pair
+components, take the constrained optimum between every component pair
 (build_qopt), then couple the component weights with those values as costs.
-Both sides are computed by independent LP solves, so agreement is evidence,
-not tautology. That is why every restricted solve here asks for the lifted
-LP (method "lp"): the closed form on product atoms is the two-stage formula
-itself, so it cannot witness it.
+Both sides come from one pass over the product atoms, which is the
+two-stage formula itself, so their agreement alone would be a tautology.
+The witness is a dual certificate on every side (Kantorovich duality with
+linear constraints): potentials u, v and constraint multipliers lam that
+check_certificate holds against the raw cost, constraint matrix, marginals
+and plan, reading no atoms and no solver output. A side that is +inf in
+closed form has no such certificate; the lifted LP confirms it instead.
+Otherwise the lifted LP (method "lp") serves here only the direct side of
+verify_metric_decomposition; against the cost identity it is a
+cross-check the tests run.
 
 verify_metric_decomposition does the same for distances: the restricted
 p-Wasserstein distance against the lifted boundary metric, plus the metric
@@ -21,6 +27,7 @@ invariant, marginals are random mixtures of the ergodic components.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +46,18 @@ from .core import (
     TransportPlan,
 )
 from .ergodic import simplex_components, stationary_components
-from .restriction import LinearRestriction, invariance_restriction, stationarity_restriction
+from .restriction import (
+    LinearRestriction,
+    invariance_restriction,
+    plan_violations,
+    stationarity_restriction,
+)
 from .transport import (
+    _atom_plan,
+    _atom_table,
+    _AtomTable,
+    _check_marginals,
+    _extend_potentials,
     _forbidden_cells,
     _outer_ot,
     boundary_metric,
@@ -63,7 +80,14 @@ class DecompositionReport:
     qopt_ok: bool                  # every conditional piece >= its inner value
     atoms_finer: bool              # some class rectangle holds two or more product atoms
     statuses: np.ndarray
-    passed: bool                   # lhs and rhs agree at tol (see agreement) and qopt_ok
+    certificates: tuple            # CertificateCheck of each finite side: the left-hand
+                                   # side first, then the inner pairs in row-major order
+    certified: bool                # every certificate passes, and the lifted LP finds
+                                   # every +inf side infeasible
+    proof: tuple | None            # the left-hand side's (plan, u, v, lam), the input of
+                                   # check_certificate; None when that side is +inf
+    passed: bool                   # lhs and rhs agree at tol (see agreement), qopt_ok
+                                   # and certified
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,65 +155,229 @@ def agreement(a: float, b: float, tol: float, m: np.ndarray) -> tuple[float, boo
     return gap, bool(gap <= tol * _scale(m))
 
 
+@dataclass(frozen=True, eq=False)
+class CertificateCheck:
+    """The three residuals of an optimality certificate; see check_certificate."""
+
+    primal: float                  # largest marginal, sign, +inf-cell or constraint residual
+    reduced: float                 # least reduced cost c - u (+) v - omega^T lam, finite cells
+    gap: float                     # <c, P> - <u, mu> - <v, nu>
+    failed: tuple[str, ...]        # the names of the residuals beyond their tolerance
+
+    @property
+    def passed(self) -> bool:
+        return not self.failed
+
+
+def check_certificate(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction,
+                      plan: TransportPlan, u: np.ndarray, v: np.ndarray,
+                      lam: np.ndarray) -> CertificateCheck:
+    """Check that plan is a restricted optimum, with the dual (u, v, lam) as its proof.
+
+    Kantorovich duality with linear constraints: a plan P that meets the
+    marginals and the constraints, and potentials with c - u (+) v - omega^T
+    lam >= 0 on every finite cell, prove each other optimal when <c, P> =
+    <u, mu> + <v, nu>. The three residuals are
+      primal   the largest marginal deviation of P, its most negative entry,
+               its mass on +inf cells and the largest constraint it breaks
+               (plan_violations); in mass units, so held at TAU_LP;
+      reduced  the least reduced cost over the finite cells, held at
+               -TAU_LP * scale;
+      gap      <c, P> - <u, mu> - <v, nu> over the finite cells, held at
+               TAU_LP * scale;
+    where scale is max(1, largest finite |c|). The check reads only c, the
+    constraint matrix, mu, nu and the plan: no atoms and no solver.
+    """
+    k, (n, m) = len(r.omega), c.c.shape
+    if np.shape(u) != (n,) or np.shape(v) != (m,) or np.shape(lam) != (k,):
+        raise ValueError(f"need u of length {n}, v of {m} and lam of {k}")
+    finite = np.isfinite(c.c)
+    p = plan.p
+    broken = plan_violations(plan, r)
+    primal = max(float(np.max(np.abs(p.sum(axis=1) - mu.w))),
+                 float(np.max(np.abs(p.sum(axis=0) - nu.w))),
+                 -float(p.min()), float(p[~finite].sum()), max((b for _, b in broken), default=0.0))
+    red = c.c - u[:, None] - v - (r.omega.matrix.T @ lam).reshape(n, m)
+    reduced = float(np.min(red[finite], initial=math.inf))
+    gap = float(np.sum(np.where(finite, c.c, 0.0) * p) - u @ mu.w - v @ nu.w)
+    tol = TAU_LP * _scale(c.c)
+    failed = tuple(name for name, ok in (("primal", primal <= TAU_LP), ("reduced", reduced >= -tol),
+                                         ("gap", gap <= tol)) if not ok)
+    return CertificateCheck(primal, reduced, gap, failed)
+
+
+def _multipliers(r: LinearRestriction, target: np.ndarray) -> np.ndarray:
+    """lam with omega^T lam = target, for a target in the constraints' row space.
+
+    Spanning-tree rows (+1 at the parent cell, -1 at the child, children
+    emitted after their parents, as the orbit builders write them) are solved
+    by subtree sums: each edge carries minus the target summed over the
+    subtree below it. Otherwise each row is taken to belong to its one
+    positive cell, as stationarity's rows e_w - K[:, w] of an idempotent
+    product kernel K do; then lam is the target there. Should neither fit,
+    least squares decides.
+    """
+    rows = r.omega.matrix
+    if not len(rows):
+        return np.zeros(0)
+    heads, tails = rows.argmax(axis=1), rows.argmin(axis=1)
+    if (np.all(np.count_nonzero(rows, axis=1) == 2) and np.all(rows.sum(axis=1) == 0)
+            and np.all(rows.max(axis=1) == 1) and np.unique(tails).size == tails.size):
+        below = target.tolist()
+        lam = [0.0] * len(rows)
+        for e, (head, tail) in reversed(list(enumerate(zip(heads.tolist(), tails.tolist())))):
+            lam[e] = -below[tail]
+            below[head] += below[tail]
+        lam = np.array(lam)
+    else:
+        lam = target[heads]
+    if np.max(np.abs(rows.T @ lam - target)) > TAU_LP * _scale(target):
+        lam = np.linalg.lstsq(rows.T, target, rcond=None)[0]
+    return lam
+
+
+def _qopt(t: _AtomTable, c: CostMatrix):
+    """build_qopt's plans and statuses from an atom table."""
+    kx, ky = t.inner.shape
+    statuses = np.where(np.isfinite(t.inner), "optimal", "infeasible").astype(object)
+    plans = [[None] * ky for _ in range(kx)]
+    for a, b in zip(*np.nonzero(statuses == "optimal")):
+        one = np.zeros(kx * ky)
+        one[a * ky + b] = 1.0
+        plans[a][b] = _atom_plan(t, one, c)
+    return plans, statuses
+
+
 def build_qopt(spec_x: SimplexSpec, spec_y: SimplexSpec, c: CostMatrix,
                r: LinearRestriction):
     """Constrained optimal value and plan between every component pair.
 
     Returns (values, plans, statuses): values[a][b] is the constrained
     transport cost from component a of spec_x to component b of spec_y, +inf
-    where infeasible. The induced table is constant on product atoms by
-    construction, which is the finite form of its measurability.
+    where infeasible. All of them come from one pass over r's product atoms:
+    the value of a pair is its cheapest atom's mean cost and its plan that
+    atom's weights, normalised (transport._atom_table). The table is constant
+    on product atoms by construction, which is the finite form of its
+    measurability. The specs must split the points as r's own simplexes do
+    (ValueError otherwise); verify_decomposition certifies every finite entry.
     """
-    comps_x, _ = simplex_components(spec_x)
-    comps_y, _ = simplex_components(spec_y)
-    kx, ky = len(comps_x), len(comps_y)
-    values = np.zeros((kx, ky))
-    statuses = np.empty((kx, ky), dtype=object)
-    plans = [[None] * ky for _ in range(kx)]
-    for a in range(kx):
-        for b in range(ky):
-            res = solve_constrained_ot(comps_x[a], comps_y[b], c, r, method="lp")
-            values[a, b] = res.value
-            statuses[a, b] = res.status
-            plans[a][b] = res.plan
-    return values, plans, statuses
+    for spec, own, side in ((spec_x, r.mx_spec, "spec_x"), (spec_y, r.my_spec, "spec_y")):
+        if spec is not own and not np.array_equal(simplex_components(spec)[1],
+                                                  simplex_components(own)[1]):
+            raise ValueError(f"{side} does not split the points as the restriction's simplex does")
+    t = _atom_table(c, r)
+    plans, statuses = _qopt(t, c)
+    return t.inner, plans, statuses
+
+
+def _lifted_potentials(alpha, beta, t: _AtomTable, c: CostMatrix):
+    """Class potentials (alpha, beta) as point potentials; transient points by a min over cells."""
+    rx, ry = np.flatnonzero(t.class_x >= 0), np.flatnonzero(t.class_y >= 0)
+    return _extend_potentials(alpha[t.class_x[rx]], beta[t.class_y[ry]], rx, ry, c.c)
+
+
+def _constraint_target(t: _AtomTable, c: CostMatrix, ceiling: float) -> np.ndarray:
+    """What omega^T lam must be: c minus its atom-weighted mean on each atom, 0 off the atoms.
+
+    A +inf cell takes no part in the dual check, so an atom holding one uses
+    ceiling, at least every alpha_a + beta_b of its pair, in place of its mean,
+    and its +inf cells take the value that keeps the atom's weighted sum 0.
+    """
+    cost = t.safe_cost.ravel()[t.cells]
+    level = np.where(np.isfinite(t.mean), t.mean, ceiling)[t.atom]
+    fin = np.isfinite(c.c.ravel()[t.cells])
+    diff = np.where(fin, cost - level, 0.0)
+    if not fin.all():
+        off = np.bincount(t.atom, weights=t.weight * diff, minlength=t.mass.size)
+        held = np.bincount(t.atom, weights=t.weight * ~fin, minlength=t.mass.size)
+        diff[~fin] = -off[t.atom[~fin]] / held[t.atom[~fin]]
+    target = np.zeros(c.c.size)
+    target[t.cells] = diff
+    return target
 
 
 def verify_decomposition(mu: Measure, nu: Measure, c: CostMatrix,
                          r: LinearRestriction, tol: float = TAU_THM) -> DecompositionReport:
     """Compare the constrained value with the two-stage component value at tol.
 
+    Both sides come from one pass over the product atoms: the left-hand
+    side is the closed form (transport._atoms_ot) and each inner value is
+    its pair's cheapest atom. Each finite side carries a dual certificate
+    (u, v, lam), held against the raw inputs by check_certificate: u and v
+    are class potentials lifted through the component classes, and
+    transient points get a min over finite cells. The left-hand side takes
+    the outer transport's potentials; an inner pair (a, b) takes 0 on class
+    a and the inner row of a as column values, extended to the other rows
+    by a min over finite cells. One lam, with omega^T lam = c minus its
+    atom-weighted mean, serves every side. A side that is +inf in closed
+    form needs a Farkas ray instead; the lifted LP confirms it infeasible.
+
     Also checks, on the optimal constrained plan, that every conditional
     piece produced by decompose_plan costs at least the inner optimum of its
-    component pair (the inner table really is optimal piecewise). A +inf
-    cost cell carries no mass in these pieces, so they are costed with it set
-    to 0, as the solvers cost their plans.
+    component pair, to TAU_LP times the cost's scale (the inner table really
+    is optimal piecewise). A +inf cost cell carries no mass in these pieces,
+    so they are costed with it set to 0, as the solvers cost their plans.
     """
-    lhs_res = solve_constrained_ot(mu, nu, c, r, method="lp")
-    values, _, statuses = build_qopt(r.mx_spec, r.my_spec, c, r)
+    _check_marginals(mu, nu, c, r)
+    t = _atom_table(c, r)
+    values = t.inner
+    kx, ky = values.shape
+    comps_x, _ = simplex_components(r.mx_spec)
+    comps_y, _ = simplex_components(r.my_spec)
     wx = component_weights(mu, r.mx_spec)
     wy = component_weights(nu, r.my_spec)
     outer = _outer_ot(wx, wy, values)
-    gap, agree = agreement(lhs_res.value, outer.value, tol, c.c)
 
+    # each finite side as (mu, nu, plan, class potentials, point potentials);
+    # each +inf side's marginals
+    sides, infinite = [], []
+    lhs_plan = None
+    if outer.status == "optimal":
+        lhs_plan = _atom_plan(t, outer.plan.p.ravel(), c)
+        sides.append((mu, nu, lhs_plan, outer.duals, _lifted_potentials(*outer.duals, t, c)))
+    else:
+        infinite.append((mu, nu))
+    plans, statuses = _qopt(t, c)
+    for a in range(kx):
+        # the pairs (a, b) share one dual: 0 on a, and each column's value from a
+        row = _extend_potentials(np.zeros(1), np.zeros(0), np.array([a]), np.zeros(0, np.intp),
+                                 values)
+        lifted = _lifted_potentials(*row, t, c)
+        for b in range(ky):
+            if plans[a][b] is None:
+                infinite.append((comps_x[a], comps_y[b]))
+            else:
+                sides.append((comps_x[a], comps_y[b], plans[a][b], row, lifted))
+    ceiling = max((float(np.max(al[:, None] + be)) for *_, (al, be), _ in sides), default=0.0)
+    lam = _multipliers(r, _constraint_target(t, c, ceiling))
+    certificates = tuple(check_certificate(m_x, m_y, c, r, plan, *uv, lam)
+                         for m_x, m_y, plan, _, uv in sides)
+    certified = all(cert.passed for cert in certificates) and all(
+        solve_constrained_ot(m_x, m_y, c, r, method="lp").status == "infeasible"
+        for m_x, m_y in infinite)
+
+    lhs = math.inf if lhs_plan is None else float(np.sum(t.safe_cost * lhs_plan.p))
+    gap, agree = agreement(lhs, outer.value, tol, c.c)
     comps_costs = np.zeros(0)
     qopt_ok = True
     atoms_finer = False
-    if lhs_res.plan is not None:
-        dec = decompose_plan(lhs_res.plan, r)
+    if lhs_plan is not None:
+        dec = decompose_plan(lhs_plan, r)
         pair = r.atom_pair
         # each conditional piece's cost, held on its cells against their pairs' inner values
         on = dec.class_of >= 0
-        cell_cost = _forbidden_cells(c.c)[1].ravel() * lhs_res.plan.p.ravel()
+        cell_cost = _forbidden_cells(c.c)[1].ravel() * lhs_plan.p.ravel()
         comps_costs = np.bincount(dec.class_of[on], weights=cell_cost[on]) / dec.weights
         inner = values.ravel()[pair[r.atom_of[on]]]
-        qopt_ok = not np.any(comps_costs[dec.class_of[on]] < inner - TAU_LP)
+        qopt_ok = not np.any(comps_costs[dec.class_of[on]] < inner - TAU_LP * _scale(c.c))
         # the atoms are finer than the class rectangles when two share a pair
         atoms_finer = bool(np.unique(pair[pair >= 0]).size < np.count_nonzero(pair >= 0))
     return DecompositionReport(
-        lhs=lhs_res.value, rhs=outer.value, gap=gap, inner_table=values, outer_plan=outer.plan,
+        lhs=lhs, rhs=outer.value, gap=gap, inner_table=values, outer_plan=outer.plan,
         component_costs=tuple(comps_costs.tolist()), qopt_ok=qopt_ok,
-        atoms_finer=atoms_finer, statuses=statuses, passed=agree and qopt_ok)
+        atoms_finer=atoms_finer, statuses=statuses, certificates=certificates,
+        certified=certified, proof=None if lhs_plan is None else (lhs_plan, *sides[0][4], lam),
+        passed=agree and qopt_ok and certified)
 
 
 def _axiom_suite(dist, triples, tol) -> list[str]:

@@ -131,9 +131,12 @@ def test_two_stage_decomposition_equality_on_200_instances_under_a_minute():
         wy = component_weights(inst.nu, inst.restriction.my_spec)
         assert np.max(np.abs(rep.outer_plan.p.sum(axis=1) - wx)) <= 1e-9
         assert np.max(np.abs(rep.outer_plan.p.sum(axis=0) - wy)) <= 1e-9
-        # the closed form on the atoms agrees with the lifted left-hand side
-        atoms = solve_constrained_ot(inst.mu, inst.nu, inst.cost, inst.restriction)
-        assert abs(atoms.value - rep.lhs) <= 1e-12, f"instance {i}: closed form {atoms.value!r}"
+        # every side is proven optimal, and the lifted LP, an independent
+        # solver, agrees with the certified left-hand side
+        assert rep.certified and len(rep.certificates) == 1 + rep.inner_table.size
+        assert all(cert.passed and cert.gap <= 1e-12 for cert in rep.certificates)
+        lifted = solve_constrained_ot(inst.mu, inst.nu, inst.cost, inst.restriction, method="lp")
+        assert abs(lifted.value - rep.lhs) <= 1e-12, f"instance {i}: lifted LP {lifted.value!r}"
         worst = max(worst, rep.gap)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"200 instances took {elapsed:.1f}s"

@@ -139,6 +139,34 @@ def test_atoms_solve_the_full_product_orbit(n, cycle_type, seed):
     assert abs(res.value - inst.cost.c.mean()) <= VALUE_TOL
 
 
+@pytest.mark.parametrize("n,cycle_type,seed", LP_WRONG_SUBGROUP)
+def test_verify_certifies_the_full_product_orbit(n, cycle_type, seed):
+    # the lifted LP cannot witness these; the certificates do
+    inst, r = subgroup_instance(n, cycle_type, seed)
+    rep = verify_decomposition(inst.mu, inst.nu, inst.cost, r)
+    assert rep.passed and rep.certified and len(rep.certificates) == 2
+    assert abs(rep.lhs - inst.cost.c.mean()) <= VALUE_TOL
+
+
+def test_verify_certifies_transient_states_and_two_kernels():
+    # different kernels on spaces of different sizes, with transient points,
+    # whose potentials come from a min over cells rather than a class
+    rng = np.random.default_rng(113)
+    transient = 0
+    for _ in range(40):
+        qx = random_decomposing_kernel(rng, int(rng.integers(1, 7)))
+        qy = random_decomposing_kernel(rng, int(rng.integers(1, 7)))
+        r = stationarity_restriction(qx, qy)
+        mu, nu = random_member(rng, r.mx_spec), random_member(rng, r.my_spec)
+        cost = CostMatrix(qx.space, qy.space, rng.uniform(0.0, 1.0, (qx.space.n, qy.space.n)))
+        rep = verify_decomposition(mu, nu, cost, r)
+        assert rep.passed, [cert.failed for cert in rep.certificates]
+        lifted = solve_constrained_ot(mu, nu, cost, r, method="lp")
+        assert abs(lifted.value - rep.lhs) <= VALUE_TOL
+        transient += bool(np.any(r.atom_of < 0))
+    assert transient > 15
+
+
 @pytest.mark.xfail(strict=True, reason="open solver defect: the lifted LP of one full "
                    "product orbit comes out infeasible, or its plan breaks the "
                    "constraints (NotFeasibleError)")
@@ -247,7 +275,7 @@ def test_result_names_the_path_it_took():
 @pytest.mark.parametrize("spec", [InstanceSpec(n=8, kind="perm", cycle_type=(4, 2, 2), seed=3),
                                   InstanceSpec(n=9, kind="kernel", class_sizes=(3, 3, 3), seed=4)],
                          ids=["perm", "kernel"])
-def test_verify_decomposition_stays_on_the_lp(monkeypatch, spec):
+def test_verify_decomposition_solves_no_lifted_lp(monkeypatch, spec):
     inst = generate_instance(spec)
     calls, outer = [], []
 
@@ -264,16 +292,15 @@ def test_verify_decomposition_stays_on_the_lp(monkeypatch, spec):
     rep = verify_decomposition(inst.mu, inst.nu, inst.cost, inst.restriction)
     comps, _ = simplex_components(inst.restriction.mx_spec)
     k = len(comps)
-    assert len(calls) == 1 + k * k
-    # the left-hand side and every inner value are lifted: one variable per
-    # support cell, where the closed form would solve a 1 x 1 outer problem
-    size = [int(np.sum(m.w > 0)) for m in comps]
-    assert calls[0] == np.sum(inst.mu.w > 0) * np.sum(inst.nu.w > 0)
-    assert calls[1:] == [sa * sb for sa in size for sb in size]
-    # only the outer coupling of the component weights is plain transport
+    # both sides come from the atoms: the only solve is the outer coupling of
+    # the component weights, and every side carries a certificate instead
+    assert calls == []
     assert len(outer) == 1 and outer[0][0] <= k and outer[0][1] <= k
-    atoms = solve_constrained_ot(inst.mu, inst.nu, inst.cost, inst.restriction)
-    assert abs(atoms.value - rep.lhs) <= VALUE_TOL
+    assert rep.passed and len(rep.certificates) == 1 + k * k
+    assert all(cert.passed for cert in rep.certificates)
+    monkeypatch.undo()
+    lifted = solve_constrained_ot(inst.mu, inst.nu, inst.cost, inst.restriction, method="lp")
+    assert abs(lifted.value - rep.lhs) <= VALUE_TOL
 
 
 def test_metric_decomposition_direct_side_stays_on_the_lp(monkeypatch):

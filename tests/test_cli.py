@@ -133,6 +133,15 @@ def test_verify_random_batch_deterministic():
     assert res["max_gap"] <= 1e-8
 
 
+def test_verify_random_passes_the_false_infeasible_kernel_reproducer(capsys):
+    # the lifted LP calls this feasible instance infeasible; verify no longer
+    # asks it, and the certified closed form gives a numeric gap
+    assert main(["verify", "--random", "kernel:n=6,classes=3+3,count=1,seed=126"]) == 0
+    res = _strict_json(capsys.readouterr().out)["results"]
+    assert res["pass"] is True
+    assert isinstance(res["gaps"][0], float) and res["max_gap"] <= res["tol"]
+
+
 def test_verify_random_parallel_matches_serial():
     args = ("verify", "--random", "perm:n=6,cycles=3+3,count=6,seed=3")
     serial = run_cli(*args)
@@ -183,8 +192,17 @@ def test_metric_exits_2_when_the_restriction_is_not_geometric(tmp_path, capsys):
     assert main(["check", path]) == 2
 
 
-def test_tolerance_env_and_flag(tmp_path):
+def rounding_fixture():
+    """The fixture with its metric scaled by 0.3, where the two sides of verify
+    and of metric differ by rounding (about 3e-17), so a tight tol has a gap to
+    fail; on the fixture itself the closed form makes verify's gap exactly 0."""
     doc = load_fixture()
+    doc["metric"] = (0.3 * np.array(doc["metric"])).tolist()
+    return doc
+
+
+def test_tolerance_env_and_flag(tmp_path):
+    doc = rounding_fixture()
     path = write_problem(tmp_path, doc)
     # absurdly tight env tolerance makes the verify gap fail
     strict = run_cli("verify", path, env_extra={"ERGOT_TOL": "1e-300"})
@@ -197,7 +215,7 @@ def test_tolerance_env_and_flag(tmp_path):
 
 @pytest.mark.parametrize("command", ["verify", "metric"])
 def test_tol_flag_overrides_file(tmp_path, command):
-    doc = load_fixture()
+    doc = rounding_fixture()
     doc["tol"] = 1e-300
     path = write_problem(tmp_path, doc)
     assert main([command, path, "--out", str(tmp_path / "strict.json")]) == 2

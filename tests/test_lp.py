@@ -2,7 +2,8 @@
 
 The transport-shaped systems here are built by hand so the LP layer is
 exercised without going through the transport module, except in the
-differential tests, which also replay the LPs that verification solves.
+differential tests, which also replay the lifted LPs that cross-check
+verification: its left-hand side and every inner pair.
 """
 
 import math
@@ -17,9 +18,10 @@ from ergot import (
     VertexCapExceededError,
     enumerate_vertices,
     generate_instance,
+    simplex_components,
+    solve_constrained_ot,
     solve_lp,
     transport_simplex,
-    verify_decomposition,
 )
 from ergot.core import TAU_LP
 from ergot.lp import PIVOT_EPS
@@ -306,9 +308,13 @@ PINNED_FALSE_INFEASIBLE = [(6, (3, 3), 126), (7, (4, 3), 102), (12, (4, 4, 4), 9
 ], ids=lambda s: f"{s.kind}-{'+'.join(map(str, s.cycle_type or s.class_sizes))}-seed{s.seed}")
 def test_sparse_pivots_match_dense_on_verification_lps(monkeypatch, spec):
     inst = generate_instance(spec)
-    lps = recorded_lps(monkeypatch, lambda: verify_decomposition(
-        inst.mu, inst.nu, inst.cost, inst.restriction))
-    assert lps
+    r = inst.restriction
+    comps, _ = simplex_components(r.mx_spec)
+    # the lifted left-hand side, then every inner pair, as verification solved them
+    sides = [(inst.mu, inst.nu)] + [(a, b) for a in comps for b in comps]
+    lps = recorded_lps(monkeypatch, lambda: [
+        solve_constrained_ot(m_x, m_y, inst.cost, r, method="lp") for m_x, m_y in sides])
+    assert len(lps) == len(sides)
     statuses = [assert_matches_dense(prob).status for prob in lps]
     if (spec.n, spec.class_sizes, spec.seed) in PINNED_FALSE_INFEASIBLE:
         # the lifted solve of a pinned reproducer is wrongly infeasible, so
@@ -509,6 +515,38 @@ def test_transport_simplex_inf_cells_match_the_vertex_oracle():
         assert sol.status == "optimal"
         assert abs(sol.value - min(prob.objective @ v for v in vertices)) <= 1e-12
     assert statuses == {"optimal", "infeasible"}
+
+
+def test_transport_simplex_potentials_are_the_transport_dual():
+    # u + v meets the cost on the tree and stays below it on every finite
+    # cell, and its value is the plan's cost: each solve proves itself
+    rng = np.random.default_rng(63)
+    folded = 0
+    for t in range(200):
+        nr, nc = random_shape(rng)
+        a, b = rng.dirichlet(np.ones(nr)), rng.dirichlet(np.ones(nc))
+        cost = rng.uniform(0.0, 1.0, (nr, nc))
+        if t % 2:                                 # degenerate: ties in flow and cost
+            nc = nr
+            a = b = np.full(nr, 1 / nr)
+            cost = rng.integers(0, 3, size=(nr, nc)).astype(float)
+        if t % 3:
+            cost[rng.random((nr, nc)) < 0.4] = np.inf
+        sol = transport_simplex(a, b, cost)
+        if sol.status != "optimal":
+            assert sol.duals is None
+            continue
+        u, v = sol.duals
+        finite = np.isfinite(cost)
+        reduced = cost - u[:, None] - v
+        assert reduced[finite].min() >= -1e-12
+        tree = np.zeros(nr * nc, dtype=bool)
+        tree[list(sol.basis)] = True
+        assert np.max(np.abs(reduced.ravel()[tree & finite.ravel()]), initial=0.0) <= 1e-12
+        assert abs(u @ a + v @ b - sol.value) <= 1e-12
+        # a forbidden cell left in the tree makes the second level count
+        folded += bool(np.any(tree & ~finite.ravel()))
+    assert folded
 
 
 def test_transport_simplex_all_inf_is_infeasible():

@@ -80,6 +80,36 @@ def test_solve_ot_between_diracs():
     assert np.allclose(res.plan.p, [[0.0, 1.0], [0.0, 0.0]], atol=1e-12)
 
 
+def test_solve_ot_potentials_cover_points_without_mass():
+    # the transport simplex sees only the support; the potentials reach every
+    # other row and column by a min over finite cells, so they stay a dual
+    # of the whole problem with the same value
+    rng = np.random.default_rng(71)
+    extended = 0
+    for t in range(60):
+        n, m = (int(k) for k in rng.integers(2, 8, size=2))
+        mu_w, nu_w = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+        mu_w[rng.random(n) < 0.3] = 0.0
+        nu_w[rng.random(m) < 0.3] = 0.0
+        if not mu_w.sum() or not nu_w.sum():
+            continue
+        c = rng.uniform(0.0, 1.0, (n, m))
+        c[rng.random((n, m)) < 0.2 * (t % 2)] = np.inf
+        sx, sy = FiniteSpace.of_size(n), FiniteSpace.of_size(m)
+        mu, nu = Measure(sx, mu_w / mu_w.sum()), Measure(sy, nu_w / nu_w.sum())
+        res = solve_ot(mu, nu, CostMatrix(sx, sy, c))
+        if res.status != "optimal":
+            assert res.duals is None
+            continue
+        u, v = res.duals
+        assert u.shape == (n,) and v.shape == (m,)
+        finite = np.isfinite(c)
+        assert (c - u[:, None] - v)[finite].min() >= -1e-12
+        assert abs(u @ mu.w + v @ nu.w - res.value) <= 1e-12
+        extended += bool(np.any(mu.w == 0) or np.any(nu.w == 0))
+    assert extended > 20
+
+
 def test_solve_ot_matches_vertex_oracle():
     rng = np.random.default_rng(41)
     sp = FiniteSpace.of_size(3)

@@ -1,18 +1,25 @@
+import math
 import sys
 
 import numpy as np
 import pytest
 
 import ergot.ergodic
+import ergot.verify
 from ergot import (
+    ConstraintSet,
     CostMatrix,
     FiniteSpace,
     GroundMetric,
     GroupAction,
     InstanceSpec,
+    LinearRestriction,
     Measure,
+    StochKernel,
     averaging_kernel,
+    TransportPlan,
     build_qopt,
+    check_certificate,
     full_simplex,
     generate_instance,
     invariance_restriction,
@@ -264,21 +271,21 @@ def count_derivations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("spec, limit", [(InstanceSpec(n=12, kind="kernel", class_sizes=(4, 4, 4),
-                                                       seed=1), 2),
-                                         (InstanceSpec(n=8, kind="perm", cycle_type=(4, 4),
-                                                       seed=7), 1)],
+@pytest.mark.parametrize("spec", [InstanceSpec(n=12, kind="kernel", class_sizes=(4, 4, 4), seed=1),
+                                  InstanceSpec(n=8, kind="perm", cycle_type=(4, 4), seed=7)],
                          ids=["kernel", "perm"])
-def test_verify_derives_each_simplex_once(monkeypatch, spec, limit):
-    # the restriction is built inside the count, on specs no call has seen
+def test_verify_derives_each_simplex_once(monkeypatch, spec):
+    # the restriction is built inside the count, on specs no call has seen;
+    # both sides share one simplex, so its components are derived once
     inst = generate_instance(spec)
     calls = count_derivations(monkeypatch)
     if spec.kind == "kernel":
         r = stationarity_restriction(inst.kernel, inst.kernel)
     else:
         r = invariance_restriction(inst.action)
+    assert r.mx_spec is r.my_spec
     assert verify_decomposition(inst.mu, inst.nu, inst.cost, r).passed
-    assert len(calls) <= limit, calls
+    assert len(calls) == 1, calls
 
 
 def test_stationarity_build_and_solve_derive_each_simplex_once(monkeypatch):
@@ -286,4 +293,148 @@ def test_stationarity_build_and_solve_derive_each_simplex_once(monkeypatch):
     calls = count_derivations(monkeypatch)
     r = stationarity_restriction(inst.kernel, inst.kernel)
     assert solve_constrained_ot(inst.mu, inst.nu, inst.cost, r).method == "atoms"
-    assert len(calls) <= 2, calls
+    assert len(calls) == 1, calls
+
+
+def test_stationarity_on_two_kernels_keeps_two_simplexes():
+    inst = generate_instance(InstanceSpec(n=6, kind="kernel", class_sizes=(3, 3), seed=2))
+    twin = StochKernel(inst.space, inst.kernel.q.copy())
+    r = stationarity_restriction(inst.kernel, twin)
+    assert r.mx_spec is not r.my_spec
+    same = stationarity_restriction(inst.kernel, inst.kernel)
+    assert np.array_equal(r.atom_of, same.atom_of)
+    assert np.array_equal(r.omega.matrix, same.omega.matrix)
+
+
+CERTIFIED = [InstanceSpec(n=8, kind="perm", cycle_type=(4, 2, 2), seed=3),
+             InstanceSpec(n=9, kind="kernel", class_sizes=(3, 3, 3), seed=4)]
+
+
+def tampered(name, mu, plan, u, v, lam, r):
+    """One entry of the named certificate part broken, the way that part alone shows it.
+
+    The plan loses half its mass on one charged cell (its marginals break,
+    its cost falls); a potential rises on a point that ships mass, and a
+    multiplier on a constraint whose positive cell holds mass, each pushing
+    a reduced cost on the plan's support below zero.
+    """
+    p, u, v, lam = plan.p.copy(), u.copy(), v.copy(), lam.copy()
+    x, y = np.argwhere(p > 1e-6)[0]
+    if name == "plan":
+        p[x, y] *= 0.5
+    elif name == "u":
+        u[x] += 0.1
+    elif name == "v":
+        v[y] += 0.1
+    else:
+        heads = r.omega.matrix.argmax(axis=1)
+        lam[np.flatnonzero(plan.p.ravel()[heads] > 1e-6)[0]] += 0.1
+    return TransportPlan(plan.row_space, plan.col_space, p), u, v, lam
+
+
+@pytest.mark.parametrize("spec", CERTIFIED, ids=["perm", "kernel"])
+@pytest.mark.parametrize("name, residual", [("plan", "primal"), ("u", "reduced"), ("v", "reduced"),
+                                            ("lam", "reduced")])
+def test_a_broken_certificate_fails_its_own_residual_only(spec, name, residual):
+    inst = generate_instance(spec)
+    r = inst.restriction
+    rep = verify_decomposition(inst.mu, inst.nu, inst.cost, r)
+    assert rep.passed and all(cert.passed for cert in rep.certificates)
+    honest = check_certificate(inst.mu, inst.nu, inst.cost, r, *rep.proof)
+    assert honest.passed and honest.gap <= 1e-12 and honest.reduced >= -1e-12
+    broken = check_certificate(inst.mu, inst.nu, inst.cost, r,
+                               *tampered(name, inst.mu, *rep.proof, r))
+    assert broken.failed == (residual,) and not broken.passed
+
+
+@pytest.mark.parametrize("spec", CERTIFIED, ids=["perm", "kernel"])
+def test_a_raised_dual_value_fails_the_gap_only(spec):
+    # shifting u up and v down by the same amount keeps every reduced cost;
+    # only the dual value moves, and a lower one leaves a gap
+    inst = generate_instance(spec)
+    plan, u, v, lam = verify_decomposition(inst.mu, inst.nu, inst.cost, inst.restriction).proof
+    cert = check_certificate(inst.mu, inst.nu, inst.cost, inst.restriction, plan,
+                             u - 0.1, v + 0.05, lam)
+    assert cert.failed == ("gap",)
+
+
+def test_verify_fails_when_a_certificate_breaks(monkeypatch):
+    # the two values still agree and every piece still holds, but a broken
+    # multiplier leaves the sides unproven, so the verdict is a failure
+    inst = generate_instance(CERTIFIED[0])
+    honest = ergot.verify._multipliers
+    monkeypatch.setattr(ergot.verify, "_multipliers", lambda r, target: honest(r, target) + 0.1)
+    rep = verify_decomposition(inst.mu, inst.nu, inst.cost, inst.restriction)
+    assert rep.gap <= 1e-12 and rep.qopt_ok
+    assert not rep.certified and not rep.passed
+    assert any(cert.failed == ("reduced",) for cert in rep.certificates)
+
+
+def test_certificate_holds_at_any_cost_scale():
+    inst = generate_instance(CERTIFIED[1])
+    for scale in (1e-6, 1e8):
+        cost = CostMatrix(inst.space, inst.space, scale * inst.cost.c)
+        rep = verify_decomposition(inst.mu, inst.nu, cost, inst.restriction)
+        assert rep.passed, [cert.failed for cert in rep.certificates]
+        assert max(cert.gap for cert in rep.certificates) <= 1e-12 * max(1.0, scale)
+
+
+def test_multipliers_of_rows_of_no_known_shape_come_from_least_squares():
+    # doubled tree rows state the same restriction but are no +1/-1 edges;
+    # independent rows leave one lam, so it is the tree's, halved
+    inst = generate_instance(CERTIFIED[0])
+    r = inst.restriction
+    doubled = LinearRestriction(ConstraintSet(r.row_space, r.col_space, r.omega.labels,
+                                              2 * r.omega.matrix),
+                                r.mx_spec, r.my_spec, atom_of=r.atom_of)
+    tree = verify_decomposition(inst.mu, inst.nu, inst.cost, r)
+    rep = verify_decomposition(inst.mu, inst.nu, inst.cost, doubled)
+    assert rep.passed and rep.certified
+    assert np.max(np.abs(rep.proof[3] - tree.proof[3] / 2)) <= 1e-12
+
+
+def test_check_certificate_names_mismatched_shapes():
+    inst = generate_instance(CERTIFIED[0])
+    plan, u, v, lam = verify_decomposition(inst.mu, inst.nu, inst.cost, inst.restriction).proof
+    with pytest.raises(ValueError, match="lam"):
+        check_certificate(inst.mu, inst.nu, inst.cost, inst.restriction, plan, u, v, lam[1:])
+
+
+@pytest.mark.parametrize("n,class_sizes,seed", FALSE_INFEASIBLE)
+def test_verify_certifies_the_false_infeasible_kernel_instances(n, class_sizes, seed):
+    inst = generate_instance(InstanceSpec(n=n, kind="kernel", class_sizes=class_sizes, seed=seed))
+    rep = verify_decomposition(inst.mu, inst.nu, inst.cost, inst.restriction)
+    assert rep.passed and rep.certified and np.isfinite(rep.lhs)
+    assert max(cert.gap for cert in rep.certificates) <= 1e-12
+
+
+SWEEP_CLASS_SIZES = [(3, 3), (4, 3), (3, 3, 3), (4, 4, 4), (3, 3, 3, 3)]
+
+
+def test_kernel_sweep_certifies_every_instance():
+    # seeds 0-199 of five class-size types: 1,000 instances, the four
+    # false-infeasible reproducers among them; costs lie in [0, 1], so the
+    # residuals are relative to the cost's scale as they stand
+    swept = {(sum(cs), cs, seed) for cs in SWEEP_CLASS_SIZES for seed in range(200)}
+    assert len(swept) == 1000 and swept >= set(FALSE_INFEASIBLE)
+    for n, class_sizes, seed in sorted(swept):
+        inst = generate_instance(InstanceSpec(n=n, kind="kernel", class_sizes=class_sizes,
+                                              seed=seed))
+        rep = verify_decomposition(inst.mu, inst.nu, inst.cost, inst.restriction)
+        assert rep.passed, (class_sizes, seed)
+        assert all(cert.primal <= 1e-12 and cert.reduced >= -1e-12 and cert.gap <= 1e-12
+                   for cert in rep.certificates), (class_sizes, seed)
+
+
+def test_a_side_without_any_finite_atom_is_confirmed_by_the_lifted_lp():
+    # +inf on every cell between the two cycles: the cross pairs have no
+    # finite atom and nothing can ship across, so the left-hand side is +inf
+    # too; the lifted LP agrees that each such side is infeasible
+    inst = generate_instance(InstanceSpec(n=6, kind="perm", cycle_type=(3, 3), seed=1))
+    _, cls = simplex_components(inst.restriction.mx_spec)
+    c = np.where(cls[:, None] != cls, np.inf, inst.cost.c)
+    rep = verify_decomposition(inst.mu, inst.nu, CostMatrix(inst.space, inst.space, c),
+                               inst.restriction)
+    assert rep.lhs == math.inf and rep.proof is None
+    assert list(rep.statuses.ravel()) == ["optimal", "infeasible", "infeasible", "optimal"]
+    assert len(rep.certificates) == 2 and rep.certified and rep.passed
