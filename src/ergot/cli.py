@@ -502,10 +502,16 @@ def _verify_one(spec: InstanceSpec, tol: float) -> tuple[float, bool]:
 
 
 def cmd_verify(args) -> int:
-    if args.jobs < 1:
-        raise ParseError("--jobs", f"need at least 1 worker, got {args.jobs}")
+    mode, unread = (("--random", ("file", "--p", "--check")) if args.random
+                    else ("FILE", ("--seed", "--jobs")))
+    for flag in unread:
+        if getattr(args, flag.lstrip("-")) is not None:
+            raise ParseError(flag, f"not read by verify {mode}")
+    jobs = 1 if args.jobs is None else args.jobs
+    if jobs < 1:
+        raise ParseError("--jobs", f"need at least 1 worker, got {jobs}")
     tol = _tolerance(args)
-    flags = {"tol": tol, "seed": args.seed, "jobs": args.jobs,
+    flags = {"tol": tol, "seed": args.seed, "jobs": jobs,
              "random": args.random, "check": args.check}
     if args.random:
         specs = parse_random_spec(args.random)
@@ -514,7 +520,7 @@ def cmd_verify(args) -> int:
                 raise ParseError("--seed", f"seed must be at least 0, got {args.seed}")
             specs = [dataclasses.replace(s, seed=args.seed + i) for i, s in enumerate(specs)]
         # the pool forks all its workers on the first submit, so size it to the batch
-        workers = min(args.jobs, len(specs))
+        workers = min(jobs, len(specs))
         if workers > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 runs = list(pool.map(functools.partial(_verify_one, tol=tol), specs))
@@ -556,7 +562,7 @@ def _load(path: str) -> dict:
 
 
 _FLAGS = {"--tol": {"type": float}, "--seed": {"type": int},
-          "--jobs": {"type": int, "default": 1}, "--p": {"type": float}}
+          "--jobs": {"type": int}, "--p": {"type": float}}
 
 
 def build_parser() -> _Parser:

@@ -16,6 +16,7 @@ points; barycenter mixes it back. The round trip is exact to TAU_MASS.
 from __future__ import annotations
 
 import weakref
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,29 +55,38 @@ def orbit_decompose(action: GroupAction) -> OrbitPartition:
     Orbit ids are assigned by smallest contained point, so the result is
     deterministic regardless of generator order.
     """
-    orbit_of = _orbit_ids(action.space.n, [g for _, g in action.generators])
+    ids, _ = _orbit_search(action.space.n, [g.tolist() for _, g in action.generators])
+    orbit_of = np.array(ids, dtype=np.intp)
     orbits = tuple(tuple(np.flatnonzero(orbit_of == i).tolist()) for i in np.unique(orbit_of))
     return OrbitPartition(action.space, orbit_of, orbits)
 
 
-def _orbit_ids(n: int, perms) -> np.ndarray:
-    """Orbit id of each point 0..n-1 under the permutation arrays perms (union-find)."""
-    parent = list(range(n))
+def _orbit_search(size: int, perms) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Orbit ids of the points 0..size-1 under the permutation lists perms, and a spanning forest.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for g in perms:
-        for x in range(n):
-            ra, rb = find(x), find(int(g[x]))
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    roots = [find(x) for x in range(n)]
-    rep_to_id = {r: i for i, r in enumerate(sorted(set(roots)))}
-    return np.array([rep_to_id[r] for r in roots], dtype=np.intp)
+    Each point not yet numbered, in increasing order, starts the next orbit
+    (so orbits are numbered by smallest member) and a BFS that follows perms
+    in order. Its tree edges (k, parent, child), perms[k] taking parent to
+    a newly found child, are listed in discovery order.
+    """
+    orbit_of = [-1] * size
+    edges = []
+    orbits = 0
+    for root in range(size):
+        if orbit_of[root] >= 0:
+            continue
+        orbit_of[root] = orbits
+        queue = deque([root])
+        while queue:
+            cell = queue.popleft()
+            for k, g in enumerate(perms):
+                child = g[cell]
+                if orbit_of[child] < 0:
+                    orbit_of[child] = orbits
+                    queue.append(child)
+                    edges.append((k, cell, child))
+        orbits += 1
+    return orbit_of, edges
 
 
 def averaging_kernel(action: GroupAction) -> StochKernel:
@@ -198,6 +208,13 @@ def _derive_components(spec: SimplexSpec) -> tuple[tuple[Measure, ...], np.ndarr
     else:
         comps, class_of = stationary_components(spec.kernel)
     return tuple(comps), _freeze(class_of, dtype=np.intp)
+
+
+def _require_member(mu: Measure, spec: SimplexSpec, what: str):
+    """NotInSimplexError, its message opening with what, unless mu belongs to the simplex."""
+    bad = membership_violation(mu, spec)
+    if bad is not None:
+        raise NotInSimplexError(f"{what}: {bad}")
 
 
 def membership_violation(mu: Measure, spec: SimplexSpec) -> str | None:

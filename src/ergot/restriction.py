@@ -19,7 +19,6 @@ violated outright.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -35,7 +34,6 @@ from .core import (
     Measure,
     MissingProductStructureError,
     NotFeasibleError,
-    NotInSimplexError,
     ProjectionNotFullError,
     SimplexSpec,
     StochKernel,
@@ -45,7 +43,7 @@ from .core import (
     invariant_simplex,
     stationary_simplex,
 )
-from .ergodic import check_ergodic_kernel, membership_violation, simplex_components
+from .ergodic import _orbit_search, _require_member, check_ergodic_kernel, simplex_components
 
 MAX_GROUP_ORDER = 10_000
 
@@ -117,33 +115,15 @@ def _product_generator(g: np.ndarray, h: np.ndarray) -> np.ndarray:
 def _orbit_restriction(action: GroupAction, product_gens, family: str) -> LinearRestriction:
     """Plans constant on the orbits of product_gens, (label, cell permutation) pairs.
 
-    One pass numbers the orbits and emits their spanning-tree constraints.
-    Each cell not yet numbered, in increasing order, starts a new atom and a
-    BFS that follows the generators in order; tree edge e = (cell, g(cell))
-    becomes row e of the constraint matrix, with +1 at the parent cell and
-    -1 at the child.
+    One search (ergodic._orbit_search) numbers the orbits, which are the
+    atoms, and its tree edge e = (cell, g(cell)) becomes row e of the
+    constraint matrix, with +1 at the parent cell and -1 at the child.
     """
     n = action.space.n
-    gens = [(lbl, g.tolist()) for lbl, g in product_gens]
-    atom_of = [-1] * (n * n)
-    labels, ends = [], []
-    atoms = 0
-    for root in range(n * n):
-        if atom_of[root] >= 0:
-            continue
-        atom_of[root] = atoms
-        queue = deque([root])
-        while queue:
-            cell = queue.popleft()
-            for lbl, g in gens:
-                child = g[cell]
-                if atom_of[child] < 0:
-                    atom_of[child] = atoms
-                    queue.append(child)
-                    labels.append(f"{family}:{lbl}:({cell // n},{cell % n})")
-                    ends.append((cell, child))
-        atoms += 1
-    ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
+    atom_of, edges = _orbit_search(n * n, [g.tolist() for _, g in product_gens])
+    tags = [f"{family}:{lbl}:" for lbl, _ in product_gens]
+    labels = [f"{tags[k]}({cell // n},{cell % n})" for k, cell, _ in edges]
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 3)[:, 1:]
     matrix = np.zeros((len(ends), n * n))
     matrix[np.arange(len(ends))[:, None], ends] = [1.0, -1.0]
     spec = invariant_simplex(action)
@@ -287,10 +267,8 @@ def check_weak_regularity(r: LinearRestriction, samples: list[tuple[Measure, Mea
     """
     failures = []
     for k, (mu, nu) in enumerate(samples):
-        for spec, m, side in ((r.mx_spec, mu, "mu"), (r.my_spec, nu, "nu")):
-            bad = membership_violation(m, spec)
-            if bad is not None:
-                raise NotInSimplexError(f"sample {k} {side}: {bad}")
+        _require_member(mu, r.mx_spec, f"sample {k} mu")
+        _require_member(nu, r.my_spec, f"sample {k} nu")
         prod = TransportPlan(r.row_space, r.col_space, np.outer(mu.w, nu.w))
         failures += [f"pair {k}: product plan breaks {lbl} by {v:.3g}"
                      for lbl, v in plan_violations(prod, r)]
@@ -346,10 +324,11 @@ def check_coherency(r: LinearRestriction, pi_samples: Iterable[TransportPlan]) -
     pairing is recorded. For the shipped restriction families this is a
     regression test: it holds by construction.
     """
-    _, cell_class = product_atoms(r)
+    if r.atom_of is None:
+        raise MissingProductStructureError("restriction carries no product atoms")
     # the nonzero entries on live cells, grouped by (constraint, atom) in row-major order
-    rows, cells = np.nonzero(r.omega.matrix * (cell_class >= 0))
-    keys, group = np.unique(np.column_stack([rows, cell_class[cells]]), axis=0, return_inverse=True)
+    rows, cells = np.nonzero(r.omega.matrix * (r.atom_of >= 0))
+    keys, group = np.unique(np.column_stack([rows, r.atom_of[cells]]), axis=0, return_inverse=True)
     failures = []
     for k, pi in enumerate(pi_samples):
         _require_feasible(pi, r, f"sample plan {k}")

@@ -6,12 +6,13 @@ extreme measures over the atom, the cheapest atom of each pair of ergodic
 components gives that pair's inner cost, and one small transport between
 the component weights mixes them. That is the paper's two-stage theorem
 used as an algorithm, and its plan is checked against every constraint.
+The same pass builds the proof of every side of that theorem
+(_two_stage_proof), which verify checks against the raw inputs.
 
 Plain transport (``solve_ot``, and the closed form's outer problem) runs on
 the transportation simplex in ``lp``, and its result carries the simplex's
-potentials, extended to the rows and columns without mass: the transport
-dual that verify's certificates are built from. Everything else is the
-lifted LP on the dense simplex in ``lp`` (``method="lp"`` keeps a
+potentials, extended to the rows and columns without mass. Everything else
+is the lifted LP on the dense simplex in ``lp`` (``method="lp"`` keeps a
 restricted solve there: ``ergot solve``, the direct side of the metric
 identity and the tests' cross-checks ask for it), and its plan is checked
 against every constraint before it is returned. Both are posed over the
@@ -44,12 +45,11 @@ from .core import (
     MissingProductStructureError,
     NotFeasibleError,
     NotGeometricError,
-    NotInSimplexError,
     SimplexSpec,
     TransportPlan,
     pth_root,
 )
-from .ergodic import _class_weights, membership_violation, simplex_components
+from .ergodic import _class_weights, _require_member, simplex_components
 from .lp import LpProblem, solve_lp, transport_simplex
 from .restriction import LinearRestriction, _require_feasible, check_geometric, plan_violations
 
@@ -207,19 +207,21 @@ def solve_constrained_ot(mu: Measure, nu: Measure, c: CostMatrix,
     if method == "atoms" and r.atom_of is None:
         raise MissingProductStructureError("method 'atoms' needs a restriction with product atoms")
     _check_marginals(mu, nu, c, r)
-    if method == "atoms":
-        return _atoms_ot(mu, nu, c, r)
-    return _solve_transport(mu.w, nu.w, c.c, c.row_space, c.col_space, r)
+    if method == "lp":
+        return _solve_transport(mu.w, nu.w, c.c, c.row_space, c.col_space, r)
+    res = _atoms_ot(mu, nu, c, r)[2]
+    if res.plan is not None:
+        _require_feasible(res.plan, r, "atom_of does not describe the constraints: the atom plan",
+                          ValueError)
+    return res
 
 
 def _check_marginals(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction):
     """ValueError unless mu and nu fit the cost; NotInSimplexError unless in r's simplexes."""
     if mu.space.n != c.row_space.n or nu.space.n != c.col_space.n:
         raise ValueError("marginal sizes do not match the cost matrix")
-    for m, spec, side in ((mu, r.mx_spec, "mu"), (nu, r.my_spec, "nu")):
-        bad = membership_violation(m, spec)
-        if bad is not None:
-            raise NotInSimplexError(f"{side}: {bad}")
+    _require_member(mu, r.mx_spec, "mu")
+    _require_member(nu, r.my_spec, "nu")
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,26 +294,106 @@ def _atom_plan(t: _AtomTable, pair_mass: np.ndarray, c: CostMatrix) -> Transport
     return TransportPlan(c.row_space, c.col_space, p.reshape(c.c.shape))
 
 
-def _atoms_ot(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction) -> OtResult:
+def _atoms_ot(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction):
     """The restricted optimum as an outer transport over component weights.
 
     The inner cost of each pair of ergodic components is its cheapest
     atom's mean cost (_atom_table); the outer transport between the
-    component weights then mixes the chosen atom plans. The plan is checked
-    against every constraint; a failure means atom_of does not describe the
-    constraints.
+    component weights then mixes the chosen atom plans. Returns the atom
+    table, the outer transport and the OtResult of the mixed plan.
     """
     t = _atom_table(c, r)
     kx, ky = t.inner.shape
     outer = _outer_ot(_class_weights(mu.w, t.class_x, kx), _class_weights(nu.w, t.class_y, ky),
                       t.inner)
     if outer.status != "optimal":
-        return OtResult(value=math.inf, plan=None, status="infeasible", method="atoms")
+        return t, outer, OtResult(value=math.inf, plan=None, status="infeasible", method="atoms")
     plan = _atom_plan(t, outer.plan.p.ravel(), c)
-    _require_feasible(plan, r, "atom_of does not describe the constraints: the atom plan",
-                      ValueError)
-    return OtResult(value=float(np.sum(t.safe_cost * plan.p)), plan=plan, status="optimal",
-                    method="atoms")
+    return t, outer, OtResult(value=float(np.sum(t.safe_cost * plan.p)), plan=plan,
+                              status="optimal", method="atoms")
+
+
+def _qopt(t: _AtomTable, c: CostMatrix):
+    """(inner values, plans, statuses): each pair's cheapest atom, its weights normalised."""
+    kx, ky = t.inner.shape
+    statuses = np.where(np.isfinite(t.inner), "optimal", "infeasible").astype(object)
+    plans = [[None] * ky for _ in range(kx)]
+    for a, b in zip(*np.nonzero(statuses == "optimal")):
+        one = np.zeros(kx * ky)
+        one[a * ky + b] = 1.0
+        plans[a][b] = _atom_plan(t, one, c)
+    return t.inner, plans, statuses
+
+
+def _two_stage_proof(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction):
+    """_atoms_ot's one pass, with the dual certificate of every finite side.
+
+    Returns (inner, statuses, outer, lhs, sides, infinite, target): _qopt's
+    values and statuses, the outer transport, _atoms_ot's OtResult, each
+    finite side's (mu, nu, plan, u, v) (the left-hand side first, then the
+    inner pairs row-major), each +inf side's (mu, nu), and what omega^T lam
+    must be. Marginals are checked as in solve_constrained_ot.
+
+    Kantorovich duality with linear constraints: a feasible plan P and
+    potentials with c - u (+) v - omega^T lam >= 0 on every finite cell
+    prove each other optimal when <c, P> = <u, mu> + <v, nu>. u and v are
+    class potentials lifted through the component classes; transient points
+    get a min over finite cells. The left-hand side takes the outer
+    transport's potentials; an inner pair (a, b) takes 0 on class a and the
+    inner row of a as column values, extended to the other rows by a min
+    over finite cells. One lam, with omega^T lam = c minus its atom-weighted
+    mean, serves every side. A +inf side would need a Farkas ray instead.
+    """
+    _check_marginals(mu, nu, c, r)
+    t, outer, lhs = _atoms_ot(mu, nu, c, r)
+    comps_x, _ = simplex_components(r.mx_spec)
+    comps_y, _ = simplex_components(r.my_spec)
+    sides, infinite, duals = [], [], []   # duals: each finite side's class potentials
+    if lhs.plan is None:
+        infinite.append((mu, nu))
+    else:
+        sides.append((mu, nu, lhs.plan, *_lifted_potentials(*outer.duals, t, c)))
+        duals.append(outer.duals)
+    values, plans, statuses = _qopt(t, c)
+    for a in range(len(comps_x)):
+        # the pairs (a, b) share one dual: 0 on a, and each column's value from a
+        row = _extend_potentials(np.zeros(1), np.zeros(0), np.array([a]), np.zeros(0, np.intp),
+                                 values)
+        lifted = _lifted_potentials(*row, t, c)
+        for b in range(len(comps_y)):
+            if plans[a][b] is None:
+                infinite.append((comps_x[a], comps_y[b]))
+            else:
+                sides.append((comps_x[a], comps_y[b], plans[a][b], *lifted))
+                duals.append(row)
+    ceiling = max((float(np.max(al[:, None] + be)) for al, be in duals), default=0.0)
+    return values, statuses, outer, lhs, sides, infinite, _constraint_target(t, c, ceiling)
+
+
+def _lifted_potentials(alpha, beta, t: _AtomTable, c: CostMatrix):
+    """Class potentials (alpha, beta) as point potentials; transient points by a min over cells."""
+    rx, ry = np.flatnonzero(t.class_x >= 0), np.flatnonzero(t.class_y >= 0)
+    return _extend_potentials(alpha[t.class_x[rx]], beta[t.class_y[ry]], rx, ry, c.c)
+
+
+def _constraint_target(t: _AtomTable, c: CostMatrix, ceiling: float) -> np.ndarray:
+    """What omega^T lam must be: c minus its atom-weighted mean on each atom, 0 off the atoms.
+
+    A +inf cell takes no part in the dual check, so an atom holding one uses
+    ceiling, at least every alpha_a + beta_b of its pair, in place of its mean,
+    and its +inf cells take the value that keeps the atom's weighted sum 0.
+    """
+    cost = t.safe_cost.ravel()[t.cells]
+    level = np.where(np.isfinite(t.mean), t.mean, ceiling)[t.atom]
+    fin = np.isfinite(c.c.ravel()[t.cells])
+    diff = np.where(fin, cost - level, 0.0)
+    if not fin.all():
+        off = np.bincount(t.atom, weights=t.weight * diff, minlength=t.mass.size)
+        held = np.bincount(t.atom, weights=t.weight * ~fin, minlength=t.mass.size)
+        diff[~fin] = -off[t.atom[~fin]] / held[t.atom[~fin]]
+    target = np.zeros(c.c.size)
+    target[t.cells] = diff
+    return target
 
 
 def wasserstein(mu: Measure, nu: Measure, d: GroundMetric, p: float,
@@ -381,10 +463,8 @@ def lifted_metric(mu: Measure, nu: Measure, bm: BoundaryMetricMatrix,
     the outer problem couples the weight vectors with cost dbar^p and the
     result is the p-th root of its value.
     """
-    for m, side in ((mu, "mu"), (nu, "nu")):
-        bad = membership_violation(m, spec)
-        if bad is not None:
-            raise NotInSimplexError(f"{side}: {bad}")
+    _require_member(mu, spec, "mu")
+    _require_member(nu, spec, "nu")
     wx = component_weights(mu, spec)
     wy = component_weights(nu, spec)
     res = _outer_ot(wx, wy, bm.dbar ** p)

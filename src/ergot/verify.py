@@ -4,16 +4,16 @@ verify_decomposition compares, on one instance, the constrained transport
 value with the two-stage value: decompose both marginals into ergodic
 components, take the constrained optimum between every component pair
 (build_qopt), then couple the component weights with those values as costs.
-Both sides come from one pass over the product atoms, which is the
-two-stage formula itself, so their agreement alone would be a tautology.
-The witness is a dual certificate on every side (Kantorovich duality with
-linear constraints): potentials u, v and constraint multipliers lam that
-check_certificate holds against the raw cost, constraint matrix, marginals
-and plan, reading no atoms and no solver output. A side that is +inf in
-closed form has no such certificate; the lifted LP confirms it instead.
-Otherwise the lifted LP (method "lp") serves here only the direct side of
-verify_metric_decomposition; against the cost identity it is a
-cross-check the tests run.
+Both sides come from transport's one pass over the product atoms, which is
+the two-stage formula itself, so their agreement alone would be a
+tautology. The witness is a dual certificate on every side (Kantorovich
+duality with linear constraints): transport builds each side's plan and
+potentials u, v beside the closed form; this module solves the constraint
+multipliers lam and checks each certificate with check_certificate, which
+reads only the raw cost, constraint matrix, marginals and plan. A side that
+is +inf in closed form has no such certificate; the lifted LP confirms it
+instead. Otherwise the lifted LP (method "lp") serves here only the direct
+side of verify_metric_decomposition.
 
 verify_metric_decomposition does the same for distances: the restricted
 p-Wasserstein distance against the lifted boundary metric, plus the metric
@@ -53,15 +53,11 @@ from .restriction import (
     stationarity_restriction,
 )
 from .transport import (
-    _atom_plan,
     _atom_table,
-    _AtomTable,
-    _check_marginals,
-    _extend_potentials,
     _forbidden_cells,
-    _outer_ot,
+    _qopt,
+    _two_stage_proof,
     boundary_metric,
-    component_weights,
     decompose_plan,
     lifted_metric,
     solve_constrained_ot,
@@ -236,81 +232,33 @@ def _multipliers(r: LinearRestriction, target: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _qopt(t: _AtomTable, c: CostMatrix):
-    """build_qopt's plans and statuses from an atom table."""
-    kx, ky = t.inner.shape
-    statuses = np.where(np.isfinite(t.inner), "optimal", "infeasible").astype(object)
-    plans = [[None] * ky for _ in range(kx)]
-    for a, b in zip(*np.nonzero(statuses == "optimal")):
-        one = np.zeros(kx * ky)
-        one[a * ky + b] = 1.0
-        plans[a][b] = _atom_plan(t, one, c)
-    return plans, statuses
-
-
 def build_qopt(spec_x: SimplexSpec, spec_y: SimplexSpec, c: CostMatrix,
                r: LinearRestriction):
     """Constrained optimal value and plan between every component pair.
 
     Returns (values, plans, statuses): values[a][b] is the constrained
     transport cost from component a of spec_x to component b of spec_y, +inf
-    where infeasible. All of them come from one pass over r's product atoms:
-    the value of a pair is its cheapest atom's mean cost and its plan that
-    atom's weights, normalised (transport._atom_table). The table is constant
-    on product atoms by construction, which is the finite form of its
-    measurability. The specs must split the points as r's own simplexes do
-    (ValueError otherwise); verify_decomposition certifies every finite entry.
+    where infeasible, all from one pass over r's product atoms (transport._qopt).
+    The table is constant on product atoms by construction, which is the
+    finite form of its measurability. The specs must split the points as r's
+    own simplexes do (ValueError otherwise).
     """
     for spec, own, side in ((spec_x, r.mx_spec, "spec_x"), (spec_y, r.my_spec, "spec_y")):
         if spec is not own and not np.array_equal(simplex_components(spec)[1],
                                                   simplex_components(own)[1]):
             raise ValueError(f"{side} does not split the points as the restriction's simplex does")
-    t = _atom_table(c, r)
-    plans, statuses = _qopt(t, c)
-    return t.inner, plans, statuses
-
-
-def _lifted_potentials(alpha, beta, t: _AtomTable, c: CostMatrix):
-    """Class potentials (alpha, beta) as point potentials; transient points by a min over cells."""
-    rx, ry = np.flatnonzero(t.class_x >= 0), np.flatnonzero(t.class_y >= 0)
-    return _extend_potentials(alpha[t.class_x[rx]], beta[t.class_y[ry]], rx, ry, c.c)
-
-
-def _constraint_target(t: _AtomTable, c: CostMatrix, ceiling: float) -> np.ndarray:
-    """What omega^T lam must be: c minus its atom-weighted mean on each atom, 0 off the atoms.
-
-    A +inf cell takes no part in the dual check, so an atom holding one uses
-    ceiling, at least every alpha_a + beta_b of its pair, in place of its mean,
-    and its +inf cells take the value that keeps the atom's weighted sum 0.
-    """
-    cost = t.safe_cost.ravel()[t.cells]
-    level = np.where(np.isfinite(t.mean), t.mean, ceiling)[t.atom]
-    fin = np.isfinite(c.c.ravel()[t.cells])
-    diff = np.where(fin, cost - level, 0.0)
-    if not fin.all():
-        off = np.bincount(t.atom, weights=t.weight * diff, minlength=t.mass.size)
-        held = np.bincount(t.atom, weights=t.weight * ~fin, minlength=t.mass.size)
-        diff[~fin] = -off[t.atom[~fin]] / held[t.atom[~fin]]
-    target = np.zeros(c.c.size)
-    target[t.cells] = diff
-    return target
+    return _qopt(_atom_table(c, r), c)
 
 
 def verify_decomposition(mu: Measure, nu: Measure, c: CostMatrix,
                          r: LinearRestriction, tol: float = TAU_THM) -> DecompositionReport:
     """Compare the constrained value with the two-stage component value at tol.
 
-    Both sides come from one pass over the product atoms: the left-hand
-    side is the closed form (transport._atoms_ot) and each inner value is
-    its pair's cheapest atom. Each finite side carries a dual certificate
-    (u, v, lam), held against the raw inputs by check_certificate: u and v
-    are class potentials lifted through the component classes, and
-    transient points get a min over finite cells. The left-hand side takes
-    the outer transport's potentials; an inner pair (a, b) takes 0 on class
-    a and the inner row of a as column values, extended to the other rows
-    by a min over finite cells. One lam, with omega^T lam = c minus its
-    atom-weighted mean, serves every side. A side that is +inf in closed
-    form needs a Farkas ray instead; the lifted LP confirms it infeasible.
+    Both sides, and each finite side's plan and potentials, come from one
+    pass over the product atoms (transport._two_stage_proof, which states
+    the proof). Here one lam is solved from the constraint matrix for every
+    side, each certificate is held against the raw inputs by
+    check_certificate, and the lifted LP confirms each +inf side infeasible.
 
     Also checks, on the optimal constrained plan, that every conditional
     piece produced by decompose_plan costs at least the inner optimum of its
@@ -318,65 +266,34 @@ def verify_decomposition(mu: Measure, nu: Measure, c: CostMatrix,
     is optimal piecewise). A +inf cost cell carries no mass in these pieces,
     so they are costed with it set to 0, as the solvers cost their plans.
     """
-    _check_marginals(mu, nu, c, r)
-    t = _atom_table(c, r)
-    values = t.inner
-    kx, ky = values.shape
-    comps_x, _ = simplex_components(r.mx_spec)
-    comps_y, _ = simplex_components(r.my_spec)
-    wx = component_weights(mu, r.mx_spec)
-    wy = component_weights(nu, r.my_spec)
-    outer = _outer_ot(wx, wy, values)
-
-    # each finite side as (mu, nu, plan, class potentials, point potentials);
-    # each +inf side's marginals
-    sides, infinite = [], []
-    lhs_plan = None
-    if outer.status == "optimal":
-        lhs_plan = _atom_plan(t, outer.plan.p.ravel(), c)
-        sides.append((mu, nu, lhs_plan, outer.duals, _lifted_potentials(*outer.duals, t, c)))
-    else:
-        infinite.append((mu, nu))
-    plans, statuses = _qopt(t, c)
-    for a in range(kx):
-        # the pairs (a, b) share one dual: 0 on a, and each column's value from a
-        row = _extend_potentials(np.zeros(1), np.zeros(0), np.array([a]), np.zeros(0, np.intp),
-                                 values)
-        lifted = _lifted_potentials(*row, t, c)
-        for b in range(ky):
-            if plans[a][b] is None:
-                infinite.append((comps_x[a], comps_y[b]))
-            else:
-                sides.append((comps_x[a], comps_y[b], plans[a][b], row, lifted))
-    ceiling = max((float(np.max(al[:, None] + be)) for *_, (al, be), _ in sides), default=0.0)
-    lam = _multipliers(r, _constraint_target(t, c, ceiling))
-    certificates = tuple(check_certificate(m_x, m_y, c, r, plan, *uv, lam)
-                         for m_x, m_y, plan, _, uv in sides)
+    values, statuses, outer, lhs, sides, infinite, target = _two_stage_proof(mu, nu, c, r)
+    lam = _multipliers(r, target)
+    certificates = tuple(check_certificate(m_x, m_y, c, r, plan, u, v, lam)
+                         for m_x, m_y, plan, u, v in sides)
     certified = all(cert.passed for cert in certificates) and all(
         solve_constrained_ot(m_x, m_y, c, r, method="lp").status == "infeasible"
         for m_x, m_y in infinite)
 
-    lhs = math.inf if lhs_plan is None else float(np.sum(t.safe_cost * lhs_plan.p))
-    gap, agree = agreement(lhs, outer.value, tol, c.c)
+    gap, agree = agreement(lhs.value, outer.value, tol, c.c)
     comps_costs = np.zeros(0)
     qopt_ok = True
     atoms_finer = False
-    if lhs_plan is not None:
-        dec = decompose_plan(lhs_plan, r)
+    if lhs.plan is not None:
+        dec = decompose_plan(lhs.plan, r)
         pair = r.atom_pair
         # each conditional piece's cost, held on its cells against their pairs' inner values
         on = dec.class_of >= 0
-        cell_cost = _forbidden_cells(c.c)[1].ravel() * lhs_plan.p.ravel()
+        cell_cost = _forbidden_cells(c.c)[1].ravel() * lhs.plan.p.ravel()
         comps_costs = np.bincount(dec.class_of[on], weights=cell_cost[on]) / dec.weights
         inner = values.ravel()[pair[r.atom_of[on]]]
         qopt_ok = not np.any(comps_costs[dec.class_of[on]] < inner - TAU_LP * _scale(c.c))
         # the atoms are finer than the class rectangles when two share a pair
         atoms_finer = bool(np.unique(pair[pair >= 0]).size < np.count_nonzero(pair >= 0))
     return DecompositionReport(
-        lhs=lhs, rhs=outer.value, gap=gap, inner_table=values, outer_plan=outer.plan,
+        lhs=lhs.value, rhs=outer.value, gap=gap, inner_table=values, outer_plan=outer.plan,
         component_costs=tuple(comps_costs.tolist()), qopt_ok=qopt_ok,
         atoms_finer=atoms_finer, statuses=statuses, certificates=certificates,
-        certified=certified, proof=None if lhs_plan is None else (lhs_plan, *sides[0][4], lam),
+        certified=certified, proof=None if lhs.plan is None else (lhs.plan, *sides[0][3:], lam),
         passed=agree and qopt_ok and certified)
 
 

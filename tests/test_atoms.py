@@ -20,6 +20,7 @@ from ergot import (
     LinearRestriction,
     Measure,
     MissingProductStructureError,
+    check_certificate,
     enumerate_vertices,
     generate_instance,
     invariance_restriction,
@@ -301,6 +302,43 @@ def test_verify_decomposition_solves_no_lifted_lp(monkeypatch, spec):
     monkeypatch.undo()
     lifted = solve_constrained_ot(inst.mu, inst.nu, inst.cost, inst.restriction, method="lp")
     assert abs(lifted.value - rep.lhs) <= VALUE_TOL
+
+
+def one_pass_instances():
+    """A perm instance, a two-kernel instance with transient states, and a subgroup one."""
+    inst = generate_instance(InstanceSpec(n=8, kind="perm", cycle_type=(4, 2, 2), seed=3))
+    yield inst.mu, inst.nu, inst.cost, inst.restriction
+    rng = np.random.default_rng(113)
+    while True:
+        qx = random_decomposing_kernel(rng, 6)
+        qy = random_decomposing_kernel(rng, 5)
+        r = stationarity_restriction(qx, qy)
+        if np.any(r.atom_of < 0):
+            break
+    cost = CostMatrix(qx.space, qy.space, rng.uniform(0.0, 1.0, (6, 5)))
+    yield random_member(rng, r.mx_spec), random_member(rng, r.my_spec), cost, r
+    inst, r = subgroup_instance(9, (4, 3, 2), 1)
+    yield inst.mu, inst.nu, inst.cost, r
+
+
+@pytest.mark.parametrize("case", range(3), ids=["perm", "kernel-transient", "subgroup"])
+def test_verify_takes_its_left_hand_side_from_the_closed_form(case):
+    # one two-stage pass serves both: the default solve and verify's
+    # left-hand side are the same value and the same plan, bit for bit
+    mu, nu, cost, r = list(one_pass_instances())[case]
+    res = solve_constrained_ot(mu, nu, cost, r)
+    rep = verify_decomposition(mu, nu, cost, r)
+    assert rep.passed and res.method == "atoms"
+    assert res.value == rep.lhs
+    assert res.plan.p.tobytes() == rep.proof[0].p.tobytes()
+
+
+def test_certificate_check_names_no_atoms_and_no_transport_helper():
+    # the check must share nothing with the closed form it certifies
+    helpers = {name for name, obj in vars(ergot.transport).items()
+               if callable(obj) and getattr(obj, "__module__", None) == "ergot.transport"}
+    names = set(check_certificate.__code__.co_names)
+    assert helpers and not names & (helpers | {"atom_of", "atom_pair", "simplex_components"})
 
 
 def test_metric_decomposition_direct_side_stays_on_the_lp(monkeypatch):

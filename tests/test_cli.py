@@ -635,3 +635,30 @@ def test_flag_a_command_ignores_is_usage_error(capsys, command, flag, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+
+RANDOM = ["--random", "perm:n=4,count=1"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (RANDOM + ["--p", "nan"], "--p"), (RANDOM + ["--p", "0.5"], "--p"),
+    (RANDOM + ["--p", "2"], "--p"), (RANDOM + ["--check", "weak"], "--check"),
+    ([str(FIXTURE)] + RANDOM, "file"),
+    ([str(FIXTURE), "--seed", "3"], "--seed"), ([str(FIXTURE), "--jobs", "4"], "--jobs"),
+    ([str(FIXTURE), "--jobs", "1"], "--jobs"),
+])
+def test_verify_flag_of_the_other_mode_is_input_error(capsys, argv, flag):
+    # --random reads neither a problem file, --p nor --check; a problem file
+    # reads neither --seed nor --jobs
+    assert main(["verify", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().endswith(f"at {flag}")
+
+
+def test_verify_random_with_one_job_keeps_its_digest(capsys):
+    # --jobs reads 1 when it is not given, so both invocations hash the same flags
+    assert main(["verify", *RANDOM, "--jobs", "1"]) == 0
+    given = json.loads(capsys.readouterr().out)
+    assert main(["verify", *RANDOM]) == 0
+    assert json.loads(capsys.readouterr().out) == given
