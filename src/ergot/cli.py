@@ -52,8 +52,9 @@ from .restriction import (
     stationarity_restriction,
     subgroup_restriction,
 )
-from .transport import boundary_metric, lifted_metric, solve_constrained_ot, wasserstein
-from .verify import InstanceSpec, agreement, generate_instance, verify_decomposition
+from .transport import boundary_metric, lifted_metric, solve_constrained_ot
+from .verify import (InstanceSpec, _certified_distance, agreement, generate_instance,
+                     verify_decomposition)
 
 # Matrices and component lists hold n² floats: a bare point count must not
 # allocate without limit before any n-sized field is read.
@@ -444,10 +445,10 @@ def cmd_metric(args) -> int:
     results: dict = {"p": p, "dbar": bm.dbar.tolist(),
                      "components": [c.w.tolist() for c in bm.components]}
     if prob["mu"] is not None and prob["nu"] is not None:
-        direct = wasserstein(prob["mu"], prob["nu"], prob["metric"], p, r, method="lp")
+        direct, certified = _certified_distance(prob["mu"], prob["nu"], prob["metric"], p, r)
         lifted = lifted_metric(prob["mu"], prob["nu"], bm, r.mx_spec, p)
         gap, ok = agreement(direct, lifted, tol, prob["metric"].d)
-        results.update({"direct": direct, "lifted": lifted, "gap": gap, "pass": ok})
+        results.update({"direct": direct, "lifted": lifted, "gap": gap, "pass": ok and certified})
     ids = [str(i) for i in range(len(bm.components))]
     return _report(args, "metric", doc, {"p": p}, results, ok=results.get("pass", True),
                    csv=(("from", "to", "distance"), ids, ids, results["dbar"]))
@@ -503,6 +504,7 @@ def _verify_one(spec: InstanceSpec, tol: float) -> tuple[float, bool]:
 
 def cmd_verify(args) -> int:
     mode, unread = (("--random", ("file", "--p", "--check")) if args.random
+                    else ("FILE --check", ("--seed", "--jobs", "--p", "--tol")) if args.check
                     else ("FILE", ("--seed", "--jobs")))
     for flag in unread:
         if getattr(args, flag.lstrip("-")) is not None:
@@ -533,10 +535,10 @@ def cmd_verify(args) -> int:
 
     doc = _load(args.file)
     prob = parse_problem(doc)
-    p = _chosen_p(args, prob)
-    tol = _chosen_tol(args, prob)
     if args.check is not None:
         return _checks_report(args, "verify", doc, flags, prob, (args.check,))
+    p = _chosen_p(args, prob)
+    tol = _chosen_tol(args, prob)
     if prob["mu"] is None or prob["nu"] is None:
         raise ParseError("marginals", "verify needs both mu and nu")
     cost = _cost(prob, p, "verify")

@@ -7,14 +7,16 @@ components gives that pair's inner cost, and one small transport between
 the component weights mixes them. That is the paper's two-stage theorem
 used as an algorithm, and its plan is checked against every constraint.
 The same pass builds the proof of every side of that theorem
-(_two_stage_proof), which verify checks against the raw inputs.
+(_two_stage_proof), which verify checks against the raw inputs; under the
+cost d^p its inner table is the boundary metric (boundary_metric) and its
+left-hand side the certified direct distance of the metric identity.
 
 Plain transport (``solve_ot``, and the closed form's outer problem) runs on
 the transportation simplex in ``lp``, and its result carries the simplex's
 potentials, extended to the rows and columns without mass. Everything else
 is the lifted LP on the dense simplex in ``lp`` (``method="lp"`` keeps a
-restricted solve there: ``ergot solve``, the direct side of the metric
-identity and the tests' cross-checks ask for it), and its plan is checked
+restricted solve there: ``ergot solve``, the confirmation of +inf sides and
+the tests' cross-checks ask for it), and its plan is checked
 against every constraint before it is returned. Both are posed over the
 support of the marginals only (zero-mass rows and columns force their
 cells to zero, so dropping them is exact). The lifted LP has one marginal equality per
@@ -313,26 +315,20 @@ def _atoms_ot(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction):
                               status="optimal", method="atoms")
 
 
-def _qopt(t: _AtomTable, c: CostMatrix):
-    """(inner values, plans, statuses): each pair's cheapest atom, its weights normalised."""
-    kx, ky = t.inner.shape
-    statuses = np.where(np.isfinite(t.inner), "optimal", "infeasible").astype(object)
-    plans = [[None] * ky for _ in range(kx)]
-    for a, b in zip(*np.nonzero(statuses == "optimal")):
-        one = np.zeros(kx * ky)
-        one[a * ky + b] = 1.0
-        plans[a][b] = _atom_plan(t, one, c)
-    return t.inner, plans, statuses
+def _pair_plan(t: _AtomTable, a: int, b: int, c: CostMatrix) -> TransportPlan:
+    """The inner plan of component pair (a, b): its cheapest atom's weights, normalised."""
+    return _atom_plan(t, np.eye(1, t.inner.size, a * t.inner.shape[1] + b)[0], c)
 
 
 def _two_stage_proof(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction):
     """_atoms_ot's one pass, with the dual certificate of every finite side.
 
-    Returns (inner, statuses, outer, lhs, sides, infinite, target): _qopt's
-    values and statuses, the outer transport, _atoms_ot's OtResult, each
-    finite side's (mu, nu, plan, u, v) (the left-hand side first, then the
-    inner pairs row-major), each +inf side's (mu, nu), and what omega^T lam
-    must be. Marginals are checked as in solve_constrained_ot.
+    Returns (inner, outer, lhs, sides, target): the inner values, the outer
+    transport, _atoms_ot's OtResult, an iterator over every side's (mu, nu,
+    plan, u, v) (the left-hand side first, then the inner pairs row-major;
+    plan is None on a +inf side), and what omega^T lam must be.
+    Each inner plan is built only when its side is read. Marginals are
+    checked as in solve_constrained_ot.
 
     Kantorovich duality with linear constraints: a feasible plan P and
     potentials with c - u (+) v - omega^T lam >= 0 on every finite cell
@@ -348,26 +344,22 @@ def _two_stage_proof(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestricti
     t, outer, lhs = _atoms_ot(mu, nu, c, r)
     comps_x, _ = simplex_components(r.mx_spec)
     comps_y, _ = simplex_components(r.my_spec)
-    sides, infinite, duals = [], [], []   # duals: each finite side's class potentials
-    if lhs.plan is None:
-        infinite.append((mu, nu))
-    else:
-        sides.append((mu, nu, lhs.plan, *_lifted_potentials(*outer.duals, t, c)))
-        duals.append(outer.duals)
-    values, plans, statuses = _qopt(t, c)
-    for a in range(len(comps_x)):
-        # the pairs (a, b) share one dual: 0 on a, and each column's value from a
-        row = _extend_potentials(np.zeros(1), np.zeros(0), np.array([a]), np.zeros(0, np.intp),
-                                 values)
-        lifted = _lifted_potentials(*row, t, c)
-        for b in range(len(comps_y)):
-            if plans[a][b] is None:
-                infinite.append((comps_x[a], comps_y[b]))
-            else:
-                sides.append((comps_x[a], comps_y[b], plans[a][b], *lifted))
-                duals.append(row)
+    finite = np.isfinite(t.inner)
+    # the pairs (a, b) share one dual: 0 on a, and each column's value from a
+    rows = [_extend_potentials(np.zeros(1), np.zeros(0), np.array([a]), np.zeros(0, np.intp),
+                               t.inner) for a in range(len(comps_x))]
+    duals = [row for row, live in zip(rows, finite.any(axis=1)) if live]
+    duals += [] if outer.duals is None else [outer.duals]
     ceiling = max((float(np.max(al[:, None] + be)) for al, be in duals), default=0.0)
-    return values, statuses, outer, lhs, sides, infinite, _constraint_target(t, c, ceiling)
+
+    def sides():
+        lifted = (None, None) if outer.duals is None else _lifted_potentials(*outer.duals, t, c)
+        yield mu, nu, lhs.plan, *lifted
+        for a, row in enumerate(rows):
+            lifted = _lifted_potentials(*row, t, c)
+            for b, m_y in enumerate(comps_y):
+                yield comps_x[a], m_y, _pair_plan(t, a, b, c) if finite[a, b] else None, *lifted
+    return t.inner, outer, lhs, sides(), _constraint_target(t, c, ceiling)
 
 
 def _lifted_potentials(alpha, beta, t: _AtomTable, c: CostMatrix):
@@ -396,45 +388,56 @@ def _constraint_target(t: _AtomTable, c: CostMatrix, ceiling: float) -> np.ndarr
     return target
 
 
-def wasserstein(mu: Measure, nu: Measure, d: GroundMetric, p: float,
-                r: LinearRestriction, method: str | None = None) -> float:
-    """Restricted p-Wasserstein distance; +inf when no feasible plan exists.
-
-    method is passed to solve_constrained_ot: by default the closed form on
-    the product atoms when r has them, else the lifted LP. An optimal cost
-    at or below TAU_LP is reported as distance 0 (pth_root).
-    """
+def _metric_cost(d: GroundMetric, p: float) -> CostMatrix:
+    """The cost d^p of the p-Wasserstein distance; ValueError unless p >= 1."""
     if p < 1:
         raise ValueError(f"order p must be >= 1, got {p}")
+    return CostMatrix(d.space, d.space, d.d ** p)
+
+
+def wasserstein(mu: Measure, nu: Measure, d: GroundMetric, p: float,
+                r: LinearRestriction) -> float:
+    """Restricted p-Wasserstein distance; +inf when no feasible plan exists.
+
+    Solved by solve_constrained_ot's default: the closed form on the product
+    atoms when r has them, else the lifted LP. An optimal cost at or below
+    TAU_LP is reported as distance 0 (pth_root).
+    """
     if mu.space.labels != nu.space.labels or mu.space.labels != d.space.labels:
         raise ValueError("wasserstein needs both measures and the metric on one space")
-    cost = CostMatrix(d.space, d.space, d.d ** p)
-    res = solve_constrained_ot(mu, nu, cost, r, method)
+    res = solve_constrained_ot(mu, nu, _metric_cost(d, p), r)
     return pth_root(res.value, p) if res.status == "optimal" else math.inf
+
+
+def _require_split(spec: SimplexSpec, own: SimplexSpec, name: str):
+    """ValueError unless spec splits the points into components as own does."""
+    if spec is not own and not np.array_equal(simplex_components(spec)[1],
+                                              simplex_components(own)[1]):
+        raise ValueError(f"{name} does not split the points as the restriction's simplex does")
 
 
 def boundary_metric(spec: SimplexSpec, d: GroundMetric, p: float,
                     r: LinearRestriction) -> BoundaryMetricMatrix:
     """Restricted distance between every pair of extreme measures.
 
-    The restriction must be geometric on the component set (otherwise the
-    result need not be a metric); that is checked here and a failure raises
-    NotGeometricError.
-    Both triangles of the matrix are computed independently, so symmetry is
-    observable rather than forced. Entries may be +inf. Each entry is
-    solved in closed form on the product atoms (wasserstein's default).
+    Entry (a, b) is the p-th root of the inner value of the component pair
+    (a, b) under the cost d^p: one atom table gives them all (_atom_table),
+    so r must carry product atoms (MissingProductStructureError otherwise)
+    and spec must split the points as both of r's simplexes do (ValueError
+    otherwise). The restriction must be geometric on the component set
+    (otherwise the result need not be a metric); that is checked here and a
+    failure raises NotGeometricError. Every entry, the diagonal and both
+    triangles, is computed, so identity and symmetry are observable rather
+    than forced. Entries may be +inf.
     """
+    _require_split(spec, r.mx_spec, "spec")
+    _require_split(spec, r.my_spec, "spec")
     comps, _ = simplex_components(spec)
     geo = check_geometric(r, comps)
     if not geo.passed:
         raise NotGeometricError("restriction is not geometric on the component set: "
                                 + "; ".join(geo.failures[:3]))
-    k = len(comps)
-    dbar = np.zeros((k, k))
-    for a in range(k):
-        for b in range(k):
-            if a != b:
-                dbar[a, b] = wasserstein(comps[a], comps[b], d, p, r)
+    dbar = np.vectorize(pth_root)(_atom_table(_metric_cost(d, p), r).inner, p)
     return BoundaryMetricMatrix(tuple(comps), dbar)
 
 

@@ -12,12 +12,12 @@ potentials u, v beside the closed form; this module solves the constraint
 multipliers lam and checks each certificate with check_certificate, which
 reads only the raw cost, constraint matrix, marginals and plan. A side that
 is +inf in closed form has no such certificate; the lifted LP confirms it
-instead. Otherwise the lifted LP (method "lp") serves here only the direct
-side of verify_metric_decomposition.
+instead, and serves this module nothing else.
 
 verify_metric_decomposition does the same for distances: the restricted
-p-Wasserstein distance against the lifted boundary metric, plus the metric
-axiom suite for both.
+p-Wasserstein distance, from the same pass under the cost d^p with its
+left-hand certificate checked, against the lifted boundary metric, plus
+the metric axiom suite for both.
 
 generate_instance produces seeded random instances: a permutation action
 with a prescribed cycle type, or a block Markov kernel with prescribed
@@ -27,6 +27,7 @@ invariant, marginals are random mixtures of the ergodic components.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +45,7 @@ from .core import (
     SimplexSpec,
     StochKernel,
     TransportPlan,
+    pth_root,
 )
 from .ergodic import simplex_components, stationary_components
 from .restriction import (
@@ -55,13 +57,14 @@ from .restriction import (
 from .transport import (
     _atom_table,
     _forbidden_cells,
-    _qopt,
+    _metric_cost,
+    _pair_plan,
+    _require_split,
     _two_stage_proof,
     boundary_metric,
     decompose_plan,
     lifted_metric,
     solve_constrained_ot,
-    wasserstein,
 )
 
 
@@ -232,22 +235,54 @@ def _multipliers(r: LinearRestriction, target: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _statuses(values: np.ndarray) -> np.ndarray:
+    """"optimal" where an inner value is finite, "infeasible" where it is +inf."""
+    return np.where(np.isfinite(values), "optimal", "infeasible").astype(object)
+
+
 def build_qopt(spec_x: SimplexSpec, spec_y: SimplexSpec, c: CostMatrix,
                r: LinearRestriction):
     """Constrained optimal value and plan between every component pair.
 
     Returns (values, plans, statuses): values[a][b] is the constrained
     transport cost from component a of spec_x to component b of spec_y, +inf
-    where infeasible, all from one pass over r's product atoms (transport._qopt).
-    The table is constant on product atoms by construction, which is the
-    finite form of its measurability. The specs must split the points as r's
-    own simplexes do (ValueError otherwise).
+    where infeasible, all from one pass over r's product atoms; plans[a][b]
+    is that pair's cheapest atom plan (transport._pair_plan), None where
+    infeasible. The table is constant on product atoms by construction,
+    which is the finite form of its measurability. The specs must split the
+    points as r's own simplexes do (ValueError otherwise).
     """
-    for spec, own, side in ((spec_x, r.mx_spec, "spec_x"), (spec_y, r.my_spec, "spec_y")):
-        if spec is not own and not np.array_equal(simplex_components(spec)[1],
-                                                  simplex_components(own)[1]):
-            raise ValueError(f"{side} does not split the points as the restriction's simplex does")
-    return _qopt(_atom_table(c, r), c)
+    _require_split(spec_x, r.mx_spec, "spec_x")
+    _require_split(spec_y, r.my_spec, "spec_y")
+    t = _atom_table(c, r)
+    plans = [[_pair_plan(t, a, b, c) if np.isfinite(v) else None for b, v in enumerate(row)]
+             for a, row in enumerate(t.inner)]
+    return t.inner, plans, _statuses(t.inner)
+
+
+def _certify(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction,
+             count: int | None = None):
+    """transport._two_stage_proof's pass, its first count sides checked (every side if None).
+
+    Returns (values, outer, lhs, certificates, certified, proof) as
+    verify_decomposition reports them. One lam is solved from the constraint
+    matrix for every side, each finite side's certificate is held against
+    the raw inputs by check_certificate, and the lifted LP confirms each
+    +inf side infeasible. Sides are built and checked one at a time.
+    """
+    values, outer, lhs, sides, target = _two_stage_proof(mu, nu, c, r)
+    lam = _multipliers(r, target)
+    certificates, infinite, proof = [], [], None
+    for m_x, m_y, plan, u, v in itertools.islice(sides, count):
+        if plan is None:
+            infinite.append((m_x, m_y))
+        else:
+            certificates.append(check_certificate(m_x, m_y, c, r, plan, u, v, lam))
+            proof = (plan, u, v, lam) if plan is lhs.plan else proof
+    certified = all(cert.passed for cert in certificates) and all(
+        solve_constrained_ot(m_x, m_y, c, r, method="lp").status == "infeasible"
+        for m_x, m_y in infinite)
+    return values, outer, lhs, tuple(certificates), certified, proof
 
 
 def verify_decomposition(mu: Measure, nu: Measure, c: CostMatrix,
@@ -256,9 +291,7 @@ def verify_decomposition(mu: Measure, nu: Measure, c: CostMatrix,
 
     Both sides, and each finite side's plan and potentials, come from one
     pass over the product atoms (transport._two_stage_proof, which states
-    the proof). Here one lam is solved from the constraint matrix for every
-    side, each certificate is held against the raw inputs by
-    check_certificate, and the lifted LP confirms each +inf side infeasible.
+    the proof), and _certify checks every side.
 
     Also checks, on the optimal constrained plan, that every conditional
     piece produced by decompose_plan costs at least the inner optimum of its
@@ -266,14 +299,7 @@ def verify_decomposition(mu: Measure, nu: Measure, c: CostMatrix,
     is optimal piecewise). A +inf cost cell carries no mass in these pieces,
     so they are costed with it set to 0, as the solvers cost their plans.
     """
-    values, statuses, outer, lhs, sides, infinite, target = _two_stage_proof(mu, nu, c, r)
-    lam = _multipliers(r, target)
-    certificates = tuple(check_certificate(m_x, m_y, c, r, plan, u, v, lam)
-                         for m_x, m_y, plan, u, v in sides)
-    certified = all(cert.passed for cert in certificates) and all(
-        solve_constrained_ot(m_x, m_y, c, r, method="lp").status == "infeasible"
-        for m_x, m_y in infinite)
-
+    values, outer, lhs, certificates, certified, proof = _certify(mu, nu, c, r)
     gap, agree = agreement(lhs.value, outer.value, tol, c.c)
     comps_costs = np.zeros(0)
     qopt_ok = True
@@ -292,9 +318,8 @@ def verify_decomposition(mu: Measure, nu: Measure, c: CostMatrix,
     return DecompositionReport(
         lhs=lhs.value, rhs=outer.value, gap=gap, inner_table=values, outer_plan=outer.plan,
         component_costs=tuple(comps_costs.tolist()), qopt_ok=qopt_ok,
-        atoms_finer=atoms_finer, statuses=statuses, certificates=certificates,
-        certified=certified, proof=None if lhs.plan is None else (lhs.plan, *sides[0][3:], lam),
-        passed=agree and qopt_ok and certified)
+        atoms_finer=atoms_finer, statuses=_statuses(values), certificates=certificates,
+        certified=certified, proof=proof, passed=agree and qopt_ok and certified)
 
 
 def _axiom_suite(dist, triples, tol) -> list[str]:
@@ -345,37 +370,58 @@ def _memo(dist):
     return cached
 
 
+def _certified_distance(mu: Measure, nu: Measure, d: GroundMetric, p: float,
+                        r: LinearRestriction) -> tuple[float, bool]:
+    """The restricted p-Wasserstein distance from the closed form, and whether its proof holds.
+
+    The distance is the left-hand side of transport._two_stage_proof under
+    the cost d^p, checked by _certify as verify_decomposition checks its own
+    left-hand side; no inner plan is built.
+    """
+    lhs, _, certified, _ = _certify(mu, nu, _metric_cost(d, p), r, 1)[2:]
+    return pth_root(lhs.value, p), certified
+
+
 def verify_metric_decomposition(spec: SimplexSpec, d: GroundMetric, p: float,
                                 r: LinearRestriction,
                                 samples) -> MetricReport:
-    """Direct restricted distance (lifted LP) vs the lifted boundary metric, pair by pair.
+    """Certified direct restricted distance vs the lifted boundary metric, pair by pair.
 
     samples is either a list of (mu, nu) pairs or an integer count, in which
     case that many pairs are drawn by sample_member_pairs with its default
     seed. The boundary metric is computed once (its geometricity precondition
-    is enforced there). Sampled pairs are then chained into triples for the
-    axiom suite on both distance functions (to TAU_LP), which must also agree
-    on every pair (to TAU_THM), each tolerance relative to the metric's scale.
+    is enforced there). Each direct distance comes from the closed form with
+    its certificate checked (_certified_distance); a pair whose certificate
+    fails is a "direct:" failure. Sampled pairs are then chained into
+    triples for the axiom suite on both distance functions (to TAU_LP),
+    which must also agree on every pair (to TAU_THM), each tolerance
+    relative to the metric's scale.
     """
     if isinstance(samples, int):
         samples = sample_member_pairs(spec, samples)
     bm = boundary_metric(spec, d, p, r)
-    direct = _memo(lambda x, y: wasserstein(x, y, d, p, r, method="lp"))
+    gaps, pairwise = [], []        # pair failures: an unproven direct distance, a disagreement
+
+    def certified(x, y):
+        dist, ok = _certified_distance(x, y, d, p, r)
+        if not ok:
+            pairwise.append(f"direct: distance {dist:.9g} fails its certificate")
+        return dist
+    direct = _memo(certified)
     lifted = _memo(lambda x, y: lifted_metric(x, y, bm, spec, p))
 
-    gaps, disagree = [], []
     for t, (mu, nu) in enumerate(samples):
         dv, lv = direct(mu, nu), lifted(mu, nu)
         gap, agree = agreement(dv, lv, TAU_THM, d.d)
         gaps.append(gap)
         if not agree:
-            disagree.append(f"agreement: triple {t} direct {dv:.9g} vs lifted {lv:.9g}")
+            pairwise.append(f"agreement: triple {t} direct {dv:.9g} vs lifted {lv:.9g}")
     # triple t opens with sample pair t, so the loop above is its agreement check
     triples = [(a, b, samples[(t + 1) % len(samples)][0]) for t, (a, b) in enumerate(samples)]
     tol = TAU_LP * _scale(d.d)
     failures = [f"direct: {f}" for f in _axiom_suite(direct, triples, tol)]
     failures += [f"lifted: {f}" for f in _axiom_suite(lifted, triples, tol)]
-    failures += disagree
+    failures += pairwise
     return MetricReport(passed=not failures, max_gap=max(gaps, default=0.0), gaps=tuple(gaps),
                         axiom_failures=tuple(failures))
 

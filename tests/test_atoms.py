@@ -7,6 +7,8 @@ same value, the closed-form plan must have the right marginals and break no
 constraint, and on LPs small enough the vertex enumeration settles both.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -35,8 +37,8 @@ from ergot import (
     transport_simplex,
     verify_decomposition,
     verify_metric_decomposition,
-    wasserstein,
 )
+from ergot.cli import main
 from ergot.transport import _transport_lp
 from test_acceptance import CYCLE_TYPES
 from test_restriction import random_decomposing_kernel, random_partition
@@ -255,8 +257,6 @@ def test_method_is_validated():
     mu, nu, cost, r = fixture()
     with pytest.raises(ValueError, match="method"):
         solve_constrained_ot(mu, nu, cost, r, method="simplex")
-    with pytest.raises(ValueError, match="method"):
-        wasserstein(mu, nu, GroundMetric(mu.space, cost.c), 1.0, r, method="")
     hand_built = LinearRestriction(r.omega, r.mx_spec, r.my_spec)
     with pytest.raises(MissingProductStructureError):
         solve_constrained_ot(mu, nu, cost, hand_built, method="atoms")
@@ -341,7 +341,7 @@ def test_certificate_check_names_no_atoms_and_no_transport_helper():
     assert helpers and not names & (helpers | {"atom_of", "atom_pair", "simplex_components"})
 
 
-def test_metric_decomposition_direct_side_stays_on_the_lp(monkeypatch):
+def test_metric_decomposition_solves_no_lifted_lp(monkeypatch, capsys):
     mu, nu, cost, r = fixture()
     sizes = []
 
@@ -353,6 +353,8 @@ def test_metric_decomposition_direct_side_stays_on_the_lp(monkeypatch):
     rep = verify_metric_decomposition(r.mx_spec, GroundMetric(mu.space, cost.c), 1.0, r,
                                       [(mu, nu)])
     assert rep.passed
-    # the boundary metric and the lifted distance solve outer problems of at
-    # most 2 x 2 cells; the direct distance is the lifted 6 x 6 LP
-    assert max(sizes) == 36
+    # the boundary metric is one atom table and the direct distance the
+    # certified closed form, in the library and in ergot metric alike
+    assert main(["metric", str(Path(__file__).parent / "fixtures" / "c3x2.json")]) == 0
+    assert '"pass": true' in capsys.readouterr().out
+    assert sizes == []

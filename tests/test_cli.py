@@ -646,10 +646,12 @@ RANDOM = ["--random", "perm:n=4,count=1"]
     ([str(FIXTURE)] + RANDOM, "file"),
     ([str(FIXTURE), "--seed", "3"], "--seed"), ([str(FIXTURE), "--jobs", "4"], "--jobs"),
     ([str(FIXTURE), "--jobs", "1"], "--jobs"),
+    ([str(FIXTURE), "--check", "weak", "--p", "3"], "--p"),
+    ([str(FIXTURE), "--check", "weak", "--tol", "0.1"], "--tol"),
 ])
 def test_verify_flag_of_the_other_mode_is_input_error(capsys, argv, flag):
     # --random reads neither a problem file, --p nor --check; a problem file
-    # reads neither --seed nor --jobs
+    # reads neither --seed nor --jobs, and with --check neither --p nor --tol
     assert main(["verify", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -21,8 +21,10 @@ from ergot import (
     FiniteSpace,
     GroundMetric,
     GroupAction,
+    InstanceSpec,
     LinearRestriction,
     Measure,
+    MissingProductStructureError,
     NotFeasibleError,
     NotInSimplexError,
     TransportPlan,
@@ -30,6 +32,7 @@ from ergot import (
     decompose_plan,
     enumerate_vertices,
     full_simplex,
+    generate_instance,
     glue_plans,
     invariance_restriction,
     lifted_metric,
@@ -38,11 +41,13 @@ from ergot import (
     simplex_components,
     solve_constrained_ot,
     solve_ot,
+    stationarity_restriction,
     transpose_plan,
     wasserstein,
 )
 from ergot.cli import main
 from ergot.lp import LpProblem, LpSolution, solve_lp
+from test_acceptance import random_metric, retraction_kernel
 
 
 def fixture():
@@ -317,6 +322,46 @@ def test_boundary_metric_single_component():
     bm = boundary_metric(r.mx_spec, GroundMetric(sp, d), 1.0, r)
     assert bm.dbar.shape == (1, 1)
     assert bm.dbar[0, 0] == 0.0
+
+
+def boundary_cases():
+    """Geometric restrictions with random Euclidean metrics: perm and retraction kernels."""
+    rng = np.random.default_rng(31)
+    for seed, ct in enumerate([(3, 2, 2), (4, 4, 1), (2, 2, 2, 2), (5, 3)]):
+        inst = generate_instance(InstanceSpec(n=sum(ct), kind="perm", cycle_type=ct, seed=seed))
+        yield inst.restriction, random_metric(inst.space, rng)
+    for n, k in ((6, 3), (8, 4), (9, 2)):
+        sp = FiniteSpace.of_size(n)
+        q = retraction_kernel(sp, rng, k)
+        yield stationarity_restriction(q, q), random_metric(sp, rng)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+def test_boundary_metric_matches_per_pair_wasserstein(monkeypatch, p):
+    # one atom table gives every entry; each must be the restricted distance
+    # between its two extreme measures, and no entry is a solve of its own
+    for r, d in boundary_cases():
+        with monkeypatch.context() as patched:
+            patched.setattr(ergot.transport, "solve_constrained_ot", None)
+            bm = boundary_metric(r.mx_spec, d, p, r)
+        comps = bm.components
+        assert np.all(np.diag(bm.dbar) == 0.0)
+        for a, b in np.ndindex(bm.dbar.shape):
+            w = wasserstein(comps[a], comps[b], d, p, r)
+            assert abs(bm.dbar[a, b] - w) <= 1e-12 * max(1.0, w)
+
+
+def test_boundary_metric_rejects_a_spec_of_another_split():
+    _, _, metric, r, _ = fixture()
+    with pytest.raises(ValueError, match="split"):
+        boundary_metric(full_simplex(r.mx_spec.space), metric, 1.0, r)
+
+
+def test_boundary_metric_needs_product_atoms():
+    _, _, metric, r, _ = fixture()
+    hand_built = LinearRestriction(r.omega, r.mx_spec, r.my_spec)
+    with pytest.raises(MissingProductStructureError):
+        boundary_metric(r.mx_spec, metric, 1.0, hand_built)
 
 
 def test_lifted_metric_fixture():

@@ -1,5 +1,6 @@
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ from ergot import (
     StochKernel,
     averaging_kernel,
     TransportPlan,
+    boundary_metric,
     build_qopt,
     check_certificate,
     full_simplex,
     generate_instance,
     invariance_restriction,
     no_restriction,
+    sample_member_pairs,
     simplex_components,
     solve_constrained_ot,
     solve_ot,
@@ -32,6 +35,7 @@ from ergot import (
     verify_decomposition,
     verify_metric_decomposition,
 )
+from ergot.cli import main
 
 
 def fixture():
@@ -368,6 +372,56 @@ def test_verify_fails_when_a_certificate_breaks(monkeypatch):
     assert rep.gap <= 1e-12 and rep.qopt_ok
     assert not rep.certified and not rep.passed
     assert any(cert.failed == ("reduced",) for cert in rep.certificates)
+
+
+def test_a_broken_multiplier_fails_the_metric_identity(monkeypatch, capsys):
+    # the direct distance is the closed form itself, so only its certificate
+    # witnesses it: the two sides still agree, yet the identity fails
+    _, metric, r, comps = fixture()
+    pairs = [(mixture(comps, [0.5, 0.5]), mixture(comps, [0.25, 0.75]))]
+    assert verify_metric_decomposition(r.mx_spec, metric, 1.0, r, pairs).passed
+    honest = ergot.verify._multipliers
+    monkeypatch.setattr(ergot.verify, "_multipliers", lambda r, target: honest(r, target) + 0.1)
+    rep = verify_metric_decomposition(r.mx_spec, metric, 1.0, r, pairs)
+    assert not rep.passed and rep.max_gap <= 1e-12
+    assert any(f.startswith("direct:") and "certificate" in f for f in rep.axiom_failures)
+    assert main(["metric", str(Path(__file__).parent / "fixtures" / "c3x2.json")]) == 2
+    assert '"pass": false' in capsys.readouterr().out
+
+
+def rotation(n, step):
+    """x -> x + step on Z_n under circle distance, and its invariance restriction."""
+    sp = FiniteSpace.of_size(n)
+    x = np.arange(n)
+    act = GroupAction(sp, (("t", (x + step) % n),))
+    dist = np.abs(x[:, None] - x)
+    return GroundMetric(sp, np.minimum(dist, n - dist).astype(float)), invariance_restriction(act)
+
+
+@pytest.mark.parametrize("n, step, p", [(24, 6, 1.0), (24, 9, 1.0), (30, 12, 2.0)])
+def test_rotation_boundary_metric_is_the_quotient_circle_distance(n, step, p):
+    # the components are the uniform measures on the k = gcd(n, step) cosets
+    # j + kZ, and the boundary metric is the distance of the cycle Z_k between them
+    d, r = rotation(n, step)
+    k = math.gcd(n, step)
+    comps, cls = simplex_components(r.mx_spec)
+    coset = np.array([np.flatnonzero(cls == a)[0] % k for a in range(len(comps))])
+    delta = np.abs(coset[:, None] - coset) % k
+    bm = boundary_metric(r.mx_spec, d, p, r)
+    assert np.array_equal(bm.dbar, np.minimum(delta, k - delta).astype(float))
+
+    for mu, nu in sample_member_pairs(r.mx_spec, 3, seed=n + step):
+        rep = verify_decomposition(mu, nu, CostMatrix(d.space, d.space, d.d ** p), r)
+        assert rep.passed and len(rep.certificates) == 1 + k * k
+        assert all(cert.primal <= 1e-12 and cert.reduced >= -1e-12 and abs(cert.gap) <= 1e-12
+                   for cert in rep.certificates)
+
+
+def test_rotation_metric_identity_holds():
+    d, r = rotation(24, 6)
+    rep = verify_metric_decomposition(r.mx_spec, d, 1.0, r, samples=6)
+    assert rep.passed, rep.axiom_failures
+    assert rep.max_gap <= 1e-12
 
 
 def test_certificate_holds_at_any_cost_scale():
