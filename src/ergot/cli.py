@@ -64,6 +64,11 @@ MAX_POINTS = 2000
 MAX_MAGNITUDE = 1e300
 # --random builds its whole batch of instance specs before solving any.
 MAX_RANDOM_COUNT = 10_000
+# A worker process costs about 0.1 s to start and an instance of n <= 24
+# takes 2-6 ms to verify, so --jobs pools only batches that give each worker
+# at least this many instances; on 2 CPUs that is about where pooled runs of
+# n = 8 to 24 start to beat serial ones.
+MIN_BATCH_PER_WORKER = 16
 
 
 class ParseError(ValueError):
@@ -522,7 +527,7 @@ def cmd_verify(args) -> int:
                 raise ParseError("--seed", f"seed must be at least 0, got {args.seed}")
             specs = [dataclasses.replace(s, seed=args.seed + i) for i, s in enumerate(specs)]
         # the pool forks all its workers on the first submit, so size it to the batch
-        workers = min(jobs, len(specs))
+        workers = min(jobs, len(specs) // MIN_BATCH_PER_WORKER)
         if workers > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 runs = list(pool.map(functools.partial(_verify_one, tol=tol), specs))

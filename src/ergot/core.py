@@ -171,33 +171,97 @@ class ConstraintSet:
 
     <omega, p> is the entrywise inner product. The set may be empty, which
     means the problem is unconstrained. labels[i] records where constraint i
-    came from, e.g. "invariance:g:(0,4)", and row i of the read-only
-    (k, n*m) array matrix is that constraint flattened row-major, so the k
-    pairings with a plan p are matrix @ p.ravel().
+    came from, e.g. "invariance:g:(0,4)". The constraints are stored as the
+    nonzero entries of the (k, n*m) matrix whose row i is constraint i
+    flattened row-major: value[t] sits in row row[t] at cell cell[t] (x*m +
+    y). The entries are read-only and sorted by row, then cell: when built,
+    zero values are dropped and the rest sorted, and a repeated position or
+    an entry outside the matrix raises ValueError. No dense matrix is
+    stored: apply and apply_T pair the entries with a plan or a multiplier
+    vector, and dense builds the matrix for the few callers that need it.
     """
 
     row_space: FiniteSpace
     col_space: FiniteSpace
     labels: tuple[str, ...]
-    matrix: np.ndarray = field(repr=False)
+    row: np.ndarray = field(repr=False)
+    cell: np.ndarray = field(repr=False)
+    value: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        shape = (len(self.labels), self.row_space.n * self.col_space.n)
-        if np.size(self.matrix) != shape[0] * shape[1]:
-            raise ValueError(f"constraint matrix has shape {np.shape(self.matrix)}, expected {shape}")
-        object.__setattr__(self, "matrix", _freeze(self.matrix).reshape(shape))
+        k, size = len(self.labels), self.row_space.n * self.col_space.n
+        row, cell = (np.asarray(a, dtype=np.intp).ravel() for a in (self.row, self.cell))
+        value = np.asarray(self.value, dtype=float).ravel()
+        if not row.shape == cell.shape == value.shape:
+            raise ValueError(f"entry arrays differ in length: {row.size} rows, {cell.size} cells, "
+                             f"{value.size} values")
+        if row.size and not (0 <= row.min() and row.max() < k and 0 <= cell.min()
+                             and cell.max() < size):
+            raise ValueError(f"an entry lies outside the ({k}, {size}) constraint matrix")
+        on = value != 0
+        row, cell, value = row[on], cell[on], value[on]
+        key = row * size + cell
+        if np.any(key[1:] <= key[:-1]):
+            order = np.argsort(key, kind="stable")
+            row, cell, value, key = row[order], cell[order], value[order], key[order]
+            if np.any(key[1:] == key[:-1]):
+                raise ValueError("two entries share one (row, cell) position")
+        for name, a in (("row", row), ("cell", cell), ("value", value)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    @classmethod
+    def from_dense(cls, row_space: FiniteSpace, col_space: FiniteSpace, labels,
+                   matrix) -> "ConstraintSet":
+        """The set whose constraint i is matrix's i-th (n, m) block, read row-major.
+
+        matrix holds k*n*m numbers in any shape, k = len(labels); ValueError otherwise.
+        """
+        labels = tuple(labels)
+        shape = (len(labels), row_space.n * col_space.n)
+        if np.size(matrix) != shape[0] * shape[1]:
+            raise ValueError(f"constraint matrix has shape {np.shape(matrix)}, expected {shape}")
+        dense = np.asarray(matrix, dtype=float).reshape(shape)
+        row, cell = np.nonzero(dense)
+        return cls(row_space, col_space, labels, row, cell, dense[row, cell])
 
     def __len__(self):
         return len(self.labels)
 
+    def apply(self, p: np.ndarray) -> np.ndarray:
+        """The k pairings <omega_i, p> with an (n, m) plan array p."""
+        return np.bincount(self.row, weights=self.value * np.ravel(p)[self.cell],
+                           minlength=len(self))
+
+    def apply_T(self, lam: np.ndarray) -> np.ndarray:
+        """sum_i lam_i omega_i, flattened row-major to length n*m."""
+        return np.bincount(self.cell, weights=self.value * lam[self.row],
+                           minlength=self.row_space.n * self.col_space.n)
+
+    def dense(self, cells=None) -> np.ndarray:
+        """The (k, n*m) matrix, or its columns at the flat cell indices cells.
+
+        It takes k*n*m floats, O(n^4) for a restriction on X x X, so only
+        the lifted LP, the least-squares fallback for multipliers,
+        check_geometric and omegas build it.
+        """
+        size = self.row_space.n * self.col_space.n
+        cells = np.arange(size) if cells is None else np.asarray(cells, dtype=np.intp)
+        col = np.full(size, -1, dtype=np.intp)
+        col[cells] = np.arange(cells.size)
+        on = col[self.cell] >= 0
+        out = np.zeros((len(self), cells.size))
+        out[self.row[on], col[self.cell[on]]] = self.value[on]
+        return out
+
     @property
     def omegas(self) -> tuple[tuple[str, np.ndarray], ...]:
-        """(label, n x m view) pairs derived from labels and matrix. Only
-        perfbench's build counter reads them (res.omega.omegas), and the
-        benchmark's files change only with the benchmark itself."""
+        """(label, dense n x m matrix) pairs. Only perfbench's build counter
+        reads them (res.omega.omegas), in traced runs, and the benchmark's
+        files change only with the benchmark itself."""
         k, n, m = len(self), self.row_space.n, self.col_space.n
-        return tuple(zip(self.labels, self.matrix.reshape(k, n, m)))
+        return tuple(zip(self.labels, self.dense().reshape(k, n, m)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,7 +396,7 @@ def validate(obj) -> list[str]:
             i, j = np.unravel_index(int(np.argmax(~np.isfinite(obj.c))), obj.c.shape)
             out.append(f"non-finite cost at ({i},{j})")
     elif isinstance(obj, ConstraintSet):
-        for i in np.flatnonzero(~np.isfinite(obj.matrix).all(axis=1)):
+        for i in np.unique(obj.row[~np.isfinite(obj.value)]):
             out.append(f"constraint {obj.labels[i]!r} has non-finite entries")
     elif isinstance(obj, SimplexSpec):
         if obj.kind == "group":

@@ -10,7 +10,10 @@ decompose admissible plans into ergodic components.
 Constraint sets are finite spanning sets, never the full linear span: for
 invariance-style restrictions each product orbit contributes a spanning tree
 of difference matrices rooted at its smallest cell, which is exactly
-orbit-size - 1 independent constraints and forces orbit constancy.
+orbit-size - 1 independent constraints and forces orbit constancy. The
+builders emit only the nonzero entries (core.ConstraintSet): two per tree
+edge, or the sparse Kronecker product of two kernels' nonzeros, never the
+dense matrix.
 
 The checkers (weak regularity, geometricity, coherency) return reports with
 recorded failures instead of raising, except where their preconditions are
@@ -116,19 +119,18 @@ def _orbit_restriction(action: GroupAction, product_gens, family: str) -> Linear
     """Plans constant on the orbits of product_gens, (label, cell permutation) pairs.
 
     One search (ergodic._orbit_search) numbers the orbits, which are the
-    atoms, and its tree edge e = (cell, g(cell)) becomes row e of the
-    constraint matrix, with +1 at the parent cell and -1 at the child.
+    atoms, and its tree edge e = (cell, g(cell)) becomes constraint e, two
+    entries: +1 at the parent cell and -1 at the child.
     """
     n = action.space.n
     atom_of, edges = _orbit_search(n * n, [g.tolist() for _, g in product_gens])
     tags = [f"{family}:{lbl}:" for lbl, _ in product_gens]
     labels = [f"{tags[k]}({cell // n},{cell % n})" for k, cell, _ in edges]
     ends = np.array(edges, dtype=np.intp).reshape(-1, 3)[:, 1:]
-    matrix = np.zeros((len(ends), n * n))
-    matrix[np.arange(len(ends))[:, None], ends] = [1.0, -1.0]
+    omega = ConstraintSet(action.space, action.space, labels, np.repeat(np.arange(len(ends)), 2),
+                          ends, np.tile([1.0, -1.0], len(ends)))
     spec = invariant_simplex(action)
-    return LinearRestriction(omega=ConstraintSet(action.space, action.space, labels, matrix),
-                             mx_spec=spec, my_spec=spec, atom_of=atom_of)
+    return LinearRestriction(omega=omega, mx_spec=spec, my_spec=spec, atom_of=atom_of)
 
 
 def invariance_restriction(action: GroupAction) -> LinearRestriction:
@@ -199,12 +201,13 @@ def stationarity_restriction(qx: StochKernel, qy: StochKernel) -> LinearRestrict
     """Plans stationary for the product kernel Q(x,y) = Q^x tensor Q^y.
 
     Both kernels must individually pass check_ergodic_kernel. One constraint
-    matrix is emitted per product cell: the indicator of the cell minus the
-    corresponding column of the product kernel; all-zero matrices (identity
-    kernels) are pruned. The atoms are the rectangles of the two factors'
-    recurrent classes, so a cell is transient when either coordinate is.
-    When qy is qx, one simplex serves both sides, so its classes are derived
-    once.
+    is emitted per product cell w = (x', y'): the indicator of w minus the
+    column of the product kernel at w, qx[x, x'] qy[y, y'] at each (x, y),
+    built from the nonzeros of the two kernels alone (nnz(qx) nnz(qy)
+    entries). Constraints with no entry above TAU_MASS (identity kernels)
+    are pruned. The atoms are the rectangles of the two factors' recurrent
+    classes, so a cell is transient when either coordinate is. When qy is
+    qx, one simplex serves both sides, so its classes are derived once.
     """
     for name, q in (("qx", qx),) if qy is qx else (("qx", qx), ("qy", qy)):
         chk = check_ergodic_kernel(q)
@@ -212,21 +215,38 @@ def stationarity_restriction(qx: StochKernel, qy: StochKernel) -> LinearRestrict
             raise ValueError(
                 f"{name} fails the decomposing-kernel check at rows {chk.offending}")
     nx_, ny = qx.space.n, qy.space.n
-    rows = np.eye(nx_ * ny) - np.kron(qx.q, qy.q).T
-    cells = np.flatnonzero(np.max(np.abs(rows), axis=1, initial=0.0) > TAU_MASS)
-    labels = [f"stationarity:({c // ny},{c % ny})" for c in cells]
+    xs, xt = np.nonzero(qx.q)
+    ys, yt = np.nonzero(qy.q)
+    row = (xt[:, None] * ny + yt).ravel()
+    cell = (xs[:, None] * ny + ys).ravel()
+    value = -(qx.q[xs, xt][:, None] * qy.q[ys, yt]).ravel()
+    # the indicator of w, with the kernel's own entry at w folded in
+    on = row == cell
+    diag = np.ones(nx_ * ny)
+    diag[row[on]] += value[on]
+    row = np.concatenate([row[~on], np.arange(nx_ * ny)])
+    cell = np.concatenate([cell[~on], np.arange(nx_ * ny)])
+    value = np.concatenate([value[~on], diag])
+    peak = np.zeros(nx_ * ny)
+    np.maximum.at(peak, row, np.abs(value))
+    cells = np.flatnonzero(peak > TAU_MASS)
+    renumber = np.full(nx_ * ny, -1, dtype=np.intp)
+    renumber[cells] = np.arange(cells.size)
+    kept = renumber[row] >= 0
+    labels = [f"stationarity:({c // ny},{c % ny})" for c in cells.tolist()]
+    omega = ConstraintSet(qx.space, qy.space, labels, renumber[row[kept]], cell[kept], value[kept])
     mx_spec = stationary_simplex(qx)
     my_spec = mx_spec if qy is qx else stationary_simplex(qy)
     cx, cy = (simplex_components(spec)[1] for spec in (mx_spec, my_spec))
     atom_of = np.where((cx[:, None] < 0) | (cy < 0), -1, cx[:, None] * (cy.max() + 1) + cy)
-    return LinearRestriction(omega=ConstraintSet(qx.space, qy.space, labels, rows[cells]),
-                             mx_spec=mx_spec, my_spec=my_spec, atom_of=atom_of.ravel())
+    return LinearRestriction(omega=omega, mx_spec=mx_spec, my_spec=my_spec,
+                             atom_of=atom_of.ravel())
 
 
 def no_restriction(row_space: FiniteSpace, col_space: FiniteSpace) -> LinearRestriction:
     """The unconstrained problem: empty omega, full simplexes, Dirac atoms."""
     return LinearRestriction(
-        omega=ConstraintSet(row_space, col_space, (), np.zeros((0, row_space.n * col_space.n))),
+        omega=ConstraintSet(row_space, col_space, (), (), (), ()),
         mx_spec=full_simplex(row_space), my_spec=full_simplex(col_space),
         atom_of=np.arange(row_space.n * col_space.n))
 
@@ -239,13 +259,17 @@ def product_atoms(r: LinearRestriction) -> tuple[list[tuple[int, ...]], np.ndarr
     """
     if r.atom_of is None:
         raise MissingProductStructureError("restriction carries no product atoms")
-    return ([tuple(np.flatnonzero(r.atom_of == k).tolist())
-             for k in range(int(r.atom_of.max(initial=-1)) + 1)], r.atom_of.copy())
+    live = np.flatnonzero(r.atom_of >= 0)
+    # one stable sort groups the live cells by atom, each group in increasing cell order
+    by_atom = live[np.argsort(r.atom_of[live], kind="stable")]
+    sizes = np.bincount(r.atom_of[live], minlength=int(r.atom_of.max(initial=-1)) + 1)
+    return ([tuple(a.tolist()) for a in np.split(by_atom, np.cumsum(sizes))[:-1]],
+            r.atom_of.copy())
 
 
 def plan_violations(pi: TransportPlan, r: LinearRestriction) -> list[tuple[str, float]]:
     """(label, |<omega, p>|) for every constraint the plan breaks beyond TAU_LP."""
-    v = np.abs(r.omega.matrix @ pi.p.ravel())
+    v = np.abs(r.omega.apply(pi.p))
     return [(r.omega.labels[i], float(v[i])) for i in np.flatnonzero(v > TAU_LP)]
 
 
@@ -288,12 +312,14 @@ def check_geometric(r: LinearRestriction, samples: list[Measure]) -> CheckReport
     singular vectors of the stacked constraint matrix whose singular values
     exceed TAU_RANK span the row space; each transposed omega is projected
     off them, and a max-abs residual above TAU_RANK records a failure.
-    Requires both marginal spaces to coincide.
+    Requires both marginal spaces to coincide. It builds the dense (k, n*n)
+    matrix (ConstraintSet.dense) for the SVD, so it is for small n.
     """
     if r.row_space.labels != r.col_space.labels:
         raise ValueError("geometricity only makes sense for plans on X x X")
     n = r.row_space.n
-    mats = r.omega.matrix.reshape(-1, n, n)
+    rows = r.omega.dense()
+    mats = rows.reshape(-1, n, n)
     s = np.array([mu.w for mu in samples]).reshape(len(samples), n)
     diag = np.abs(mats.diagonal(axis1=1, axis2=2) @ s.T)
     prod = np.abs(s @ mats @ s.T)
@@ -304,7 +330,6 @@ def check_geometric(r: LinearRestriction, samples: list[Measure]) -> CheckReport
                      for k in np.flatnonzero(diag[i] > TAU_LP)]
         failures += [f"{lbl}: product pairing with samples ({ka},{kb}) is {prod[i, ka, kb]:.3g}"
                      for ka, kb in np.argwhere(prod[i] > TAU_LP)]
-    rows = r.omega.matrix
     if len(rows):
         _, sv, vt = np.linalg.svd(rows, full_matrices=False)
         basis = vt[sv > TAU_RANK]
@@ -326,13 +351,14 @@ def check_coherency(r: LinearRestriction, pi_samples: Iterable[TransportPlan]) -
     """
     if r.atom_of is None:
         raise MissingProductStructureError("restriction carries no product atoms")
-    # the nonzero entries on live cells, grouped by (constraint, atom) in row-major order
-    rows, cells = np.nonzero(r.omega.matrix * (r.atom_of >= 0))
+    # the entries on live cells, grouped by (constraint, atom) in row-major order
+    live = r.atom_of[r.omega.cell] >= 0
+    rows, cells, values = r.omega.row[live], r.omega.cell[live], r.omega.value[live]
     keys, group = np.unique(np.column_stack([rows, r.atom_of[cells]]), axis=0, return_inverse=True)
     failures = []
     for k, pi in enumerate(pi_samples):
         _require_feasible(pi, r, f"sample plan {k}")
-        pair = np.abs(np.bincount(group, weights=r.omega.matrix[rows, cells] * pi.p.ravel()[cells]))
+        pair = np.abs(np.bincount(group, weights=values * pi.p.ravel()[cells]))
         failures += [f"plan {k}, {r.omega.labels[i]}: pairing on atom {a} is {v:.3g}"
                      for (i, a), v in zip(keys.tolist(), pair.tolist()) if v > TAU_LP]
     return CheckReport(passed=not failures, failures=tuple(failures))

@@ -21,7 +21,10 @@ against every constraint before it is returned. Both are posed over the
 support of the marginals only (zero-mass rows and columns force their
 cells to zero, so dropping them is exact). The lifted LP has one marginal equality per
 support row, one per support column except the last (the marginal system
-overdetermines by one row), and one equality per constraint matrix.
+overdetermines by one row), and one equality per constraint matrix that
+does not vanish on the variable cells; it is the one solve that builds
+dense constraint rows, on those cells only (ConstraintSet.dense). The
+closed form checks its plan with ConstraintSet.apply and never does.
 Cost cells of +inf carry no mass: the lifted LP leaves them out of its
 variable set, the transportation simplex forbids them; a NaN or -inf cost
 is an error.
@@ -83,14 +86,14 @@ class PlanDecomposition:
     class_of: np.ndarray           # product cell -> component index, -1 if unweighted
 
 
-def _transport_lp(mu_w, nu_w, cost, constraints, forbid=None):
+def _transport_lp(mu_w, nu_w, cost, omega, forbid=None):
     """Assemble the support-restricted lifted transport LP.
 
     Returns (problem, row_idx, col_idx, keep) where the LP variables are the
-    kept cells of row_idx x col_idx in row-major order. constraints is the
-    (k, n*m) constraint matrix (ConstraintSet.matrix); its rows that vanish
-    on the variable set are dropped. forbid is an optional boolean matrix of
-    cells excluded from the variable set (used for +inf costs).
+    kept cells of row_idx x col_idx in row-major order. omega is the
+    ConstraintSet, densified on the variable cells only; its rows that vanish
+    there are dropped. forbid is an optional boolean matrix of cells
+    excluded from the variable set (used for +inf costs).
     """
     rows = np.flatnonzero(mu_w > TAU_MASS)
     cols = np.flatnonzero(nu_w > TAU_MASS)
@@ -101,7 +104,7 @@ def _transport_lp(mu_w, nu_w, cost, constraints, forbid=None):
     marginals = np.vstack([np.kron(np.eye(nr), np.ones(nc)),
                            np.kron(np.ones(nr), np.eye(nc))[:nc - 1]])[:, keep]
     cells = (rows[:, None] * cost.shape[1] + cols).reshape(-1)[keep]
-    sub = constraints[:, cells]
+    sub = omega.dense(cells)
     sub = sub[np.max(np.abs(sub), axis=1, initial=0.0) > 1e-15]
     obj = cost[np.ix_(rows, cols)].reshape(-1)[keep]
     prob = LpProblem(objective=obj, eq_matrix=np.vstack([marginals, sub]),
@@ -133,7 +136,7 @@ def _solve_transport(mu_w, nu_w, cost, row_space, col_space,
         sol = transport_simplex(mu_w[rows], nu_w[cols], cost[np.ix_(rows, cols)])
         keep = slice(None)
     else:
-        prob, rows, cols, keep = _transport_lp(mu_w, nu_w, safe_cost, r.omega.matrix, forbid)
+        prob, rows, cols, keep = _transport_lp(mu_w, nu_w, safe_cost, r.omega, forbid)
         sol = solve_lp(prob)
     if sol.status != "optimal":
         return OtResult(value=math.inf, plan=None, status="infeasible")

@@ -9,8 +9,10 @@ the two-stage formula itself, so their agreement alone would be a
 tautology. The witness is a dual certificate on every side (Kantorovich
 duality with linear constraints): transport builds each side's plan and
 potentials u, v beside the closed form; this module solves the constraint
-multipliers lam and checks each certificate with check_certificate, which
-reads only the raw cost, constraint matrix, marginals and plan. A side that
+multipliers lam from the stored constraint entries and checks each
+certificate with check_certificate, which reads only the raw cost,
+constraints, marginals and plan; neither builds the dense constraint
+matrix, except for the least-squares fallback of _multipliers. A side that
 is +inf in closed form has no such certificate; the lifted LP confirms it
 instead, and serves this module nothing else.
 
@@ -185,7 +187,8 @@ def check_certificate(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestrict
       gap      <c, P> - <u, mu> - <v, nu> over the finite cells, held at
                TAU_LP * scale;
     where scale is max(1, largest finite |c|). The check reads only c, the
-    constraint matrix, mu, nu and the plan: no atoms and no solver.
+    constraints (omega p and omega^T lam through ConstraintSet.apply and
+    apply_T), mu, nu and the plan: no atoms and no solver.
     """
     k, (n, m) = len(r.omega), c.c.shape
     if np.shape(u) != (n,) or np.shape(v) != (m,) or np.shape(lam) != (k,):
@@ -196,13 +199,28 @@ def check_certificate(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestrict
     primal = max(float(np.max(np.abs(p.sum(axis=1) - mu.w))),
                  float(np.max(np.abs(p.sum(axis=0) - nu.w))),
                  -float(p.min()), float(p[~finite].sum()), max((b for _, b in broken), default=0.0))
-    red = c.c - u[:, None] - v - (r.omega.matrix.T @ lam).reshape(n, m)
+    red = c.c - u[:, None] - v - r.omega.apply_T(lam).reshape(n, m)
     reduced = float(np.min(red[finite], initial=math.inf))
     gap = float(np.sum(np.where(finite, c.c, 0.0) * p) - u @ mu.w - v @ nu.w)
     tol = TAU_LP * _scale(c.c)
     failed = tuple(name for name, ok in (("primal", primal <= TAU_LP), ("reduced", reduced >= -tol),
                                          ("gap", gap <= tol)) if not ok)
     return CertificateCheck(primal, reduced, gap, failed)
+
+
+def _heads(omega) -> np.ndarray:
+    """Each row's cell of largest entry, the lowest cell among ties (0 for a row with none).
+
+    The entries are sorted by row, then cell, so the first entry that meets
+    its row's maximum is the one np.argmax picks from the dense row.
+    """
+    starts = np.flatnonzero(np.diff(omega.row, prepend=-1))
+    peak = np.maximum.reduceat(omega.value, starts)
+    hit = np.flatnonzero(omega.value == np.repeat(peak, np.diff(starts, append=omega.row.size)))
+    first = hit[np.flatnonzero(np.diff(omega.row[hit], prepend=-1))]
+    heads = np.zeros(len(omega), dtype=np.intp)
+    heads[omega.row[first]] = omega.cell[first]
+    return heads
 
 
 def _multipliers(r: LinearRestriction, target: np.ndarray) -> np.ndarray:
@@ -212,26 +230,33 @@ def _multipliers(r: LinearRestriction, target: np.ndarray) -> np.ndarray:
     emitted after their parents, as the orbit builders write them) are solved
     by subtree sums: each edge carries minus the target summed over the
     subtree below it. Otherwise each row is taken to belong to its one
-    positive cell, as stationarity's rows e_w - K[:, w] of an idempotent
-    product kernel K do; then lam is the target there. Should neither fit,
-    least squares decides.
+    positive cell, its head (_heads), as stationarity's rows e_w - K[:, w]
+    of an idempotent product kernel K do; then lam is the target there.
+    Both read the stored entries. Should neither fit, least squares on the
+    dense matrix decides.
     """
-    rows = r.omega.matrix
-    if not len(rows):
+    om = r.omega
+    k = len(om)
+    if not k:
         return np.zeros(0)
-    heads, tails = rows.argmax(axis=1), rows.argmin(axis=1)
-    if (np.all(np.count_nonzero(rows, axis=1) == 2) and np.all(rows.sum(axis=1) == 0)
-            and np.all(rows.max(axis=1) == 1) and np.unique(tails).size == tails.size):
-        below = target.tolist()
-        lam = [0.0] * len(rows)
-        for e, (head, tail) in reversed(list(enumerate(zip(heads.tolist(), tails.tolist())))):
-            lam[e] = -below[tail]
-            below[head] += below[tail]
-        lam = np.array(lam)
-    else:
-        lam = target[heads]
-    if np.max(np.abs(rows.T @ lam - target)) > TAU_LP * _scale(target):
-        lam = np.linalg.lstsq(rows.T, target, rcond=None)[0]
+    lam = None
+    if np.array_equal(om.row, np.repeat(np.arange(k), 2)):
+        # two entries per row, in cell order: a tree edge when they are +1 and -1
+        value, cell = om.value.reshape(k, 2), om.cell.reshape(k, 2)
+        up = value[:, 0] > value[:, 1]
+        heads, tails = np.where(up, cell[:, 0], cell[:, 1]), np.where(up, cell[:, 1], cell[:, 0])
+        if (np.all(value.max(axis=1) == 1) and np.all(value.sum(axis=1) == 0)
+                and np.unique(tails).size == k):
+            below = target.tolist()
+            lam = [0.0] * k
+            for e, (head, tail) in reversed(list(enumerate(zip(heads.tolist(), tails.tolist())))):
+                lam[e] = -below[tail]
+                below[head] += below[tail]
+            lam = np.array(lam)
+    if lam is None:
+        lam = target[_heads(om)]
+    if np.max(np.abs(om.apply_T(lam) - target)) > TAU_LP * _scale(target):
+        lam = np.linalg.lstsq(om.dense().T, target, rcond=None)[0]
     return lam
 
 

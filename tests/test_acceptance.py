@@ -188,7 +188,7 @@ def test_simplex_matches_vertex_enumeration_on_lps_up_to_16_variables():
             nu = mixture(r.mx_spec, wts[1])
             cost = CostMatrix(space, space, rng.uniform(0.0, 1.0, (n, n)))
             res = solve_constrained_ot(mu, nu, cost, r)
-            prob = transport_lp_problem(mu.w, nu.w, cost.c, r.omega.matrix)
+            prob = transport_lp_problem(mu.w, nu.w, cost.c, r.omega.dense())
             best = min(float(prob.objective @ v) for v in enumerate_vertices(prob))
             assert res.status == "optimal"
             assert abs(res.value - best) <= 1e-9

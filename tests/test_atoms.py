@@ -70,7 +70,7 @@ def assert_atoms_match_lp(mu, nu, cost, r):
     assert p.min() >= 0.0
     assert not plan_violations(atoms.plan, r)
     assert atoms.value == float(np.sum(cost.c * p))
-    prob, *_ = _transport_lp(mu.w, nu.w, cost.c, r.omega.matrix)
+    prob, *_ = _transport_lp(mu.w, nu.w, cost.c, r.omega)
     if prob.num_vars <= 16:
         vertices = enumerate_vertices(prob)
         assert abs(min(prob.objective @ v for v in vertices) - atoms.value) <= VALUE_TOL

@@ -143,7 +143,8 @@ def test_verify_random_passes_the_false_infeasible_kernel_reproducer(capsys):
 
 
 def test_verify_random_parallel_matches_serial():
-    args = ("verify", "--random", "perm:n=6,cycles=3+3,count=6,seed=3")
+    # 32 instances give each of 2 workers MIN_BATCH_PER_WORKER, so a real pool runs
+    args = ("verify", "--random", "perm:n=6,cycles=3+3,count=32,seed=3")
     serial = run_cli(*args)
     parallel = run_cli(*args, "--jobs", "2")
     a = json.loads(serial.stdout)["results"]["gaps"]
@@ -591,10 +592,13 @@ def test_jobs_below_one_is_input_error(capsys, jobs):
     assert captured.err.strip().endswith("at --jobs")
 
 
-@pytest.mark.parametrize("jobs, count, sizes", [("5000", 3, [3]), ("2", 3, [2]), ("4", 1, [])])
+@pytest.mark.parametrize("jobs, count, sizes", [("5000", 48, [3]), ("2", 48, [2]), ("4", 1, []),
+                                                 ("2", 31, [])])
 def test_verify_pool_is_sized_to_the_batch(tmp_path, monkeypatch, jobs, count, sizes):
     # the pool forks all max_workers processes on its first submit, so a
-    # large --jobs must not reach it; the stand-in pool maps in process
+    # large --jobs must not reach it, and each worker gets at least
+    # MIN_BATCH_PER_WORKER (16) instances, so a small batch runs serially;
+    # the stand-in pool maps in process
     import ergot.cli
     recorded = []
 

@@ -211,27 +211,50 @@ def test_of_size_labels():
     assert sp.n == 3
 
 
-def test_constraint_set_stores_labels_and_one_read_only_matrix():
+def test_constraint_set_stores_labels_and_read_only_nonzero_entries():
     sp = space2()
     om = np.array([[1.0, -1.0], [0.0, 0.0]])
-    cs = ConstraintSet(sp, sp, ["tie"], om)
+    cs = ConstraintSet.from_dense(sp, sp, ["tie"], om)
     assert cs.labels == ("tie",) and len(cs) == 1
-    assert cs.matrix.shape == (1, 4) and not cs.matrix.flags.writeable
+    assert cs.row.tolist() == [0, 0] and cs.cell.tolist() == [0, 1]
+    assert cs.value.tolist() == [1.0, -1.0]
+    assert not any(a.flags.writeable for a in (cs.row, cs.cell, cs.value))
+    assert cs.dense().shape == (1, 4) and np.array_equal(cs.dense(), om.reshape(1, 4))
+    assert np.array_equal(cs.dense([1, 3]), [[-1.0, 0.0]])
     ((lbl, view),) = cs.omegas
     assert lbl == "tie" and np.array_equal(view, om)
+
+
+def test_constraint_set_sorts_its_entries_and_drops_zeros():
+    sp = space2()
+    cs = ConstraintSet(sp, sp, ("a", "b"), [1, 0, 1, 0], [2, 3, 0, 1], [5.0, 0.0, -1.0, 2.0])
+    assert list(zip(cs.row.tolist(), cs.cell.tolist(), cs.value.tolist())) == [
+        (0, 1, 2.0), (1, 0, -1.0), (1, 2, 5.0)]
+
+
+@pytest.mark.parametrize("row, cell, value, match", [
+    ([0, 0], [1, 1], [1.0, 2.0], "share one"),
+    ([1], [0], [1.0], "outside"),
+    ([0], [4], [1.0], "outside"),
+    ([0, 0], [1], [1.0], "differ in length"),
+])
+def test_constraint_set_rejects_bad_entries(row, cell, value, match):
+    sp = space2()
+    with pytest.raises(ValueError, match=match):
+        ConstraintSet(sp, sp, ("a",), row, cell, value)
 
 
 def test_constraint_set_rejects_a_mis_shaped_matrix():
     sp = space2()
     with pytest.raises(ValueError, match=r"shape \(1, 4\), expected \(2, 4\)"):
-        ConstraintSet(sp, sp, ("a", "b"), np.zeros((1, 4)))
+        ConstraintSet.from_dense(sp, sp, ("a", "b"), np.zeros((1, 4)))
     with pytest.raises(ValueError, match=r"expected \(0, 6\)"):
-        ConstraintSet(sp, FiniteSpace.of_size(3), (), np.zeros((1, 6)))
+        ConstraintSet.from_dense(sp, FiniteSpace.of_size(3), (), np.zeros((1, 6)))
 
 
 def test_validate_names_a_non_finite_constraint():
     sp = space2()
     m = np.zeros((2, 4))
     m[1, 2] = np.inf
-    assert validate(ConstraintSet(sp, sp, ("ok", "bad"), m)) == [
+    assert validate(ConstraintSet.from_dense(sp, sp, ("ok", "bad"), m)) == [
         "constraint 'bad' has non-finite entries"]

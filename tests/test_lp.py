@@ -380,7 +380,7 @@ def test_degenerate_transport_lp_reports_degenerate_pivots():
     # equal-mass points make the lifted transport polytope degenerate
     inst = generate_instance(InstanceSpec(n=6, kind="perm", cycle_type=(3, 3), seed=0))
     prob, *_ = ergot.transport._transport_lp(inst.mu.w, inst.nu.w, inst.cost.c,
-                                              inst.restriction.omega.matrix)
+                                              inst.restriction.omega)
     sol = solve_lp(prob)
     assert sol.status == "optimal"
     assert 0 < sol.degenerate_pivots < sol.pivots

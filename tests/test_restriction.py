@@ -107,7 +107,7 @@ def test_subgroup_diagonal_pairs_reproduce_invariance():
     g = act.generators[0][1]
     inv = invariance_restriction(act)
     sub = subgroup_restriction(act, [(g, g)])
-    mats_inv, mats_sub = inv.omega.matrix, sub.omega.matrix
+    mats_inv, mats_sub = inv.omega.dense(), sub.omega.dense()
     assert numerical_rank(mats_inv) == numerical_rank(mats_sub)
     assert numerical_rank(mats_inv, mats_sub) == numerical_rank(mats_inv)
 
@@ -161,9 +161,9 @@ def test_stationarity_of_averaging_kernel_is_product_group_invariance():
         g = act.generators[0][1]
         e = np.arange(n, dtype=np.intp)
         q = averaging_kernel(act)
-        mk = stationarity_restriction(q, q).omega.matrix
-        mp = subgroup_restriction(act, [(g, e), (e, g)]).omega.matrix
-        md = invariance_restriction(act).omega.matrix
+        mk = stationarity_restriction(q, q).omega.dense()
+        mp = subgroup_restriction(act, [(g, e), (e, g)]).omega.dense()
+        md = invariance_restriction(act).omega.dense()
         assert numerical_rank(mk) == numerical_rank(mp)
         assert numerical_rank(mk, mp) == numerical_rank(mk)
         # diagonal invariance sits strictly inside
@@ -201,7 +201,7 @@ def test_weak_regularity_failure_on_forbidden_cell():
     om = np.zeros((2, 2))
     om[0, 0] = 1.0
     r = LinearRestriction(
-        ConstraintSet(sp, sp, ("cell00",), om),
+        ConstraintSet.from_dense(sp, sp, ("cell00",), om),
         full_simplex(sp), full_simplex(sp))
     dirac = Measure(sp, np.array([1.0, 0.0]))
     rep = check_weak_regularity(r, [(dirac, dirac)])
@@ -232,7 +232,7 @@ def test_geometric_fails_on_single_cell_constraint():
     om = np.zeros((2, 2))
     om[0, 1] = 1.0
     r = LinearRestriction(
-        ConstraintSet(sp, sp, ("cell01",), om),
+        ConstraintSet.from_dense(sp, sp, ("cell01",), om),
         full_simplex(sp), full_simplex(sp))
     uniform = Measure(sp, np.array([0.5, 0.5]))
     rep = check_geometric(r, [uniform])
@@ -248,8 +248,8 @@ def test_geometric_empty_constraints():
 def _transpose_failures(mats):
     n = mats.shape[1]
     sp = FiniteSpace.of_size(n)
-    r = LinearRestriction(ConstraintSet(sp, sp, [f"w{i}" for i in range(len(mats))], mats),
-                          full_simplex(sp), full_simplex(sp))
+    omega = ConstraintSet.from_dense(sp, sp, [f"w{i}" for i in range(len(mats))], mats)
+    r = LinearRestriction(omega, full_simplex(sp), full_simplex(sp))
     rep = check_geometric(r, [Measure(sp, np.full(n, 1.0 / n))])
     return [f for f in rep.failures if "transpose" in f]
 
@@ -304,7 +304,7 @@ def test_coherency_failure_recorded_for_local_imbalance():
     om[0, 1] = -1.0
     base = invariance_restriction(act)
     r = LinearRestriction(
-        ConstraintSet(sp, sp, ("tilt",), om),
+        ConstraintSet.from_dense(sp, sp, ("tilt",), om),
         base.mx_spec, base.my_spec, atom_of=base.atom_of)
     pi = TransportPlan(sp, sp, np.full((2, 2), 0.25))
     rep = check_coherency(r, [pi])
@@ -316,7 +316,7 @@ def dense_coherency_failures(r, plans):
     member = (r.atom_of[:, None] == np.arange(r.atom_of.max() + 1)).astype(float)
     failures = []
     for k, pi in enumerate(plans):
-        pair = np.abs((r.omega.matrix * pi.p.ravel()) @ member)
+        pair = np.abs((r.omega.dense() * pi.p.ravel()) @ member)
         failures += [f"plan {k}, {r.omega.labels[i]}: pairing on atom {a} is {pair[i, a]:.3g}"
                      for i, a in np.argwhere(pair > 1e-9)]
     return failures
@@ -341,8 +341,8 @@ def test_coherency_matches_the_dense_pairing_on_random_two_cell_constraints():
             c1, c2 = rng.choice(n * n, size=2, replace=False)
             scale = rng.uniform(0.5, 2.0)
             matrix[i, [c1, c2]] = scale * p[c2], -scale * p[c1]
-        r = LinearRestriction(ConstraintSet(base.row_space, base.col_space,
-                                            [f"w{i}" for i in range(rows)], matrix),
+        r = LinearRestriction(ConstraintSet.from_dense(base.row_space, base.col_space,
+                                                       [f"w{i}" for i in range(rows)], matrix),
                               base.mx_spec, base.my_spec, atom_of=base.atom_of)
         pi = TransportPlan(r.row_space, r.col_space, p.reshape(n, n))
         rep = check_coherency(r, [pi, pi])
@@ -368,8 +368,8 @@ def test_coherency_empty_constraints():
 
 def test_product_atoms_require_structure():
     sp = FiniteSpace.of_size(2)
-    r = LinearRestriction(ConstraintSet(sp, sp, (), np.zeros((0, 4))), full_simplex(sp),
-                          full_simplex(sp))
+    r = LinearRestriction(ConstraintSet.from_dense(sp, sp, (), np.zeros((0, 4))),
+                          full_simplex(sp), full_simplex(sp))
     with pytest.raises(MissingProductStructureError):
         product_atoms(r)
 
@@ -512,7 +512,7 @@ def builder_digest(restrictions):
     h = hashlib.sha256()
     for r in restrictions:
         h.update("\n".join(r.omega.labels).encode() + b"\0")
-        h.update(np.ascontiguousarray(r.omega.matrix, dtype=np.float64).tobytes())
+        h.update(np.ascontiguousarray(r.omega.dense(), dtype=np.float64).tobytes())
         h.update(np.asarray(r.atom_of, dtype=np.int64).tobytes())
     return h.hexdigest()
 
@@ -521,9 +521,23 @@ def test_builders_are_bit_identical():
     assert builder_digest(builder_restrictions()) == BUILDER_DIGEST
 
 
+def test_product_atoms_match_one_scan_per_atom():
+    # the reference: one full scan of atom_of per atom id, ids with no cell
+    # giving empty atoms; a hand-built atom_of leaves ids 1, 3, 4 and 6 empty
+    sp = FiniteSpace.of_size(3)
+    gaps = LinearRestriction(ConstraintSet.from_dense(sp, sp, (), np.zeros((0, 9))),
+                             full_simplex(sp), full_simplex(sp),
+                             atom_of=[0, -1, 2, -1, 5, -1, -1, 7, -1])
+    transient = stationarity_restriction(*[StochKernel(sp, [[0, 1, 0], [0, 1, 0], [0, 1, 0]])] * 2)
+    for r in [*builder_restrictions(), gaps, transient]:
+        want = [tuple(np.flatnonzero(r.atom_of == k).tolist())
+                for k in range(int(r.atom_of.max(initial=-1)) + 1)]
+        assert product_atoms(r)[0] == want
+
+
 def test_restriction_rejects_simplexes_off_the_constraint_spaces():
     sp3, sp4 = FiniteSpace.of_size(3), FiniteSpace.of_size(4)
-    omega = ConstraintSet(sp3, sp3, (), np.zeros((0, 9)))
+    omega = ConstraintSet.from_dense(sp3, sp3, (), np.zeros((0, 9)))
     with pytest.raises(ValueError, match="mx_spec lives on 4 points, the constraints on 3"):
         LinearRestriction(omega, full_simplex(sp4), full_simplex(sp4), atom_of=np.arange(9))
     with pytest.raises(ValueError, match="my_spec"):

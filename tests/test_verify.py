@@ -307,7 +307,7 @@ def test_stationarity_on_two_kernels_keeps_two_simplexes():
     assert r.mx_spec is not r.my_spec
     same = stationarity_restriction(inst.kernel, inst.kernel)
     assert np.array_equal(r.atom_of, same.atom_of)
-    assert np.array_equal(r.omega.matrix, same.omega.matrix)
+    assert np.array_equal(r.omega.dense(), same.omega.dense())
 
 
 CERTIFIED = [InstanceSpec(n=8, kind="perm", cycle_type=(4, 2, 2), seed=3),
@@ -331,7 +331,7 @@ def tampered(name, mu, plan, u, v, lam, r):
     elif name == "v":
         v[y] += 0.1
     else:
-        heads = r.omega.matrix.argmax(axis=1)
+        heads = r.omega.dense().argmax(axis=1)
         lam[np.flatnonzero(plan.p.ravel()[heads] > 1e-6)[0]] += 0.1
     return TransportPlan(plan.row_space, plan.col_space, p), u, v, lam
 
@@ -438,8 +438,8 @@ def test_multipliers_of_rows_of_no_known_shape_come_from_least_squares():
     # independent rows leave one lam, so it is the tree's, halved
     inst = generate_instance(CERTIFIED[0])
     r = inst.restriction
-    doubled = LinearRestriction(ConstraintSet(r.row_space, r.col_space, r.omega.labels,
-                                              2 * r.omega.matrix),
+    doubled = LinearRestriction(ConstraintSet.from_dense(r.row_space, r.col_space,
+                                                         r.omega.labels, 2 * r.omega.dense()),
                                 r.mx_spec, r.my_spec, atom_of=r.atom_of)
     tree = verify_decomposition(inst.mu, inst.nu, inst.cost, r)
     rep = verify_decomposition(inst.mu, inst.nu, inst.cost, doubled)
