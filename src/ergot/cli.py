@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import dataclasses
 import functools
 import hashlib
 import json
@@ -380,12 +379,12 @@ def cmd_solve(args) -> int:
     if prob["mu"] is None or prob["nu"] is None:
         raise ParseError("marginals", "solve needs both mu and nu")
     p = _chosen_p(args, prob)
-    res = solve_constrained_ot(prob["mu"], prob["nu"], _cost(prob, p, "solve"),
-                               get_restriction(prob), method="lp")
+    cost = _cost(prob, p, "solve")
+    res = solve_constrained_ot(prob["mu"], prob["nu"], cost, get_restriction(prob), method="lp")
     results = {"status": res.status, "value": res.value,
                "plan": None if res.plan is None else res.plan.p.tolist()}
     if prob["cost"] is None:
-        results.update(p=p, value=pth_root(res.value, p))
+        results.update(p=p, value=pth_root(res.value, p, cost.c))
     labels = prob["space"].labels
     return _report(args, "solve", doc, {"p": p}, results, ok=res.status == "optimal",
                    csv=(("row", "col", "mass"), labels, labels, results["plan"]))
@@ -410,8 +409,11 @@ def cmd_decompose(args) -> int:
 _CHECKS = ("weak", "geometric", "coherent")
 
 
-def _checks_report(args, command: str, doc, flags: dict, prob, which) -> int:
-    """Run the named restriction checks and report them; exit 2 if one fails."""
+def cmd_check(args) -> int:
+    """Run the restriction checks, or the one --check names; exit 2 if one fails."""
+    doc = _load(args.file)
+    prob = parse_problem(doc)
+    which = _CHECKS if args.check is None else (args.check,)
     restriction = get_restriction(prob)
     comps, _ = simplex_components(restriction.mx_spec)
     out = {}
@@ -428,14 +430,8 @@ def _checks_report(args, command: str, doc, flags: dict, prob, which) -> int:
                                np.outer(a.w, b.w)) for a in comps for b in comps)
         rep = check_coherency(restriction, plans)
         out["coherent"] = {"passed": rep.passed, "failures": list(rep.failures)}
-    return _report(args, command, doc, flags, out, ok=all(v["passed"] for v in out.values()))
-
-
-def cmd_check(args) -> int:
-    doc = _load(args.file)
-    prob = parse_problem(doc)
-    which = _CHECKS if args.check is None else (args.check,)
-    return _checks_report(args, "check", doc, {"check": list(which)}, prob, which)
+    return _report(args, "check", doc, {"check": list(which)}, out,
+                   ok=all(v["passed"] for v in out.values()))
 
 
 def cmd_metric(args) -> int:
@@ -446,12 +442,12 @@ def cmd_metric(args) -> int:
     p = _chosen_p(args, prob)
     tol = _chosen_tol(args, prob)
     r = get_restriction(prob)
-    bm = boundary_metric(r.mx_spec, prob["metric"], p, r)
+    bm = boundary_metric(prob["metric"], p, r)
     results: dict = {"p": p, "dbar": bm.dbar.tolist(),
                      "components": [c.w.tolist() for c in bm.components]}
     if prob["mu"] is not None and prob["nu"] is not None:
         direct, certified = _certified_distance(prob["mu"], prob["nu"], prob["metric"], p, r)
-        lifted = lifted_metric(prob["mu"], prob["nu"], bm, r.mx_spec, p)
+        lifted = lifted_metric(prob["mu"], prob["nu"], bm, p)
         gap, ok = agreement(direct, lifted, tol, prob["metric"].d)
         results.update({"direct": direct, "lifted": lifted, "gap": gap, "pass": ok and certified})
     ids = [str(i) for i in range(len(bm.components))]
@@ -508,9 +504,7 @@ def _verify_one(spec: InstanceSpec, tol: float) -> tuple[float, bool]:
 
 
 def cmd_verify(args) -> int:
-    mode, unread = (("--random", ("file", "--p", "--check")) if args.random
-                    else ("FILE --check", ("--seed", "--jobs", "--p", "--tol")) if args.check
-                    else ("FILE", ("--seed", "--jobs")))
+    mode, unread = ("--random", ("file", "--p")) if args.random else ("FILE", ("--jobs",))
     for flag in unread:
         if getattr(args, flag.lstrip("-")) is not None:
             raise ParseError(flag, f"not read by verify {mode}")
@@ -518,14 +512,11 @@ def cmd_verify(args) -> int:
     if jobs < 1:
         raise ParseError("--jobs", f"need at least 1 worker, got {jobs}")
     tol = _tolerance(args)
-    flags = {"tol": tol, "seed": args.seed, "jobs": jobs,
-             "random": args.random, "check": args.check}
+    # "seed" and "check" are hashed as None, the values reports of verify
+    # held for them before it lost those flags, so inputs.digest is unchanged
+    flags = {"tol": tol, "seed": None, "jobs": jobs, "random": args.random, "check": None}
     if args.random:
         specs = parse_random_spec(args.random)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ParseError("--seed", f"seed must be at least 0, got {args.seed}")
-            specs = [dataclasses.replace(s, seed=args.seed + i) for i, s in enumerate(specs)]
         # the pool forks all its workers on the first submit, so size it to the batch
         workers = min(jobs, len(specs) // MIN_BATCH_PER_WORKER)
         if workers > 1:
@@ -540,8 +531,6 @@ def cmd_verify(args) -> int:
 
     doc = _load(args.file)
     prob = parse_problem(doc)
-    if args.check is not None:
-        return _checks_report(args, "verify", doc, flags, prob, (args.check,))
     p = _chosen_p(args, prob)
     tol = _chosen_tol(args, prob)
     if prob["mu"] is None or prob["nu"] is None:
@@ -568,8 +557,7 @@ def _load(path: str) -> dict:
         raise ParseError("file", f"invalid JSON: {exc}")
 
 
-_FLAGS = {"--tol": {"type": float}, "--seed": {"type": int},
-          "--jobs": {"type": int}, "--p": {"type": float}}
+_FLAGS = {"--tol": {"type": float}, "--jobs": {"type": int}, "--p": {"type": float}}
 
 
 def build_parser() -> _Parser:
@@ -588,7 +576,7 @@ def build_parser() -> _Parser:
             sp.add_argument("--random", help="kind:n=..,cycles=..,count=..,seed=..")
         else:
             sp.add_argument("file")
-        if name in ("verify", "check"):
+        if name == "check":
             sp.add_argument("--check", choices=_CHECKS)
         sp.add_argument("--out")
         sp.add_argument("--format", choices=("json", "csv"), default="json")

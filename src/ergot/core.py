@@ -270,9 +270,11 @@ class SimplexSpec:
 
     kind is one of "full" (all probability measures), "group" (measures
     invariant under a group action) or "kernel" (measures stationary for a
-    decomposing Markov kernel). For "kernel" the kernel must pass the
-    idempotence check in ergodic.check_ergodic_kernel before it is used to
-    decompose anything; the decompose operations enforce this.
+    Markov kernel). The components of a "kernel" spec are the stationary
+    distributions of the kernel's recurrent classes, for any kernel: the
+    swap of two points has one component, the uniform measure. Only
+    restriction.stationarity_restriction, and so cli.get_restriction, need
+    a decomposing kernel, one that passes ergodic.check_ergodic_kernel.
     """
 
     kind: str
@@ -440,10 +442,24 @@ def inverse_perm(g) -> np.ndarray:
     return inv
 
 
-def pth_root(value: float, p: float) -> float:
-    """Distance from an optimal cost of order p: value ** (1/p), and 0.0 at or below TAU_LP.
+def _scale(m) -> float:
+    """The largest finite |entry| of m, 0.0 if it has none: the unit tolerances on m scale with."""
+    m = np.asarray(m, dtype=float)
+    return float(np.max(np.abs(m[np.isfinite(m)]), initial=0.0))
 
-    A cost that small is below the solver's resolution; taking the p-th root
-    of pivot noise would inflate it (for p=2, a 1e-17 residue reads as 3e-9).
+
+def pth_root(value, p: float, cost):
+    """Distance from an optimal cost of order p: value ** (1/p), 0.0 at or below the cut.
+
+    The cut is TAU_LP * _scale(cost), cost being the cost array value was
+    optimised over. A value that small beside the cost's own entries is
+    below the solver's resolution, and taking the p-th root of rounding
+    noise would inflate it (for p=2, a 1e-17 residue on a unit cost reads
+    as 3e-9); being relative, the cut does not depend on the cost's units.
+    An array value is taken entry by entry.
     """
-    return 0.0 if value <= TAU_LP else value ** (1.0 / p)
+    cut = TAU_LP * _scale(cost)
+
+    def root(v):
+        return 0.0 if v <= cut else v ** (1.0 / p)
+    return root(value) if np.ndim(value) == 0 else np.vectorize(root, otypes=[float])(value)

@@ -219,6 +219,8 @@ def _require_member(mu: Measure, spec: SimplexSpec, what: str):
 
 def membership_violation(mu: Measure, spec: SimplexSpec) -> str | None:
     """None if mu belongs to the simplex, else a description of the failure."""
+    if mu.space.n != spec.space.n:
+        return f"{mu.space.n} points, on a simplex over {spec.space.n}"
     if spec.kind == "full":
         return None
     if spec.kind == "group":

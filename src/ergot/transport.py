@@ -16,7 +16,9 @@ the transportation simplex in ``lp``, and its result carries the simplex's
 potentials, extended to the rows and columns without mass. Everything else
 is the lifted LP on the dense simplex in ``lp`` (``method="lp"`` keeps a
 restricted solve there: ``ergot solve``, the confirmation of +inf sides and
-the tests' cross-checks ask for it), and its plan is checked
+the tests' cross-checks ask for it), posed with its objective divided by
+the largest |entry|, so the simplex's absolute pivot tolerance does not
+depend on the cost's units; its plan is checked
 against every constraint before it is returned. Both are posed over the
 support of the marginals only (zero-mass rows and columns force their
 cells to zero, so dropping them is exact). The lifted LP has one marginal equality per
@@ -52,6 +54,7 @@ from .core import (
     NotGeometricError,
     SimplexSpec,
     TransportPlan,
+    _scale,
     pth_root,
 )
 from .ergodic import _class_weights, _require_member, simplex_components
@@ -64,15 +67,16 @@ class OtResult:
     value: float
     plan: TransportPlan | None
     status: str                    # "optimal" | "infeasible"
-    method: str = "lp"             # "atoms" (closed form) | "lp" (a transport LP)
+    method: str = "lp"             # the path taken: "atoms" (closed form) | "lp" (a transport LP)
     duals: tuple[np.ndarray, np.ndarray] | None = None   # plain transport, when optimal:
                                    # potentials (u, v) over both whole spaces
 
 
 @dataclass(frozen=True, eq=False)
 class BoundaryMetricMatrix:
-    """Pairwise restricted distances between the extreme measures."""
+    """Pairwise restricted distances between the extreme measures of spec, in component order."""
 
+    spec: SimplexSpec
     components: tuple[Measure, ...]
     dbar: np.ndarray
 
@@ -125,9 +129,11 @@ def _solve_transport(mu_w, nu_w, cost, row_space, col_space,
     """The transport problem between two weight vectors, as a plan over the two spaces.
 
     Without a restriction it runs on the network simplex (transport_simplex)
-    over the support of the weights; with one, on the lifted LP, whose plan
-    is then checked against every constraint (NotFeasibleError if it breaks
-    one). +inf cost cells carry no mass; a NaN or -inf cost raises ValueError.
+    over the support of the weights; with one, on the lifted LP, priced on
+    the objective over its largest |entry| and checked against every
+    constraint (NotFeasibleError if it breaks one). Either way the value is
+    the plan's cost on the raw cost. +inf cost cells carry no mass; a NaN
+    or -inf cost raises ValueError.
     """
     forbid, safe_cost = _forbidden_cells(cost)
     if r is None:
@@ -137,7 +143,8 @@ def _solve_transport(mu_w, nu_w, cost, row_space, col_space,
         keep = slice(None)
     else:
         prob, rows, cols, keep = _transport_lp(mu_w, nu_w, safe_cost, r.omega, forbid)
-        sol = solve_lp(prob)
+        unit = _scale(prob.objective) or 1.0
+        sol = solve_lp(LpProblem(prob.objective / unit, prob.eq_matrix, prob.eq_rhs))
     if sol.status != "optimal":
         return OtResult(value=math.inf, plan=None, status="infeasible")
     cell_vals = np.zeros(rows.size * cols.size)
@@ -194,25 +201,21 @@ def solve_constrained_ot(mu: Measure, nu: Measure, c: CostMatrix,
                          r: LinearRestriction, method: str | None = None) -> OtResult:
     """Optimal transport over plans annihilating every constraint matrix.
 
-    method "atoms" solves on the product atoms in closed form (see
-    _atoms_ot); "lp" solves the lifted LP, one variable per support cell.
-    None picks "atoms" when r carries atoms and "lp" otherwise, so a
-    hand-built restriction keeps the LP. "atoms" without atoms raises
-    MissingProductStructureError. Both methods reach the same optimal value;
-    where several plans tie they may return different ones.
+    By default (method None) a restriction with product atoms is solved on
+    them in closed form (see _atoms_ot), and a hand-built one, without
+    atoms, as the lifted LP, one variable per support cell. method "lp"
+    always solves the lifted LP. Both reach the same optimal value; where
+    several plans tie they may return different ones. OtResult.method names
+    the path taken.
 
     Marginals must belong to their restriction simplexes (NotInSimplexError
     otherwise). Infeasibility of the constrained polytope is reported in the
     result status, never silently relaxed.
     """
-    if method is None:
-        method = "lp" if r.atom_of is None else "atoms"
-    if method not in ("atoms", "lp"):
-        raise ValueError(f"method must be 'atoms', 'lp' or None, got {method!r}")
-    if method == "atoms" and r.atom_of is None:
-        raise MissingProductStructureError("method 'atoms' needs a restriction with product atoms")
+    if method not in (None, "lp"):
+        raise ValueError(f"method must be None or 'lp', got {method!r}")
     _check_marginals(mu, nu, c, r)
-    if method == "lp":
+    if method == "lp" or r.atom_of is None:
         return _solve_transport(mu.w, nu.w, c.c, c.row_space, c.col_space, r)
     res = _atoms_ot(mu, nu, c, r)[2]
     if res.plan is not None:
@@ -404,44 +407,38 @@ def wasserstein(mu: Measure, nu: Measure, d: GroundMetric, p: float,
 
     Solved by solve_constrained_ot's default: the closed form on the product
     atoms when r has them, else the lifted LP. An optimal cost at or below
-    TAU_LP is reported as distance 0 (pth_root).
+    TAU_LP times the largest entry of d^p is reported as distance 0 (pth_root).
     """
     if mu.space.labels != nu.space.labels or mu.space.labels != d.space.labels:
         raise ValueError("wasserstein needs both measures and the metric on one space")
-    res = solve_constrained_ot(mu, nu, _metric_cost(d, p), r)
-    return pth_root(res.value, p) if res.status == "optimal" else math.inf
+    cost = _metric_cost(d, p)
+    res = solve_constrained_ot(mu, nu, cost, r)
+    return pth_root(res.value, p, cost.c) if res.status == "optimal" else math.inf
 
 
-def _require_split(spec: SimplexSpec, own: SimplexSpec, name: str):
-    """ValueError unless spec splits the points into components as own does."""
-    if spec is not own and not np.array_equal(simplex_components(spec)[1],
-                                              simplex_components(own)[1]):
-        raise ValueError(f"{name} does not split the points as the restriction's simplex does")
-
-
-def boundary_metric(spec: SimplexSpec, d: GroundMetric, p: float,
-                    r: LinearRestriction) -> BoundaryMetricMatrix:
-    """Restricted distance between every pair of extreme measures.
+def boundary_metric(d: GroundMetric, p: float, r: LinearRestriction) -> BoundaryMetricMatrix:
+    """Restricted distance between every pair of extreme measures of r's simplex.
 
     Entry (a, b) is the p-th root of the inner value of the component pair
     (a, b) under the cost d^p: one atom table gives them all (_atom_table),
     so r must carry product atoms (MissingProductStructureError otherwise)
-    and spec must split the points as both of r's simplexes do (ValueError
+    and its two simplexes must split the points alike (ValueError
     otherwise). The restriction must be geometric on the component set
     (otherwise the result need not be a metric); that is checked here and a
     failure raises NotGeometricError. Every entry, the diagonal and both
     triangles, is computed, so identity and symmetry are observable rather
     than forced. Entries may be +inf.
     """
-    _require_split(spec, r.mx_spec, "spec")
-    _require_split(spec, r.my_spec, "spec")
-    comps, _ = simplex_components(spec)
+    comps, class_x = simplex_components(r.mx_spec)
+    if not np.array_equal(class_x, simplex_components(r.my_spec)[1]):
+        raise ValueError("the restriction's two simplexes split the points differently")
     geo = check_geometric(r, comps)
     if not geo.passed:
         raise NotGeometricError("restriction is not geometric on the component set: "
                                 + "; ".join(geo.failures[:3]))
-    dbar = np.vectorize(pth_root)(_atom_table(_metric_cost(d, p), r).inner, p)
-    return BoundaryMetricMatrix(tuple(comps), dbar)
+    cost = _metric_cost(d, p)
+    dbar = pth_root(_atom_table(cost, r).inner, p, cost.c)
+    return BoundaryMetricMatrix(r.mx_spec, tuple(comps), dbar)
 
 
 def _outer_ot(wx: np.ndarray, wy: np.ndarray, cost: np.ndarray) -> OtResult:
@@ -461,20 +458,19 @@ def component_weights(mu: Measure, spec: SimplexSpec) -> np.ndarray:
     return _class_weights(mu.w, class_of, len(comps))
 
 
-def lifted_metric(mu: Measure, nu: Measure, bm: BoundaryMetricMatrix,
-                  spec: SimplexSpec, p: float) -> float:
+def lifted_metric(mu: Measure, nu: Measure, bm: BoundaryMetricMatrix, p: float) -> float:
     """Distance through the boundary: outer transport over component weights.
 
-    Both measures are decomposed into weights over the simplex components;
-    the outer problem couples the weight vectors with cost dbar^p and the
-    result is the p-th root of its value.
+    Both measures must belong to bm's simplex (NotInSimplexError otherwise)
+    and are decomposed into weights over its components; the outer problem
+    couples the weight vectors with cost dbar^p and the result is the p-th
+    root of its value.
     """
-    _require_member(mu, spec, "mu")
-    _require_member(nu, spec, "nu")
-    wx = component_weights(mu, spec)
-    wy = component_weights(nu, spec)
-    res = _outer_ot(wx, wy, bm.dbar ** p)
-    return pth_root(res.value, p) if res.status == "optimal" else math.inf
+    _require_member(mu, bm.spec, "mu")
+    _require_member(nu, bm.spec, "nu")
+    cost = bm.dbar ** p
+    res = _outer_ot(component_weights(mu, bm.spec), component_weights(nu, bm.spec), cost)
+    return pth_root(res.value, p, cost) if res.status == "optimal" else math.inf
 
 
 def glue_plans(pi12: TransportPlan, pi23: TransportPlan,

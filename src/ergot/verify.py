@@ -47,6 +47,7 @@ from .core import (
     SimplexSpec,
     StochKernel,
     TransportPlan,
+    _scale,
     pth_root,
 )
 from .ergodic import simplex_components, stationary_components
@@ -61,7 +62,6 @@ from .transport import (
     _forbidden_cells,
     _metric_cost,
     _pair_plan,
-    _require_split,
     _two_stage_proof,
     boundary_metric,
     decompose_plan,
@@ -145,11 +145,6 @@ class GeneratedInstance:
     restriction: LinearRestriction
 
 
-def _scale(m: np.ndarray) -> float:
-    """max(1, largest finite |entry| of m): the unit a gap tolerance is relative to."""
-    return max(1.0, float(np.max(np.abs(m[np.isfinite(m)]), initial=0.0)))
-
-
 def agreement(a: float, b: float, tol: float, m: np.ndarray) -> tuple[float, bool]:
     """|a - b| (0.0 if both are +inf), and whether it is at most tol * _scale(cost or metric m)."""
     gap = 0.0 if a == b else abs(a - b)
@@ -186,7 +181,7 @@ def check_certificate(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestrict
                -TAU_LP * scale;
       gap      <c, P> - <u, mu> - <v, nu> over the finite cells, held at
                TAU_LP * scale;
-    where scale is max(1, largest finite |c|). The check reads only c, the
+    where scale is the largest finite |c| (_scale). The check reads only c, the
     constraints (omega p and omega^T lam through ConstraintSet.apply and
     apply_T), mu, nu and the plan: no atoms and no solver.
     """
@@ -223,7 +218,7 @@ def _heads(omega) -> np.ndarray:
     return heads
 
 
-def _multipliers(r: LinearRestriction, target: np.ndarray) -> np.ndarray:
+def _multipliers(r: LinearRestriction, target: np.ndarray, unit: float) -> np.ndarray:
     """lam with omega^T lam = target, for a target in the constraints' row space.
 
     Spanning-tree rows (+1 at the parent cell, -1 at the child, children
@@ -232,8 +227,9 @@ def _multipliers(r: LinearRestriction, target: np.ndarray) -> np.ndarray:
     subtree below it. Otherwise each row is taken to belong to its one
     positive cell, its head (_heads), as stationarity's rows e_w - K[:, w]
     of an idempotent product kernel K do; then lam is the target there.
-    Both read the stored entries. Should neither fit, least squares on the
-    dense matrix decides.
+    Both read the stored entries. Should neither fit to TAU_LP * unit, the
+    unit of the cost the target comes from, least squares on the dense
+    matrix decides.
     """
     om = r.omega
     k = len(om)
@@ -255,7 +251,7 @@ def _multipliers(r: LinearRestriction, target: np.ndarray) -> np.ndarray:
             lam = np.array(lam)
     if lam is None:
         lam = target[_heads(om)]
-    if np.max(np.abs(om.apply_T(lam) - target)) > TAU_LP * _scale(target):
+    if np.max(np.abs(om.apply_T(lam) - target)) > TAU_LP * unit:
         lam = np.linalg.lstsq(om.dense().T, target, rcond=None)[0]
     return lam
 
@@ -265,20 +261,17 @@ def _statuses(values: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(values), "optimal", "infeasible").astype(object)
 
 
-def build_qopt(spec_x: SimplexSpec, spec_y: SimplexSpec, c: CostMatrix,
-               r: LinearRestriction):
-    """Constrained optimal value and plan between every component pair.
+def build_qopt(c: CostMatrix, r: LinearRestriction):
+    """Constrained optimal value and plan between every component pair of r's simplexes.
 
     Returns (values, plans, statuses): values[a][b] is the constrained
-    transport cost from component a of spec_x to component b of spec_y, +inf
-    where infeasible, all from one pass over r's product atoms; plans[a][b]
-    is that pair's cheapest atom plan (transport._pair_plan), None where
-    infeasible. The table is constant on product atoms by construction,
-    which is the finite form of its measurability. The specs must split the
-    points as r's own simplexes do (ValueError otherwise).
+    transport cost from component a of r.mx_spec to component b of
+    r.my_spec, +inf where infeasible, all from one pass over r's product
+    atoms; plans[a][b] is that pair's cheapest atom plan
+    (transport._pair_plan), None where infeasible. The table is constant on
+    product atoms by construction, which is the finite form of its
+    measurability.
     """
-    _require_split(spec_x, r.mx_spec, "spec_x")
-    _require_split(spec_y, r.my_spec, "spec_y")
     t = _atom_table(c, r)
     plans = [[_pair_plan(t, a, b, c) if np.isfinite(v) else None for b, v in enumerate(row)]
              for a, row in enumerate(t.inner)]
@@ -296,7 +289,7 @@ def _certify(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction,
     +inf side infeasible. Sides are built and checked one at a time.
     """
     values, outer, lhs, sides, target = _two_stage_proof(mu, nu, c, r)
-    lam = _multipliers(r, target)
+    lam = _multipliers(r, target, _scale(c.c))
     certificates, infinite, proof = [], [], None
     for m_x, m_y, plan, u, v in itertools.islice(sides, count):
         if plan is None:
@@ -403,19 +396,20 @@ def _certified_distance(mu: Measure, nu: Measure, d: GroundMetric, p: float,
     the cost d^p, checked by _certify as verify_decomposition checks its own
     left-hand side; no inner plan is built.
     """
-    lhs, _, certified, _ = _certify(mu, nu, _metric_cost(d, p), r, 1)[2:]
-    return pth_root(lhs.value, p), certified
+    cost = _metric_cost(d, p)
+    lhs, _, certified, _ = _certify(mu, nu, cost, r, 1)[2:]
+    return pth_root(lhs.value, p, cost.c), certified
 
 
-def verify_metric_decomposition(spec: SimplexSpec, d: GroundMetric, p: float,
-                                r: LinearRestriction,
+def verify_metric_decomposition(d: GroundMetric, p: float, r: LinearRestriction,
                                 samples) -> MetricReport:
     """Certified direct restricted distance vs the lifted boundary metric, pair by pair.
 
     samples is either a list of (mu, nu) pairs or an integer count, in which
-    case that many pairs are drawn by sample_member_pairs with its default
-    seed. The boundary metric is computed once (its geometricity precondition
-    is enforced there). Each direct distance comes from the closed form with
+    case that many pairs of r.mx_spec's members are drawn by
+    sample_member_pairs with its default seed. The boundary metric is
+    computed once (its geometricity precondition is enforced there), on
+    r's own simplex. Each direct distance comes from the closed form with
     its certificate checked (_certified_distance); a pair whose certificate
     fails is a "direct:" failure. Sampled pairs are then chained into
     triples for the axiom suite on both distance functions (to TAU_LP),
@@ -423,8 +417,8 @@ def verify_metric_decomposition(spec: SimplexSpec, d: GroundMetric, p: float,
     relative to the metric's scale.
     """
     if isinstance(samples, int):
-        samples = sample_member_pairs(spec, samples)
-    bm = boundary_metric(spec, d, p, r)
+        samples = sample_member_pairs(r.mx_spec, samples)
+    bm = boundary_metric(d, p, r)
     gaps, pairwise = [], []        # pair failures: an unproven direct distance, a disagreement
 
     def certified(x, y):
@@ -433,7 +427,7 @@ def verify_metric_decomposition(spec: SimplexSpec, d: GroundMetric, p: float,
             pairwise.append(f"direct: distance {dist:.9g} fails its certificate")
         return dist
     direct = _memo(certified)
-    lifted = _memo(lambda x, y: lifted_metric(x, y, bm, spec, p))
+    lifted = _memo(lambda x, y: lifted_metric(x, y, bm, p))
 
     for t, (mu, nu) in enumerate(samples):
         dv, lv = direct(mu, nu), lifted(mu, nu)

@@ -36,7 +36,6 @@ from ergot import (
     generate_instance,
     glue_plans,
     invariance_restriction,
-    invariant_simplex,
     lifted_metric,
     no_restriction,
     plan_violations,
@@ -157,7 +156,7 @@ def test_metric_equals_lifted_boundary_metric_fifty_pairs_per_family():
         for p in (1.0, 2.0):
             pairs = sample_member_pairs(r.mx_spec, 50,
                                         seed=int(rng.integers(1 << 30)))
-            rep = verify_metric_decomposition(r.mx_spec, d, p, r, pairs)
+            rep = verify_metric_decomposition(d, p, r, pairs)
             assert rep.max_gap <= 1e-8, f"p={p}: max gap {rep.max_gap:.3g}"
             assert rep.passed, rep.axiom_failures[:3]
 
@@ -374,7 +373,6 @@ def test_worked_example_value_confirmed_by_enumeration_oracle():
     assert abs(oracle(mu, nu) - value) <= 1e-9
     assert abs(oracle(u1, u2) - 2.0) <= 1e-9
 
-    spec = invariant_simplex(action)
-    bm = boundary_metric(spec, metric, 1.0, r)
+    bm = boundary_metric(metric, 1.0, r)
     assert np.max(np.abs(bm.dbar - np.array([[0.0, 2.0], [2.0, 0.0]]))) <= 1e-9
-    assert abs(lifted_metric(mu, nu, bm, spec, 1.0) - 0.5) <= 1e-9
+    assert abs(lifted_metric(mu, nu, bm, 1.0) - 0.5) <= 1e-9

@@ -21,7 +21,6 @@ from ergot import (
     InstanceSpec,
     LinearRestriction,
     Measure,
-    MissingProductStructureError,
     check_certificate,
     enumerate_vertices,
     generate_instance,
@@ -257,9 +256,9 @@ def test_method_is_validated():
     mu, nu, cost, r = fixture()
     with pytest.raises(ValueError, match="method"):
         solve_constrained_ot(mu, nu, cost, r, method="simplex")
-    hand_built = LinearRestriction(r.omega, r.mx_spec, r.my_spec)
-    with pytest.raises(MissingProductStructureError):
-        solve_constrained_ot(mu, nu, cost, hand_built, method="atoms")
+    # the closed form is the default wherever atoms exist, so there is no name for it
+    with pytest.raises(ValueError, match="method"):
+        solve_constrained_ot(mu, nu, cost, r, method="atoms")
 
 
 def test_result_names_the_path_it_took():
@@ -350,8 +349,7 @@ def test_metric_decomposition_solves_no_lifted_lp(monkeypatch, capsys):
         return solve_lp(prob)
 
     monkeypatch.setattr(ergot.transport, "solve_lp", recording)
-    rep = verify_metric_decomposition(r.mx_spec, GroundMetric(mu.space, cost.c), 1.0, r,
-                                      [(mu, nu)])
+    rep = verify_metric_decomposition(GroundMetric(mu.space, cost.c), 1.0, r, [(mu, nu)])
     assert rep.passed
     # the boundary metric is one atom table and the direct distance the
     # certified closed form, in the library and in ergot metric alike

@@ -1,7 +1,9 @@
 """End-to-end runs of the command-line interface via subprocess."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from ergot import InstanceSpec, generate_instance
-from ergot.cli import MAX_POINTS, MAX_RANDOM_COUNT, main, parse_random_spec
+from ergot.cli import MAX_POINTS, MAX_RANDOM_COUNT, build_parser, main, parse_random_spec
 
 FIXTURE = Path(__file__).parent / "fixtures" / "c3x2.json"
 
@@ -152,11 +154,12 @@ def test_verify_random_parallel_matches_serial():
     assert a == b
 
 
-def test_verify_check_geometric():
-    out = run_cli("verify", str(FIXTURE), "--check", "geometric")
+@pytest.mark.parametrize("name", ["weak", "geometric", "coherent"])
+def test_check_runs_the_named_check(name):
+    out = run_cli("check", str(FIXTURE), "--check", name)
     assert out.returncode == 0
     res = json.loads(out.stdout)["results"]
-    assert res["geometric"]["passed"] is True
+    assert list(res) == [name] and res[name]["passed"] is True
 
 
 def test_check_runs_all_three():
@@ -191,6 +194,7 @@ def test_metric_exits_2_when_the_restriction_is_not_geometric(tmp_path, capsys):
     assert captured.out == ""
     assert "NotGeometricError" in captured.err and "diagonal pairing" in captured.err
     assert main(["check", path]) == 2
+    assert main(["check", path, "--check", "geometric"]) == 2
 
 
 def rounding_fixture():
@@ -382,11 +386,10 @@ def test_empty_random_batch_rejected(count):
     (["--random", "perm:n=6,cycles=3+2"], "--random"),
     (["--random", "kernel:n=6,classes=0+6"], "--random"),
     (["--random", "perm:n=6,seed=-1"], "--random"),
-    (["--random", "perm:n=4,count=2", "--seed", "-5"], "--seed"),
     (["--random", f"perm:n={MAX_POINTS + 1}"], "--random"),
     (["--random", f"kernel:n=4,count={MAX_RANDOM_COUNT + 1}"], "--random"),
     (["--random", "perm:n=4,count=300000"], "--random"),
-], ids=["n-0", "cycles-not-a-partition", "empty-class", "negative-spec-seed", "negative-flag-seed",
+], ids=["n-0", "cycles-not-a-partition", "empty-class", "negative-spec-seed",
         "n-above-max-points", "count-above-max", "count-far-above-max"])
 def test_bad_random_spec_or_seed_names_the_flag(capsys, argv, flag):
     # the flag is named, not left to the instance generator's or numpy's message
@@ -401,15 +404,29 @@ def test_random_batch_bounds_are_inclusive():
     assert parse_random_spec(f"perm:n={MAX_POINTS}")[0].n == MAX_POINTS
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e8, 1e12])
+@pytest.mark.parametrize("scale", [1.0, 1e8, 1e12, 1e-5, 1e-8])
 @pytest.mark.parametrize("command", ["verify", "metric"])
 def test_pass_tolerance_follows_the_units_of_the_metric(tmp_path, capsys, command, scale):
     # rounding grows with the values (the gap is 3.7e-8 at 1e8 and 3.1e-4 at
-    # 1e12), so the gap is held against tol times the largest metric entry
+    # 1e12), so the gap is held against tol times the largest metric entry;
+    # small metrics keep their distances, which no absolute cut-off may zero
     doc = load_fixture()
     doc["metric"] = (np.array(doc["metric"]) * scale).tolist()
-    assert main([command, write_problem(tmp_path, doc)]) == 0
-    assert json.loads(capsys.readouterr().out)["results"]["pass"] is True
+    path = write_problem(tmp_path, doc)
+
+    def close(a, b):
+        return abs(a - b) <= 1e-12 * abs(b)
+
+    for p, distance in ((1, 0.5), (2, 1.0)):
+        assert main([command, path, "--p", str(p)]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["pass"] is True
+        if command == "metric":
+            dbar = np.ravel(res["dbar"])
+            assert all(close(a, b) for a, b in zip(dbar, [0, 2 * scale, 2 * scale, 0]))
+            assert close(res["direct"], scale * distance) and close(res["lifted"], scale * distance)
+        assert main(["solve", path, "--p", str(p)]) == 0
+        assert close(json.loads(capsys.readouterr().out)["results"]["value"], scale * distance)
 
 
 def test_check_scales_to_many_components(tmp_path, capsys):
@@ -641,25 +658,55 @@ def test_flag_a_command_ignores_is_usage_error(capsys, command, flag, value):
     assert f"unrecognized arguments: {flag} {value}" in captured.err
 
 
+def test_readme_flag_table_matches_the_parser():
+    # a row's "accepted by" commands, a mode such as `verify FILE` read as
+    # `verify`, are exactly the subcommands whose parser registers the flag
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `(--[a-z]+)[^|]*\|[^|]*\| (.+) \|$", readme, re.M)
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert len(rows) >= 4
+    for flag, accepted in rows:
+        named = {cell.strip().strip("`").split()[0] for cell in accepted.split(",")}
+        registering = {name for name, parser in sub.choices.items()
+                       if flag in parser._option_string_actions}
+        assert named == registering, flag
+
+
 RANDOM = ["--random", "perm:n=4,count=1"]
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (RANDOM + ["--p", "nan"], "--p"), (RANDOM + ["--p", "0.5"], "--p"),
-    (RANDOM + ["--p", "2"], "--p"), (RANDOM + ["--check", "weak"], "--check"),
-    ([str(FIXTURE)] + RANDOM, "file"),
-    ([str(FIXTURE), "--seed", "3"], "--seed"), ([str(FIXTURE), "--jobs", "4"], "--jobs"),
-    ([str(FIXTURE), "--jobs", "1"], "--jobs"),
-    ([str(FIXTURE), "--check", "weak", "--p", "3"], "--p"),
-    ([str(FIXTURE), "--check", "weak", "--tol", "0.1"], "--tol"),
+    pytest.param(RANDOM + ["--p", "nan"], "--p", id="argv0---p"),
+    pytest.param(RANDOM + ["--p", "0.5"], "--p", id="argv1---p"),
+    pytest.param(RANDOM + ["--p", "2"], "--p", id="argv2---p"),
+    pytest.param([str(FIXTURE)] + RANDOM, "file", id="argv4-file"),
+    pytest.param([str(FIXTURE), "--jobs", "4"], "--jobs", id="argv6---jobs"),
+    pytest.param([str(FIXTURE), "--jobs", "1"], "--jobs", id="argv7---jobs"),
 ])
 def test_verify_flag_of_the_other_mode_is_input_error(capsys, argv, flag):
-    # --random reads neither a problem file, --p nor --check; a problem file
-    # reads neither --seed nor --jobs, and with --check neither --p nor --tol
+    # --random reads neither a problem file nor --p; a problem file does not
+    # read --jobs (explicit ids keep each case's id when the list changes)
     assert main(["verify", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip().endswith(f"at {flag}")
+
+
+@pytest.mark.parametrize("argv", [
+    [str(FIXTURE), "--check", "weak"], [str(FIXTURE), "--seed", "3"],
+    RANDOM + ["--check", "weak"], ["--random", "perm:n=4,count=2", "--seed", "3"],
+    ["--random", "perm:n=4,count=2", "--seed", "-5"],
+    [str(FIXTURE), "--check", "weak", "--p", "3"],
+    [str(FIXTURE), "--check", "weak", "--tol", "0.1"],
+], ids=["file-check", "file-seed", "random-check", "random-seed", "random-negative-seed",
+        "file-check-p", "file-check-tol"])
+def test_verify_has_no_check_or_seed_flag(capsys, argv):
+    # ergot check FILE --check NAME writes the checks' report, and the
+    # --random spec's seed=N gives the seeds N, N+1, ...
+    assert main(["verify", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " in captured.err
 
 
 def test_verify_random_with_one_job_keeps_its_digest(capsys):

@@ -95,6 +95,17 @@ def test_swap_kernel_fails_ergodic_check():
     assert 0 in rep.offending
 
 
+def test_swap_kernel_decomposes_into_its_one_stationary_measure():
+    # a kernel spec's kernel need not pass the check above to decompose: the
+    # swap's one recurrent class gives one component, the uniform measure
+    sp = FiniteSpace.of_size(2)
+    spec = stationary_simplex(StochKernel(sp, np.array([[0.0, 1.0], [1.0, 0.0]])))
+    dec = decompose_measure(Measure(sp, np.array([0.5, 0.5])), spec)
+    assert dec.weights.tolist() == [1.0]
+    assert [c.w.tolist() for c in dec.components] == [[0.5, 0.5]]
+    assert dec.class_of.tolist() == [0, 0]
+
+
 def test_identity_kernel_passes_ergodic_check():
     assert check_ergodic_kernel(StochKernel(FiniteSpace.of_size(3), np.eye(3))).passed
 

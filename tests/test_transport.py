@@ -7,6 +7,7 @@ here (0.5, 2.0, 1.0, [[0,2],[2,0]]) were confirmed by vertex enumeration on
 the orbit-reduced LP before being written down.
 """
 
+import inspect
 import re
 import warnings
 from pathlib import Path
@@ -14,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ergot.cli
 import ergot.transport
+import ergot.verify
 from ergot import (
     ConstraintSet,
     CostMatrix,
@@ -27,6 +30,7 @@ from ergot import (
     MissingProductStructureError,
     NotFeasibleError,
     NotInSimplexError,
+    StochKernel,
     TransportPlan,
     boundary_metric,
     decompose_plan,
@@ -258,7 +262,7 @@ def test_all_inf_cost_is_infeasible(solve):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = solve_ot(mu, nu, c) if solve == "plain" else solve_constrained_ot(
-            mu, nu, c, r, method=solve)
+            mu, nu, c, r, method=None if solve == "atoms" else solve)
     assert (res.status, res.value, res.plan) == ("infeasible", np.inf, None)
 
 
@@ -267,7 +271,7 @@ def test_nan_or_negative_inf_cost_is_rejected(bad):
     mu, nu, c, r = _three_point_problem((0, 1), bad)
     with pytest.raises(ValueError, match="cost"):
         solve_ot(mu, nu, c)
-    for method in ("atoms", "lp"):
+    for method in (None, "lp"):
         with pytest.raises(ValueError, match="cost"):
             solve_constrained_ot(mu, nu, c, r, method=method)
 
@@ -301,7 +305,7 @@ def test_wasserstein_rejects_p_below_one():
 
 def test_boundary_metric_fixture():
     _, _, metric, r, _ = fixture()
-    bm = boundary_metric(r.mx_spec, metric, 1.0, r)
+    bm = boundary_metric(metric, 1.0, r)
     assert np.allclose(bm.dbar, [[0.0, 2.0], [2.0, 0.0]], atol=1e-9)
     assert bm.dbar[0, 0] == 0.0
 
@@ -309,8 +313,7 @@ def test_boundary_metric_fixture():
 def test_boundary_metric_of_full_simplex_is_ground_metric():
     sp = FiniteSpace.of_size(3)
     d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
-    bm = boundary_metric(full_simplex(sp), GroundMetric(sp, d), 1.0,
-                         no_restriction(sp, sp))
+    bm = boundary_metric(GroundMetric(sp, d), 1.0, no_restriction(sp, sp))
     assert np.allclose(bm.dbar, d, atol=1e-9)
 
 
@@ -319,7 +322,7 @@ def test_boundary_metric_single_component():
     act = GroupAction(sp, (("c", np.array([1, 2, 0], dtype=np.intp)),))
     r = invariance_restriction(act)
     d = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    bm = boundary_metric(r.mx_spec, GroundMetric(sp, d), 1.0, r)
+    bm = boundary_metric(GroundMetric(sp, d), 1.0, r)
     assert bm.dbar.shape == (1, 1)
     assert bm.dbar[0, 0] == 0.0
 
@@ -343,7 +346,7 @@ def test_boundary_metric_matches_per_pair_wasserstein(monkeypatch, p):
     for r, d in boundary_cases():
         with monkeypatch.context() as patched:
             patched.setattr(ergot.transport, "solve_constrained_ot", None)
-            bm = boundary_metric(r.mx_spec, d, p, r)
+            bm = boundary_metric(d, p, r)
         comps = bm.components
         assert np.all(np.diag(bm.dbar) == 0.0)
         for a, b in np.ndindex(bm.dbar.shape):
@@ -352,26 +355,28 @@ def test_boundary_metric_matches_per_pair_wasserstein(monkeypatch, p):
 
 
 def test_boundary_metric_rejects_a_spec_of_another_split():
-    _, _, metric, r, _ = fixture()
+    # r's left simplex has two components, its right one a component per point
+    sp = FiniteSpace.of_size(6)
+    rng = np.random.default_rng(0)
+    r = stationarity_restriction(retraction_kernel(sp, rng, 2), StochKernel(sp, np.eye(6)))
     with pytest.raises(ValueError, match="split"):
-        boundary_metric(full_simplex(r.mx_spec.space), metric, 1.0, r)
+        boundary_metric(random_metric(sp, rng), 1.0, r)
 
 
 def test_boundary_metric_needs_product_atoms():
     _, _, metric, r, _ = fixture()
     hand_built = LinearRestriction(r.omega, r.mx_spec, r.my_spec)
     with pytest.raises(MissingProductStructureError):
-        boundary_metric(r.mx_spec, metric, 1.0, hand_built)
+        boundary_metric(metric, 1.0, hand_built)
 
 
 def test_lifted_metric_fixture():
     _, _, metric, r, comps = fixture()
-    spec = r.mx_spec
-    bm = boundary_metric(spec, metric, 1.0, r)
+    bm = boundary_metric(metric, 1.0, r)
     mu = mixture(comps, [0.5, 0.5])
     nu = mixture(comps, [0.25, 0.75])
-    assert lifted_metric(mu, nu, bm, spec, 1.0) == pytest.approx(0.5, abs=1e-9)
-    assert lifted_metric(mu, mu, bm, spec, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert lifted_metric(mu, nu, bm, 1.0) == pytest.approx(0.5, abs=1e-9)
+    assert lifted_metric(mu, mu, bm, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lifted_metric_single_component_is_zero():
@@ -379,9 +384,41 @@ def test_lifted_metric_single_component_is_zero():
     act = GroupAction(sp, (("c", np.array([1, 2, 0], dtype=np.intp)),))
     r = invariance_restriction(act)
     d = GroundMetric(sp, np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
-    bm = boundary_metric(r.mx_spec, d, 1.0, r)
+    bm = boundary_metric(d, 1.0, r)
     uni = Measure(sp, np.full(3, 1 / 3))
-    assert lifted_metric(uni, uni, bm, r.mx_spec, 1.0) == 0.0
+    assert lifted_metric(uni, uni, bm, 1.0) == 0.0
+
+
+def test_lifted_metric_rejects_a_measure_outside_its_simplex():
+    sp, _, metric, r, comps = fixture()
+    bm = boundary_metric(metric, 1.0, r)
+    assert bm.spec is r.mx_spec
+    dirac = Measure(sp, np.eye(6)[0])     # not invariant under the two 3-cycles
+    with pytest.raises(NotInSimplexError, match="mu"):
+        lifted_metric(dirac, comps[0], bm, 1.0)
+    with pytest.raises(NotInSimplexError, match="nu"):
+        lifted_metric(comps[0], dirac, bm, 1.0)
+    # a measure on another space is outside the simplex too, for every kind
+    small = FiniteSpace.of_size(3)
+    d3 = GroundMetric(small, np.ones((3, 3)) - np.eye(3))
+    for other in (bm, boundary_metric(d3, 1.0, no_restriction(small, small))):
+        stray = Measure(FiniteSpace.of_size(4), np.full(4, 0.25))
+        with pytest.raises(NotInSimplexError, match="4 points"):
+            lifted_metric(stray, stray, other, 1.0)
+
+
+def test_no_public_function_takes_a_simplex_beside_its_restriction():
+    # a restriction carries its two simplexes; a second copy could only disagree
+    def annotations(fn):
+        return [str(p.annotation) for p in inspect.signature(fn).parameters.values()]
+
+    for mod in (ergot.transport, ergot.verify, ergot.cli):
+        for name, fn in vars(mod).items():
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and name[0] != "_":
+                found = annotations(fn)
+                assert not (any("SimplexSpec" in a for a in found)
+                            and any("LinearRestriction" in a for a in found)), name
+    assert not any("SimplexSpec" in a for a in annotations(lifted_metric))
 
 
 def test_glue_identity_composition():

@@ -22,7 +22,6 @@ from ergot import (
     boundary_metric,
     build_qopt,
     check_certificate,
-    full_simplex,
     generate_instance,
     invariance_restriction,
     no_restriction,
@@ -56,8 +55,7 @@ def mixture(comps, weights):
 
 def test_build_qopt_fixture_table():
     sp, metric, r, _ = fixture()
-    spec = r.mx_spec
-    values, plans, statuses = build_qopt(spec, spec, CostMatrix(sp, sp, metric.d), r)
+    values, plans, statuses = build_qopt(CostMatrix(sp, sp, metric.d), r)
     assert np.allclose(values, [[0.0, 2.0], [2.0, 0.0]], atol=1e-9)
     assert all(s == "optimal" for row in statuses for s in row)
     assert plans[0][1] is not None
@@ -68,9 +66,8 @@ def test_build_qopt_single_component():
     act = GroupAction(sp, (("c", np.array([1, 2, 0], dtype=np.intp)),))
     r = invariance_restriction(act)
     c = CostMatrix(sp, sp, np.arange(9, dtype=float).reshape(3, 3))
-    spec = r.mx_spec
-    comps, _ = simplex_components(spec)
-    values, _, _ = build_qopt(spec, spec, c, r)
+    comps, _ = simplex_components(r.mx_spec)
+    values, _, _ = build_qopt(c, r)
     direct = solve_constrained_ot(comps[0], comps[0], c, r)
     assert values.shape == (1, 1)
     assert values[0, 0] == pytest.approx(direct.value, abs=1e-12)
@@ -81,8 +78,7 @@ def test_build_qopt_unconstrained_full_simplexes():
     rng = np.random.default_rng(8)
     c = rng.uniform(0, 1, (3, 3))
     r = no_restriction(sp, sp)
-    values, _, _ = build_qopt(full_simplex(sp), full_simplex(sp),
-                              CostMatrix(sp, sp, c), r)
+    values, _, _ = build_qopt(CostMatrix(sp, sp, c), r)
     assert np.allclose(values, c, atol=1e-9)
 
 
@@ -165,7 +161,7 @@ def test_verify_metric_decomposition_fixture(scale):
     sp, metric, r, _ = fixture()
     metric = GroundMetric(sp, scale * metric.d)
     for p in (1.0, 2.0):
-        rep = verify_metric_decomposition(r.mx_spec, metric, p, r, samples=12)
+        rep = verify_metric_decomposition(metric, p, r, samples=12)
         assert rep.passed, rep.axiom_failures
         assert rep.max_gap <= 1e-8 * scale
 
@@ -175,8 +171,7 @@ def test_verify_metric_decomposition_single_orbit():
     act = GroupAction(sp, (("c", np.array([1, 2, 3, 0], dtype=np.intp)),))
     r = invariance_restriction(act)
     d = np.ones((4, 4)) - np.eye(4)
-    rep = verify_metric_decomposition(r.mx_spec, GroundMetric(sp, d), 1.0, r,
-                                      samples=4)
+    rep = verify_metric_decomposition(GroundMetric(sp, d), 1.0, r, samples=4)
     assert rep.passed
     assert rep.max_gap <= 1e-12  # the simplex is a single point
 
@@ -314,40 +309,47 @@ CERTIFIED = [InstanceSpec(n=8, kind="perm", cycle_type=(4, 2, 2), seed=3),
              InstanceSpec(n=9, kind="kernel", class_sizes=(3, 3, 3), seed=4)]
 
 
-def tampered(name, mu, plan, u, v, lam, r):
+def tampered(name, mu, plan, u, v, lam, r, step=0.1):
     """One entry of the named certificate part broken, the way that part alone shows it.
 
     The plan loses half its mass on one charged cell (its marginals break,
-    its cost falls); a potential rises on a point that ships mass, and a
-    multiplier on a constraint whose positive cell holds mass, each pushing
-    a reduced cost on the plan's support below zero.
+    its cost falls); a potential rises by step on a point that ships mass,
+    and a multiplier by step on a constraint whose positive cell holds mass,
+    each pushing a reduced cost on the plan's support below zero.
     """
     p, u, v, lam = plan.p.copy(), u.copy(), v.copy(), lam.copy()
     x, y = np.argwhere(p > 1e-6)[0]
     if name == "plan":
         p[x, y] *= 0.5
     elif name == "u":
-        u[x] += 0.1
+        u[x] += step
     elif name == "v":
-        v[y] += 0.1
+        v[y] += step
     else:
         heads = r.omega.dense().argmax(axis=1)
-        lam[np.flatnonzero(plan.p.ravel()[heads] > 1e-6)[0]] += 0.1
+        lam[np.flatnonzero(plan.p.ravel()[heads] > 1e-6)[0]] += step
     return TransportPlan(plan.row_space, plan.col_space, p), u, v, lam
 
 
-@pytest.mark.parametrize("spec", CERTIFIED, ids=["perm", "kernel"])
+@pytest.mark.parametrize("spec, scale", [
+    pytest.param(CERTIFIED[0], 1.0, id="perm"), pytest.param(CERTIFIED[1], 1.0, id="kernel"),
+    pytest.param(CERTIFIED[0], 1e-10, id="perm-1e-10"),
+    pytest.param(CERTIFIED[1], 1e-10, id="kernel-1e-10"),
+    pytest.param(CERTIFIED[0], 1e-14, id="perm-1e-14"),
+    pytest.param(CERTIFIED[1], 1e-14, id="kernel-1e-14")])
 @pytest.mark.parametrize("name, residual", [("plan", "primal"), ("u", "reduced"), ("v", "reduced"),
                                             ("lam", "reduced")])
-def test_a_broken_certificate_fails_its_own_residual_only(spec, name, residual):
+def test_a_broken_certificate_fails_its_own_residual_only(spec, scale, name, residual):
+    # costs in [0, scale]: a dual entry raised by 0.1 * scale breaks the
+    # certificate at any scale, since its tolerances are relative to the cost
     inst = generate_instance(spec)
-    r = inst.restriction
-    rep = verify_decomposition(inst.mu, inst.nu, inst.cost, r)
+    r, cost = inst.restriction, CostMatrix(inst.space, inst.space, scale * inst.cost.c)
+    rep = verify_decomposition(inst.mu, inst.nu, cost, r)
     assert rep.passed and all(cert.passed for cert in rep.certificates)
-    honest = check_certificate(inst.mu, inst.nu, inst.cost, r, *rep.proof)
-    assert honest.passed and honest.gap <= 1e-12 and honest.reduced >= -1e-12
-    broken = check_certificate(inst.mu, inst.nu, inst.cost, r,
-                               *tampered(name, inst.mu, *rep.proof, r))
+    honest = check_certificate(inst.mu, inst.nu, cost, r, *rep.proof)
+    assert honest.passed and honest.gap <= 1e-12 * scale and honest.reduced >= -1e-12 * scale
+    broken = check_certificate(inst.mu, inst.nu, cost, r,
+                               *tampered(name, inst.mu, *rep.proof, r, 0.1 * scale))
     assert broken.failed == (residual,) and not broken.passed
 
 
@@ -367,7 +369,7 @@ def test_verify_fails_when_a_certificate_breaks(monkeypatch):
     # multiplier leaves the sides unproven, so the verdict is a failure
     inst = generate_instance(CERTIFIED[0])
     honest = ergot.verify._multipliers
-    monkeypatch.setattr(ergot.verify, "_multipliers", lambda r, target: honest(r, target) + 0.1)
+    monkeypatch.setattr(ergot.verify, "_multipliers", lambda *args: honest(*args) + 0.1)
     rep = verify_decomposition(inst.mu, inst.nu, inst.cost, inst.restriction)
     assert rep.gap <= 1e-12 and rep.qopt_ok
     assert not rep.certified and not rep.passed
@@ -379,10 +381,10 @@ def test_a_broken_multiplier_fails_the_metric_identity(monkeypatch, capsys):
     # witnesses it: the two sides still agree, yet the identity fails
     _, metric, r, comps = fixture()
     pairs = [(mixture(comps, [0.5, 0.5]), mixture(comps, [0.25, 0.75]))]
-    assert verify_metric_decomposition(r.mx_spec, metric, 1.0, r, pairs).passed
+    assert verify_metric_decomposition(metric, 1.0, r, pairs).passed
     honest = ergot.verify._multipliers
-    monkeypatch.setattr(ergot.verify, "_multipliers", lambda r, target: honest(r, target) + 0.1)
-    rep = verify_metric_decomposition(r.mx_spec, metric, 1.0, r, pairs)
+    monkeypatch.setattr(ergot.verify, "_multipliers", lambda *args: honest(*args) + 0.1)
+    rep = verify_metric_decomposition(metric, 1.0, r, pairs)
     assert not rep.passed and rep.max_gap <= 1e-12
     assert any(f.startswith("direct:") and "certificate" in f for f in rep.axiom_failures)
     assert main(["metric", str(Path(__file__).parent / "fixtures" / "c3x2.json")]) == 2
@@ -407,7 +409,7 @@ def test_rotation_boundary_metric_is_the_quotient_circle_distance(n, step, p):
     comps, cls = simplex_components(r.mx_spec)
     coset = np.array([np.flatnonzero(cls == a)[0] % k for a in range(len(comps))])
     delta = np.abs(coset[:, None] - coset) % k
-    bm = boundary_metric(r.mx_spec, d, p, r)
+    bm = boundary_metric(d, p, r)
     assert np.array_equal(bm.dbar, np.minimum(delta, k - delta).astype(float))
 
     for mu, nu in sample_member_pairs(r.mx_spec, 3, seed=n + step):
@@ -419,7 +421,7 @@ def test_rotation_boundary_metric_is_the_quotient_circle_distance(n, step, p):
 
 def test_rotation_metric_identity_holds():
     d, r = rotation(24, 6)
-    rep = verify_metric_decomposition(r.mx_spec, d, 1.0, r, samples=6)
+    rep = verify_metric_decomposition(d, 1.0, r, samples=6)
     assert rep.passed, rep.axiom_failures
     assert rep.max_gap <= 1e-12
 
