@@ -451,14 +451,15 @@ def _scale(m) -> float:
 def pth_root(value, p: float, cost):
     """Distance from an optimal cost of order p: value ** (1/p), 0.0 at or below the cut.
 
-    The cut is TAU_LP * _scale(cost), cost being the cost array value was
-    optimised over. A value that small beside the cost's own entries is
-    below the solver's resolution, and taking the p-th root of rounding
-    noise would inflate it (for p=2, a 1e-17 residue on a unit cost reads
-    as 3e-9); being relative, the cut does not depend on the cost's units.
-    An array value is taken entry by entry.
+    The cut is TAU_LP * min(1, _scale(cost)), cost being the cost array
+    value was optimised over: taking the p-th root of rounding noise would
+    inflate it (for p=2, a 1e-17 residue on a unit cost reads as 3e-9). The
+    cut shrinks with a cost below unit scale, so small units keep their
+    distances, but never grows past TAU_LP, so a true value of 1 beside a
+    cost entry of 1e10 is still reported. An array value is taken entry by
+    entry.
     """
-    cut = TAU_LP * _scale(cost)
+    cut = TAU_LP * min(1.0, _scale(cost))
 
     def root(v):
         return 0.0 if v <= cut else v ** (1.0 / p)

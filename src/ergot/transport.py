@@ -407,7 +407,8 @@ def wasserstein(mu: Measure, nu: Measure, d: GroundMetric, p: float,
 
     Solved by solve_constrained_ot's default: the closed form on the product
     atoms when r has them, else the lifted LP. An optimal cost at or below
-    TAU_LP times the largest entry of d^p is reported as distance 0 (pth_root).
+    TAU_LP times min(1, the largest entry of d^p) is reported as distance 0
+    (pth_root).
     """
     if mu.space.labels != nu.space.labels or mu.space.labels != d.space.labels:
         raise ValueError("wasserstein needs both measures and the metric on one space")
@@ -430,7 +431,7 @@ def boundary_metric(d: GroundMetric, p: float, r: LinearRestriction) -> Boundary
     than forced. Entries may be +inf.
     """
     comps, class_x = simplex_components(r.mx_spec)
-    if not np.array_equal(class_x, simplex_components(r.my_spec)[1]):
+    if r.my_spec is not r.mx_spec and not np.array_equal(class_x, simplex_components(r.my_spec)[1]):
         raise ValueError("the restriction's two simplexes split the points differently")
     geo = check_geometric(r, comps)
     if not geo.passed:

@@ -317,6 +317,21 @@ def test_boundary_metric_of_full_simplex_is_ground_metric():
     assert np.allclose(bm.dbar, d, atol=1e-9)
 
 
+def test_small_distances_beside_a_large_cost_entry_are_kept():
+    # points 0, 1 and 1e5 on a line, p = 2: W2(δ0, δ1)^2 = 1 exactly, though
+    # the largest entry of d^2 is 1e10; the rounding cut stays at TAU_LP there
+    sp = FiniteSpace.of_size(3)
+    x = np.array([0.0, 1.0, 1e5])
+    d = GroundMetric(sp, np.abs(x[:, None] - x[None, :]))
+    r = no_restriction(sp, sp)
+    delta0, delta1 = (Measure(sp, np.eye(3)[i]) for i in (0, 1))
+    assert wasserstein(delta0, delta1, d, 2.0, r) == 1.0
+    bm = boundary_metric(d, 2.0, r)
+    assert bm.dbar[0, 1] == bm.dbar[1, 0] == 1.0
+    assert lifted_metric(delta0, delta1, bm, 2.0) == 1.0
+    assert ergot.verify.verify_metric_decomposition(d, 2.0, r, [(delta0, delta1)]).passed
+
+
 def test_boundary_metric_single_component():
     sp = FiniteSpace.of_size(3)
     act = GroupAction(sp, (("c", np.array([1, 2, 0], dtype=np.intp)),))
