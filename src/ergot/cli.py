@@ -51,7 +51,7 @@ from .restriction import (
     stationarity_restriction,
     subgroup_restriction,
 )
-from .transport import boundary_metric, lifted_metric, solve_constrained_ot
+from .transport import _metric_cost, boundary_metric, lifted_metric, solve_constrained_ot
 from .verify import (InstanceSpec, _certified_distance, agreement, generate_instance,
                      verify_decomposition)
 
@@ -298,7 +298,7 @@ def _cost(prob, p: float, command: str) -> CostMatrix:
         return prob["cost"]
     if prob["metric"] is None:
         raise ParseError("cost", f"{command} needs a cost or a metric")
-    return CostMatrix(prob["space"], prob["space"], prob["metric"].d ** p)
+    return _metric_cost(prob["metric"], p)
 
 
 def get_restriction(prob):

@@ -171,7 +171,7 @@ class ConstraintSet:
 
     <omega, p> is the entrywise inner product. The set may be empty, which
     means the problem is unconstrained. labels[i] records where constraint i
-    came from, e.g. "invariance:g:(0,4)". The constraints are stored as the
+    came from, e.g. "invariance:(0,4)". The constraints are stored as the
     nonzero entries of the (k, n*m) matrix whose row i is constraint i
     flattened row-major: value[t] sits in row row[t] at cell cell[t] (x*m +
     y). The entries are read-only and sorted by row, then cell: when built,

@@ -16,7 +16,6 @@ points; barycenter mixes it back. The round trip is exact to TAU_MASS.
 from __future__ import annotations
 
 import weakref
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,38 +54,35 @@ def orbit_decompose(action: GroupAction) -> OrbitPartition:
     Orbit ids are assigned by smallest contained point, so the result is
     deterministic regardless of generator order.
     """
-    ids, _ = _orbit_search(action.space.n, [g.tolist() for _, g in action.generators])
-    orbit_of = np.array(ids, dtype=np.intp)
+    orbit_of = np.array(_orbit_search(action.space.n, [g.tolist() for _, g in action.generators]),
+                        dtype=np.intp)
     orbits = tuple(tuple(np.flatnonzero(orbit_of == i).tolist()) for i in np.unique(orbit_of))
     return OrbitPartition(action.space, orbit_of, orbits)
 
 
-def _orbit_search(size: int, perms) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """Orbit ids of the points 0..size-1 under the permutation lists perms, and a spanning forest.
+def _orbit_search(size: int, perms) -> list[int]:
+    """Orbit ids of the points 0..size-1 under the permutation lists perms.
 
-    Each point not yet numbered, in increasing order, starts the next orbit
-    (so orbits are numbered by smallest member) and a BFS that follows perms
-    in order. Its tree edges (k, parent, child), perms[k] taking parent to
-    a newly found child, are listed in discovery order.
+    Each point not yet numbered, in increasing order, starts the next orbit,
+    so orbits are numbered by smallest member, and a search that follows
+    perms numbers the rest of that orbit.
     """
     orbit_of = [-1] * size
-    edges = []
     orbits = 0
     for root in range(size):
         if orbit_of[root] >= 0:
             continue
         orbit_of[root] = orbits
-        queue = deque([root])
-        while queue:
-            cell = queue.popleft()
-            for k, g in enumerate(perms):
+        stack = [root]
+        while stack:
+            cell = stack.pop()
+            for g in perms:
                 child = g[cell]
                 if orbit_of[child] < 0:
                     orbit_of[child] = orbits
-                    queue.append(child)
-                    edges.append((k, cell, child))
+                    stack.append(child)
         orbits += 1
-    return orbit_of, edges
+    return orbit_of
 
 
 def averaging_kernel(action: GroupAction) -> StochKernel:

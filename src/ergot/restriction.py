@@ -8,12 +8,12 @@ rectangle of recurrent classes (stationarity). The atoms are what later
 decompose admissible plans into ergodic components.
 
 Constraint sets are finite spanning sets, never the full linear span: for
-invariance-style restrictions each product orbit contributes a spanning tree
-of difference matrices rooted at its smallest cell, which is exactly
-orbit-size - 1 independent constraints and forces orbit constancy. The
-builders emit only the nonzero entries (core.ConstraintSet): two per tree
-edge, or the sparse Kronecker product of two kernels' nonzeros, never the
-dense matrix.
+invariance-style restrictions each product orbit contributes a star of
+difference matrices, each other cell of the orbit minus its smallest cell,
+which is exactly orbit-size - 1 independent constraints and forces orbit
+constancy. The builders emit only the nonzero entries (core.ConstraintSet):
+two per non-root cell, or the sparse Kronecker product of two kernels'
+nonzeros, never the dense matrix.
 
 The checkers (weak regularity, geometricity, coherency) return reports with
 recorded failures instead of raising, except where their preconditions are
@@ -116,19 +116,20 @@ def _product_generator(g: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _orbit_restriction(action: GroupAction, product_gens, family: str) -> LinearRestriction:
-    """Plans constant on the orbits of product_gens, (label, cell permutation) pairs.
+    """Plans constant on the orbits of product_gens, permutations of the product cells.
 
     One search (ergodic._orbit_search) numbers the orbits, which are the
-    atoms, and its tree edge e = (cell, g(cell)) becomes constraint e, two
-    entries: +1 at the parent cell and -1 at the child.
+    atoms, by smallest cell, their root. Each other cell c, in increasing
+    order, gets one constraint labelled after c, two entries: +1 at c and -1
+    at its orbit's root.
     """
     n = action.space.n
-    atom_of, edges = _orbit_search(n * n, [g.tolist() for _, g in product_gens])
-    tags = [f"{family}:{lbl}:" for lbl, _ in product_gens]
-    labels = [f"{tags[k]}({cell // n},{cell % n})" for k, cell, _ in edges]
-    ends = np.array(edges, dtype=np.intp).reshape(-1, 3)[:, 1:]
-    omega = ConstraintSet(action.space, action.space, labels, np.repeat(np.arange(len(ends)), 2),
-                          ends, np.tile([1.0, -1.0], len(ends)))
+    atom_of = np.array(_orbit_search(n * n, [g.tolist() for g in product_gens]), dtype=np.intp)
+    root = np.unique(atom_of, return_index=True)[1][atom_of]
+    cells = np.flatnonzero(root != np.arange(n * n))
+    labels = [f"{family}:({c // n},{c % n})" for c in cells.tolist()]
+    omega = ConstraintSet(action.space, action.space, labels, np.repeat(np.arange(cells.size), 2),
+                          np.column_stack([root[cells], cells]), np.tile([-1.0, 1.0], cells.size))
     spec = invariant_simplex(action)
     return LinearRestriction(omega=omega, mx_spec=spec, my_spec=spec, atom_of=atom_of)
 
@@ -140,8 +141,8 @@ def invariance_restriction(action: GroupAction) -> LinearRestriction:
     the diagonal action on the product space. Marginals must be invariant
     measures.
     """
-    return _orbit_restriction(action, [(lbl, _product_generator(g, g))
-                                       for lbl, g in action.generators], "invariance")
+    return _orbit_restriction(action, [_product_generator(g, g) for _, g in action.generators],
+                              "invariance")
 
 
 def _mulclose(gens: list[tuple], cap: int) -> set:
@@ -193,8 +194,8 @@ def subgroup_restriction(action: GroupAction, pair_generators) -> LinearRestrict
             f"(sizes {len(proj1)}/{len(proj2)} vs {len(full_group)})")
 
     return _orbit_restriction(action, [
-        (f"pair{k}", _product_generator(np.array(g, dtype=np.intp), np.array(h, dtype=np.intp)))
-        for k, (g, h) in enumerate(pairs)], "subgroup")
+        _product_generator(np.array(g, dtype=np.intp), np.array(h, dtype=np.intp))
+        for g, h in pairs], "subgroup")
 
 
 def stationarity_restriction(qx: StochKernel, qy: StochKernel) -> LinearRestriction:

@@ -183,11 +183,14 @@ def check_certificate(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestrict
                TAU_LP * scale;
     where scale is the largest finite |c| (_scale). The check reads only c, the
     constraints (omega p and omega^T lam through ConstraintSet.apply and
-    apply_T), mu, nu and the plan: no atoms and no solver.
+    apply_T), mu, nu and the plan: no atoms and no solver. An input whose
+    shape does not fit r raises ValueError naming it.
     """
-    k, (n, m) = len(r.omega), c.c.shape
-    if np.shape(u) != (n,) or np.shape(v) != (m,) or np.shape(lam) != (k,):
-        raise ValueError(f"need u of length {n}, v of {m} and lam of {k}")
+    k, n, m = len(r.omega), r.row_space.n, r.col_space.n
+    for name, a, shape in (("cost", c.c, (n, m)), ("plan", plan.p, (n, m)), ("mu", mu.w, (n,)),
+                           ("nu", nu.w, (m,)), ("u", u, (n,)), ("v", v, (m,)), ("lam", lam, (k,))):
+        if np.shape(a) != shape:
+            raise ValueError(f"{name} has shape {np.shape(a)}, need {shape}")
     finite = np.isfinite(c.c)
     p = plan.p
     broken = plan_violations(plan, r)
@@ -221,36 +224,17 @@ def _heads(omega) -> np.ndarray:
 def _multipliers(r: LinearRestriction, target: np.ndarray, unit: float) -> np.ndarray:
     """lam with omega^T lam = target, for a target in the constraints' row space.
 
-    Spanning-tree rows (+1 at the parent cell, -1 at the child, children
-    emitted after their parents, as the orbit builders write them) are solved
-    by subtree sums: each edge carries minus the target summed over the
-    subtree below it. Otherwise each row is taken to belong to its one
-    positive cell, its head (_heads), as stationarity's rows e_w - K[:, w]
-    of an idempotent product kernel K do; then lam is the target there.
-    Both read the stored entries. Should neither fit to TAU_LP * unit, the
-    unit of the cost the target comes from, least squares on the dense
-    matrix decides.
+    Each row is taken to belong to its one positive cell, its head (_heads),
+    and lam is the target there. That solves every shipped family from the
+    stored entries: an orbit row, +1 at a cell and -1 at its orbit's root,
+    and stationarity's row e_w - K[:, w] of an idempotent product kernel K.
+    Should it not fit to TAU_LP * unit, the unit of the cost the target
+    comes from, least squares on the dense matrix decides.
     """
     om = r.omega
-    k = len(om)
-    if not k:
+    if not len(om):
         return np.zeros(0)
-    lam = None
-    if np.array_equal(om.row, np.repeat(np.arange(k), 2)):
-        # two entries per row, in cell order: a tree edge when they are +1 and -1
-        value, cell = om.value.reshape(k, 2), om.cell.reshape(k, 2)
-        up = value[:, 0] > value[:, 1]
-        heads, tails = np.where(up, cell[:, 0], cell[:, 1]), np.where(up, cell[:, 1], cell[:, 0])
-        if (np.all(value.max(axis=1) == 1) and np.all(value.sum(axis=1) == 0)
-                and np.unique(tails).size == k):
-            below = target.tolist()
-            lam = [0.0] * k
-            for e, (head, tail) in reversed(list(enumerate(zip(heads.tolist(), tails.tolist())))):
-                lam[e] = -below[tail]
-                below[head] += below[tail]
-            lam = np.array(lam)
-    if lam is None:
-        lam = target[_heads(om)]
+    lam = target[_heads(om)]
     if np.max(np.abs(om.apply_T(lam) - target)) > TAU_LP * unit:
         lam = np.linalg.lstsq(om.dense().T, target, rcond=None)[0]
     return lam

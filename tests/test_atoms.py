@@ -7,6 +7,7 @@ same value, the closed-form plan must have the right marginals and break no
 constraint, and on LPs small enough the vertex enumeration settles both.
 """
 
+import time
 from pathlib import Path
 
 import numpy as np
@@ -115,23 +116,39 @@ def subgroup_instance(n, cycle_type, seed):
     return inst, r
 
 
-# subgroup instances whose lifted LP is wrong: one 12-cycle, so the pairs
-# (g, g), (g, id) generate every (g^i, g^j) and the whole 12 x 12 rectangle is
-# one atom. The LP calls seed 1 infeasible, and for seed 2 finds a plan that
-# breaks 9 constraints, 4.7e-9 below the optimum, which the plan check turns
-# into a NotFeasibleError.
-LP_WRONG_SUBGROUP = [(12, (12,), 1), (12, (12,), 2)]
+# subgroup instances of one 12-cycle, so the pairs (g, g), (g, id) generate
+# every (g^i, g^j) and the whole 12 x 12 rectangle is one atom. On spanning-tree
+# rows the lifted LP called seed 1 infeasible, and for seed 2 found a plan that
+# broke 9 constraints, 4.7e-9 below the optimum; on star rows both solve.
+FULL_PRODUCT_ORBIT = [(12, (12,), 1), (12, (12,), 2)]
 
 
 def test_subgroup_pairs_match_the_lp():
     for n, ct in CYCLE_TYPES:
         for seed in range(3):
-            if (n, ct, seed) not in LP_WRONG_SUBGROUP:
-                inst, r = subgroup_instance(n, ct, seed)
-                assert_atoms_match_lp(inst.mu, inst.nu, inst.cost, r)
+            inst, r = subgroup_instance(n, ct, seed)
+            assert_atoms_match_lp(inst.mu, inst.nu, inst.cost, r)
 
 
-@pytest.mark.parametrize("n,cycle_type,seed", LP_WRONG_SUBGROUP)
+# subgroup instances on which the lifted LP stalled in degenerate Bland pivots
+# while its orbit rows were spanning-tree edges: past 230 s for the first, and
+# past 20 s for each n = 20 seed (four 5-cycles)
+LP_STALLED_SUBGROUP = [(12, (7, 4, 1), 2)] + [(20, (5, 5, 5, 5), seed)
+                                              for seed in (2, 3, 4, 8, 10, 12, 14, 17, 19)]
+
+
+@pytest.mark.parametrize("n,cycle_type,seed", LP_STALLED_SUBGROUP)
+def test_lifted_lp_solves_the_stalled_subgroup_instances(n, cycle_type, seed):
+    inst, r = subgroup_instance(n, cycle_type, seed)
+    start = time.perf_counter()
+    res = solve_constrained_ot(inst.mu, inst.nu, inst.cost, r, method="lp")
+    assert time.perf_counter() - start < 6.0
+    assert res.status == "optimal"
+    assert not plan_violations(res.plan, r)
+    assert abs(res.value - solve_constrained_ot(inst.mu, inst.nu, inst.cost, r).value) <= 1e-9
+
+
+@pytest.mark.parametrize("n,cycle_type,seed", FULL_PRODUCT_ORBIT)
 def test_atoms_solve_the_full_product_orbit(n, cycle_type, seed):
     # one atom: the only feasible plan is uniform, at the mean cost
     inst, r = subgroup_instance(n, cycle_type, seed)
@@ -141,9 +158,8 @@ def test_atoms_solve_the_full_product_orbit(n, cycle_type, seed):
     assert abs(res.value - inst.cost.c.mean()) <= VALUE_TOL
 
 
-@pytest.mark.parametrize("n,cycle_type,seed", LP_WRONG_SUBGROUP)
+@pytest.mark.parametrize("n,cycle_type,seed", FULL_PRODUCT_ORBIT)
 def test_verify_certifies_the_full_product_orbit(n, cycle_type, seed):
-    # the lifted LP cannot witness these; the certificates do
     inst, r = subgroup_instance(n, cycle_type, seed)
     rep = verify_decomposition(inst.mu, inst.nu, inst.cost, r)
     assert rep.passed and rep.certified and len(rep.certificates) == 2
@@ -169,10 +185,7 @@ def test_verify_certifies_transient_states_and_two_kernels():
     assert transient > 15
 
 
-@pytest.mark.xfail(strict=True, reason="open solver defect: the lifted LP of one full "
-                   "product orbit comes out infeasible, or its plan breaks the "
-                   "constraints (NotFeasibleError)")
-@pytest.mark.parametrize("n,cycle_type,seed", LP_WRONG_SUBGROUP)
+@pytest.mark.parametrize("n,cycle_type,seed", FULL_PRODUCT_ORBIT)
 def test_lifted_lp_solves_the_full_product_orbit(n, cycle_type, seed):
     inst, r = subgroup_instance(n, cycle_type, seed)
     res = solve_constrained_ot(inst.mu, inst.nu, inst.cost, r, method="lp")

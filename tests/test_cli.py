@@ -49,6 +49,17 @@ def test_solve_fixture_value():
     assert plan[0][4] > 0 and plan[0][3] == 0.0
 
 
+def test_solve_fixture_prints_the_readme_value():
+    # the README's `ergot solve` example shows the value the command prints, digit for digit
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    example = readme.split("$ ergot solve tests/fixtures/c3x2.json", 1)[1].split("```", 1)[0]
+    shown = re.search(r'"value": ([^}\s]+)', example).group(1)
+    assert shown == "0.5"
+    out = run_cli("solve", str(FIXTURE))
+    assert out.returncode == 0
+    assert re.findall(r'"value": (\S+)', out.stdout) == [shown]
+
+
 def test_solve_mass_error_message(tmp_path):
     doc = load_fixture()
     doc["marginals"]["mu"] = [0.2, 0.2, 0.2, 0.1, 0.1, 0.1]

@@ -480,11 +480,11 @@ def test_no_restriction_atoms_are_singletons():
     assert not r.atom_of.flags.writeable
 
 
-# SHA-256 of every builder's labels, constraint matrix and atom_of below. The
-# BFS order (roots in increasing cell order, generators in their given order)
-# fixes each label, row and atom id, and with them the lifted LP and its
-# tie-broken Bland plans, so any change to it shows here.
-BUILDER_DIGEST = "9a2efcc17ea7e2bb228554ee54585d050c5b99a4e33603f005901fc23d49abe9"
+# SHA-256 of every builder's labels, constraint matrix and atom_of below.
+# Orbits numbered by smallest cell, and one star row per other cell in
+# increasing cell order, fix each label, row and atom id, and with them the
+# lifted LP and its tie-broken Bland plans, so any change to them shows here.
+BUILDER_DIGEST = "510746ea99f396752c5a8cd0a3dade68335701b9b84d4f3c680d417c72079931"
 
 
 def builder_restrictions():
@@ -518,7 +518,8 @@ def builder_digest(restrictions):
 
 
 def test_builders_are_bit_identical():
-    assert builder_digest(builder_restrictions()) == BUILDER_DIGEST
+    digest = builder_digest(builder_restrictions())
+    assert digest == BUILDER_DIGEST, f"the builders now hash to {digest}"
 
 
 def test_product_atoms_match_one_scan_per_atom():

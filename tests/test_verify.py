@@ -436,24 +436,32 @@ def test_certificate_holds_at_any_cost_scale():
 
 
 def test_multipliers_of_rows_of_no_known_shape_come_from_least_squares():
-    # doubled tree rows state the same restriction but are no +1/-1 edges;
-    # independent rows leave one lam, so it is the tree's, halved
+    # doubled star rows state the same restriction but are no +1/-1 rows;
+    # independent rows leave one lam, so it is the stars', halved
     inst = generate_instance(CERTIFIED[0])
     r = inst.restriction
     doubled = LinearRestriction(ConstraintSet.from_dense(r.row_space, r.col_space,
                                                          r.omega.labels, 2 * r.omega.dense()),
                                 r.mx_spec, r.my_spec, atom_of=r.atom_of)
-    tree = verify_decomposition(inst.mu, inst.nu, inst.cost, r)
+    star = verify_decomposition(inst.mu, inst.nu, inst.cost, r)
     rep = verify_decomposition(inst.mu, inst.nu, inst.cost, doubled)
     assert rep.passed and rep.certified
-    assert np.max(np.abs(rep.proof[3] - tree.proof[3] / 2)) <= 1e-12
+    assert np.max(np.abs(rep.proof[3] - star.proof[3] / 2)) <= 1e-12
 
 
 def test_check_certificate_names_mismatched_shapes():
     inst = generate_instance(CERTIFIED[0])
-    plan, u, v, lam = verify_decomposition(inst.mu, inst.nu, inst.cost, inst.restriction).proof
-    with pytest.raises(ValueError, match="lam"):
-        check_certificate(inst.mu, inst.nu, inst.cost, inst.restriction, plan, u, v, lam[1:])
+    r = inst.restriction
+    plan, u, v, lam = verify_decomposition(inst.mu, inst.nu, inst.cost, r).proof
+    fields = dict(mu=inst.mu, nu=inst.nu, c=inst.cost, r=r, plan=plan, u=u, v=v, lam=lam)
+    short = FiniteSpace.of_size(inst.space.n - 1)
+    for name, bad in (("lam", dict(lam=lam[1:])), ("u", dict(u=u[1:])), ("v", dict(v=v[1:])),
+                      ("plan", dict(plan=TransportPlan(inst.space, short, plan.p[:, 1:]))),
+                      ("mu", dict(mu=Measure(short, inst.mu.w[1:] / inst.mu.w[1:].sum()))),
+                      ("nu", dict(nu=Measure(short, inst.nu.w[1:] / inst.nu.w[1:].sum()))),
+                      ("cost", dict(c=CostMatrix(inst.space, short, inst.cost.c[:, 1:])))):
+        with pytest.raises(ValueError, match=f"^{name} has shape"):
+            check_certificate(**{**fields, **bad})
 
 
 @pytest.mark.parametrize("n,class_sizes,seed", FALSE_INFEASIBLE)
