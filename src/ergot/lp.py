@@ -3,9 +3,10 @@ plus a vertex-enumeration oracle.
 
 ``transport_simplex`` solves plain transport problems (marginal equalities
 only) on a spanning-tree basis: the network simplex of the transportation
-problem, each pivot O(rows + columns) besides pricing. Every unconstrained
-transport solve runs on it. ``solve_lp`` is the general solver, kept for
-the lifted LPs, whose constraint rows leave no tree structure.
+problem, started from a least-cost tree, each pivot O(rows + columns)
+besides pricing. Every unconstrained transport solve runs on it.
+``solve_lp`` is the general solver, kept for the lifted LPs, whose
+constraint rows leave no tree structure.
 
 The general solver is deliberately boring. Standard form is
 
@@ -215,24 +216,37 @@ def solve_lp(prob: LpProblem) -> LpSolution:
 def transport_simplex(supply, demand, cost) -> LpSolution:
     """Network simplex for min <cost, P> s.t. P 1 = supply, P^T 1 = demand, P >= 0.
 
-    supply (nr) and demand (nc) must be positive; the last demand entry takes
-    whatever the supply leaves, as the LP's dropped redundant row would. A
-    total mismatch above TAU_LP (relative) is infeasible. cost is (nr, nc);
-    +inf cells are forbidden, and a NaN or -inf cell raises ValueError.
+    supply (nr) and demand (nc) must be positive. Every row ships exactly
+    its supply, and the live column of highest index at the end of the
+    start takes whatever row 0 has left, as the LP's dropped redundant row
+    would. A total mismatch above TAU_LP (relative) is infeasible. cost is
+    (nr, nc); +inf cells are forbidden, and a NaN or -inf cell raises
+    ValueError.
 
     The basis is a spanning tree of nr + nc - 1 cells over the row and
-    column nodes, rooted at row 0. The north-west corner builds the first
-    one; on a tie the row moves on, so every zero-flow cell hangs a row
-    below its column and positive flow can reach the root from every node
-    (a strongly feasible tree). The potentials u, v solve
-    u_i + v_j = c_ij on the tree. The cell with the most negative reduced
-    cost enters, the lowest flat index among those within the entering
-    tolerance of the minimum; that tolerance is PIVOT_EPS times the largest
-    finite |cost|, so the cost units do not matter. The leaving cell is the
-    last blocking cell met going round the cycle along the entering cell
-    from the apex (Cunningham 1976), which keeps the tree strongly feasible
-    and so cannot cycle. A pivot shifts the potentials of the subtree the
-    leaving cell cuts off and nothing else.
+    column nodes, rooted at row 0. A least-cost start builds the first one.
+    It takes the cells cheapest first, forbidden cells last and ties by
+    flat index; each cell whose row and column are both live ships the
+    smaller remainder and retires that line. The row retires if its
+    remainder is below the column's or is 0, or if the column is the last
+    live one (which only a sum mismatch within TAU_LP can need); otherwise
+    the column retires, so a tie above 0 leaves the row live at 0. Row 0
+    waits until every other row has retired, then takes each live column.
+    Read backwards, the retirements give the tree: each line hangs below
+    the other end of its cell, which retired later. A column is never live
+    at 0, so every zero-flow cell retires a row and hangs it below its
+    column, and positive flow can reach the root from every node (a
+    strongly feasible tree).
+
+    The potentials u, v solve u_i + v_j = c_ij on the tree. The cell with
+    the most negative reduced cost enters, the lowest flat index among
+    those within the entering tolerance of the minimum; that tolerance is
+    PIVOT_EPS times the largest finite |cost|, so the cost units do not
+    matter. The leaving cell is the last blocking cell met going round the
+    cycle along the entering cell from the apex (Cunningham 1976), which
+    keeps the tree strongly feasible and so cannot cycle. A pivot shifts
+    the potentials of the subtree the leaving cell cuts off and nothing
+    else.
 
     +inf cells carry a second cost level: the objective is (forbidden mass,
     cost), compared lexicographically, with potentials and reduced costs as
@@ -281,25 +295,38 @@ def transport_simplex(supply, demand, cost) -> LpSolution:
         children[par].append(node)
         order.append(node)
 
-    ra, rb = a.tolist(), b.tolist()
-    i = j = 0
-    left_a, left_b = ra[0], rb[0]
-    attach(nr, 0, 0)
-    while i < nr - 1 or j < nc - 1:
-        cell = i * nc + j
-        if j == nc - 1 or (i < nr - 1 and left_a <= left_b):  # row i runs out, or both
-            flow[cell] = left_a
-            left_b -= left_a
-            i += 1
-            left_a = ra[i]
-            attach(i, nr + j, i * nc + j)
-        else:                                                  # column j runs out first
-            flow[cell] = left_b
-            left_a -= left_b
-            j += 1
-            left_b = rb[j]
-            attach(nr + j, i, i * nc + j)
-    flow[nr * nc - 1] = left_a
+    # the least-cost start; row 0 is not live until the sweep is over
+    left = a.tolist() + b.tolist()
+    live = [False] + [True] * (size - 1)
+    retired = []                         # (line, other end of its cell, cell)
+    waiting, cols_live = nr - 1, nc
+    cells = np.lexsort((lo_flat, forbid.ravel()))
+    for cell, i, q in zip(cells.tolist(), (cells // nc).tolist(), (cells % nc + nr).tolist()):
+        if not waiting:
+            break
+        if not (live[i] and live[q]):
+            continue
+        if left[i] < left[q] or left[i] == 0.0 or cols_live == 1:
+            flow[cell] = left[i]
+            left[q] -= left[i]
+            live[i] = False
+            retired.append((i, q, cell))
+            waiting -= 1
+        else:
+            flow[cell] = left[q]
+            left[i] -= left[q]
+            live[q] = False
+            retired.append((q, i, cell))
+            cols_live -= 1
+    for q in range(nr, size):
+        if live[q]:
+            cols_live -= 1
+            flow[q - nr] = left[q] if cols_live else left[0]
+            left[0] -= flow[q - nr]
+            retired.append((q, 0, q - nr))
+    # each line hangs below the other end of its cell, which retired later
+    for line, par, cell in reversed(retired):
+        attach(line, par, cell)
 
     def potentials(costs):
         pot = np.zeros(size)

@@ -435,8 +435,8 @@ def test_transport_simplex_matches_solve_lp_on_degenerate_problems():
     for t in range(120):
         nr, nc = random_shape(rng)
         if t % 3 == 2:
-            # every column takes exactly two rows, so the north-west corner
-            # ties at each column
+            # every column takes exactly two rows, so the second row to
+            # reach a column in the start ties with it
             nr, nc = 2 * nr, nr
         a, b = np.full(nr, 1 / nr), np.full(nc, 1 / nc)
         cost = rng.integers(0, 2 + t % 2, size=(nr, nc)).astype(float)
@@ -471,8 +471,8 @@ def assert_strongly_feasible(sol, nr, nc):
             assert depth[i] > depth[nr + j], f"zero cell ({i}, {j}) hangs its column below its row"
 
 
-def test_transport_simplex_degenerate_north_west_corner():
-    # a = b: every north-west step ties, so the first tree holds zero cells
+def test_transport_simplex_degenerate_anti_diagonal():
+    # a = b: each free cell ties its row and column, so the first tree holds zero cells
     for n in (2, 3, 5):
         a = np.full(n, 1 / n)
         cost = np.ones((n, n)) - np.eye(n)[::-1]      # the anti-diagonal is free
@@ -480,6 +480,41 @@ def test_transport_simplex_degenerate_north_west_corner():
         assert_strongly_feasible(sol, n, n)
         assert sol.value == 0.0
         assert np.array_equal(sol.x.reshape(n, n), np.diag(a)[::-1])
+
+
+@pytest.mark.parametrize("n", [5, 9, 16])
+@pytest.mark.parametrize("marginal", ["dirichlet", "uniform"])
+def test_transport_simplex_starts_on_a_free_permutation(n, marginal):
+    # b is a permuted and only the permutation's cells are free. Each free
+    # cell ties its row and column, so the start retires the column and
+    # leaves the row live at 0; the first tree is optimal, with n - 1 zero cells
+    rng = np.random.default_rng(n)
+    perm = rng.permutation(n)
+    if marginal == "dirichlet":
+        a, cost = rng.dirichlet(np.ones(n)), np.ones((n, n))
+    else:
+        a, cost = np.full(n, 1 / n), rng.integers(1, 3, size=(n, n)).astype(float)
+    b = a[perm]                                   # row perm[j] fills column j
+    cost[perm, np.arange(n)] = 0.0
+    sol = assert_matches_lp(a, b, cost)
+    assert sol.pivots == 0 and sol.value == 0.0
+    assert_strongly_feasible(sol, n, n)
+    plan = np.zeros((n, n))
+    plan[perm, np.arange(n)] = b
+    assert np.array_equal(sol.x.reshape(n, n), plan)
+
+
+def test_transport_simplex_pivot_budget_at_n40():
+    # the benchmark's plain transport draws: the north-west corner took a
+    # median of 192.5 pivots on them, the least-cost start needs half
+    pivots = []
+    for k in range(18):
+        rng = np.random.default_rng((40, k))
+        a, b = rng.dirichlet(np.ones(40)), rng.dirichlet(np.ones(40))
+        sol = transport_simplex(a, b, rng.uniform(0.0, 1.0, (40, 40)))
+        assert sol.status == "optimal"
+        pivots.append(sol.pivots)
+    assert np.median(pivots) <= 96
 
 
 def test_transport_simplex_reaches_the_least_vertex():
