@@ -26,29 +26,22 @@ from .core import (
     TransportPlan,
     full_simplex,
     invariant_simplex,
-    inverse_perm,
     pushforward,
     stationary_simplex,
-    transpose_plan,
     validate,
 )
 from .lp import (
     LpProblem,
     LpSolution,
-    VertexCapExceededError,
-    enumerate_vertices,
     solve_lp,
     transport_simplex,
 )
 from .ergodic import (
     KernelCheck,
-    OrbitPartition,
-    averaging_kernel,
     barycenter,
     check_ergodic_kernel,
     decompose_measure,
     membership_violation,
-    orbit_decompose,
     simplex_components,
     stationary_components,
 )
@@ -61,7 +54,6 @@ from .restriction import (
     invariance_restriction,
     no_restriction,
     plan_violations,
-    product_atoms,
     stationarity_restriction,
     subgroup_restriction,
 )

@@ -464,18 +464,19 @@ def parse_random_spec(text: str):
     if not m:
         raise ParseError("--random", f"expected kind:key=value,... got {text!r}")
     kind, rest = m.group(1), m.group(2)
+    parts_key, sizes_key = (("cycles", "cycle_type") if kind == "perm"
+                            else ("classes", "class_sizes"))
     fields = {}
     for part in filter(None, rest.split(",")):
         if "=" not in part:
             raise ParseError("--random", f"cannot read {part!r}")
-        key, val = part.split("=", 1)
-        fields[key.strip()] = val.strip()
-    known = {"n", "cycles", "classes", "count", "seed"}
-    unknown = set(fields) - known
+        key, val = (t.strip() for t in part.split("=", 1))
+        if key in fields:
+            raise ParseError("--random", f"key {key!r} is given twice")
+        fields[key] = val
+    unknown = set(fields) - {"n", parts_key, "count", "seed"}
     if unknown:
-        raise ParseError("--random", f"unknown keys {sorted(unknown)}")
-    parts_key, sizes_key = (("cycles", "cycle_type") if kind == "perm"
-                            else ("classes", "class_sizes"))
+        raise ParseError("--random", f"{kind} does not read keys {sorted(unknown)}")
     try:
         n = int(fields["n"])
         count = int(fields.get("count", 1))

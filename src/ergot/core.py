@@ -429,19 +429,6 @@ def pushforward(g, mu: Measure) -> Measure:
     return Measure(mu.space, w)
 
 
-def transpose_plan(pi: TransportPlan) -> TransportPlan:
-    """Swap the roles of the two marginals."""
-    return TransportPlan(pi.col_space, pi.row_space, pi.p.T)
-
-
-def inverse_perm(g) -> np.ndarray:
-    """Inverse of a permutation given in image form."""
-    g = np.asarray(g, dtype=np.intp)
-    inv = np.empty_like(g)
-    inv[g] = np.arange(g.size, dtype=np.intp)
-    return inv
-
-
 def _scale(m) -> float:
     """The largest finite |entry| of m, 0.0 if it has none: the unit tolerances on m scale with."""
     m = np.asarray(m, dtype=float)

@@ -23,8 +23,6 @@ import numpy as np
 from .core import (
     TAU_MASS,
     ErgodicDecomposition,
-    FiniteSpace,
-    GroupAction,
     Measure,
     NotInSimplexError,
     SimplexSpec,
@@ -36,28 +34,9 @@ from .core import (
 
 
 @dataclass(frozen=True, eq=False)
-class OrbitPartition:
-    space: FiniteSpace
-    orbit_of: np.ndarray            # point index -> orbit id
-    orbits: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True, eq=False)
 class KernelCheck:
     passed: bool
     offending: tuple[int, ...]      # points x whose row charges a different row
-
-
-def orbit_decompose(action: GroupAction) -> OrbitPartition:
-    """Orbits of the generated group = connected components of {(x, g(x))}.
-
-    Orbit ids are assigned by smallest contained point, so the result is
-    deterministic regardless of generator order.
-    """
-    orbit_of = np.array(_orbit_search(action.space.n, [g.tolist() for _, g in action.generators]),
-                        dtype=np.intp)
-    orbits = tuple(tuple(np.flatnonzero(orbit_of == i).tolist()) for i in np.unique(orbit_of))
-    return OrbitPartition(action.space, orbit_of, orbits)
 
 
 def _orbit_search(size: int, perms) -> list[int]:
@@ -83,21 +62,6 @@ def _orbit_search(size: int, perms) -> list[int]:
                     stack.append(child)
         orbits += 1
     return orbit_of
-
-
-def averaging_kernel(action: GroupAction) -> StochKernel:
-    """Kernel whose row at x is the uniform measure on the orbit of x.
-
-    This is the exact value of the orbit average (1/N) sum_k d_{T^k x} once N
-    reaches the cycle length, so no truncation is involved.
-    """
-    part = orbit_decompose(action)
-    n = action.space.n
-    q = np.zeros((n, n))
-    for orb in part.orbits:
-        idx = np.array(orb, dtype=np.intp)
-        q[np.ix_(idx, idx)] = 1.0 / len(orb)
-    return StochKernel(action.space, q)
 
 
 def check_ergodic_kernel(q: StochKernel) -> KernelCheck:
@@ -194,13 +158,13 @@ def _derive_components(spec: SimplexSpec) -> tuple[tuple[Measure, ...], np.ndarr
     if spec.kind == "full":
         comps, class_of = [Measure(spec.space, np.eye(n)[i]) for i in range(n)], np.arange(n)
     elif spec.kind == "group":
-        part = orbit_decompose(spec.action)
-        comps = []
-        for orb in part.orbits:
-            w = np.zeros(n)
-            w[list(orb)] = 1.0 / len(orb)
-            comps.append(Measure(spec.space, w))
-        class_of = part.orbit_of
+        # orbits of the generated group, numbered by smallest point, each
+        # carrying its uniform measure
+        class_of = np.array(_orbit_search(n, [g.tolist() for _, g in spec.action.generators]),
+                            dtype=np.intp)
+        sizes = np.bincount(class_of)
+        comps = [Measure(spec.space, np.where(class_of == k, 1.0 / sizes[k], 0.0))
+                 for k in range(len(sizes))]
     else:
         comps, class_of = stationary_components(spec.kernel)
     return tuple(comps), _freeze(class_of, dtype=np.intp)

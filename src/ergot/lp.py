@@ -1,5 +1,4 @@
-"""Two LP solvers, a transportation simplex and a two-phase Bland simplex,
-plus a vertex-enumeration oracle.
+"""Two LP solvers, a transportation simplex and a two-phase Bland simplex.
 
 ``transport_simplex`` solves plain transport problems (marginal equalities
 only) on a spanning-tree basis: the network simplex of the transportation
@@ -26,16 +25,10 @@ and the pivot row are both nonzero. Every other entry of the rank-1 update
 would subtract a zero product, so the nonzero entries come out bit for bit
 as a full dense update would leave them; only the sign of a zero can differ,
 and the solution vector folds -0.0 to 0.0.
-
-``enumerate_vertices`` is an independent brute-force oracle: it tries every
-basis-sized column subset of the equality system and keeps the nonnegative
-solutions. Exponential on purpose; it exists to cross-check the simplex on
-tiny instances and refuses loudly above its candidate cap.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,10 +38,6 @@ from .core import TAU_LP
 
 PIVOT_EPS = 1e-11   # entries smaller than this never serve as pivots
 MAX_PIVOTS = 2_000_000  # safety net only; both pivot rules terminate on their own
-
-
-class VertexCapExceededError(RuntimeError):
-    """The basis-subset count is above the caller's cap; refusing to enumerate."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,75 +435,3 @@ def transport_simplex(supply, demand, cost) -> LpSolution:
         pot += max(0.0, float(np.max(-red[lifted] / red_hi[lifted], initial=0.0))) * pot_hi
     return LpSolution(status="optimal", x=x, value=float(lo_flat @ x),
                       basis=tuple(sorted(flow)), duals=(pot[:nr], pot[nr:]), **counts)
-
-
-def _independent_rows(A, b):
-    """Row-reduce [A|b]; return (kept A rows, kept b, feasible flag).
-
-    feasible is False when elimination exposes a row 0 = nonzero.
-    """
-    M = np.hstack([A, b[:, None]]).astype(float)
-    rows, cols = M.shape
-    r = 0
-    for c in range(cols - 1):
-        piv = -1
-        best = PIVOT_EPS
-        for i in range(r, rows):
-            if abs(M[i, c]) > best:
-                best = abs(M[i, c])
-                piv = i
-        if piv < 0:
-            continue
-        M[[r, piv]] = M[[piv, r]]
-        M[r] /= M[r, c]
-        for i in range(rows):
-            if i != r and abs(M[i, c]) > 0:
-                M[i] -= M[i, c] * M[r]
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if abs(M[i, -1]) > TAU_LP:
-            return None, None, False
-    return M[:r, :-1], M[:r, -1], True
-
-
-def enumerate_vertices(prob: LpProblem, cap: int = 200_000) -> list[np.ndarray]:
-    """Every basic feasible solution of the equality system, brute force.
-
-    Tries all C(num_vars, rank) column subsets. Refuses (raises
-    VertexCapExceededError) when that count exceeds cap rather than
-    truncating silently. Returns an empty list for infeasible systems.
-    Solutions are deduplicated within TAU_LP, in lexicographic basis order.
-    """
-    n = prob.num_vars
-    A, b, feasible = _independent_rows(prob.eq_matrix, prob.eq_rhs)
-    if not feasible:
-        return []
-    r = A.shape[0]
-    if r == 0:
-        # no binding constraints: the only vertex of {x >= 0} is the origin
-        return [np.zeros(n)]
-    candidates = math.comb(n, r)
-    if candidates > cap:
-        raise VertexCapExceededError(
-            f"C({n},{r}) = {candidates} basis subsets exceeds cap {cap}")
-    found: list[np.ndarray] = []
-    full_A = prob.eq_matrix
-    full_b = prob.eq_rhs
-    for cols in itertools.combinations(range(n), r):
-        B = A[:, cols]
-        try:
-            xb = np.linalg.solve(B, b)
-        except np.linalg.LinAlgError:
-            continue
-        if np.min(xb) < -TAU_LP:
-            continue
-        x = np.zeros(n)
-        x[list(cols)] = xb
-        if np.max(np.abs(full_A @ x - full_b), initial=0.0) > TAU_LP:
-            continue
-        if any(np.max(np.abs(x - y)) <= TAU_LP for y in found):
-            continue
-        found.append(x)
-    return found

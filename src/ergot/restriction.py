@@ -252,22 +252,6 @@ def no_restriction(row_space: FiniteSpace, col_space: FiniteSpace) -> LinearRest
         atom_of=np.arange(row_space.n * col_space.n))
 
 
-def product_atoms(r: LinearRestriction) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Atoms of the product ergodic partition, as cell-index lists, and a copy of atom_of.
-
-    The atoms are the product orbits of a group-style restriction, or the
-    recurrent classes of the product kernel; transient cells are in none.
-    """
-    if r.atom_of is None:
-        raise MissingProductStructureError("restriction carries no product atoms")
-    live = np.flatnonzero(r.atom_of >= 0)
-    # one stable sort groups the live cells by atom, each group in increasing cell order
-    by_atom = live[np.argsort(r.atom_of[live], kind="stable")]
-    sizes = np.bincount(r.atom_of[live], minlength=int(r.atom_of.max(initial=-1)) + 1)
-    return ([tuple(a.tolist()) for a in np.split(by_atom, np.cumsum(sizes))[:-1]],
-            r.atom_of.copy())
-
-
 def plan_violations(pi: TransportPlan, r: LinearRestriction) -> list[tuple[str, float]]:
     """(label, |<omega, p>|) for every constraint the plan breaks beyond TAU_LP."""
     v = np.abs(r.omega.apply(pi.p))

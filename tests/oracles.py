@@ -1,0 +1,140 @@
+"""Reference oracles and input builders for the tests, kept out of the library.
+
+``enumerate_vertices`` is an independent brute-force oracle: it tries every
+basis-sized column subset of the equality system and keeps the nonnegative
+solutions. Exponential on purpose; it exists to cross-check the simplex on
+tiny instances and refuses loudly above its candidate cap.
+
+``orbit_ids`` numbers orbits by union-find and ``atom_cells`` lists atoms by
+one scan of atom_of per id; neither shares code with ergot's own orbit search
+or atom grouping, which they check. ``averaging_kernel`` builds the orbit
+average of an action as a Markov kernel, an input for the stationarity tests.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+from ergot import GroupAction, LinearRestriction, LpProblem, StochKernel
+from ergot.core import TAU_LP
+from ergot.lp import PIVOT_EPS
+
+
+class VertexCapExceededError(RuntimeError):
+    """The basis-subset count is above the caller's cap; refusing to enumerate."""
+
+
+def _independent_rows(A, b):
+    """Row-reduce [A|b]; return (kept A rows, kept b, feasible flag).
+
+    feasible is False when elimination exposes a row 0 = nonzero.
+    """
+    M = np.hstack([A, b[:, None]]).astype(float)
+    rows, cols = M.shape
+    r = 0
+    for c in range(cols - 1):
+        piv = -1
+        best = PIVOT_EPS
+        for i in range(r, rows):
+            if abs(M[i, c]) > best:
+                best = abs(M[i, c])
+                piv = i
+        if piv < 0:
+            continue
+        M[[r, piv]] = M[[piv, r]]
+        M[r] /= M[r, c]
+        for i in range(rows):
+            if i != r and abs(M[i, c]) > 0:
+                M[i] -= M[i, c] * M[r]
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if abs(M[i, -1]) > TAU_LP:
+            return None, None, False
+    return M[:r, :-1], M[:r, -1], True
+
+
+def enumerate_vertices(prob: LpProblem, cap: int = 200_000) -> list[np.ndarray]:
+    """Every basic feasible solution of the equality system, brute force.
+
+    Tries all C(num_vars, rank) column subsets. Refuses (raises
+    VertexCapExceededError) when that count exceeds cap rather than
+    truncating silently. Returns an empty list for infeasible systems.
+    Solutions are deduplicated within TAU_LP, in lexicographic basis order.
+    """
+    n = prob.num_vars
+    A, b, feasible = _independent_rows(prob.eq_matrix, prob.eq_rhs)
+    if not feasible:
+        return []
+    r = A.shape[0]
+    if r == 0:
+        # no binding constraints: the only vertex of {x >= 0} is the origin
+        return [np.zeros(n)]
+    candidates = math.comb(n, r)
+    if candidates > cap:
+        raise VertexCapExceededError(
+            f"C({n},{r}) = {candidates} basis subsets exceeds cap {cap}")
+    found: list[np.ndarray] = []
+    full_A = prob.eq_matrix
+    full_b = prob.eq_rhs
+    for cols in itertools.combinations(range(n), r):
+        B = A[:, cols]
+        try:
+            xb = np.linalg.solve(B, b)
+        except np.linalg.LinAlgError:
+            continue
+        if np.min(xb) < -TAU_LP:
+            continue
+        x = np.zeros(n)
+        x[list(cols)] = xb
+        if np.max(np.abs(full_A @ x - full_b), initial=0.0) > TAU_LP:
+            continue
+        if any(np.max(np.abs(x - y)) <= TAU_LP for y in found):
+            continue
+        found.append(x)
+    return found
+
+
+def orbit_ids(n: int, perms) -> np.ndarray:
+    """Orbit id of each point 0..n-1 under the permutations perms, numbered by smallest member.
+
+    Union-find over the edges x -- g(x); each union keeps the smaller root,
+    so every root is the smallest member of its orbit.
+    """
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in perms:
+        for x, y in enumerate(np.asarray(g).tolist()):
+            rx, ry = find(x), find(y)
+            parent[max(rx, ry)] = min(rx, ry)
+    roots = [find(x) for x in range(n)]
+    ids = {root: k for k, root in enumerate(sorted(set(roots)))}
+    return np.array([ids[root] for root in roots], dtype=np.intp)
+
+
+def averaging_kernel(action: GroupAction) -> StochKernel:
+    """Kernel whose row at x is the uniform measure on the orbit of x.
+
+    This is the exact value of the orbit average (1/N) sum_k d_{T^k x} once N
+    reaches the cycle length, so no truncation is involved.
+    """
+    orbit_of = orbit_ids(action.space.n, [g for _, g in action.generators])
+    same = orbit_of[:, None] == orbit_of[None, :]
+    return StochKernel(action.space, same / same.sum(axis=1, keepdims=True))
+
+
+def atom_cells(r: LinearRestriction) -> list[tuple[int, ...]]:
+    """The cells of each atom id 0..max(atom_of), by one full scan of atom_of per id.
+
+    An id that no cell carries gives an empty atom; transient cells (-1) are in none.
+    """
+    return [tuple(np.flatnonzero(r.atom_of == k).tolist())
+            for k in range(int(r.atom_of.max(initial=-1)) + 1)]

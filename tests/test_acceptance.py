@@ -25,14 +25,12 @@ from ergot import (
     LpProblem,
     Measure,
     StochKernel,
-    averaging_kernel,
     barycenter,
     boundary_metric,
     check_ergodic_kernel,
     component_weights,
     decompose_measure,
     decompose_plan,
-    enumerate_vertices,
     generate_instance,
     glue_plans,
     invariance_restriction,
@@ -49,6 +47,7 @@ from ergot import (
     verify_metric_decomposition,
     wasserstein,
 )
+from oracles import averaging_kernel, enumerate_vertices
 
 # (n, cycle type) combos, all with at most four cycles and n <= 12
 CYCLE_TYPES = [

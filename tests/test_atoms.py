@@ -23,7 +23,6 @@ from ergot import (
     LinearRestriction,
     Measure,
     check_certificate,
-    enumerate_vertices,
     generate_instance,
     invariance_restriction,
     no_restriction,
@@ -40,6 +39,7 @@ from ergot import (
 )
 from ergot.cli import main
 from ergot.transport import _transport_lp
+from oracles import enumerate_vertices
 from test_acceptance import CYCLE_TYPES
 from test_restriction import random_decomposing_kernel, random_partition
 

@@ -385,6 +385,20 @@ def test_unknown_random_key_rejected():
     assert out.returncode == 1
 
 
+@pytest.mark.parametrize("spec, key", [
+    ("perm:n=6,classes=3+3,count=2", "classes"),
+    ("kernel:n=6,cycles=3+3,count=2", "cycles"),
+    ("perm:n=6,cycles=3+3,n=7", "n"),
+    ("kernel:n=6,seed=1,count=2,seed=2", "seed"),
+], ids=["perm-classes", "kernel-cycles", "n-twice", "seed-twice"])
+def test_random_key_the_kind_does_not_read_or_given_twice_is_rejected(capsys, spec, key):
+    # neither is dropped nor overwritten in silence: the message names the key
+    assert main(["verify", "--random", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"'{key}'" in captured.err and captured.err.strip().endswith("at --random")
+
+
 @pytest.mark.parametrize("count", [0, -2])
 def test_empty_random_batch_rejected(count):
     out = run_cli("verify", "--random", f"perm:n=4,count={count}")

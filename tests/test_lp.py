@@ -15,8 +15,6 @@ import ergot.transport
 from ergot import (
     InstanceSpec,
     LpProblem,
-    VertexCapExceededError,
-    enumerate_vertices,
     generate_instance,
     simplex_components,
     solve_constrained_ot,
@@ -25,6 +23,7 @@ from ergot import (
 )
 from ergot.core import TAU_LP
 from ergot.lp import PIVOT_EPS
+from oracles import VertexCapExceededError, enumerate_vertices
 
 
 def transport_problem(mu, nu, cost):

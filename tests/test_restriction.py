@@ -14,12 +14,10 @@ from ergot import (
     InstanceSpec,
     LinearRestriction,
     Measure,
-    MissingProductStructureError,
     NotFeasibleError,
     ProjectionNotFullError,
     StochKernel,
     TransportPlan,
-    averaging_kernel,
     check_coherency,
     check_ergodic_kernel,
     check_geometric,
@@ -27,16 +25,14 @@ from ergot import (
     full_simplex,
     generate_instance,
     invariance_restriction,
-    inverse_perm,
     no_restriction,
-    orbit_decompose,
     plan_violations,
-    product_atoms,
     simplex_components,
     stationarity_restriction,
     stationary_components,
     subgroup_restriction,
 )
+from oracles import atom_cells, averaging_kernel, orbit_ids
 from test_acceptance import CYCLE_TYPES
 
 
@@ -74,7 +70,7 @@ def test_swap_constraints_tie_cells_together():
 
 def test_c3x2_orbit_and_constraint_counts():
     r = invariance_restriction(c3x2_action())
-    atoms, class_of = product_atoms(r)
+    atoms, class_of = atom_cells(r), r.atom_of
     assert len(atoms) == 12
     assert all(len(a) == 3 for a in atoms)
     assert set().union(*map(set, atoms)) == set(range(36))
@@ -85,7 +81,7 @@ def test_c3x2_orbit_and_constraint_counts():
 def test_orbit_constancy_equivalence():
     # constraints hold iff the plan is constant on every product orbit
     r = invariance_restriction(c3x2_action())
-    atoms, _ = product_atoms(r)
+    atoms = atom_cells(r)
     rng = np.random.default_rng(2)
     for _ in range(20):
         raw = rng.uniform(0, 1, 36)
@@ -117,7 +113,7 @@ def test_subgroup_one_sided_pairs_give_block_orbits():
     g = act.generators[0][1]
     e = np.arange(6, dtype=np.intp)
     r = subgroup_restriction(act, [(g, e), (e, g)])
-    atoms, _ = product_atoms(r)
+    atoms = atom_cells(r)
     assert len(atoms) == 4
     assert sorted(len(a) for a in atoms) == [9, 9, 9, 9]
 
@@ -137,7 +133,7 @@ def test_subgroup_projections_close_without_the_pair_group():
     e = np.arange(5)
     act = GroupAction(FiniteSpace.of_size(5), (("a", a), ("b", b)))
     r = subgroup_restriction(act, [(a, a), (b, b), (a, e), (b, e)])
-    atoms, _ = product_atoms(r)
+    atoms = atom_cells(r)
     assert atoms == [tuple(range(25))]
     assert len(r.omega) == 24
 
@@ -178,7 +174,7 @@ def test_stationarity_product_kernel_passes_check():
     r = stationarity_restriction(q, q)
     prod = StochKernel(FiniteSpace.of_size(36), np.kron(q.q, q.q))
     assert check_ergodic_kernel(prod).passed
-    assert np.array_equal(product_atoms(r)[1], stationary_components(prod)[1])
+    assert np.array_equal(r.atom_of, stationary_components(prod)[1])
 
 
 def test_stationarity_rejects_non_decomposing_kernel():
@@ -366,20 +362,12 @@ def test_coherency_empty_constraints():
     assert check_coherency(r, [pi]).passed
 
 
-def test_product_atoms_require_structure():
-    sp = FiniteSpace.of_size(2)
-    r = LinearRestriction(ConstraintSet.from_dense(sp, sp, (), np.zeros((0, 4))),
-                          full_simplex(sp), full_simplex(sp))
-    with pytest.raises(MissingProductStructureError):
-        product_atoms(r)
-
-
 def test_extreme_product_plans_have_extreme_marginals():
     from ergot import decompose_measure
     for r in (invariance_restriction(c3x2_action()),
               stationarity_restriction(averaging_kernel(c3x2_action()),
                                        averaging_kernel(c3x2_action()))):
-        atoms, _ = product_atoms(r)
+        atoms = atom_cells(r)
         for atom in atoms:
             flat = np.zeros(36)
             flat[list(atom)] = 1.0 / len(atom)
@@ -394,10 +382,12 @@ def test_extreme_product_plans_have_extreme_marginals():
 # restrictions no longer build.
 
 def orbit_oracle(n, pairs):
-    gens = tuple((f"p{k}", (np.asarray(g)[:, None] * n + np.asarray(h)).ravel())
-                 for k, (g, h) in enumerate(pairs))
-    part = orbit_decompose(GroupAction(FiniteSpace.of_size(n * n), gens))
-    return [tuple(o) for o in part.orbits], part.orbit_of
+    # union-find on the product cells, sharing no code with the orbit search
+    # that builds the restrictions' atoms
+    orbit_of = orbit_ids(n * n, [(np.asarray(g)[:, None] * n + np.asarray(h)).ravel()
+                                 for g, h in pairs])
+    return [tuple(np.flatnonzero(orbit_of == k).tolist())
+            for k in range(int(orbit_of.max(initial=-1)) + 1)], orbit_of
 
 
 def kernel_oracle(qx, qy):
@@ -407,7 +397,7 @@ def kernel_oracle(qx, qy):
 
 
 def assert_same_atoms(r, want):
-    atoms, class_of = product_atoms(r)
+    atoms, class_of = atom_cells(r), r.atom_of
     assert atoms == want[0]
     assert class_of.dtype == want[1].dtype and np.array_equal(class_of, want[1])
 
@@ -445,7 +435,7 @@ def test_orbit_atoms_match_product_action_oracle():
             g = inst.action.generators[0][1]
             assert_same_atoms(inst.restriction, orbit_oracle(n, [(g, g)]))
             e = np.arange(n)
-            for pairs in ([(g, g)], [(g, inverse_perm(g))], [(g, e), (e, g)]):
+            for pairs in ([(g, g)], [(g, np.argsort(g))], [(g, e), (e, g)]):
                 assert_same_atoms(subgroup_restriction(inst.action, pairs), orbit_oracle(n, pairs))
 
 
@@ -474,7 +464,7 @@ def test_rectangle_atoms_match_product_kernel_with_transient_states():
 
 def test_no_restriction_atoms_are_singletons():
     r = no_restriction(FiniteSpace.of_size(3), FiniteSpace.of_size(5))
-    atoms, class_of = product_atoms(r)
+    atoms, class_of = atom_cells(r), r.atom_of
     assert atoms == [(c,) for c in range(15)]
     assert np.array_equal(class_of, np.arange(15))
     assert not r.atom_of.flags.writeable
@@ -520,20 +510,6 @@ def builder_digest(restrictions):
 def test_builders_are_bit_identical():
     digest = builder_digest(builder_restrictions())
     assert digest == BUILDER_DIGEST, f"the builders now hash to {digest}"
-
-
-def test_product_atoms_match_one_scan_per_atom():
-    # the reference: one full scan of atom_of per atom id, ids with no cell
-    # giving empty atoms; a hand-built atom_of leaves ids 1, 3, 4 and 6 empty
-    sp = FiniteSpace.of_size(3)
-    gaps = LinearRestriction(ConstraintSet.from_dense(sp, sp, (), np.zeros((0, 9))),
-                             full_simplex(sp), full_simplex(sp),
-                             atom_of=[0, -1, 2, -1, 5, -1, -1, 7, -1])
-    transient = stationarity_restriction(*[StochKernel(sp, [[0, 1, 0], [0, 1, 0], [0, 1, 0]])] * 2)
-    for r in [*builder_restrictions(), gaps, transient]:
-        want = [tuple(np.flatnonzero(r.atom_of == k).tolist())
-                for k in range(int(r.atom_of.max(initial=-1)) + 1)]
-        assert product_atoms(r)[0] == want
 
 
 def test_restriction_rejects_simplexes_off_the_constraint_spaces():

@@ -34,7 +34,6 @@ from ergot import (
     TransportPlan,
     boundary_metric,
     decompose_plan,
-    enumerate_vertices,
     full_simplex,
     generate_instance,
     glue_plans,
@@ -46,11 +45,11 @@ from ergot import (
     solve_constrained_ot,
     solve_ot,
     stationarity_restriction,
-    transpose_plan,
     wasserstein,
 )
 from ergot.cli import main
 from ergot.lp import LpProblem, LpSolution, solve_lp
+from oracles import atom_cells, enumerate_vertices
 from test_acceptance import random_metric, retraction_kernel
 
 
@@ -500,8 +499,7 @@ def test_decompose_plan_product_of_uniforms():
 
 def test_decompose_plan_single_orbit_plan():
     sp, _, _, r, _ = fixture()
-    from ergot import product_atoms
-    atoms, _ = product_atoms(r)
+    atoms = atom_cells(r)
     flat = np.zeros(36)
     flat[list(atoms[0])] = 1.0 / len(atoms[0])
     pi = TransportPlan(sp, sp, flat.reshape(6, 6))
@@ -527,7 +525,7 @@ def test_optimal_plans_transpose_feasible():
         mu = mixture(comps, rng.dirichlet(np.ones(2)))
         nu = mixture(comps, rng.dirichlet(np.ones(2)))
         pi = solve_constrained_ot(mu, nu, c, r).plan
-        assert plan_violations(transpose_plan(pi), r) == []
+        assert plan_violations(TransportPlan(pi.col_space, pi.row_space, pi.p.T), r) == []
 
 
 def test_invariant_cost_collapses_to_plain_wasserstein():
@@ -538,8 +536,7 @@ def test_invariant_cost_collapses_to_plain_wasserstein():
     raw[np.arange(6), np.arange(6)] = 0.0
     raw += 10.0 * (1 - np.eye(6))  # make the triangle inequality trivial
     # average over the diagonal orbits to make d invariant
-    from ergot import product_atoms
-    atoms, _ = product_atoms(r)
+    atoms = atom_cells(r)
     flat = raw.ravel().copy()
     for atom in atoms:
         flat[list(atom)] = np.mean(flat[list(atom)])

@@ -1,5 +1,4 @@
 import math
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,6 @@ from ergot import (
     LinearRestriction,
     Measure,
     StochKernel,
-    averaging_kernel,
     TransportPlan,
     boundary_metric,
     build_qopt,
@@ -35,6 +33,7 @@ from ergot import (
     verify_metric_decomposition,
 )
 from ergot.cli import main
+from oracles import averaging_kernel
 
 
 def fixture():
@@ -256,17 +255,14 @@ def test_inf_cost_cell_leaves_the_piece_costs_finite():
 
 
 def count_derivations(monkeypatch):
-    """Every ergot binding of stationary_components and orbit_decompose, counting its calls."""
+    """ergodic._derive_components, which every simplex kind goes through, counting its calls by kind."""
     calls = []
-    for name in ("stationary_components", "orbit_decompose"):
-        original = getattr(ergot.ergodic, name)
+    original = ergot.ergodic._derive_components
 
-        def counted(*args, _f=original, _name=name):
-            calls.append(_name)
-            return _f(*args)
-        for mod in [m for k, m in sys.modules.items() if k == "ergot" or k.startswith("ergot.")]:
-            if getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counted)
+    def counted(spec):
+        calls.append(spec.kind)
+        return original(spec)
+    monkeypatch.setattr(ergot.ergodic, "_derive_components", counted)
     return calls
 
 
