@@ -6,7 +6,6 @@ from .core import (
     TAU_LP,
     TAU_MASS,
     TAU_METRIC,
-    TAU_RANK,
     TAU_THM,
     ConstraintSet,
     CostMatrix,

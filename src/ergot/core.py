@@ -17,7 +17,6 @@ import numpy as np
 TAU_MASS = 1e-12     # mass bookkeeping (sums to one, marginal identities)
 TAU_METRIC = 1e-9    # triangle inequality and other metric comparisons
 TAU_LP = 1e-9        # LP feasibility and optimality
-TAU_RANK = 1e-8      # numerical rank decisions (singular-value cut-off)
 TAU_THM = 1e-8       # agreement of independently computed quantities
 
 
@@ -243,8 +242,8 @@ class ConstraintSet:
         """The (k, n*m) matrix, or its columns at the flat cell indices cells.
 
         It takes k*n*m floats, O(n^4) for a restriction on X x X, so only
-        the lifted LP, the least-squares fallback for multipliers,
-        check_geometric and omegas build it.
+        the lifted LP, the least-squares fallback for multipliers and
+        omegas build it.
         """
         size = self.row_space.n * self.col_space.n
         cells = np.arange(size) if cells is None else np.asarray(cells, dtype=np.intp)

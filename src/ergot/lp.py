@@ -18,7 +18,8 @@ follows Bland's rule: the entering column is the lowest index with a
 negative reduced cost, the leaving row is picked by the minimum ratio test
 with ties broken by the lowest basic variable index. Bland's rule cannot
 cycle, and the fixed tie-breaking makes every solve reproducible, basis and
-all, which the verification layers depend on.
+all, which the plan `ergot solve` prints and the plans recorded in
+perfbench/reference.json depend on.
 
 Each pivot updates the tableau in place, and only where the pivot column
 and the pivot row are both nonzero. Every other entry of the rank-1 update

@@ -15,14 +15,13 @@ constancy. The builders emit only the nonzero entries (core.ConstraintSet):
 two per non-root cell, or the sparse Kronecker product of two kernels'
 nonzeros, never the dense matrix.
 
-The checkers (weak regularity, geometricity, coherency) return reports with
-recorded failures instead of raising, except where their preconditions are
-violated outright.
+The checkers (weak regularity, geometricity, coherency) read only the
+restriction and return reports with recorded failures instead of raising,
+except where their preconditions are violated outright.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,11 +29,9 @@ import numpy as np
 from .core import (
     TAU_LP,
     TAU_MASS,
-    TAU_RANK,
     ConstraintSet,
     FiniteSpace,
     GroupAction,
-    Measure,
     MissingProductStructureError,
     NotFeasibleError,
     ProjectionNotFullError,
@@ -46,7 +43,7 @@ from .core import (
     invariant_simplex,
     stationary_simplex,
 )
-from .ergodic import _orbit_search, _require_member, check_ergodic_kernel, simplex_components
+from .ergodic import _orbit_search, check_ergodic_kernel, simplex_components
 
 MAX_GROUP_ORDER = 10_000
 
@@ -82,11 +79,8 @@ class LinearRestriction:
         if self.atom_of.shape != (cells,):
             raise ValueError(f"atom_of has shape {self.atom_of.shape}, "
                              f"expected one entry per product cell ({cells},)")
-        class_x, class_y = (simplex_components(s)[1] for s in (self.mx_spec, self.my_spec))
         live = np.flatnonzero(self.atom_of >= 0)
-        atom = self.atom_of[live]
-        a, b = class_x[live // class_y.size], class_y[live % class_y.size]
-        cell_pair = np.where((a < 0) | (b < 0), -1, a * (int(class_y.max()) + 1) + b)
+        atom, cell_pair = self.atom_of[live], _pair_mass(self, live, self.my_spec)[0]
         pair = np.full(int(atom.max(initial=-1)) + 1, -1, dtype=np.intp)
         pair[atom] = cell_pair
         if np.any(cell_pair < 0) or np.any(pair[atom] != cell_pair):
@@ -266,21 +260,43 @@ def _require_feasible(pi: TransportPlan, r: LinearRestriction, what: str, error=
                     f"({len(broken)} constraints broken)")
 
 
-def check_weak_regularity(r: LinearRestriction, samples: list[tuple[Measure, Measure]]) -> CheckReport:
-    """Nonemptiness of the admissible set, witnessed by the product plan.
+def _extreme_mass(spec: SimplexSpec):
+    """Each point's mass in its extreme measure, its class (-1 if transient), the class count."""
+    comps, class_of = simplex_components(spec)
+    return np.sum([m.w for m in comps], axis=0), class_of, len(comps)
 
-    For each sampled pair the product measure mu x nu is tested against
-    every constraint; passing means the admissible set is nonempty for that
-    pair. The topological conditions (closed set, continuous functionals)
-    hold automatically on a finite space and are recorded as notes.
+
+def _pair_mass(r: LinearRestriction, cells: np.ndarray, my_spec: SimplexSpec):
+    """Each flat cell's pair a * k_y + b of r.mx_spec x my_spec (-1: transient) and its m_a m_b."""
+    (mx, cx, _), (my, cy, ky) = _extreme_mass(r.mx_spec), _extreme_mass(my_spec)
+    x, y = np.divmod(cells, cy.size)
+    return np.where((cx[x] < 0) | (cy[y] < 0), -1, cx[x] * ky + cy[y]), mx[x] * my[y]
+
+
+def _breaks(weights: np.ndarray, *keys: np.ndarray) -> list[tuple[list[int], float]]:
+    """(key tuple, |sum|) for each distinct tuple of keys whose weights sum beyond TAU_LP, in
+    tuple order. Entries with a negative key are skipped; each sum adds in entry order."""
+    key = np.column_stack(keys)
+    live = np.all(key >= 0, axis=1)
+    order = np.flatnonzero(live)[np.lexsort(key[live].T[::-1])]  # stable within a tuple
+    key, weights = key[order], weights[order]
+    new = np.any(np.diff(key, axis=0, prepend=-1) != 0, axis=1)  # keys are >= 0
+    size = np.abs(np.bincount(np.cumsum(new) - 1, weights=weights))
+    return list(zip(key[new][size > TAU_LP].tolist(), size[size > TAU_LP].tolist()))
+
+
+def check_weak_regularity(r: LinearRestriction) -> CheckReport:
+    """Nonemptiness of the admissible set, witnessed by product plans.
+
+    Every constraint is tested on the product plan m_a x m_b of every pair
+    of extreme measures of r.mx_spec and r.my_spec (pair k = a * k_y + b).
+    Passing means every pair of marginals has an admissible plan: the
+    product of two mixtures is the mixture of these. Closedness and
+    continuity hold automatically on a finite space and are recorded as notes.
     """
-    failures = []
-    for k, (mu, nu) in enumerate(samples):
-        _require_member(mu, r.mx_spec, f"sample {k} mu")
-        _require_member(nu, r.my_spec, f"sample {k} nu")
-        prod = TransportPlan(r.row_space, r.col_space, np.outer(mu.w, nu.w))
-        failures += [f"pair {k}: product plan breaks {lbl} by {v:.3g}"
-                     for lbl, v in plan_violations(prod, r)]
+    pair, mass = _pair_mass(r, r.omega.cell, r.my_spec)
+    failures = [f"pair {k}: product plan breaks {r.omega.labels[i]} by {v:.3g}"
+                for (k, i), v in _breaks(r.omega.value * mass, pair, r.omega.row)]
     notes = (
         "closedness: automatic, the admissible set is an intersection of closed sets in a compact simplex",
         "continuity: automatic, every linear functional on a finite-dimensional space is continuous",
@@ -288,62 +304,57 @@ def check_weak_regularity(r: LinearRestriction, samples: list[tuple[Measure, Mea
     return CheckReport(passed=not failures, failures=tuple(failures), notes=notes)
 
 
-def check_geometric(r: LinearRestriction, samples: list[Measure]) -> CheckReport:
+def check_geometric(r: LinearRestriction) -> CheckReport:
     """The three conditions that make the restricted distance a metric.
 
-    (1) every omega vanishes on the diagonal pushforward of each sample,
-    (2) every omega vanishes on products of samples, and (3) the constraint
-    row space is closed under matrix transposition. For (3) the right
-    singular vectors of the stacked constraint matrix whose singular values
-    exceed TAU_RANK span the row space; each transposed omega is projected
-    off them, and a max-abs residual above TAU_RANK records a failure.
-    Requires both marginal spaces to coincide. It builds the dense (k, n*n)
-    matrix (ConstraintSet.dense) for the SVD, so it is for small n.
+    With m_k the extreme measures of r.mx_spec ("sample k" in failures),
+    every omega must vanish on (1) the diagonal plan of each m_k and (2)
+    each product plan m_a x m_b, and (3) the constraint row space must be
+    closed under transposition. The admissible plans are the mixtures of
+    the atoms' plans, each its pair's product plan on the atom, so (3) holds
+    exactly when each omega, moved to the transposed cells, pairs to zero
+    with every atom's plan; one whose largest such pairing exceeds TAU_LP
+    fails. Needs X x X (ValueError) and atoms (MissingProductStructureError)
+    that describe omega.
     """
     if r.row_space.labels != r.col_space.labels:
         raise ValueError("geometricity only makes sense for plans on X x X")
-    n = r.row_space.n
-    rows = r.omega.dense()
-    mats = rows.reshape(-1, n, n)
-    s = np.array([mu.w for mu in samples]).reshape(len(samples), n)
-    diag = np.abs(mats.diagonal(axis1=1, axis2=2) @ s.T)
-    prod = np.abs(s @ mats @ s.T)
-    failures = []
-    for i in np.flatnonzero((diag > TAU_LP).any(axis=1) | (prod > TAU_LP).any(axis=(1, 2))):
-        lbl = r.omega.labels[i]
-        failures += [f"{lbl}: diagonal pairing with sample {k} is {diag[i, k]:.3g}"
-                     for k in np.flatnonzero(diag[i] > TAU_LP)]
-        failures += [f"{lbl}: product pairing with samples ({ka},{kb}) is {prod[i, ka, kb]:.3g}"
-                     for ka, kb in np.argwhere(prod[i] > TAU_LP)]
-    if len(rows):
-        _, sv, vt = np.linalg.svd(rows, full_matrices=False)
-        basis = vt[sv > TAU_RANK]
-        flipped = rows[:, np.arange(n * n).reshape(n, n).T.ravel()]
-        residual = np.max(np.abs(flipped - (flipped @ basis.T) @ basis), axis=1)
-        failures += [f"{r.omega.labels[i]}: transpose leaves the constraint row space "
-                     f"(residual {residual[i]:.3g})" for i in np.flatnonzero(residual > TAU_RANK)]
+    if r.atom_of is None:
+        raise MissingProductStructureError("restriction carries no product atoms")
+    om, n = r.omega, r.row_space.n
+    mass, cls, k = _extreme_mass(r.mx_spec)
+    x, y = np.divmod(om.cell, n)
+    found = [(i, 0, a, f"{om.labels[i]}: diagonal pairing with sample {a} is {v:.3g}")
+             for (i, a), v in _breaks(om.value * mass[x], om.row, np.where(x == y, cls[x], -1))]
+    pair, prod = _pair_mass(r, om.cell, r.mx_spec)
+    found += [(i, 1, p, f"{om.labels[i]}: product pairing with samples ({p // k},{p % k}) "
+                        f"is {v:.3g}") for (i, p), v in _breaks(om.value * prod, om.row, pair)]
+    worst: dict[int, float] = {}
+    for (i, _), v in _breaks(om.value * _pair_mass(r, y * n + x, r.my_spec)[1], om.row,
+                             r.atom_of[y * n + x]):
+        worst[i] = max(worst.get(i, 0.0), v)
+    failures = [f for *_, f in sorted(found)] + [
+        f"{om.labels[i]}: transpose leaves the constraint row space (largest transposed pairing "
+        f"{v:.3g})" for i, v in sorted(worst.items())]
     return CheckReport(passed=not failures, failures=tuple(failures))
 
 
-def check_coherency(r: LinearRestriction, pi_samples: Iterable[TransportPlan]) -> CheckReport:
+def check_coherency(r: LinearRestriction) -> CheckReport:
     """Constraints must vanish atom by atom, not only globally.
 
-    pi_samples is any iterable of plans, a generator included, read once. For
-    each feasible sample plan, each constraint is re-paired with the plan
-    restricted to every atom of the product partition; any nonzero localized
-    pairing is recorded. For the shipped restriction families this is a
-    regression test: it holds by construction.
+    The product plans of check_weak_regularity must be admissible
+    (NotFeasibleError otherwise). Each constraint is paired with each
+    atom's plan, its pair's product plan on the atom, and any nonzero
+    pairing is recorded under plan k = a * k_y + b. For the shipped
+    restriction families this is a regression test: it holds by construction.
     """
     if r.atom_of is None:
         raise MissingProductStructureError("restriction carries no product atoms")
-    # the entries on live cells, grouped by (constraint, atom) in row-major order
-    live = r.atom_of[r.omega.cell] >= 0
-    rows, cells, values = r.omega.row[live], r.omega.cell[live], r.omega.value[live]
-    keys, group = np.unique(np.column_stack([rows, r.atom_of[cells]]), axis=0, return_inverse=True)
-    failures = []
-    for k, pi in enumerate(pi_samples):
-        _require_feasible(pi, r, f"sample plan {k}")
-        pair = np.abs(np.bincount(group, weights=values * pi.p.ravel()[cells]))
-        failures += [f"plan {k}, {r.omega.labels[i]}: pairing on atom {a} is {v:.3g}"
-                     for (i, a), v in zip(keys.tolist(), pair.tolist()) if v > TAU_LP]
+    weak = check_weak_regularity(r)
+    if not weak.passed:
+        raise NotFeasibleError("; ".join(weak.failures[:3]))
+    om = r.omega
+    pair, mass = _pair_mass(r, om.cell, r.my_spec)
+    failures = [f"plan {k}, {om.labels[i]}: pairing on atom {a} is {v:.3g}"
+                for (k, i, a), v in _breaks(om.value * mass, pair, om.row, r.atom_of[om.cell])]
     return CheckReport(passed=not failures, failures=tuple(failures))

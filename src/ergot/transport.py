@@ -59,7 +59,8 @@ from .core import (
 )
 from .ergodic import _class_weights, _require_member, simplex_components
 from .lp import LpProblem, solve_lp, transport_simplex
-from .restriction import LinearRestriction, _require_feasible, check_geometric, plan_violations
+from .restriction import (LinearRestriction, _extreme_mass, _pair_mass, _require_feasible,
+                          check_geometric, plan_violations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,16 +265,10 @@ def _atom_table(c: CostMatrix, r: LinearRestriction) -> _AtomTable:
     if r.atom_of is None:
         raise MissingProductStructureError("restriction carries no product atoms")
     forbid, safe_cost = _forbidden_cells(c.c)
-    comps_x, class_x = simplex_components(r.mx_spec)
-    comps_y, class_y = simplex_components(r.my_spec)
-    kx, ky, ny = len(comps_x), len(comps_y), class_y.size
-    # each point's mass under its own extreme measure; supports are disjoint
-    ext_x = np.sum([m.w for m in comps_x], axis=0)
-    ext_y = np.sum([m.w for m in comps_y], axis=0)
-
+    (_, class_x, kx), (_, class_y, ky) = (_extreme_mass(s) for s in (r.mx_spec, r.my_spec))
     cells = np.flatnonzero(r.atom_of >= 0)
     atom, rect = r.atom_of[cells], r.atom_pair
-    w = ext_x[cells // ny] * ext_y[cells % ny]
+    w = _pair_mass(r, cells, r.my_spec)[1]
     mass = np.bincount(atom, weights=w, minlength=rect.size)
     used = ((rect >= 0) & (mass > 0)).nonzero()[0]
     mean = np.full(rect.size, math.inf)
@@ -433,7 +428,7 @@ def boundary_metric(d: GroundMetric, p: float, r: LinearRestriction) -> Boundary
     comps, class_x = simplex_components(r.mx_spec)
     if r.my_spec is not r.mx_spec and not np.array_equal(class_x, simplex_components(r.my_spec)[1]):
         raise ValueError("the restriction's two simplexes split the points differently")
-    geo = check_geometric(r, comps)
+    geo = check_geometric(r)
     if not geo.passed:
         raise NotGeometricError("restriction is not geometric on the component set: "
                                 + "; ".join(geo.failures[:3]))

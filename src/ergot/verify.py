@@ -3,7 +3,8 @@
 verify_decomposition compares, on one instance, the constrained transport
 value with the two-stage value: decompose both marginals into ergodic
 components, take the constrained optimum between every component pair
-(build_qopt), then couple the component weights with those values as costs.
+(the inner values of transport._two_stage_proof), then couple the
+component weights with those values as costs.
 Both sides come from transport's one pass over the product atoms, which is
 the two-stage formula itself, so their agreement alone would be a
 tautology. The witness is a dual certificate on every side (Kantorovich

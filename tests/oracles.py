@@ -9,6 +9,12 @@ tiny instances and refuses loudly above its candidate cap.
 one scan of atom_of per id; neither shares code with ergot's own orbit search
 or atom grouping, which they check. ``averaging_kernel`` builds the orbit
 average of an action as a Markov kernel, an input for the stationarity tests.
+
+``svd_check_geometric`` is check_geometric's former rule on caller-chosen
+samples: conditions (1) and (2) by dense pairings, and (3) by projecting
+each transposed constraint off the row space of the dense constraint
+matrix, taken by SVD. It reads no atoms, so it judges restrictions without
+them too, and serves as the reference for the atom rule.
 """
 
 import itertools
@@ -16,9 +22,11 @@ import math
 
 import numpy as np
 
-from ergot import GroupAction, LinearRestriction, LpProblem, StochKernel
+from ergot import CheckReport, GroupAction, LinearRestriction, LpProblem, Measure, StochKernel
 from ergot.core import TAU_LP
 from ergot.lp import PIVOT_EPS
+
+TAU_RANK = 1e-8  # svd_check_geometric's singular-value cut-off
 
 
 class VertexCapExceededError(RuntimeError):
@@ -138,3 +146,40 @@ def atom_cells(r: LinearRestriction) -> list[tuple[int, ...]]:
     """
     return [tuple(np.flatnonzero(r.atom_of == k).tolist())
             for k in range(int(r.atom_of.max(initial=-1)) + 1)]
+
+
+def svd_check_geometric(r: LinearRestriction, samples: list[Measure]) -> CheckReport:
+    """The three conditions that make the restricted distance a metric.
+
+    (1) every omega vanishes on the diagonal pushforward of each sample,
+    (2) every omega vanishes on products of samples, and (3) the constraint
+    row space is closed under matrix transposition. For (3) the right
+    singular vectors of the stacked constraint matrix whose singular values
+    exceed TAU_RANK span the row space; each transposed omega is projected
+    off them, and a max-abs residual above TAU_RANK records a failure.
+    Requires both marginal spaces to coincide. It builds the dense (k, n*n)
+    matrix (ConstraintSet.dense) for the SVD, so it is for small n.
+    """
+    if r.row_space.labels != r.col_space.labels:
+        raise ValueError("geometricity only makes sense for plans on X x X")
+    n = r.row_space.n
+    rows = r.omega.dense()
+    mats = rows.reshape(-1, n, n)
+    s = np.array([mu.w for mu in samples]).reshape(len(samples), n)
+    diag = np.abs(mats.diagonal(axis1=1, axis2=2) @ s.T)
+    prod = np.abs(s @ mats @ s.T)
+    failures = []
+    for i in np.flatnonzero((diag > TAU_LP).any(axis=1) | (prod > TAU_LP).any(axis=(1, 2))):
+        lbl = r.omega.labels[i]
+        failures += [f"{lbl}: diagonal pairing with sample {k} is {diag[i, k]:.3g}"
+                     for k in np.flatnonzero(diag[i] > TAU_LP)]
+        failures += [f"{lbl}: product pairing with samples ({ka},{kb}) is {prod[i, ka, kb]:.3g}"
+                     for ka, kb in np.argwhere(prod[i] > TAU_LP)]
+    if len(rows):
+        _, sv, vt = np.linalg.svd(rows, full_matrices=False)
+        basis = vt[sv > TAU_RANK]
+        flipped = rows[:, np.arange(n * n).reshape(n, n).T.ravel()]
+        residual = np.max(np.abs(flipped - (flipped @ basis.T) @ basis), axis=1)
+        failures += [f"{r.omega.labels[i]}: transpose leaves the constraint row space "
+                     f"(residual {residual[i]:.3g})" for i in np.flatnonzero(residual > TAU_RANK)]
+    return CheckReport(passed=not failures, failures=tuple(failures))

@@ -11,8 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergot import InstanceSpec, generate_instance
-from ergot.cli import MAX_POINTS, MAX_RANDOM_COUNT, build_parser, main, parse_random_spec
+from ergot import InstanceSpec, generate_instance, simplex_components
+from ergot.cli import (
+    MAX_POINTS,
+    MAX_RANDOM_COUNT,
+    build_parser,
+    get_restriction,
+    main,
+    parse_problem,
+    parse_random_spec,
+)
+from oracles import svd_check_geometric
 
 FIXTURE = Path(__file__).parent / "fixtures" / "c3x2.json"
 
@@ -58,6 +67,13 @@ def test_solve_fixture_prints_the_readme_value():
     out = run_cli("solve", str(FIXTURE))
     assert out.returncode == 0
     assert re.findall(r'"value": (\S+)', out.stdout) == [shown]
+
+
+def test_benchmark_fixture_is_a_byte_copy_of_the_test_fixture():
+    # perfbench/README.md calls its data file a copy of this fixture; the
+    # README examples read this one and the benchmark's reference the other
+    copy = Path(__file__).parents[1] / "perfbench" / "data" / "c3x2.json"
+    assert copy.read_bytes() == FIXTURE.read_bytes()
 
 
 def test_solve_mass_error_message(tmp_path):
@@ -208,6 +224,21 @@ def test_metric_exits_2_when_the_restriction_is_not_geometric(tmp_path, capsys):
     assert main(["check", path, "--check", "geometric"]) == 2
 
 
+def test_check_names_each_constraint_whose_transpose_leaves_the_span(tmp_path, capsys):
+    # the pair (g, g^2) of a 5-cycle: its atoms, the classes of y - 2x mod 5,
+    # are not mapped onto atoms by the transpose; the labels are the SVD's
+    doc = {"version": 1, "space": 5, "action": {"g": "(0 1 2 3 4)"},
+           "metric": [[float(abs(i - j)) for j in range(5)] for i in range(5)],
+           "restriction": {"subgroup": [["(0 1 2 3 4)", "(0 2 4 1 3)"]]},
+           "marginals": {"mu": [0.2] * 5, "nu": [0.2] * 5}}
+    assert main(["check", write_problem(tmp_path, doc), "--check", "geometric"]) == 2
+    failures = json.loads(capsys.readouterr().out)["results"]["geometric"]["failures"]
+    r = get_restriction(parse_problem(doc))
+    oracle = svd_check_geometric(r, simplex_components(r.mx_spec)[0]).failures
+    assert [f.split(": ")[0] for f in failures] == [f.split(": ")[0] for f in oracle]
+    assert sum("transpose" in f for f in failures) == sum("transpose" in f for f in oracle) > 0
+
+
 def rounding_fixture():
     """The fixture with its metric scaled by 0.3, where the two sides of verify
     and of metric differ by rounding (about 3e-17), so a tight tol has a gap to
@@ -278,7 +309,11 @@ def test_bad_cycle_string_is_input_error(tmp_path):
     ("restriction", {"subgroup": 5}, "restriction.subgroup"),
     ("restriction", {"subgroup": None}, "restriction.subgroup"),
     ("restriction", {"subgroup": [["", [0, 1, 2, 3, 4, 5.5]]]}, "restriction.subgroup[0][1]"),
-], ids=["float", "bool", "string", "inf", "subgroup-int", "subgroup-null", "subgroup-float"])
+    ("action", {"g": "(0 1)(1 2)"}, "action.g"),
+    ("restriction", {"subgroup": [["(0 1 2)(3 4 5)", "(0 1)(1 2)"]]},
+     "restriction.subgroup[0][1]"),
+], ids=["float", "bool", "string", "inf", "subgroup-int", "subgroup-null", "subgroup-float",
+        "two-cycles", "subgroup-two-cycles"])
 def test_bad_permutation_array_or_subgroup_is_input_error(tmp_path, capsys, field, value, path):
     # an image array holds the integers 0..n-1; 1.5 is not truncated to 1
     doc = load_fixture()

@@ -20,6 +20,7 @@ from ergot import (
     InstanceSpec,
     StochKernel,
     check_coherency,
+    check_geometric,
     check_weak_regularity,
     decompose_plan,
     generate_instance,
@@ -106,9 +107,9 @@ def test_no_default_library_path_densifies_the_constraints(no_dense, name):
     assert rep.passed and rep.certified
     assert decompose_plan(res.plan, r).weights.sum() == pytest.approx(1.0)
     back = solve_constrained_ot(nu, mu, cost, r).plan
-    assert check_coherency(r, [res.plan, back]).passed
-    comps, _ = simplex_components(r.mx_spec)
-    assert check_weak_regularity(r, [(a, b) for a in comps for b in comps]).passed
+    assert check_coherency(r).passed and check_weak_regularity(r).passed
+    # stationarity and this subgroup break condition (1), the diagonal pairing
+    assert check_geometric(r).passed == (name in ("perm", "none"))
     assert glue_plans(res.plan, back, r)[2]
 
 
@@ -119,6 +120,9 @@ def test_no_default_cli_path_densifies_the_constraints(no_dense, tmp_path, capsy
     for argv in (["verify", str(path)], ["decompose", str(path)],
                  ["check", str(path), "--check", "coherent"]):
         assert main(argv) == 0, (argv, capsys.readouterr().err)
+    # a restriction that is not geometric exits 2 here, never on the refusal
+    for argv in (["check", str(path)], ["metric", str(path)]):
+        assert main(argv) in (0, 2), (argv, capsys.readouterr().err)
 
 
 def assert_matches_dense(cs: ConstraintSet, rng):

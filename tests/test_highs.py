@@ -1,4 +1,4 @@
-"""transport_simplex against HiGHS on problems too large for the vertex oracle.
+"""transport_simplex and the lifted LP against HiGHS on problems too large for the vertex oracle.
 
 scipy is a test dependency only; without it the module is skipped.
 """
@@ -6,7 +6,13 @@ scipy is a test dependency only; without it the module is skipped.
 import numpy as np
 import pytest
 
-from ergot import transport_simplex
+from ergot import (
+    InstanceSpec,
+    generate_instance,
+    solve_constrained_ot,
+    subgroup_restriction,
+    transport_simplex,
+)
 
 pytest.importorskip("scipy")
 from scipy.optimize import linprog  # noqa: E402
@@ -69,3 +75,45 @@ def test_infeasible_problems_match_highs(n):
     cost = rng.uniform(0.0, 1.0, (n, n))
     cost[:n // 2, n // 4:] = np.inf
     assert assert_agrees(a, a, cost).status == "infeasible"
+
+
+def highs_lifted(mu, nu, cost, r):
+    """(status, value) of the lifted LP, every marginal row and every constraint row, by HiGHS."""
+    n, m = cost.shape
+    var = np.arange(n * m)
+    om = r.omega
+    A = coo_matrix((np.concatenate([np.ones(2 * n * m), om.value]),
+                    (np.concatenate([var // m, n + var % m, n + m + om.row]),
+                     np.concatenate([var, var, om.cell]))), shape=(n + m + len(om), n * m))
+    res = linprog(cost.ravel(), A_eq=A.tocsr(), b_eq=np.concatenate([mu, nu, np.zeros(len(om))]),
+                  bounds=(0, None), method="highs")
+    status = {0: "optimal", 2: "infeasible"}[res.status]
+    return status, res.fun if status == "optimal" else None
+
+
+# invariance stays at n <= 20: its lifted LP takes 1-2 s at n = 24 on 2 vCPUs. None of
+# these hits the phase-one defect pinned by test_verify.py's strict xfails; an instance
+# that did would become a strict xfail naming it, not be reseeded away.
+LIFTED = ([("invariance", 16, (4, 4, 4, 4), seed) for seed in range(3)]
+          + [("invariance", 20, (10, 10), seed) for seed in range(2)]
+          + [("subgroup", n, ct, seed) for n, ct in ((16, (8, 8)), (20, (5, 5, 5, 5)), (24, (24,)))
+             for seed in range(2)]
+          + [("stationarity", n, cs, seed) for n, cs in ((16, (6, 5, 5)), (20, (8, 7, 5)),
+                                                         (24, (8, 8, 8))) for seed in range(2)])
+
+
+@pytest.mark.parametrize("family, n, shape, seed", LIFTED,
+                         ids=[f"{f}-{'+'.join(map(str, s))}-{seed}" for f, _, s, seed in LIFTED])
+def test_lifted_lp_matches_highs(family, n, shape, seed):
+    if family == "stationarity":
+        inst = generate_instance(InstanceSpec(n=n, kind="kernel", class_sizes=shape, seed=seed))
+        r = inst.restriction
+    else:
+        inst = generate_instance(InstanceSpec(n=n, kind="perm", cycle_type=shape, seed=seed))
+        g = inst.action.generators[0][1]
+        r = (inst.restriction if family == "invariance"
+             else subgroup_restriction(inst.action, [(g, g), (g, np.arange(n))]))
+    res = solve_constrained_ot(inst.mu, inst.nu, inst.cost, r, method="lp")
+    status, value = highs_lifted(inst.mu.w, inst.nu.w, inst.cost.c, r)
+    assert res.status == status == "optimal"
+    assert abs(res.value - value) <= 1e-9 * max(abs(value), np.max(inst.cost.c))

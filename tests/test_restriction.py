@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import itertools
 import runpy
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from ergot import (
     InstanceSpec,
     LinearRestriction,
     Measure,
+    MissingProductStructureError,
     NotFeasibleError,
     ProjectionNotFullError,
     StochKernel,
@@ -25,6 +27,7 @@ from ergot import (
     full_simplex,
     generate_instance,
     invariance_restriction,
+    invariant_simplex,
     no_restriction,
     plan_violations,
     simplex_components,
@@ -32,7 +35,7 @@ from ergot import (
     stationary_components,
     subgroup_restriction,
 )
-from oracles import atom_cells, averaging_kernel, orbit_ids
+from oracles import atom_cells, averaging_kernel, orbit_ids, svd_check_geometric
 from test_acceptance import CYCLE_TYPES
 
 
@@ -185,40 +188,30 @@ def test_stationarity_rejects_non_decomposing_kernel():
 
 
 def test_weak_regularity_of_invariance():
-    r = invariance_restriction(c3x2_action())
-    comps, _ = simplex_components(r.mx_spec)
-    rep = check_weak_regularity(r, [(a, b) for a in comps for b in comps])
+    rep = check_weak_regularity(invariance_restriction(c3x2_action()))
     assert rep.passed
     assert rep.notes  # closedness/continuity recorded as automatic
 
 
 def test_weak_regularity_failure_on_forbidden_cell():
-    sp = FiniteSpace.of_size(2)
-    om = np.zeros((2, 2))
-    om[0, 0] = 1.0
-    r = LinearRestriction(
-        ConstraintSet.from_dense(sp, sp, ("cell00",), om),
-        full_simplex(sp), full_simplex(sp))
-    dirac = Measure(sp, np.array([1.0, 0.0]))
-    rep = check_weak_regularity(r, [(dirac, dirac)])
+    # the product plan of the Diracs at 1 and 2 is pair 1 * 3 + 2 = 5
+    sp2, sp3 = FiniteSpace.of_size(2), FiniteSpace.of_size(3)
+    om = np.zeros((2, 3))
+    om[1, 2] = 1.0
+    r = LinearRestriction(ConstraintSet.from_dense(sp2, sp3, ("cell12",), om),
+                          full_simplex(sp2), full_simplex(sp3))
+    rep = check_weak_regularity(r)
     assert not rep.passed
+    assert rep.failures == ("pair 5: product plan breaks cell12 by 1",)
 
 
 def test_weak_regularity_empty_constraints():
-    sp = FiniteSpace.of_size(3)
-    r = no_restriction(sp, sp)
-    rng = np.random.default_rng(4)
-    pairs = []
-    for _ in range(5):
-        pairs.append((Measure(sp, rng.dirichlet(np.ones(3))),
-                      Measure(sp, rng.dirichlet(np.ones(3)))))
-    assert check_weak_regularity(r, pairs).passed
+    sp3, sp5 = FiniteSpace.of_size(3), FiniteSpace.of_size(5)
+    assert check_weak_regularity(no_restriction(sp3, sp5)).passed
 
 
 def test_geometric_invariance_passes_all_items():
-    r = invariance_restriction(c3x2_action())
-    comps, _ = simplex_components(r.mx_spec)
-    rep = check_geometric(r, comps)
+    rep = check_geometric(invariance_restriction(c3x2_action()))
     assert rep.passed
     assert rep.failures == ()
 
@@ -227,18 +220,20 @@ def test_geometric_fails_on_single_cell_constraint():
     sp = FiniteSpace.of_size(2)
     om = np.zeros((2, 2))
     om[0, 1] = 1.0
-    r = LinearRestriction(
-        ConstraintSet.from_dense(sp, sp, ("cell01",), om),
-        full_simplex(sp), full_simplex(sp))
-    uniform = Measure(sp, np.array([0.5, 0.5]))
-    rep = check_geometric(r, [uniform])
-    assert not rep.passed
+    omega = ConstraintSet.from_dense(sp, sp, ("cell01",), om)
+    r = LinearRestriction(omega, full_simplex(sp), full_simplex(sp), atom_of=np.arange(4))
+    rep = check_geometric(r)
+    assert rep.failures == ("cell01: product pairing with samples (0,1) is 1",
+                            "cell01: transpose leaves the constraint row space "
+                            "(largest transposed pairing 1)")
+    # without atoms, (3) has nothing to read
+    with pytest.raises(MissingProductStructureError):
+        check_geometric(LinearRestriction(omega, full_simplex(sp), full_simplex(sp)))
 
 
 def test_geometric_empty_constraints():
     sp = FiniteSpace.of_size(2)
-    rep = check_geometric(no_restriction(sp, sp), [Measure(sp, np.array([0.5, 0.5]))])
-    assert rep.passed
+    assert check_geometric(no_restriction(sp, sp)).passed
 
 
 def _transpose_failures(mats):
@@ -246,7 +241,7 @@ def _transpose_failures(mats):
     sp = FiniteSpace.of_size(n)
     omega = ConstraintSet.from_dense(sp, sp, [f"w{i}" for i in range(len(mats))], mats)
     r = LinearRestriction(omega, full_simplex(sp), full_simplex(sp))
-    rep = check_geometric(r, [Measure(sp, np.full(n, 1.0 / n))])
+    rep = svd_check_geometric(r, [Measure(sp, np.full(n, 1.0 / n))])
     return [f for f in rep.failures if "transpose" in f]
 
 
@@ -275,36 +270,73 @@ def test_geometric_transpose_rule_matches_rank_oracle():
 
 
 def test_geometric_transpose_failure_names_its_constraint():
-    # w0 is its own transpose; the transpose of w1 is outside the span of both
+    # one orbit-uniform component on 3 points; the atoms {(1,2),(2,1)} and
+    # {(0,1),(0,2)} and singletons elsewhere, each tied by its star row. w0
+    # is minus its own transpose; the transpose of w1 moves its entries to
+    # (1,0) and (2,0), two atoms whose plans carry 1/9 each
+    act = GroupAction(FiniteSpace.of_size(3), (("c", np.array([1, 2, 0], dtype=np.intp)),))
     mats = np.zeros((2, 3, 3))
-    mats[0, 0, 1] = mats[0, 1, 0] = 1.0
-    mats[1, 0, 2] = 1.0
-    (failure,) = _transpose_failures(mats)
-    assert failure.startswith("w1: transpose leaves the constraint row space (residual ")
+    mats[0, 2, 1], mats[0, 1, 2] = 1.0, -1.0
+    mats[1, 0, 2], mats[1, 0, 1] = 1.0, -1.0
+    atom_of = np.arange(9)
+    atom_of[[5, 7]], atom_of[[1, 2]] = 5, 1
+    spec = invariant_simplex(act)
+    r = LinearRestriction(ConstraintSet.from_dense(act.space, act.space, ("w0", "w1"), mats),
+                          spec, spec, atom_of=atom_of)
+    assert check_geometric(r).failures == (
+        "w1: transpose leaves the constraint row space (largest transposed pairing 0.111)",)
+
+
+def square_pair_restrictions():
+    """Subgroup restrictions with the pair (g, g^2); g has odd order, so g^2 generates g's group."""
+    for ct in [(1,), (3,), (3, 1), (5,), (3, 3), (5, 1, 1), (7,), (3, 3, 1), (5, 3), (9,),
+               (5, 5), (7, 3), (3, 3, 3), (11,), (5, 3, 3), (9, 3)]:
+        for seed in range(2):
+            inst = generate_instance(InstanceSpec(n=sum(ct), kind="perm", cycle_type=ct, seed=seed))
+            g = inst.action.generators[0][1]
+            yield subgroup_restriction(inst.action, [(g, g[g])])
+
+
+def test_geometric_matches_the_svd_oracle():
+    # the atoms of every builder describe its constraints, which is what
+    # the atom rule for (3) needs; (1) and (2) run on the same components
+    checked = failing = 0
+    for r in itertools.chain(builder_restrictions(), square_pair_restrictions()):
+        if r.row_space.labels != r.col_space.labels:
+            continue
+        rep = check_geometric(r)
+        oracle = svd_check_geometric(r, simplex_components(r.mx_spec)[0])
+        assert rep.passed == oracle.passed
+        assert [f.split(": ")[0] for f in rep.failures] == [f.split(": ")[0] for f in oracle.failures]
+        checked += 1
+        failing += any("transpose" in f for f in rep.failures)
+    assert checked > 140 and failing > 20
 
 
 def test_coherency_of_invariance_on_feasible_plans():
-    r = invariance_restriction(c3x2_action())
-    pi = TransportPlan(r.row_space, r.col_space, np.full((6, 6), 1.0 / 36.0))
-    assert check_coherency(r, [pi]).passed
-    assert check_coherency(r, (pi for _ in range(3))).passed
+    assert check_coherency(invariance_restriction(c3x2_action())).passed
 
 
 def test_coherency_failure_recorded_for_local_imbalance():
-    # identity action: every product cell is its own invariant class, so a
-    # constraint balanced globally but not cell-by-cell must be flagged
+    # the swap's one component has two atoms, the diagonal and the
+    # off-diagonal pair, in its one rectangle: e00 - e01 vanishes on the
+    # product plan but not on either atom
     sp = FiniteSpace.of_size(2)
-    act = GroupAction(sp, (("e", np.arange(2, dtype=np.intp)),))
     om = np.zeros((2, 2))
-    om[0, 0] = 1.0
-    om[0, 1] = -1.0
-    base = invariance_restriction(act)
-    r = LinearRestriction(
-        ConstraintSet.from_dense(sp, sp, ("tilt",), om),
-        base.mx_spec, base.my_spec, atom_of=base.atom_of)
-    pi = TransportPlan(sp, sp, np.full((2, 2), 0.25))
-    rep = check_coherency(r, [pi])
-    assert not rep.passed
+    om[0, 0], om[0, 1] = 1.0, -1.0
+    tilt = ConstraintSet.from_dense(sp, sp, ("tilt",), om)
+    base = invariance_restriction(swap_action())
+    r = LinearRestriction(tilt, base.mx_spec, base.my_spec, atom_of=base.atom_of)
+    assert check_coherency(r).failures == ("plan 0, tilt: pairing on atom 0 is 0.25",
+                                           "plan 0, tilt: pairing on atom 1 is 0.25")
+    # under the identity action every cell is its own atom and component
+    # pair, so the same constraint breaks the product plans of the cells
+    # (0,0) and (0,1)
+    base = invariance_restriction(GroupAction(sp, (("e", np.arange(2, dtype=np.intp)),)))
+    r = LinearRestriction(tilt, base.mx_spec, base.my_spec, atom_of=base.atom_of)
+    with pytest.raises(NotFeasibleError, match=r"^pair 0: product plan breaks tilt by 1; "
+                                               r"pair 1: product plan breaks tilt by 1$"):
+        check_coherency(r)
 
 
 def dense_coherency_failures(r, plans):
@@ -319,9 +351,10 @@ def dense_coherency_failures(r, plans):
 
 
 def test_coherency_matches_the_dense_pairing_on_random_two_cell_constraints():
-    # each row pairs two random cells with weights that cancel on the plan,
-    # so the plan is feasible and the row breaks coherency exactly when its
-    # cells lie in different atoms
+    # each row pairs two random cells of one component pair's rectangle with
+    # weights that cancel on that pair's product plan, so every product plan
+    # is feasible and the row breaks coherency exactly when its cells lie in
+    # different atoms
     rng = np.random.default_rng(11)
     broken = 0
     for _ in range(200):
@@ -329,37 +362,47 @@ def test_coherency_matches_the_dense_pairing_on_random_two_cell_constraints():
         inst = generate_instance(InstanceSpec(n=n, kind="perm", seed=int(rng.integers(1000)),
                                               cycle_type=random_partition(rng, n)))
         base = inst.restriction
-        p = rng.uniform(0.1, 1.0, n * n)
-        p /= p.sum()
+        comps, class_of = simplex_components(base.mx_spec)
+        plans = [TransportPlan(base.row_space, base.col_space, np.outer(a.w, b.w))
+                 for a in comps for b in comps]
         rows = int(rng.integers(1, 7))
         matrix = np.zeros((rows, n * n))
         for i in range(rows):
-            c1, c2 = rng.choice(n * n, size=2, replace=False)
-            scale = rng.uniform(0.5, 2.0)
-            matrix[i, [c1, c2]] = scale * p[c2], -scale * p[c1]
+            c1 = int(rng.integers(n * n))
+            a, b = class_of[c1 // n], class_of[c1 % n]
+            c2 = int(rng.choice(np.flatnonzero(np.outer(class_of == a, class_of == b))))
+            q = np.outer(comps[a].w, comps[b].w).ravel()
+            if c2 != c1:
+                matrix[i, [c1, c2]] = rng.uniform(0.5, 2.0) * np.array([q[c2], -q[c1]])
         r = LinearRestriction(ConstraintSet.from_dense(base.row_space, base.col_space,
                                                        [f"w{i}" for i in range(rows)], matrix),
                               base.mx_spec, base.my_spec, atom_of=base.atom_of)
-        pi = TransportPlan(r.row_space, r.col_space, p.reshape(n, n))
-        rep = check_coherency(r, [pi, pi])
-        assert list(rep.failures) == dense_coherency_failures(r, [pi, pi])
+        rep = check_coherency(r)
+        assert list(rep.failures) == dense_coherency_failures(r, plans)
         broken += not rep.passed
     assert 0 < broken < 200
 
 
 def test_coherency_requires_feasible_samples():
-    r = invariance_restriction(swap_action())
-    lopsided = TransportPlan(r.row_space, r.col_space,
-                             np.array([[0.6, 0.2], [0.1, 0.1]]))
-    with pytest.raises(NotFeasibleError):
-        check_coherency(r, [lopsided])
+    # the Diracs' product plans are the cells: plan 1, the cell (0,1), breaks
+    # both constraints and plan 2, the cell (1,0), breaks b; the error names
+    # what the weak regularity check finds
+    sp = FiniteSpace.of_size(2)
+    om = np.zeros((2, 2, 2))
+    om[0, 0, 1] = 1.0
+    om[1, 0, 1], om[1, 1, 0] = 1.0, -1.0
+    r = LinearRestriction(ConstraintSet.from_dense(sp, sp, ("a", "b"), om),
+                          full_simplex(sp), full_simplex(sp), atom_of=np.arange(4))
+    with pytest.raises(NotFeasibleError) as err:
+        check_coherency(r)
+    assert str(err.value) == "; ".join(check_weak_regularity(r).failures) == (
+        "pair 1: product plan breaks a by 1; pair 1: product plan breaks b by 1; "
+        "pair 2: product plan breaks b by 1")
 
 
 def test_coherency_empty_constraints():
     sp = FiniteSpace.of_size(2)
-    r = no_restriction(sp, sp)
-    pi = TransportPlan(sp, sp, np.full((2, 2), 0.25))
-    assert check_coherency(r, [pi]).passed
+    assert check_coherency(no_restriction(sp, sp)).passed
 
 
 def test_extreme_product_plans_have_extreme_marginals():
