@@ -37,7 +37,7 @@ class MissingProductStructureError(ValueError):
 
 
 class ProjectionNotFullError(ValueError):
-    """Pair generators whose factor projections do not generate the full group."""
+    """Pair generators whose first or second factors do not have the action's orbits."""
 
 
 class NotGeometricError(ValueError):

@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import TAU_LP
 
-PIVOT_EPS = 1e-11   # entries smaller than this never serve as pivots
+PIVOT_EPS = 1e-11   # transport_simplex's entering tolerance, times the largest |cost|
 MAX_PIVOTS = 2_000_000  # safety net only; both pivot rules terminate on their own
 
 
@@ -72,7 +72,7 @@ class LpSolution:
     pivots: int = 0                # all pivots, both phases
     phase1_pivots: int = 0         # pivots before phase two, artificial drive-out included;
                                    # transport_simplex: pivots that cut the forbidden mass
-    degenerate_pivots: int = 0     # ratio-test pivots whose leaving ratio is <= PIVOT_EPS;
+    degenerate_pivots: int = 0     # ratio-test pivots whose leaving ratio is <= TAU_LP;
                                    # transport_simplex: pivots that move no flow
     duals: tuple[np.ndarray, np.ndarray] | None = None   # transport_simplex, when optimal:
                                    # the row and column potentials of the final tree
@@ -82,26 +82,28 @@ def _bland_iterate(T, basis, ncols, pivots, degenerate):
     """Run Bland pivots in place until optimal or unbounded.
 
     T is the tableau with the reduced-cost row last and the rhs column last;
-    only the first ncols columns may enter. Returns (status, pivots,
-    degenerate), the two counts carried on from the arguments.
+    only the first ncols columns may enter. Entries, reduced costs and
+    ratio differences at or below TAU_LP count as zero, so no entry that
+    small serves as a pivot. Returns (status, pivots, degenerate), the two
+    counts carried on from the arguments.
     """
     m = T.shape[0] - 1
     if not ncols:
         return "optimal", pivots, degenerate   # no column can enter
     while True:
-        negative = T[-1, :ncols] < -PIVOT_EPS
+        negative = T[-1, :ncols] < -TAU_LP
         entering = int(negative.argmax())
         if not negative[entering]:
             return "optimal", pivots, degenerate
         col = T[:m, entering]
-        cand = (col > PIVOT_EPS).nonzero()[0]
+        cand = (col > TAU_LP).nonzero()[0]
         ratios = T[cand, -1] / col[cand]
         # the tie band chains from the running best, so no argmin can stand in
         best_ratio = math.inf
         leave = -1
         for i, ratio in zip(cand.tolist(), ratios.tolist()):
-            if ratio < best_ratio - PIVOT_EPS or (
-                abs(ratio - best_ratio) <= PIVOT_EPS and (leave < 0 or basis[i] < basis[leave])
+            if ratio < best_ratio - TAU_LP or (
+                abs(ratio - best_ratio) <= TAU_LP and (leave < 0 or basis[i] < basis[leave])
             ):
                 best_ratio = ratio
                 leave = i
@@ -110,7 +112,7 @@ def _bland_iterate(T, basis, ncols, pivots, degenerate):
         _pivot(T, leave, entering)
         basis[leave] = entering
         pivots += 1
-        if best_ratio <= PIVOT_EPS:
+        if best_ratio <= TAU_LP:
             degenerate += 1
         if pivots > MAX_PIVOTS:
             raise RuntimeError("pivot cap exceeded; this should be unreachable with Bland's rule")
@@ -167,7 +169,7 @@ def solve_lp(prob: LpProblem) -> LpSolution:
     drop_rows = []
     for i in range(m):
         if basis[i] >= n:
-            movable = (np.abs(T[i, :n]) > PIVOT_EPS).nonzero()[0]
+            movable = (np.abs(T[i, :n]) > TAU_LP).nonzero()[0]
             if not movable.size:
                 drop_rows.append(i)
             else:

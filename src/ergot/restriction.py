@@ -45,8 +45,6 @@ from .core import (
 )
 from .ergodic import _orbit_search, check_ergodic_kernel, simplex_components
 
-MAX_GROUP_ORDER = 10_000
-
 
 @dataclass(frozen=True, eq=False)
 class LinearRestriction:
@@ -139,57 +137,29 @@ def invariance_restriction(action: GroupAction) -> LinearRestriction:
                               "invariance")
 
 
-def _mulclose(gens: list[tuple], cap: int) -> set:
-    """The group of permutations (image tuples) generated by gens."""
-    group = set(gens)
-    frontier = list(group)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in gens:
-                c = tuple(a[i] for i in b)
-                if c not in group:
-                    group.add(c)
-                    new.append(c)
-                    if len(group) > cap:
-                        raise ValueError(
-                            f"generated group exceeds {cap} elements; "
-                            "subgroup restriction is only supported for small groups")
-        frontier = new
-    return group
-
-
 def subgroup_restriction(action: GroupAction, pair_generators) -> LinearRestriction:
     """Plans invariant under a subgroup of pairwise moves (x, y) -> (g(x), h(y)).
 
-    pair_generators is a list of (g, h) permutation pairs. The projections of
-    the generated pair group onto each factor must reproduce the group
-    generated by action; otherwise ProjectionNotFullError is raised, because
-    marginal invariance is no longer implied.
+    pair_generators is a list of (g, h) permutation pairs. The g's alone,
+    and the h's alone, must have the orbits of action: a measure is
+    invariant under a permutation group exactly when it is constant on the
+    group's orbits, so then the marginals of every admissible plan lie in
+    the action's simplex. Otherwise ProjectionNotFullError, naming the
+    factor, is raised; a pair that does not permute action's points is a
+    ValueError.
     """
     n = action.space.n
-    pairs = [(tuple(int(v) for v in np.asarray(g, dtype=np.intp)),
-              tuple(int(v) for v in np.asarray(h, dtype=np.intp)))
+    pairs = [(np.asarray(g, dtype=np.intp), np.asarray(h, dtype=np.intp))
              for g, h in pair_generators]
-    for g, h in pairs:
-        if sorted(g) != list(range(n)) or sorted(h) != list(range(n)):
-            raise ValueError("pair generators must permute the same space as action")
-
-    # the image of the pair group under a factor projection is the group
-    # generated by the projected generators
-    ident = tuple(range(n))
-    full_group = _mulclose([tuple(int(v) for v in g) for _, g in action.generators] + [ident],
-                           MAX_GROUP_ORDER)
-    proj1 = _mulclose([g for g, _ in pairs] + [ident], MAX_GROUP_ORDER)
-    proj2 = _mulclose([h for _, h in pairs] + [ident], MAX_GROUP_ORDER)
-    if proj1 != full_group or proj2 != full_group:
-        raise ProjectionNotFullError(
-            "factor projections of the pair group do not generate the full group "
-            f"(sizes {len(proj1)}/{len(proj2)} vs {len(full_group)})")
-
-    return _orbit_restriction(action, [
-        _product_generator(np.array(g, dtype=np.intp), np.array(h, dtype=np.intp))
-        for g, h in pairs], "subgroup")
+    if not all(p.shape == (n,) and np.array_equal(np.sort(p), np.arange(n))
+               for pair in pairs for p in pair):
+        raise ValueError("pair generators must permute the same space as action")
+    orbits = _orbit_search(n, [g.tolist() for _, g in action.generators])
+    for side, factor in enumerate(("first", "second")):
+        if _orbit_search(n, [pair[side].tolist() for pair in pairs]) != orbits:
+            raise ProjectionNotFullError(
+                f"the {factor} factors of the pair generators do not have the action's orbits")
+    return _orbit_restriction(action, [_product_generator(g, h) for g, h in pairs], "subgroup")
 
 
 def stationarity_restriction(qx: StochKernel, qy: StochKernel) -> LinearRestriction:
@@ -307,7 +277,7 @@ def check_weak_regularity(r: LinearRestriction) -> CheckReport:
 def check_geometric(r: LinearRestriction) -> CheckReport:
     """The three conditions that make the restricted distance a metric.
 
-    With m_k the extreme measures of r.mx_spec ("sample k" in failures),
+    With m_k the extreme measures of r.mx_spec ("component k" in failures),
     every omega must vanish on (1) the diagonal plan of each m_k and (2)
     each product plan m_a x m_b, and (3) the constraint row space must be
     closed under transposition. The admissible plans are the mixtures of
@@ -324,10 +294,10 @@ def check_geometric(r: LinearRestriction) -> CheckReport:
     om, n = r.omega, r.row_space.n
     mass, cls, k = _extreme_mass(r.mx_spec)
     x, y = np.divmod(om.cell, n)
-    found = [(i, 0, a, f"{om.labels[i]}: diagonal pairing with sample {a} is {v:.3g}")
+    found = [(i, 0, a, f"{om.labels[i]}: diagonal pairing with component {a} is {v:.3g}")
              for (i, a), v in _breaks(om.value * mass[x], om.row, np.where(x == y, cls[x], -1))]
     pair, prod = _pair_mass(r, om.cell, r.mx_spec)
-    found += [(i, 1, p, f"{om.labels[i]}: product pairing with samples ({p // k},{p % k}) "
+    found += [(i, 1, p, f"{om.labels[i]}: product pairing with components ({p // k},{p % k}) "
                         f"is {v:.3g}") for (i, p), v in _breaks(om.value * prod, om.row, pair)]
     worst: dict[int, float] = {}
     for (i, _), v in _breaks(om.value * _pair_mass(r, y * n + x, r.my_spec)[1], om.row,

@@ -8,7 +8,9 @@ tiny instances and refuses loudly above its candidate cap.
 ``orbit_ids`` numbers orbits by union-find and ``atom_cells`` lists atoms by
 one scan of atom_of per id; neither shares code with ergot's own orbit search
 or atom grouping, which they check. ``averaging_kernel`` builds the orbit
-average of an action as a Markov kernel, an input for the stationarity tests.
+average of an action as a Markov kernel, an input for the stationarity tests,
+and ``same_orbit_pairs`` pair generators with g's orbits and a larger group
+than g's, inputs for the subgroup tests.
 
 ``svd_check_geometric`` is check_geometric's former rule on caller-chosen
 samples: conditions (1) and (2) by dense pairings, and (3) by projecting
@@ -27,6 +29,12 @@ from ergot.core import TAU_LP
 from ergot.lp import PIVOT_EPS
 
 TAU_RANK = 1e-8  # svd_check_geometric's singular-value cut-off
+
+# feasible kernel instances (n, class sizes, seed) that the lifted LP reported
+# infeasible while it pivoted on entries down to 1e-11: phase one ended
+# "optimal" above sum(b)
+FALSE_INFEASIBLE = [(6, (3, 3), 126), (7, (4, 3), 102), (12, (4, 4, 4), 98),
+                    (12, (4, 4, 4), 150)]
 
 
 class VertexCapExceededError(RuntimeError):
@@ -128,6 +136,35 @@ def orbit_ids(n: int, perms) -> np.ndarray:
     return np.array([ids[root] for root in roots], dtype=np.intp)
 
 
+def same_orbit_pairs(g) -> dict[str, list]:
+    """Pair generators whose factors have g's orbits, and more than g's group on a long cycle.
+
+    Walking each cycle c_0 -> c_1 -> ... of g from its smallest point, the
+    reflection maps c_i to c_-i, so with g it generates a dihedral group on
+    each cycle, and the swap exchanges c_0 and c_1, so with g it generates
+    the symmetric group of a lone cycle; on a cycle of 3 or more points
+    either group is larger than g's. "dihedral" pairs (g, g) with
+    (reflection, reflection), "dihedral-one-sided" with (reflection, id),
+    and "symmetric" with (swap, swap).
+    """
+    g = np.asarray(g)
+    e = np.arange(g.size)
+    reflection, swap = e.copy(), e.copy()
+    seen = np.zeros(g.size, dtype=bool)
+    for start in range(g.size):
+        cycle = [start]
+        while not seen[cycle[-1]]:
+            seen[cycle[-1]] = True
+            cycle.append(int(g[cycle[-1]]))
+        cycle = np.array(cycle[:-1])
+        if cycle.size > 1:
+            reflection[cycle] = cycle[-np.arange(cycle.size)]
+            swap[cycle[:2]] = cycle[1::-1]
+    return {"dihedral": [(g, g), (reflection, reflection)],
+            "dihedral-one-sided": [(g, g), (reflection, e)],
+            "symmetric": [(g, g), (swap, swap)]}
+
+
 def averaging_kernel(action: GroupAction) -> StochKernel:
     """Kernel whose row at x is the uniform measure on the orbit of x.
 
@@ -153,10 +190,12 @@ def svd_check_geometric(r: LinearRestriction, samples: list[Measure]) -> CheckRe
 
     (1) every omega vanishes on the diagonal pushforward of each sample,
     (2) every omega vanishes on products of samples, and (3) the constraint
-    row space is closed under matrix transposition. For (3) the right
-    singular vectors of the stacked constraint matrix whose singular values
-    exceed TAU_RANK span the row space; each transposed omega is projected
-    off them, and a max-abs residual above TAU_RANK records a failure.
+    row space is closed under matrix transposition. Failures call sample k
+    "component k", the word check_geometric uses for its extreme measures.
+    For (3) the right singular vectors of the stacked constraint matrix
+    whose singular values exceed TAU_RANK span the row space; each
+    transposed omega is projected off them, and a max-abs residual above
+    TAU_RANK records a failure.
     Requires both marginal spaces to coincide. It builds the dense (k, n*n)
     matrix (ConstraintSet.dense) for the SVD, so it is for small n.
     """
@@ -171,9 +210,9 @@ def svd_check_geometric(r: LinearRestriction, samples: list[Measure]) -> CheckRe
     failures = []
     for i in np.flatnonzero((diag > TAU_LP).any(axis=1) | (prod > TAU_LP).any(axis=(1, 2))):
         lbl = r.omega.labels[i]
-        failures += [f"{lbl}: diagonal pairing with sample {k} is {diag[i, k]:.3g}"
+        failures += [f"{lbl}: diagonal pairing with component {k} is {diag[i, k]:.3g}"
                      for k in np.flatnonzero(diag[i] > TAU_LP)]
-        failures += [f"{lbl}: product pairing with samples ({ka},{kb}) is {prod[i, ka, kb]:.3g}"
+        failures += [f"{lbl}: product pairing with components ({ka},{kb}) is {prod[i, ka, kb]:.3g}"
                      for ka, kb in np.argwhere(prod[i] > TAU_LP)]
     if len(rows):
         _, sv, vt = np.linalg.svd(rows, full_matrices=False)

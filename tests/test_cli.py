@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergot import InstanceSpec, generate_instance, simplex_components
+from ergot import InstanceSpec, generate_instance, simplex_components, verify_decomposition
 from ergot.cli import (
     MAX_POINTS,
     MAX_RANDOM_COUNT,
@@ -21,7 +21,7 @@ from ergot.cli import (
     parse_problem,
     parse_random_spec,
 )
-from oracles import svd_check_geometric
+from oracles import FALSE_INFEASIBLE, svd_check_geometric
 
 FIXTURE = Path(__file__).parent / "fixtures" / "c3x2.json"
 
@@ -169,6 +169,23 @@ def test_verify_random_passes_the_false_infeasible_kernel_reproducer(capsys):
     res = _strict_json(capsys.readouterr().out)["results"]
     assert res["pass"] is True
     assert isinstance(res["gaps"][0], float) and res["max_gap"] <= res["tol"]
+
+
+@pytest.mark.parametrize("n,class_sizes,seed", FALSE_INFEASIBLE)
+def test_solve_finds_the_optimum_of_the_false_infeasible_kernel_reproducers(
+        tmp_path, capsys, n, class_sizes, seed):
+    # solve runs the lifted LP, whose phase one once called these feasible
+    # instances infeasible (exit 2)
+    inst = generate_instance(InstanceSpec(n=n, kind="kernel", class_sizes=class_sizes, seed=seed))
+    path = write_problem(tmp_path, {
+        "version": 1, "space": n, "kernel": inst.kernel.q.tolist(), "cost": inst.cost.c.tolist(),
+        "restriction": "stationarity",
+        "marginals": {"mu": inst.mu.w.tolist(), "nu": inst.nu.w.tolist()}})
+    assert main(["solve", path]) == 0
+    res = _strict_json(capsys.readouterr().out)["results"]
+    rep = verify_decomposition(inst.mu, inst.nu, inst.cost, inst.restriction)
+    assert res["status"] == "optimal"
+    assert abs(res["value"] - rep.lhs) <= 1e-9
 
 
 def test_verify_random_parallel_matches_serial():

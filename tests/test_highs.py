@@ -14,6 +14,8 @@ from ergot import (
     transport_simplex,
 )
 
+from oracles import same_orbit_pairs
+
 pytest.importorskip("scipy")
 from scipy.optimize import linprog  # noqa: E402
 from scipy.sparse import coo_matrix  # noqa: E402
@@ -91,13 +93,18 @@ def highs_lifted(mu, nu, cost, r):
     return status, res.fun if status == "optimal" else None
 
 
-# invariance stays at n <= 20: its lifted LP takes 1-2 s at n = 24 on 2 vCPUs. None of
-# these hits the phase-one defect pinned by test_verify.py's strict xfails; an instance
-# that did would become a strict xfail naming it, not be reseeded away.
+# invariance stays at n <= 20: its lifted LP takes 1-2 s at n = 24 on 2 vCPUs. Phase one
+# once ended above sum(b) on the kernel reproducers of oracles.FALSE_INFEASIBLE, which
+# now solve; an instance that failed here would become a strict xfail naming it, not be
+# reseeded away. The dihedral and symmetric subgroups have g's orbits but a larger group
+# than g's; the diagonal S8 of the 8-cycle has 40,320 elements.
 LIFTED = ([("invariance", 16, (4, 4, 4, 4), seed) for seed in range(3)]
           + [("invariance", 20, (10, 10), seed) for seed in range(2)]
           + [("subgroup", n, ct, seed) for n, ct in ((16, (8, 8)), (20, (5, 5, 5, 5)), (24, (24,)))
              for seed in range(2)]
+          + [(family, n, ct, seed) for family in ("dihedral", "dihedral-one-sided", "symmetric")
+             for n, ct in ((16, (8, 8)), (20, (5, 5, 5, 5))) for seed in range(2)]
+          + [("symmetric", 8, (8,), 0)]
           + [("stationarity", n, cs, seed) for n, cs in ((16, (6, 5, 5)), (20, (8, 7, 5)),
                                                          (24, (8, 8, 8))) for seed in range(2)])
 
@@ -111,8 +118,9 @@ def test_lifted_lp_matches_highs(family, n, shape, seed):
     else:
         inst = generate_instance(InstanceSpec(n=n, kind="perm", cycle_type=shape, seed=seed))
         g = inst.action.generators[0][1]
+        pairs = {"subgroup": [(g, g), (g, np.arange(n))], **same_orbit_pairs(g)}
         r = (inst.restriction if family == "invariance"
-             else subgroup_restriction(inst.action, [(g, g), (g, np.arange(n))]))
+             else subgroup_restriction(inst.action, pairs[family]))
     res = solve_constrained_ot(inst.mu, inst.nu, inst.cost, r, method="lp")
     status, value = highs_lifted(inst.mu.w, inst.nu.w, inst.cost.c, r)
     assert res.status == status == "optimal"

@@ -22,7 +22,6 @@ from ergot import (
     transport_simplex,
 )
 from ergot.core import TAU_LP
-from ergot.lp import PIVOT_EPS
 from oracles import VertexCapExceededError, enumerate_vertices
 
 
@@ -168,11 +167,11 @@ def test_vertices_deduplicated():
 
 
 # ---------------------------------------------------------------- dense oracle
-# The solver as it was before the sparse in-place pivot: a full np.outer
-# update on every pivot, Python loops for the ratio test and the artificial
-# drive-out. solve_lp must reproduce its pivots, bases and nonzero entries
-# bit for bit. The oracle also counts phase-one and degenerate pivots, the
-# way LpSolution defines them.
+# The solver as it was before the sparse in-place pivot, at today's pivot
+# threshold TAU_LP: a full np.outer update on every pivot, Python loops for
+# the ratio test and the artificial drive-out. solve_lp must reproduce its
+# pivots, bases and nonzero entries bit for bit. The oracle also counts
+# phase-one and degenerate pivots, the way LpSolution defines them.
 
 def _dense_pivot(T, row, col):
     T[row] /= T[row, col]
@@ -189,7 +188,7 @@ def _dense_bland(T, basis, ncols, pivots, degenerate):
         red = T[-1, :ncols]
         entering = -1
         for j in range(ncols):
-            if red[j] < -PIVOT_EPS:
+            if red[j] < -TAU_LP:
                 entering = j
                 break
         if entering < 0:
@@ -198,10 +197,10 @@ def _dense_bland(T, basis, ncols, pivots, degenerate):
         best_ratio = math.inf
         leave = -1
         for i in range(m):
-            if col[i] > PIVOT_EPS:
+            if col[i] > TAU_LP:
                 ratio = T[i, -1] / col[i]
-                if ratio < best_ratio - PIVOT_EPS or (
-                    abs(ratio - best_ratio) <= PIVOT_EPS and (leave < 0 or basis[i] < basis[leave])
+                if ratio < best_ratio - TAU_LP or (
+                    abs(ratio - best_ratio) <= TAU_LP and (leave < 0 or basis[i] < basis[leave])
                 ):
                     best_ratio = ratio
                     leave = i
@@ -210,7 +209,7 @@ def _dense_bland(T, basis, ncols, pivots, degenerate):
         _dense_pivot(T, leave, entering)
         basis[leave] = entering
         pivots += 1
-        degenerate += best_ratio <= PIVOT_EPS
+        degenerate += best_ratio <= TAU_LP
 
 
 def dense_solve_lp(prob):
@@ -236,7 +235,7 @@ def dense_solve_lp(prob):
         if basis[i] >= n:
             entering = -1
             for j in range(n):
-                if abs(T[i, j]) > PIVOT_EPS:
+                if abs(T[i, j]) > TAU_LP:
                     entering = j
                     break
             if entering < 0:
@@ -316,9 +315,9 @@ def test_sparse_pivots_match_dense_on_verification_lps(monkeypatch, spec):
     assert len(lps) == len(sides)
     statuses = [assert_matches_dense(prob).status for prob in lps]
     if (spec.n, spec.class_sizes, spec.seed) in PINNED_FALSE_INFEASIBLE:
-        # the lifted solve of a pinned reproducer is wrongly infeasible, so
-        # the infeasible exit is compared here too
-        assert statuses[0] == "infeasible"
+        # phase one once ended above sum(b) on these reproducers, pivoting on
+        # entries down to 1e-11; entries at or below TAU_LP no longer serve as pivots
+        assert statuses[0] == "optimal"
 
 
 def random_transport(rng, m, n):

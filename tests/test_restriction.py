@@ -35,7 +35,13 @@ from ergot import (
     stationary_components,
     subgroup_restriction,
 )
-from oracles import atom_cells, averaging_kernel, orbit_ids, svd_check_geometric
+from oracles import (
+    atom_cells,
+    averaging_kernel,
+    orbit_ids,
+    same_orbit_pairs,
+    svd_check_geometric,
+)
 from test_acceptance import CYCLE_TYPES
 
 
@@ -129,8 +135,8 @@ def test_subgroup_rejects_partial_projection():
 
 
 def test_subgroup_projections_close_without_the_pair_group():
-    # the pairs generate S5 x S5, 14,400 elements, above MAX_GROUP_ORDER;
-    # each factor projection generates only S5, 120 elements
+    # the pairs generate S5 x S5, 14,400 elements; the rule compares only
+    # each factor's orbits, here one orbit, with the action's
     a = np.array([1, 2, 3, 4, 0])
     b = np.array([1, 0, 2, 3, 4])
     e = np.arange(5)
@@ -139,6 +145,25 @@ def test_subgroup_projections_close_without_the_pair_group():
     atoms = atom_cells(r)
     assert atoms == [tuple(range(25))]
     assert len(r.omega) == 24
+
+
+@pytest.mark.parametrize("factor", ["first", "second"])
+def test_subgroup_rejects_pair_orbits_coarser_than_the_actions(factor):
+    # (0 2)(1 3) joins the action's two orbits {0, 1} and {2, 3}: an atom
+    # would span two component pairs, so the builder refuses before building one
+    g, s, e = np.array([1, 0, 3, 2]), np.array([2, 3, 0, 1]), np.arange(4)
+    act = GroupAction(FiniteSpace.of_size(4), (("g", g),))
+    coarser = (s, s) if factor == "first" else (e, s)
+    with pytest.raises(ProjectionNotFullError, match=f"the {factor} factors"):
+        subgroup_restriction(act, [(g, g), coarser])
+
+
+def test_subgroup_rejects_pairs_that_do_not_permute_the_space():
+    act = c3x2_action()
+    g = act.generators[0][1]
+    for bad in (g[:5], np.append(g[:5], 0), g.reshape(2, 3), np.int64(3)):
+        with pytest.raises(ValueError, match="must permute the same space"):
+            subgroup_restriction(act, [(g, g), (g, bad)])
 
 
 def test_stationarity_identity_kernel_prunes_to_empty():
@@ -223,7 +248,7 @@ def test_geometric_fails_on_single_cell_constraint():
     omega = ConstraintSet.from_dense(sp, sp, ("cell01",), om)
     r = LinearRestriction(omega, full_simplex(sp), full_simplex(sp), atom_of=np.arange(4))
     rep = check_geometric(r)
-    assert rep.failures == ("cell01: product pairing with samples (0,1) is 1",
+    assert rep.failures == ("cell01: product pairing with components (0,1) is 1",
                             "cell01: transpose leaves the constraint row space "
                             "(largest transposed pairing 1)")
     # without atoms, (3) has nothing to read
@@ -478,7 +503,8 @@ def test_orbit_atoms_match_product_action_oracle():
             g = inst.action.generators[0][1]
             assert_same_atoms(inst.restriction, orbit_oracle(n, [(g, g)]))
             e = np.arange(n)
-            for pairs in ([(g, g)], [(g, np.argsort(g))], [(g, e), (e, g)]):
+            for pairs in ([(g, g)], [(g, np.argsort(g))], [(g, e), (e, g)],
+                          *same_orbit_pairs(g).values()):
                 assert_same_atoms(subgroup_restriction(inst.action, pairs), orbit_oracle(n, pairs))
 
 

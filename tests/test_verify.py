@@ -33,7 +33,7 @@ from ergot import (
     verify_metric_decomposition,
 )
 from ergot.cli import main
-from oracles import averaging_kernel
+from oracles import FALSE_INFEASIBLE, averaging_kernel, same_orbit_pairs
 
 
 def fixture():
@@ -216,13 +216,6 @@ def test_theorem_equality_small_batch():
             assert rep.qopt_ok
 
 
-# feasible kernel instances that the lifted LP reports infeasible
-FALSE_INFEASIBLE = [(6, (3, 3), 126), (7, (4, 3), 102), (12, (4, 4, 4), 98),
-                    (12, (4, 4, 4), 150)]
-
-
-@pytest.mark.xfail(strict=True, reason="open solver defect: phase one ends 'optimal' above "
-                   "sum(b), pointing to pivot growth under the absolute PIVOT_EPS")
 @pytest.mark.parametrize("n,class_sizes,seed", FALSE_INFEASIBLE)
 def test_feasible_kernel_instances_are_solved(n, class_sizes, seed):
     inst = generate_instance(InstanceSpec(n=n, kind="kernel", class_sizes=class_sizes, seed=seed))
@@ -466,6 +459,21 @@ def test_verify_certifies_the_false_infeasible_kernel_instances(n, class_sizes, 
     rep = verify_decomposition(inst.mu, inst.nu, inst.cost, inst.restriction)
     assert rep.passed and rep.certified and np.isfinite(rep.lhs)
     assert max(cert.gap for cert in rep.certificates) <= 1e-12
+
+
+@pytest.mark.parametrize("family", ["dihedral", "dihedral-one-sided", "symmetric"])
+def test_verify_certifies_subgroups_larger_than_the_actions_group(family):
+    # the factors have the action's orbits, so their group may be larger than
+    # the action's: the diagonal S8 of one 8-cycle has 40,320 elements
+    for ct in ((8,), (4, 4), (5, 3)):
+        for seed in range(3):
+            inst = generate_instance(InstanceSpec(n=8, kind="perm", cycle_type=ct, seed=seed))
+            pairs = same_orbit_pairs(inst.action.generators[0][1])[family]
+            r = subgroup_restriction(inst.action, pairs)
+            rep = verify_decomposition(inst.mu, inst.nu, inst.cost, r)
+            assert rep.passed and rep.certified, (ct, seed)
+            assert all(cert.primal <= 1e-12 and cert.reduced >= -1e-12 and abs(cert.gap) <= 1e-12
+                       for cert in rep.certificates)
 
 
 SWEEP_CLASS_SIZES = [(3, 3), (4, 3), (3, 3, 3), (4, 4, 4), (3, 3, 3, 3)]
