@@ -7,13 +7,15 @@ product cell to its atom, a product orbit (invariance, subgroup) or a
 rectangle of recurrent classes (stationarity). The atoms are what later
 decompose admissible plans into ergodic components.
 
-Constraint sets are finite spanning sets, never the full linear span: for
-invariance-style restrictions each product orbit contributes a star of
-difference matrices, each other cell of the orbit minus its smallest cell,
-which is exactly orbit-size - 1 independent constraints and forces orbit
-constancy. The builders emit only the nonzero entries (core.ConstraintSet):
-two per non-root cell, or the sparse Kronecker product of two kernels'
-nonzeros, never the dense matrix.
+Every admissible plan of a shipped family is, on each atom, a multiple of
+one weight: constant on a product orbit, and pi_a x pi_b on a rectangle of
+recurrent classes (the paper's theorem for stationarity). So every builder
+states its constraints the same way (_star_rows): each atom's root is its
+heaviest cell, and every other cell gets one row, +1 at the cell and minus
+its weight relative to the root's at the root: one independent constraint
+per non-root cell of an atom. A transient cell gets +1 alone. Only these
+nonzero entries are stored (core.ConstraintSet), at most two per cell,
+never the dense matrix.
 
 The checkers (weak regularity, geometricity, coherency) read only the
 restriction and return reports with recorded failures instead of raising,
@@ -28,7 +30,6 @@ import numpy as np
 
 from .core import (
     TAU_LP,
-    TAU_MASS,
     ConstraintSet,
     FiniteSpace,
     GroupAction,
@@ -78,7 +79,7 @@ class LinearRestriction:
             raise ValueError(f"atom_of has shape {self.atom_of.shape}, "
                              f"expected one entry per product cell ({cells},)")
         live = np.flatnonzero(self.atom_of >= 0)
-        atom, cell_pair = self.atom_of[live], _pair_mass(self, live, self.my_spec)[0]
+        atom, cell_pair = self.atom_of[live], _pair_mass(self.mx_spec, self.my_spec, live)[0]
         pair = np.full(int(atom.max(initial=-1)) + 1, -1, dtype=np.intp)
         pair[atom] = cell_pair
         if np.any(cell_pair < 0) or np.any(pair[atom] != cell_pair):
@@ -107,23 +108,39 @@ def _product_generator(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (g[:, None] * h.size + h).ravel()
 
 
+def _star_rows(row_space: FiniteSpace, col_space: FiniteSpace, atom_of: np.ndarray,
+               weight: np.ndarray, family: str) -> ConstraintSet:
+    """The plans that are a multiple of weight on each atom of atom_of and 0 off them.
+
+    Each atom's root is its heaviest cell, the smallest cell among equal
+    weights. Every other cell c, in increasing order, gets one constraint
+    labelled family:(x,y): +1 at c and -weight[c] / weight[root], in [-1, 0),
+    at its atom's root, or +1 alone where c is transient (atom -1).
+    """
+    live = np.argsort(-weight, kind="stable")
+    live = live[atom_of[live] >= 0]
+    _, first, atom = np.unique(atom_of[live], return_index=True, return_inverse=True)
+    root = np.full(atom_of.size, -1)
+    root[live] = live[first][atom]
+    stars = np.flatnonzero(root != np.arange(atom_of.size))
+    rooted = np.flatnonzero(root[stars] >= 0)
+    c, m = stars[rooted], col_space.n
+    return ConstraintSet(row_space, col_space, [f"{family}:({x // m},{x % m})" for x in stars.tolist()],
+                         np.concatenate([np.arange(stars.size), rooted]), np.concatenate([stars, root[c]]),
+                         np.concatenate([np.ones(stars.size), -weight[c] / weight[root[c]]]))
+
+
 def _orbit_restriction(action: GroupAction, product_gens, family: str) -> LinearRestriction:
     """Plans constant on the orbits of product_gens, permutations of the product cells.
 
     One search (ergodic._orbit_search) numbers the orbits, which are the
-    atoms, by smallest cell, their root. Each other cell c, in increasing
-    order, gets one constraint labelled after c, two entries: +1 at c and -1
-    at its orbit's root.
+    atoms, by smallest cell; with unit weights that cell is each star's root.
     """
     n = action.space.n
     atom_of = np.array(_orbit_search(n * n, [g.tolist() for g in product_gens]), dtype=np.intp)
-    root = np.unique(atom_of, return_index=True)[1][atom_of]
-    cells = np.flatnonzero(root != np.arange(n * n))
-    labels = [f"{family}:({c // n},{c % n})" for c in cells.tolist()]
-    omega = ConstraintSet(action.space, action.space, labels, np.repeat(np.arange(cells.size), 2),
-                          np.column_stack([root[cells], cells]), np.tile([-1.0, 1.0], cells.size))
     spec = invariant_simplex(action)
-    return LinearRestriction(omega=omega, mx_spec=spec, my_spec=spec, atom_of=atom_of)
+    return LinearRestriction(omega=_star_rows(action.space, action.space, atom_of, np.ones(n * n),
+                                              family), mx_spec=spec, my_spec=spec, atom_of=atom_of)
 
 
 def invariance_restriction(action: GroupAction) -> LinearRestriction:
@@ -165,13 +182,11 @@ def subgroup_restriction(action: GroupAction, pair_generators) -> LinearRestrict
 def stationarity_restriction(qx: StochKernel, qy: StochKernel) -> LinearRestriction:
     """Plans stationary for the product kernel Q(x,y) = Q^x tensor Q^y.
 
-    Both kernels must individually pass check_ergodic_kernel. One constraint
-    is emitted per product cell w = (x', y'): the indicator of w minus the
-    column of the product kernel at w, qx[x, x'] qy[y, y'] at each (x, y),
-    built from the nonzeros of the two kernels alone (nnz(qx) nnz(qy)
-    entries). Constraints with no entry above TAU_MASS (identity kernels)
-    are pruned. The atoms are the rectangles of the two factors' recurrent
-    classes, so a cell is transient when either coordinate is. When qy is
+    Both kernels must individually pass check_ergodic_kernel. A stationary
+    plan is then a multiple of pi_a x pi_b on each rectangle of recurrent
+    classes, which are the atoms, and 0 where either coordinate is
+    transient; so the constraints are the star rows (_star_rows) of the
+    weights m_a(x) m_b(y), at most two entries per product cell. When qy is
     qx, one simplex serves both sides, so its classes are derived once.
     """
     for name, q in (("qx", qx),) if qy is qx else (("qx", qx), ("qy", qy)):
@@ -179,41 +194,20 @@ def stationarity_restriction(qx: StochKernel, qy: StochKernel) -> LinearRestrict
         if not chk.passed:
             raise ValueError(
                 f"{name} fails the decomposing-kernel check at rows {chk.offending}")
-    nx_, ny = qx.space.n, qy.space.n
-    xs, xt = np.nonzero(qx.q)
-    ys, yt = np.nonzero(qy.q)
-    row = (xt[:, None] * ny + yt).ravel()
-    cell = (xs[:, None] * ny + ys).ravel()
-    value = -(qx.q[xs, xt][:, None] * qy.q[ys, yt]).ravel()
-    # the indicator of w, with the kernel's own entry at w folded in
-    on = row == cell
-    diag = np.ones(nx_ * ny)
-    diag[row[on]] += value[on]
-    row = np.concatenate([row[~on], np.arange(nx_ * ny)])
-    cell = np.concatenate([cell[~on], np.arange(nx_ * ny)])
-    value = np.concatenate([value[~on], diag])
-    peak = np.zeros(nx_ * ny)
-    np.maximum.at(peak, row, np.abs(value))
-    cells = np.flatnonzero(peak > TAU_MASS)
-    renumber = np.full(nx_ * ny, -1, dtype=np.intp)
-    renumber[cells] = np.arange(cells.size)
-    kept = renumber[row] >= 0
-    labels = [f"stationarity:({c // ny},{c % ny})" for c in cells.tolist()]
-    omega = ConstraintSet(qx.space, qy.space, labels, renumber[row[kept]], cell[kept], value[kept])
     mx_spec = stationary_simplex(qx)
     my_spec = mx_spec if qy is qx else stationary_simplex(qy)
-    cx, cy = (simplex_components(spec)[1] for spec in (mx_spec, my_spec))
-    atom_of = np.where((cx[:, None] < 0) | (cy < 0), -1, cx[:, None] * (cy.max() + 1) + cy)
-    return LinearRestriction(omega=omega, mx_spec=mx_spec, my_spec=my_spec,
-                             atom_of=atom_of.ravel())
+    atom_of, weight = _pair_mass(mx_spec, my_spec, np.arange(qx.space.n * qy.space.n))
+    return LinearRestriction(omega=_star_rows(qx.space, qy.space, atom_of, weight, "stationarity"),
+                             mx_spec=mx_spec, my_spec=my_spec, atom_of=atom_of)
 
 
 def no_restriction(row_space: FiniteSpace, col_space: FiniteSpace) -> LinearRestriction:
-    """The unconstrained problem: empty omega, full simplexes, Dirac atoms."""
-    return LinearRestriction(
-        omega=ConstraintSet(row_space, col_space, (), (), (), ()),
-        mx_spec=full_simplex(row_space), my_spec=full_simplex(col_space),
-        atom_of=np.arange(row_space.n * col_space.n))
+    """The unconstrained problem: no constraints, full simplexes, Dirac atoms."""
+    atom_of = np.arange(row_space.n * col_space.n)
+    return LinearRestriction(omega=_star_rows(row_space, col_space, atom_of, np.ones(atom_of.size),
+                                              "none"),
+                             mx_spec=full_simplex(row_space), my_spec=full_simplex(col_space),
+                             atom_of=atom_of)
 
 
 def plan_violations(pi: TransportPlan, r: LinearRestriction) -> list[tuple[str, float]]:
@@ -236,9 +230,9 @@ def _extreme_mass(spec: SimplexSpec):
     return np.sum([m.w for m in comps], axis=0), class_of, len(comps)
 
 
-def _pair_mass(r: LinearRestriction, cells: np.ndarray, my_spec: SimplexSpec):
-    """Each flat cell's pair a * k_y + b of r.mx_spec x my_spec (-1: transient) and its m_a m_b."""
-    (mx, cx, _), (my, cy, ky) = _extreme_mass(r.mx_spec), _extreme_mass(my_spec)
+def _pair_mass(mx_spec: SimplexSpec, my_spec: SimplexSpec, cells: np.ndarray):
+    """Each flat cell's pair a * k_y + b of mx_spec x my_spec (-1: transient) and its m_a m_b."""
+    (mx, cx, _), (my, cy, ky) = _extreme_mass(mx_spec), _extreme_mass(my_spec)
     x, y = np.divmod(cells, cy.size)
     return np.where((cx[x] < 0) | (cy[y] < 0), -1, cx[x] * ky + cy[y]), mx[x] * my[y]
 
@@ -264,7 +258,7 @@ def check_weak_regularity(r: LinearRestriction) -> CheckReport:
     product of two mixtures is the mixture of these. Closedness and
     continuity hold automatically on a finite space and are recorded as notes.
     """
-    pair, mass = _pair_mass(r, r.omega.cell, r.my_spec)
+    pair, mass = _pair_mass(r.mx_spec, r.my_spec, r.omega.cell)
     failures = [f"pair {k}: product plan breaks {r.omega.labels[i]} by {v:.3g}"
                 for (k, i), v in _breaks(r.omega.value * mass, pair, r.omega.row)]
     notes = (
@@ -296,11 +290,11 @@ def check_geometric(r: LinearRestriction) -> CheckReport:
     x, y = np.divmod(om.cell, n)
     found = [(i, 0, a, f"{om.labels[i]}: diagonal pairing with component {a} is {v:.3g}")
              for (i, a), v in _breaks(om.value * mass[x], om.row, np.where(x == y, cls[x], -1))]
-    pair, prod = _pair_mass(r, om.cell, r.mx_spec)
+    pair, prod = _pair_mass(r.mx_spec, r.mx_spec, om.cell)
     found += [(i, 1, p, f"{om.labels[i]}: product pairing with components ({p // k},{p % k}) "
                         f"is {v:.3g}") for (i, p), v in _breaks(om.value * prod, om.row, pair)]
     worst: dict[int, float] = {}
-    for (i, _), v in _breaks(om.value * _pair_mass(r, y * n + x, r.my_spec)[1], om.row,
+    for (i, _), v in _breaks(om.value * _pair_mass(r.mx_spec, r.my_spec, y * n + x)[1], om.row,
                              r.atom_of[y * n + x]):
         worst[i] = max(worst.get(i, 0.0), v)
     failures = [f for *_, f in sorted(found)] + [
@@ -324,7 +318,7 @@ def check_coherency(r: LinearRestriction) -> CheckReport:
     if not weak.passed:
         raise NotFeasibleError("; ".join(weak.failures[:3]))
     om = r.omega
-    pair, mass = _pair_mass(r, om.cell, r.my_spec)
+    pair, mass = _pair_mass(r.mx_spec, r.my_spec, om.cell)
     failures = [f"plan {k}, {om.labels[i]}: pairing on atom {a} is {v:.3g}"
                 for (k, i, a), v in _breaks(om.value * mass, pair, om.row, r.atom_of[om.cell])]
     return CheckReport(passed=not failures, failures=tuple(failures))

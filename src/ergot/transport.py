@@ -268,7 +268,7 @@ def _atom_table(c: CostMatrix, r: LinearRestriction) -> _AtomTable:
     (_, class_x, kx), (_, class_y, ky) = (_extreme_mass(s) for s in (r.mx_spec, r.my_spec))
     cells = np.flatnonzero(r.atom_of >= 0)
     atom, rect = r.atom_of[cells], r.atom_pair
-    w = _pair_mass(r, cells, r.my_spec)[1]
+    w = _pair_mass(r.mx_spec, r.my_spec, cells)[1]
     mass = np.bincount(atom, weights=w, minlength=rect.size)
     used = ((rect >= 0) & (mass > 0)).nonzero()[0]
     mean = np.full(rect.size, math.inf)

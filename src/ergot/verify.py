@@ -226,11 +226,13 @@ def _multipliers(r: LinearRestriction, target: np.ndarray, unit: float) -> np.nd
     """lam with omega^T lam = target, for a target in the constraints' row space.
 
     Each row is taken to belong to its one positive cell, its head (_heads),
-    and lam is the target there. That solves every shipped family from the
-    stored entries: an orbit row, +1 at a cell and -1 at its orbit's root,
-    and stationarity's row e_w - K[:, w] of an idempotent product kernel K.
-    Should it not fit to TAU_LP * unit, the unit of the cost the target
-    comes from, least squares on the dense matrix decides.
+    and lam is the target there. That is exact for every shipped family,
+    for one reason: each row is a star row (restriction._star_rows), +1 at
+    its own cell and at most one other entry, at its atom's root, which no
+    row has as its head; a target in the row space vanishes on every atom's
+    plan, and that fixes the root's entry too. Should lam not fit to
+    TAU_LP * unit, the unit of the cost the target comes from, least squares
+    on the dense matrix decides.
     """
     om = r.omega
     if not len(om):
@@ -306,18 +308,17 @@ def verify_decomposition(mu: Measure, nu: Measure, c: CostMatrix,
     gap, agree = agreement(lhs.value, outer.value, tol, c.c)
     comps_costs = np.zeros(0)
     qopt_ok = True
-    atoms_finer = False
+    pair = r.atom_pair
+    # the atoms are finer than the class rectangles when two share a pair
+    atoms_finer = bool(np.unique(pair[pair >= 0]).size < np.count_nonzero(pair >= 0))
     if lhs.plan is not None:
         dec = decompose_plan(lhs.plan, r)
-        pair = r.atom_pair
         # each conditional piece's cost, held on its cells against their pairs' inner values
         on = dec.class_of >= 0
         cell_cost = _forbidden_cells(c.c)[1].ravel() * lhs.plan.p.ravel()
         comps_costs = np.bincount(dec.class_of[on], weights=cell_cost[on]) / dec.weights
         inner = values.ravel()[pair[r.atom_of[on]]]
         qopt_ok = not np.any(comps_costs[dec.class_of[on]] < inner - TAU_LP * _scale(c.c))
-        # the atoms are finer than the class rectangles when two share a pair
-        atoms_finer = bool(np.unique(pair[pair >= 0]).size < np.count_nonzero(pair >= 0))
     return DecompositionReport(
         lhs=lhs.value, rhs=outer.value, gap=gap, inner_table=values, outer_plan=outer.plan,
         component_costs=tuple(comps_costs.tolist()), qopt_ok=qopt_ok,

@@ -12,6 +12,11 @@ average of an action as a Markov kernel, an input for the stationarity tests,
 and ``same_orbit_pairs`` pair generators with g's orbits and a larger group
 than g's, inputs for the subgroup tests.
 
+``literal_stationarity_rows`` is stationarity's former constraint set, one
+row e_w - K[:, w] per product cell w of K = Qx (x) Qy, built from the sparse
+Kronecker product of the two kernels' nonzeros; the reference for the star
+rows the library builds.
+
 ``svd_check_geometric`` is check_geometric's former rule on caller-chosen
 samples: conditions (1) and (2) by dense pairings, and (3) by projecting
 each transposed constraint off the row space of the dense constraint
@@ -24,8 +29,9 @@ import math
 
 import numpy as np
 
-from ergot import CheckReport, GroupAction, LinearRestriction, LpProblem, Measure, StochKernel
-from ergot.core import TAU_LP
+from ergot import (CheckReport, ConstraintSet, GroupAction, LinearRestriction, LpProblem, Measure,
+                   StochKernel)
+from ergot.core import TAU_LP, TAU_MASS
 from ergot.lp import PIVOT_EPS
 
 TAU_RANK = 1e-8  # svd_check_geometric's singular-value cut-off
@@ -183,6 +189,37 @@ def atom_cells(r: LinearRestriction) -> list[tuple[int, ...]]:
     """
     return [tuple(np.flatnonzero(r.atom_of == k).tolist())
             for k in range(int(r.atom_of.max(initial=-1)) + 1)]
+
+
+def literal_stationarity_rows(qx: StochKernel, qy: StochKernel) -> ConstraintSet:
+    """One constraint per product cell w = (x', y'): the indicator of w minus the column
+    of the product kernel at w, qx[x, x'] qy[y, y'] at each (x, y).
+
+    Built from the nonzeros of the two kernels alone (nnz(qx) nnz(qy)
+    entries); constraints with no entry above TAU_MASS (identity kernels)
+    are pruned.
+    """
+    nx_, ny = qx.space.n, qy.space.n
+    xs, xt = np.nonzero(qx.q)
+    ys, yt = np.nonzero(qy.q)
+    row = (xt[:, None] * ny + yt).ravel()
+    cell = (xs[:, None] * ny + ys).ravel()
+    value = -(qx.q[xs, xt][:, None] * qy.q[ys, yt]).ravel()
+    # the indicator of w, with the kernel's own entry at w folded in
+    on = row == cell
+    diag = np.ones(nx_ * ny)
+    diag[row[on]] += value[on]
+    row = np.concatenate([row[~on], np.arange(nx_ * ny)])
+    cell = np.concatenate([cell[~on], np.arange(nx_ * ny)])
+    value = np.concatenate([value[~on], diag])
+    peak = np.zeros(nx_ * ny)
+    np.maximum.at(peak, row, np.abs(value))
+    cells = np.flatnonzero(peak > TAU_MASS)
+    renumber = np.full(nx_ * ny, -1, dtype=np.intp)
+    renumber[cells] = np.arange(cells.size)
+    kept = renumber[row] >= 0
+    labels = [f"stationarity:({c // ny},{c % ny})" for c in cells.tolist()]
+    return ConstraintSet(qx.space, qy.space, labels, renumber[row[kept]], cell[kept], value[kept])
 
 
 def svd_check_geometric(r: LinearRestriction, samples: list[Measure]) -> CheckReport:

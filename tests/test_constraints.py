@@ -167,3 +167,27 @@ def test_invariance_at_n256_builds_solves_and_verifies_without_the_dense_matrix(
     assert res.status == "optimal" and res.method == "atoms"
     rep = verify_decomposition(inst.mu, inst.nu, inst.cost, r)
     assert rep.passed and rep.certified and rep.lhs == res.value
+
+
+def projection_kernel(rng, n, classes):
+    """A decomposing kernel on n points in interleaved recurrent classes: each row is its
+    class's stationary law, so the kernel is a projection (Q^2 = Q)."""
+    class_of = rng.permutation(np.arange(n) % classes)
+    law = rng.uniform(0.1, 1.0, n)
+    q = np.where(class_of[:, None] == class_of, law, 0.0)
+    return StochKernel(FiniteSpace.of_size(n), q / q.sum(axis=1, keepdims=True))
+
+
+def test_stationarity_at_n256_builds_solves_and_verifies_without_the_dense_matrix(no_dense):
+    # 4 classes of 64 points per side: the kernels' Kronecker product has
+    # (4 * 64^2)^2, about 268 M, nonzeros; the star rows have fewer than 2 n^2
+    rng = np.random.default_rng(3)
+    qx, qy = projection_kernel(rng, 256, 4), projection_kernel(rng, 256, 4)
+    r = stationarity_restriction(qx, qy)
+    assert len(r.omega) == 256 * 256 - 16 and r.omega.value.size < 2 * 256 * 256
+    mu, nu = mixture(r.mx_spec, rng.dirichlet(np.ones(4))), mixture(r.my_spec, rng.dirichlet(np.ones(4)))
+    cost = CostMatrix(qx.space, qy.space, rng.uniform(0.0, 1.0, (256, 256)))
+    res = solve_constrained_ot(mu, nu, cost, r)
+    assert res.status == "optimal" and res.method == "atoms"
+    rep = verify_decomposition(mu, nu, cost, r)
+    assert rep.passed and rep.certified and rep.lhs == res.value

@@ -38,6 +38,7 @@ from ergot import (
 from oracles import (
     atom_cells,
     averaging_kernel,
+    literal_stationarity_rows,
     orbit_ids,
     same_orbit_pairs,
     svd_check_geometric,
@@ -517,18 +518,32 @@ def test_kernel_atoms_match_product_kernel_oracle():
             assert_same_atoms(inst.restriction, kernel_oracle(inst.kernel, inst.kernel))
 
 
-def test_rectangle_atoms_match_product_kernel_with_transient_states():
+def decomposing_kernel_pairs():
+    """120 seeded pairs of random decomposing kernels, transient states and qx != qy included."""
     rng = np.random.default_rng(111)
-    transient_unequal = multi_class = 0
     for _ in range(120):
-        qx = random_decomposing_kernel(rng, int(rng.integers(1, 8)))
-        qy = random_decomposing_kernel(rng, int(rng.integers(1, 8)))
+        yield (random_decomposing_kernel(rng, int(rng.integers(1, 8))),
+               random_decomposing_kernel(rng, int(rng.integers(1, 8))))
+
+
+def test_rectangle_atoms_match_product_kernel_with_transient_states():
+    transient_unequal = multi_class = 0
+    for qx, qy in decomposing_kernel_pairs():
         want = kernel_oracle(qx, qy)
         assert check_ergodic_kernel(qx).passed and check_ergodic_kernel(qy).passed
         assert_same_atoms(stationarity_restriction(qx, qy), want)
         transient_unequal += bool(np.any(want[1] < 0)) and qx.space.n != qy.space.n
         multi_class += len(want[0]) > 1
     assert transient_unequal > 40 and multi_class > 40
+
+
+def test_star_rows_span_the_literal_stationarity_rows():
+    # the star rows and the rows e_w - K[:, w] of the product kernel K state
+    # the same restriction: each set has the rank of both stacked
+    for qx, qy in decomposing_kernel_pairs():
+        star = stationarity_restriction(qx, qy).omega.dense()
+        literal = literal_stationarity_rows(qx, qy).dense()
+        assert numerical_rank(star) == numerical_rank(literal) == numerical_rank(star, literal)
 
 
 def test_no_restriction_atoms_are_singletons():
@@ -539,14 +554,17 @@ def test_no_restriction_atoms_are_singletons():
     assert not r.atom_of.flags.writeable
 
 
-# SHA-256 of every builder's labels, constraint matrix and atom_of below.
-# Orbits numbered by smallest cell, and one star row per other cell in
-# increasing cell order, fix each label, row and atom id, and with them the
-# lifted LP and its tie-broken Bland plans, so any change to them shows here.
-BUILDER_DIGEST = "510746ea99f396752c5a8cd0a3dade68335701b9b84d4f3c680d417c72079931"
+# SHA-256 of every builder's labels, constraint matrix and atom_of below,
+# one digest for the orbit families and `none`, one for stationarity.
+# Atoms numbered by smallest cell (orbits) or by class pair (rectangles),
+# and one star row per non-root cell in increasing cell order, fix each
+# label, row and atom id, and with them the lifted LP and its tie-broken
+# Bland plans, so any change to them shows here.
+ORBIT_DIGEST = "863c3e1798c9596deb6726f6279c2c7fc8b7ed14396f122014379b3771d244b1"
+STATIONARITY_DIGEST = "9c3c1a38dacf03bfcdf1ccba4c719230d6a96e0615e41cdb31e10b1a9a4c22a3"
 
 
-def builder_restrictions():
+def orbit_builder_restrictions():
     cycle_types = [(1, (1,)), (2, (2,)), (3, (2, 1))] + CYCLE_TYPES
     for n, ct in cycle_types:
         for seed in range(2):
@@ -554,6 +572,11 @@ def builder_restrictions():
             g = inst.action.generators[0][1]
             yield inst.restriction
             yield subgroup_restriction(inst.action, [(g, g), (g, np.arange(n))])
+    for n, m in ((1, 1), (3, 5), (6, 6)):
+        yield no_restriction(FiniteSpace.of_size(n), FiniteSpace.of_size(m))
+
+
+def stationarity_builder_restrictions():
     rng = np.random.default_rng(113)
     for _ in range(40):
         qx = random_decomposing_kernel(rng, int(rng.integers(1, 8)))
@@ -563,8 +586,10 @@ def builder_restrictions():
         inst = generate_instance(InstanceSpec(n=n, kind="kernel", seed=n,
                                               class_sizes=random_partition(rng, n)))
         yield inst.restriction
-    for n, m in ((1, 1), (3, 5), (6, 6)):
-        yield no_restriction(FiniteSpace.of_size(n), FiniteSpace.of_size(m))
+
+
+def builder_restrictions():
+    return itertools.chain(orbit_builder_restrictions(), stationarity_builder_restrictions())
 
 
 def builder_digest(restrictions):
@@ -577,8 +602,29 @@ def builder_digest(restrictions):
 
 
 def test_builders_are_bit_identical():
-    digest = builder_digest(builder_restrictions())
-    assert digest == BUILDER_DIGEST, f"the builders now hash to {digest}"
+    digest = builder_digest(orbit_builder_restrictions())
+    assert digest == ORBIT_DIGEST, f"the orbit builders now hash to {digest}"
+    digest = builder_digest(stationarity_builder_restrictions())
+    assert digest == STATIONARITY_DIGEST, f"stationarity now hashes to {digest}"
+
+
+def test_every_builder_row_is_a_star_row_on_its_own_cell():
+    # +1 at the cell the label names, and at most one other entry, in
+    # [-1, 0), at a cell of the same atom; so fewer than 2 n m entries
+    for r in builder_restrictions():
+        om, m = r.omega, r.col_space.n
+        assert om.value.size < 2 * r.row_space.n * m
+        cells = np.array([[int(v) for v in lbl.split(":")[1].strip("()").split(",")]
+                          for lbl in om.labels], dtype=np.intp).reshape(-1, 2)
+        own = om.cell == (cells[:, 0] * m + cells[:, 1])[om.row]
+        assert np.array_equal(np.bincount(om.row[own], minlength=len(om)), np.ones(len(om)))
+        assert np.all(om.value[own] == 1.0)
+        other = ~own
+        assert np.bincount(om.row[other], minlength=len(om)).max(initial=0) <= 1
+        assert np.all((-1.0 <= om.value[other]) & (om.value[other] < 0.0))
+        head = om.cell[own][om.row[other]]
+        assert np.all(r.atom_of[om.cell[other]] == r.atom_of[head])
+        assert np.all(r.atom_of[head] >= 0)
 
 
 def test_restriction_rejects_simplexes_off_the_constraint_spaces():

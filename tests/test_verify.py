@@ -497,7 +497,8 @@ def test_kernel_sweep_certifies_every_instance():
 def test_a_side_without_any_finite_atom_is_confirmed_by_the_lifted_lp():
     # +inf on every cell between the two cycles: the cross pairs have no
     # finite atom and nothing can ship across, so the left-hand side is +inf
-    # too; the lifted LP agrees that each such side is infeasible
+    # too; the lifted LP agrees that each such side is infeasible. Each class
+    # rectangle still holds three diagonal orbits, whatever the cost
     inst = generate_instance(InstanceSpec(n=6, kind="perm", cycle_type=(3, 3), seed=1))
     _, cls = simplex_components(inst.restriction.mx_spec)
     c = np.where(cls[:, None] != cls, np.inf, inst.cost.c)
@@ -506,3 +507,4 @@ def test_a_side_without_any_finite_atom_is_confirmed_by_the_lifted_lp():
     assert rep.lhs == math.inf and rep.proof is None
     assert list(rep.statuses.ravel()) == ["optimal", "infeasible", "infeasible", "optimal"]
     assert len(rep.certificates) == 2 and rep.certified and rep.passed
+    assert rep.atoms_finer is True
