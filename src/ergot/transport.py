@@ -316,57 +316,43 @@ def _atoms_ot(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction):
                               status="optimal", method="atoms")
 
 
-def _pair_plan(t: _AtomTable, a: int, b: int, c: CostMatrix) -> TransportPlan:
-    """The inner plan of component pair (a, b): its cheapest atom's weights, normalised."""
-    return _atom_plan(t, np.eye(1, t.inner.size, a * t.inner.shape[1] + b)[0], c)
-
-
-def _two_stage_proof(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction):
+def _two_stage_proof(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction,
+                     inner: bool = True):
     """_atoms_ot's one pass, with the dual certificate of every finite side.
 
-    Returns (inner, outer, lhs, sides, target): the inner values, the outer
-    transport, _atoms_ot's OtResult, an iterator over every side's (mu, nu,
-    plan, u, v) (the left-hand side first, then the inner pairs row-major;
-    plan is None on a +inf side), and what omega^T lam must be.
-    Each inner plan is built only when its side is read. Marginals are
-    checked as in solve_constrained_ot.
-
-    Kantorovich duality with linear constraints: a feasible plan P and
-    potentials with c - u (+) v - omega^T lam >= 0 on every finite cell
-    prove each other optimal when <c, P> = <u, mu> + <v, nu>. u and v are
-    class potentials lifted through the component classes; transient points
-    get a min over finite cells. The left-hand side takes the outer
-    transport's potentials; an inner pair (a, b) takes 0 on class a and the
-    inner row of a as column values, extended to the other rows by a min
-    over finite cells. One lam, with omega^T lam = c minus its atom-weighted
-    mean, serves every side. A +inf side would need a Farkas ray instead.
+    Returns (t, outer, lhs, sides, ceiling): the atom table, the outer
+    transport, _atoms_ot's OtResult, the batches of sides as verify checks
+    them (the second only if inner), and the ceiling for _constraint_target.
+    A batch (mx, my, live, p, u, v) pairs row marginal mx[a] with column
+    marginal my[b] where live[a, b] (+inf elsewhere); p holds each side's
+    plan on its rectangle supp mx[a] x supp my[b], and u[x, b], v[a, y] its
+    potentials. The first batch is mu against nu, with the outer transport's
+    class potentials; the second the component pairs, each cheapest atom at
+    unit mass (one _atom_plan), u = 0 and v the pair's inner value. So
+    c - u (+) v - omega^T lam >= 0 on each rectangle when omega^T lam is c
+    minus its atom-weighted mean, an atom with a +inf cell taking ceiling,
+    at least every finite inner value and outer alpha_a + beta_b, as its
+    mean. Marginals are checked as in solve_constrained_ot.
     """
     _check_marginals(mu, nu, c, r)
     t, outer, lhs = _atoms_ot(mu, nu, c, r)
-    comps_x, _ = simplex_components(r.mx_spec)
-    comps_y, _ = simplex_components(r.my_spec)
     finite = np.isfinite(t.inner)
-    # the pairs (a, b) share one dual: 0 on a, and each column's value from a
-    rows = [_extend_potentials(np.zeros(1), np.zeros(0), np.array([a]), np.zeros(0, np.intp),
-                               t.inner) for a in range(len(comps_x))]
-    duals = [row for row, live in zip(rows, finite.any(axis=1)) if live]
-    duals += [] if outer.duals is None else [outer.duals]
-    ceiling = max((float(np.max(al[:, None] + be)) for al, be in duals), default=0.0)
-
-    def sides():
-        lifted = (None, None) if outer.duals is None else _lifted_potentials(*outer.duals, t, c)
-        yield mu, nu, lhs.plan, *lifted
-        for a, row in enumerate(rows):
-            lifted = _lifted_potentials(*row, t, c)
-            for b, m_y in enumerate(comps_y):
-                yield comps_x[a], m_y, _pair_plan(t, a, b, c) if finite[a, b] else None, *lifted
-    return t.inner, outer, lhs, sides(), _constraint_target(t, c, ceiling)
-
-
-def _lifted_potentials(alpha, beta, t: _AtomTable, c: CostMatrix):
-    """Class potentials (alpha, beta) as point potentials; transient points by a min over cells."""
-    rx, ry = np.flatnonzero(t.class_x >= 0), np.flatnonzero(t.class_y >= 0)
-    return _extend_potentials(alpha[t.class_x[rx]], beta[t.class_y[ry]], rx, ry, c.c)
+    bounds = [t.inner[finite]]
+    lhs_u, lhs_v = np.zeros(c.c.shape[0]), np.zeros(c.c.shape[1])
+    if outer.duals is not None:
+        alpha, beta = outer.duals
+        bounds.append(alpha[:, None] + beta)
+        lhs_u = np.where(t.class_x >= 0, alpha[t.class_x], 0.0)
+        lhs_v = np.where(t.class_y >= 0, beta[t.class_y], 0.0)
+    ceiling = max((float(b.max()) for b in bounds if b.size), default=0.0)
+    sides = [(mu.w[None], nu.w[None], np.array([[lhs.plan is not None]]),
+              np.zeros(c.c.shape) if lhs.plan is None else lhs.plan.p, lhs_u[:, None], lhs_v[None])]
+    if inner:
+        comps = [np.array([m.w for m in simplex_components(s)[0]]) for s in (r.mx_spec, r.my_spec)]
+        sides.append((*comps, finite, _atom_plan(t, finite.ravel(), c).p,
+                      np.zeros((c.c.shape[0], finite.shape[1])),
+                      np.where(t.class_y >= 0, np.where(finite, t.inner, 0.0)[:, t.class_y], 0.0)))
+    return t, outer, lhs, sides, ceiling
 
 
 def _constraint_target(t: _AtomTable, c: CostMatrix, ceiling: float) -> np.ndarray:
@@ -514,22 +500,38 @@ def decompose_plan(pi: TransportPlan, r: LinearRestriction) -> PlanDecomposition
 
     masses = np.bincount(atom, weights=flat[cells], minlength=pair.size)
     charged = np.flatnonzero(masses > TAU_MASS)
-    kept: list[TransportPlan] = []
+    (n, m), k = pi.p.shape, charged.size
+    # the charged atoms' cells, grouped by the atom's rank among them, each group ascending
+    rank = np.full(pair.size, -1)
+    rank[charged] = np.arange(k)
+    comp = rank[atom]
+    held = np.flatnonzero(comp >= 0)
+    held = held[np.argsort(comp[held], kind="stable")]
+    idx, comp = cells[held], comp[held]
+    share = flat[idx] / masses[charged][comp]
+    starts = np.searchsorted(comp, np.arange(k))
+    a, b = np.divmod(pair[charged], len(comps_y))
+    tol = TAU_LP / np.maximum(masses[charged], TAU_LP)
+
+    def deviation(point, size, comps, which):
+        """Each charged atom's largest deviation from its extreme measure along one axis."""
+        sums = np.bincount(comp * size + point, weights=share, minlength=k * size)
+        return np.max(np.abs(sums.reshape(k, size) - np.array([c.w for c in comps])[which]),
+                      axis=1, initial=0.0)
+    dev_r, dev_c = deviation(idx // m, n, comps_x, a), deviation(idx % m, m, comps_y, b)
+    bad = np.flatnonzero((dev_r > tol) | (dev_c > tol))
+    if bad.size:
+        j = bad[0]
+        x0, y0 = divmod(int(idx[starts[j]]), m)
+        raise NotFeasibleError(
+            f"conditional plan on atom at cell ({x0},{y0}) does not have extreme marginals "
+            f"(deviations {dev_r[j]:.3g}/{dev_c[j]:.3g} at weight {masses[charged[j]]:.3g})")
     class_of = np.full(len(flat), -1, dtype=np.intp)
-    for k, mass in zip(charged, masses[charged]):
-        idx = cells[atom == k]
-        cond = np.zeros_like(flat)
-        cond[idx] = flat[idx] / mass
-        comp = TransportPlan(pi.row_space, pi.col_space, cond.reshape(pi.p.shape))
-        x0, y0 = divmod(int(idx[0]), pi.col_space.n)
-        a, b = divmod(int(pair[k]), len(comps_y))
-        tol = TAU_LP / max(mass, TAU_LP)
-        dev_r = float(np.max(np.abs(comp.row_marginal().w - comps_x[a].w)))
-        dev_c = float(np.max(np.abs(comp.col_marginal().w - comps_y[b].w)))
-        if dev_r > tol or dev_c > tol:
-            raise NotFeasibleError(
-                f"conditional plan on atom at cell ({x0},{y0}) does not have extreme "
-                f"marginals (deviations {dev_r:.3g}/{dev_c:.3g} at weight {mass:.3g})")
-        class_of[idx] = len(kept)
-        kept.append(comp)
+    class_of[idx] = comp
+    # each plan is built alone: a (k, n*m) block would double what the plans hold
+    kept = []
+    for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [idx.size]):
+        q = np.zeros(n * m)
+        q[idx[lo:hi]] = share[lo:hi]
+        kept.append(TransportPlan(pi.row_space, pi.col_space, q.reshape(n, m)))
     return PlanDecomposition(tuple(kept), masses[charged], class_of)

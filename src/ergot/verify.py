@@ -10,12 +10,12 @@ the two-stage formula itself, so their agreement alone would be a
 tautology. The witness is a dual certificate on every side (Kantorovich
 duality with linear constraints): transport builds each side's plan and
 potentials u, v beside the closed form; this module solves the constraint
-multipliers lam from the stored constraint entries and checks each
-certificate with check_certificate, which reads only the raw cost,
-constraints, marginals and plan; neither builds the dense constraint
-matrix, except for the least-squares fallback of _multipliers. A side that
-is +inf in closed form has no such certificate; the lifted LP confirms it
-instead, and serves this module nothing else.
+multipliers lam from the stored constraint entries and checks every side
+on its own rectangle supp m_x x supp m_y against the raw cost,
+constraints, marginals and plan, the inner pairs in one vectorised pass.
+Only the least-squares fallback of _multipliers builds the dense
+constraint matrix. A side that is +inf in closed form has no such
+certificate; the lifted LP confirms it instead.
 
 verify_metric_decomposition does the same for distances: the restricted
 p-Wasserstein distance, from the same pass under the cost d^p with its
@@ -30,7 +30,6 @@ invariant, marginals are random mixtures of the ergodic components.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,17 +51,13 @@ from .core import (
     pth_root,
 )
 from .ergodic import simplex_components, stationary_components
-from .restriction import (
-    LinearRestriction,
-    invariance_restriction,
-    plan_violations,
-    stationarity_restriction,
-)
+from .restriction import LinearRestriction, invariance_restriction, stationarity_restriction
 from .transport import (
+    _atom_plan,
     _atom_table,
+    _constraint_target,
     _forbidden_cells,
     _metric_cost,
-    _pair_plan,
     _two_stage_proof,
     boundary_metric,
     decompose_plan,
@@ -87,7 +82,8 @@ class DecompositionReport:
     certified: bool                # every certificate passes, and the lifted LP finds
                                    # every +inf side infeasible
     proof: tuple | None            # the left-hand side's (plan, u, v, lam), the input of
-                                   # check_certificate; None when that side is +inf
+                                   # check_certificate (u, v read on supp mu, supp nu);
+                                   # None when that side is +inf
     passed: bool                   # lhs and rhs agree at tol (see agreement), qopt_ok
                                    # and certified
 
@@ -157,7 +153,8 @@ class CertificateCheck:
     """The three residuals of an optimality certificate; see check_certificate."""
 
     primal: float                  # largest marginal, sign, +inf-cell or constraint residual
-    reduced: float                 # least reduced cost c - u (+) v - omega^T lam, finite cells
+    reduced: float                 # least reduced cost c - u (+) v - omega^T lam over the
+                                   # finite cells of the side's rectangle supp mu x supp nu
     gap: float                     # <c, P> - <u, mu> - <v, nu>
     failed: tuple[str, ...]        # the names of the residuals beyond their tolerance
 
@@ -174,37 +171,98 @@ def check_certificate(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestrict
     Kantorovich duality with linear constraints: a plan P that meets the
     marginals and the constraints, and potentials with c - u (+) v - omega^T
     lam >= 0 on every finite cell, prove each other optimal when <c, P> =
-    <u, mu> + <v, nu>. The three residuals are
-      primal   the largest marginal deviation of P, its most negative entry,
-               its mass on +inf cells and the largest constraint it breaks
-               (plan_violations); in mass units, so held at TAU_LP;
-      reduced  the least reduced cost over the finite cells, held at
+    <u, mu> + <v, nu>. A plan with these marginals is 0 off S = supp mu x
+    supp nu, so all is checked on S (mass off S leaves S short). The three
+    residuals are
+      primal   the largest marginal deviation of P on S, its most negative
+               entry there, its mass on +inf cells and the largest pairing of
+               a constraint with P on S; in mass units, so held at TAU_LP;
+      reduced  the least reduced cost over the finite cells of S, held at
                -TAU_LP * scale;
-      gap      <c, P> - <u, mu> - <v, nu> over the finite cells, held at
+      gap      <c, P> - <u, mu> - <v, nu> over the finite cells of S, held at
                TAU_LP * scale;
-    where scale is the largest finite |c| (_scale). The check reads only c, the
-    constraints (omega p and omega^T lam through ConstraintSet.apply and
-    apply_T), mu, nu and the plan: no atoms and no solver. An input whose
-    shape does not fit r raises ValueError naming it.
+    where scale is the largest finite |c| (_scale). It reads only these
+    inputs and the stored constraint entries: no atoms and no solver. An
+    input whose shape does not fit r raises ValueError naming it.
     """
     k, n, m = len(r.omega), r.row_space.n, r.col_space.n
     for name, a, shape in (("cost", c.c, (n, m)), ("plan", plan.p, (n, m)), ("mu", mu.w, (n,)),
                            ("nu", nu.w, (m,)), ("u", u, (n,)), ("v", v, (m,)), ("lam", lam, (k,))):
         if np.shape(a) != shape:
             raise ValueError(f"{name} has shape {np.shape(a)}, need {shape}")
+    return _check_sides(mu.w[None], nu.w[None], np.ones((1, 1), dtype=bool), c, r, plan.p,
+                        u[:, None], v[None], r.omega.apply_T(lam), _scale(c.c))[0]
+
+
+def _check_sides(mx, my, live, c: CostMatrix, r: LinearRestriction, p, u, v, omega_lam,
+                 scale: float) -> tuple[CertificateCheck, ...]:
+    """check_certificate on every side of a batch at once, each on its own rectangle.
+
+    Side (a, b), one per live[a, b] in row-major order, holds p against the
+    marginals mx[a] and my[b] on supp mx[a] x supp my[b], with potentials
+    u[x, b] and v[a, y]. The rows of mx, and those of my, must have disjoint
+    supports (ValueError naming two that overlap). omega_lam is omega^T lam,
+    flat, and scale is _scale(c.c).
+    """
+    (kx, ky), (n, m) = live.shape, c.c.shape
+    classes = []
+    for name, w in (("row", mx), ("column", my)):
+        held = w > 0
+        hits = held.sum(axis=0)
+        if hits.max(initial=0) > 1:
+            point = int(np.argmax(hits > 1))
+            a, b = np.flatnonzero(held[:, point])[:2]
+            raise ValueError(f"{name} marginals {a} and {b} overlap at point {point}")
+        classes.append(np.where(hits > 0, held.argmax(axis=0), -1))
+    cx, cy = classes
+    count = int(live.sum())
+    # 1 + the side of each (row, column class), (row class, column) and cell, 0 for none:
+    # class -1 reads the last row or column of sides, which is 0
+    sides = np.zeros((kx + 1, ky + 1), dtype=np.int32)
+    sides[:kx, :ky][live] = np.arange(1, count + 1)
+    row_side, col_side, cell_side = sides[cx, :ky], sides[:kx, cy], sides[cx[:, None], cy]
+    # the plans summed by (row, column class) and (row class, column); a point of no class
+    # counts under the last one, where no plan is left
+    plan = np.where(cell_side > 0, p, 0.0).ravel()
+    rows = np.bincount((np.arange(n)[:, None] * ky + cy % ky).ravel(), plan, n * ky)
+    cols = np.bincount(((cx % kx)[:, None] * m + np.arange(m)).ravel(), plan, kx * m)
+    row_w, col_w = mx[cx, np.arange(n)][:, None], my[cy, np.arange(m)]
+    # per side, at 1 + its index: the largest marginal deviation, negative entry and
+    # constraint pairing, the least reduced cost (+inf on a +inf cell), and the dual gap
+    worst, least = np.full(count + 1, -math.inf), np.full(count + 1, math.inf)
+    np.maximum.at(worst, row_side, np.abs(rows.reshape(n, ky) - row_w))
+    np.maximum.at(worst, col_side, np.abs(cols.reshape(kx, m) - col_w))
+    np.maximum.at(worst, cell_side, -p)
+    _pairings(r.omega, cell_side.ravel(), p.ravel(), worst)
+    np.minimum.at(least, cell_side, c.c - u[:, cy] - v[cx] - omega_lam.reshape(n, m))
     finite = np.isfinite(c.c)
-    p = plan.p
-    broken = plan_violations(plan, r)
-    primal = max(float(np.max(np.abs(p.sum(axis=1) - mu.w))),
-                 float(np.max(np.abs(p.sum(axis=0) - nu.w))),
-                 -float(p.min()), float(p[~finite].sum()), max((b for _, b in broken), default=0.0))
-    red = c.c - u[:, None] - v - r.omega.apply_T(lam).reshape(n, m)
-    reduced = float(np.min(red[finite], initial=math.inf))
-    gap = float(np.sum(np.where(finite, c.c, 0.0) * p) - u @ mu.w - v @ nu.w)
-    tol = TAU_LP * _scale(c.c)
-    failed = tuple(name for name, ok in (("primal", primal <= TAU_LP), ("reduced", reduced >= -tol),
-                                         ("gap", gap <= tol)) if not ok)
-    return CertificateCheck(primal, reduced, gap, failed)
+    off = np.bincount(cell_side.ravel(), np.where(finite, 0.0, p).ravel(), count + 1)
+    gap = np.bincount(np.concatenate([cell_side.ravel(), row_side.ravel(), col_side.ravel()]),
+                      np.concatenate([(np.where(finite, c.c, 0.0) * p).ravel(),
+                                      -(u * row_w).ravel(), -(v * col_w).ravel()]), count + 1)
+    tol = TAU_LP * scale
+    return tuple(CertificateCheck(pr, rd, gp, tuple(
+        name for name, ok in (("primal", pr <= TAU_LP), ("reduced", rd >= -tol), ("gap", gp <= tol))
+        if not ok)) for pr, rd, gp in zip(np.maximum(worst, off)[1:].tolist(), least[1:].tolist(),
+                                          gap[1:].tolist()))
+
+
+def _pairings(om, cell_side: np.ndarray, p: np.ndarray, worst: np.ndarray):
+    """Raise worst[s] to the largest |pairing| of a constraint with the plan of side s.
+
+    A constraint meets a side's plan through its entries on that side's
+    cells (cell_side, flat, 1 + the side, 0 for none), summed by (constraint,
+    side). The entries come sorted by constraint, and by side within one
+    unless a constraint spans sides.
+    """
+    key = om.row * worst.size + cell_side[om.cell]
+    pairing = om.value * p[om.cell]
+    if np.any(key[1:] < key[:-1]):
+        order = np.argsort(key, kind="stable")
+        key, pairing = key[order], pairing[order]
+    if key.size:
+        start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        np.maximum.at(worst, key[start] % worst.size, np.abs(np.add.reduceat(pairing, start)))
 
 
 def _heads(omega) -> np.ndarray:
@@ -254,39 +312,46 @@ def build_qopt(c: CostMatrix, r: LinearRestriction):
     Returns (values, plans, statuses): values[a][b] is the constrained
     transport cost from component a of r.mx_spec to component b of
     r.my_spec, +inf where infeasible, all from one pass over r's product
-    atoms; plans[a][b] is that pair's cheapest atom plan
-    (transport._pair_plan), None where infeasible. The table is constant on
+    atoms; plans[a][b] is that pair's cheapest atom plan, its weights
+    normalised, None where infeasible. The table is constant on
     product atoms by construction, which is the finite form of its
     measurability.
     """
     t = _atom_table(c, r)
-    plans = [[_pair_plan(t, a, b, c) if np.isfinite(v) else None for b, v in enumerate(row)]
-             for a, row in enumerate(t.inner)]
+    field = _atom_plan(t, np.isfinite(t.inner).ravel(), c).p
+    plans = [[TransportPlan(c.row_space, c.col_space, np.where(
+        (t.class_x == a)[:, None] & (t.class_y == b), field, 0.0)) if np.isfinite(v) else None
+        for b, v in enumerate(row)] for a, row in enumerate(t.inner)]
     return t.inner, plans, _statuses(t.inner)
 
 
-def _certify(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction,
-             count: int | None = None):
-    """transport._two_stage_proof's pass, its first count sides checked (every side if None).
+def _certify(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction, inner: bool = True,
+             lam: np.ndarray | None = None):
+    """transport._two_stage_proof's pass, its inner sides checked too unless inner is False.
 
     Returns (values, outer, lhs, certificates, certified, proof) as
-    verify_decomposition reports them. One lam is solved from the constraint
-    matrix for every side, each finite side's certificate is held against
-    the raw inputs by check_certificate, and the lifted LP confirms each
-    +inf side infeasible. Sides are built and checked one at a time.
+    verify_decomposition reports them. One lam is solved from the stored
+    constraint entries for every side, unless given; each batch of finite
+    sides is held against the raw inputs by one _check_sides call, and the
+    lifted LP confirms each +inf side infeasible.
     """
-    values, outer, lhs, sides, target = _two_stage_proof(mu, nu, c, r)
-    lam = _multipliers(r, target, _scale(c.c))
-    certificates, infinite, proof = [], [], None
-    for m_x, m_y, plan, u, v in itertools.islice(sides, count):
-        if plan is None:
-            infinite.append((m_x, m_y))
-        else:
-            certificates.append(check_certificate(m_x, m_y, c, r, plan, u, v, lam))
-            proof = (plan, u, v, lam) if plan is lhs.plan else proof
+    t, outer, lhs, batches, ceiling = _two_stage_proof(mu, nu, c, r, inner)
+    scale = _scale(c.c)
+    if lam is None:
+        lam = _multipliers(r, _constraint_target(t, c, ceiling), scale)
+    values = t.inner
+    del t                          # its per-cell arrays are not read past here
+    omega_lam = r.omega.apply_T(lam)
+    certificates, infinite = [], []
+    for mx, my, live, p, u, v in batches:
+        certificates += _check_sides(mx, my, live, c, r, p, u, v, omega_lam, scale)
+        infinite += [(Measure(mu.space, mx[a]), Measure(nu.space, my[b]))
+                     for a, b in np.argwhere(~live)]
     certified = all(cert.passed for cert in certificates) and all(
         solve_constrained_ot(m_x, m_y, c, r, method="lp").status == "infeasible"
         for m_x, m_y in infinite)
+    u, v = batches[0][4:]
+    proof = None if lhs.plan is None else (lhs.plan, u[:, 0], v[0], lam)
     return values, outer, lhs, tuple(certificates), certified, proof
 
 
@@ -375,15 +440,16 @@ def _memo(dist):
 
 
 def _certified_distance(mu: Measure, nu: Measure, d: GroundMetric, p: float,
-                        r: LinearRestriction) -> tuple[float, bool]:
+                        r: LinearRestriction, lam: np.ndarray | None = None) -> tuple[float, bool]:
     """The restricted p-Wasserstein distance from the closed form, and whether its proof holds.
 
     The distance is the left-hand side of transport._two_stage_proof under
     the cost d^p, checked by _certify as verify_decomposition checks its own
-    left-hand side; no inner plan is built.
+    left-hand side, with lam as its multipliers when given; no inner side
+    is checked.
     """
     cost = _metric_cost(d, p)
-    lhs, _, certified, _ = _certify(mu, nu, cost, r, 1)[2:]
+    lhs, _, certified, _ = _certify(mu, nu, cost, r, False, lam)[2:]
     return pth_root(lhs.value, p, cost.c), certified
 
 
@@ -405,10 +471,14 @@ def verify_metric_decomposition(d: GroundMetric, p: float, r: LinearRestriction,
     if isinstance(samples, int):
         samples = sample_member_pairs(r.mx_spec, samples)
     bm = boundary_metric(d, p, r)
+    cost = _metric_cost(d, p)
+    # without a +inf cell no atom's mean is replaced, so the target, and lam, fit every pair
+    lam = None if np.isposinf(cost.c).any() else _multipliers(
+        r, _constraint_target(_atom_table(cost, r), cost, 0.0), _scale(cost.c))
     gaps, pairwise = [], []        # pair failures: an unproven direct distance, a disagreement
 
     def certified(x, y):
-        dist, ok = _certified_distance(x, y, d, p, r)
+        dist, ok = _certified_distance(x, y, d, p, r, lam)
         if not ok:
             pairwise.append(f"direct: distance {dist:.9g} fails its certificate")
         return dist

@@ -17,6 +17,17 @@ row e_w - K[:, w] per product cell w of K = Qx (x) Qy, built from the sparse
 Kronecker product of the two kernels' nonzeros; the reference for the star
 rows the library builds.
 
+``grid_check_certificate`` is check_certificate's former rule: the same three
+residuals, each over the whole n x m grid instead of the side's rectangle
+supp mu x supp nu, the constraint residual through plan_violations.
+``grid_duals`` extends potentials given on the supports to the whole grid
+by a min over finite cells, the extension whose existence makes the
+rectangle enough; together they are the reference for the rectangle check.
+
+``loop_decompose_plan`` is decompose_plan's former loop over the charged
+atoms, one dense conditional plan and two dense marginal sums per atom; the
+reference for the vectorised split.
+
 ``svd_check_geometric`` is check_geometric's former rule on caller-chosen
 samples: conditions (1) and (2) by dense pairings, and (3) by projecting
 each transposed constraint off the row space of the dense constraint
@@ -29,9 +40,10 @@ import math
 
 import numpy as np
 
-from ergot import (CheckReport, ConstraintSet, GroupAction, LinearRestriction, LpProblem, Measure,
-                   StochKernel)
-from ergot.core import TAU_LP, TAU_MASS
+from ergot import (CertificateCheck, CheckReport, ConstraintSet, CostMatrix, GroupAction,
+                   LinearRestriction, LpProblem, Measure, NotFeasibleError, StochKernel,
+                   TransportPlan, plan_violations, simplex_components)
+from ergot.core import TAU_LP, TAU_MASS, _scale
 from ergot.lp import PIVOT_EPS
 
 TAU_RANK = 1e-8  # svd_check_geometric's singular-value cut-off
@@ -259,3 +271,82 @@ def svd_check_geometric(r: LinearRestriction, samples: list[Measure]) -> CheckRe
         failures += [f"{r.omega.labels[i]}: transpose leaves the constraint row space "
                      f"(residual {residual[i]:.3g})" for i in np.flatnonzero(residual > TAU_RANK)]
     return CheckReport(passed=not failures, failures=tuple(failures))
+
+
+def grid_check_certificate(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction,
+                           plan: TransportPlan, u: np.ndarray, v: np.ndarray,
+                           lam: np.ndarray) -> CertificateCheck:
+    """The optimality certificate's three residuals, each over the whole grid.
+
+    primal: the largest marginal deviation of the plan, its most negative
+    entry, its mass on +inf cells and the largest constraint it breaks
+    (plan_violations), held at TAU_LP; reduced: the least c - u (+) v -
+    omega^T lam over the finite cells, held at -TAU_LP * scale; gap: <c, P>
+    - <u, mu> - <v, nu> over the finite cells, held at TAU_LP * scale.
+    """
+    n, m = r.row_space.n, r.col_space.n
+    finite = np.isfinite(c.c)
+    p = plan.p
+    broken = plan_violations(plan, r)
+    primal = max(float(np.max(np.abs(p.sum(axis=1) - mu.w))),
+                 float(np.max(np.abs(p.sum(axis=0) - nu.w))),
+                 -float(p.min()), float(p[~finite].sum()), max((b for _, b in broken), default=0.0))
+    red = c.c - u[:, None] - v - r.omega.apply_T(lam).reshape(n, m)
+    reduced = float(np.min(red[finite], initial=math.inf))
+    gap = float(np.sum(np.where(finite, c.c, 0.0) * p) - u @ mu.w - v @ nu.w)
+    tol = TAU_LP * _scale(c.c)
+    failed = tuple(name for name, ok in (("primal", primal <= TAU_LP), ("reduced", reduced >= -tol),
+                                         ("gap", gap <= tol)) if not ok)
+    return CertificateCheck(primal, reduced, gap, failed)
+
+
+def grid_duals(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction, u: np.ndarray,
+               v: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u and v, read on supp mu and supp nu, extended to every row and column.
+
+    Each column off supp nu gets the least c - u - omega^T lam over the
+    finite cells of the support rows, then each row off supp mu the least
+    c - v - omega^T lam over all finite cells (0 where there is none), so
+    every reduced cost off supp mu x supp nu is at least 0.
+    """
+    red = c.c - r.omega.apply_T(lam).reshape(c.c.shape)
+    rows, cols = mu.w > 0, nu.w > 0
+    least = np.min(red[rows] - u[rows, None], axis=0, initial=math.inf,
+                   where=np.isfinite(c.c[rows]))
+    v = np.where(cols, v, np.where(np.isfinite(least), least, 0.0))
+    least = np.min(red - v, axis=1, initial=math.inf, where=np.isfinite(c.c))
+    return np.where(rows, u, np.where(np.isfinite(least), least, 0.0)), v
+
+
+def loop_decompose_plan(pi: TransportPlan, r: LinearRestriction):
+    """(components, weights, class_of) of decompose_plan, one charged atom at a time.
+
+    Raises NotFeasibleError as decompose_plan does. Plans breaking a
+    constraint or holding transient mass are not its inputs.
+    """
+    comps_x, _ = simplex_components(r.mx_spec)
+    comps_y, _ = simplex_components(r.my_spec)
+    cells = np.flatnonzero(r.atom_of >= 0)
+    atom, pair = r.atom_of[cells], r.atom_pair
+    flat = pi.p.reshape(-1)
+    masses = np.bincount(atom, weights=flat[cells], minlength=pair.size)
+    charged = np.flatnonzero(masses > TAU_MASS)
+    kept: list[TransportPlan] = []
+    class_of = np.full(len(flat), -1, dtype=np.intp)
+    for k, mass in zip(charged, masses[charged]):
+        idx = cells[atom == k]
+        cond = np.zeros_like(flat)
+        cond[idx] = flat[idx] / mass
+        comp = TransportPlan(pi.row_space, pi.col_space, cond.reshape(pi.p.shape))
+        x0, y0 = divmod(int(idx[0]), pi.col_space.n)
+        a, b = divmod(int(pair[k]), len(comps_y))
+        tol = TAU_LP / max(mass, TAU_LP)
+        dev_r = float(np.max(np.abs(comp.row_marginal().w - comps_x[a].w)))
+        dev_c = float(np.max(np.abs(comp.col_marginal().w - comps_y[b].w)))
+        if dev_r > tol or dev_c > tol:
+            raise NotFeasibleError(
+                f"conditional plan on atom at cell ({x0},{y0}) does not have extreme "
+                f"marginals (deviations {dev_r:.3g}/{dev_c:.3g} at weight {mass:.3g})")
+        class_of[idx] = len(kept)
+        kept.append(comp)
+    return tuple(kept), masses[charged], class_of

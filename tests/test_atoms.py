@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import ergot.transport
+import ergot.verify
 from ergot import (
     CostMatrix,
     FiniteSpace,
@@ -345,12 +346,20 @@ def test_verify_takes_its_left_hand_side_from_the_closed_form(case):
     assert res.plan.p.tobytes() == rep.proof[0].p.tobytes()
 
 
+def code_names(code):
+    """The global and attribute names a code object reads, its nested functions' included."""
+    return set(code.co_names).union(*(code_names(const) for const in code.co_consts
+                                      if hasattr(const, "co_names")))
+
+
 def test_certificate_check_names_no_atoms_and_no_transport_helper():
-    # the check must share nothing with the closed form it certifies
+    # the check, one side or a batch, must share nothing with the closed form it
+    # certifies: it reads the constraints' stored entries, not plan_violations
     helpers = {name for name, obj in vars(ergot.transport).items()
                if callable(obj) and getattr(obj, "__module__", None) == "ergot.transport"}
-    names = set(check_certificate.__code__.co_names)
-    assert helpers and not names & (helpers | {"atom_of", "atom_pair", "simplex_components"})
+    banned = helpers | {"atom_of", "atom_pair", "simplex_components", "plan_violations"}
+    for check in (check_certificate, ergot.verify._check_sides, ergot.verify._pairings):
+        assert helpers and not code_names(check.__code__) & banned, check.__name__
 
 
 def test_metric_decomposition_solves_no_lifted_lp(monkeypatch, capsys):

@@ -49,7 +49,7 @@ from ergot import (
 )
 from ergot.cli import main
 from ergot.lp import LpProblem, LpSolution, solve_lp
-from oracles import atom_cells, enumerate_vertices
+from oracles import atom_cells, enumerate_vertices, loop_decompose_plan
 from test_acceptance import random_metric, retraction_kernel
 
 
@@ -515,6 +515,50 @@ def test_decompose_plan_rejects_infeasible():
     p /= p.sum()
     with pytest.raises(NotFeasibleError):
         decompose_plan(TransportPlan(sp, sp, p), r)
+
+
+def decompose_inputs():
+    """(plan, restriction): closed-form plans on the verify-batch types, and, on the class
+    rectangles of kernels with the constraints dropped, those plans bent on every atom or
+    on the last charged one, so that conditional plans fail at the first atom or a later one."""
+    rng = np.random.default_rng(5)
+    for kind, key, types in (("perm", "cycle_type", [(4, 2, 2), (3, 3), (5, 3, 2), (2,) * 4]),
+                             ("kernel", "class_sizes", [(3, 3), (4, 3), (3, 3, 3), (2, 5)])):
+        for sizes in types:
+            for seed in range(8):
+                inst = generate_instance(InstanceSpec(n=sum(sizes), kind=kind, seed=seed,
+                                                      **{key: sizes}))
+                r = inst.restriction
+                plan = solve_constrained_ot(inst.mu, inst.nu, inst.cost, r).plan
+                yield plan, r
+                if kind == "perm":
+                    continue
+                bare = LinearRestriction(ConstraintSet(r.row_space, r.col_space, (), [], [], []),
+                                         r.mx_spec, r.my_spec, atom_of=r.atom_of)
+                p = plan.p.ravel()
+                last = r.atom_of[np.flatnonzero(p > 1e-9)[-1]]
+                for where in (p > 0, r.atom_of == last):
+                    bent = p + rng.uniform(0, 1, p.size) * where * 10 ** rng.uniform(-10, -2)
+                    yield TransportPlan(plan.row_space, plan.col_space,
+                                        bent.reshape(plan.p.shape)), bare
+
+
+def test_decompose_plan_splits_as_the_loop_over_atoms_does():
+    failures = 0
+    for pi, r in decompose_inputs():
+        try:
+            want = loop_decompose_plan(pi, r)
+        except NotFeasibleError as exc:
+            with pytest.raises(NotFeasibleError) as got:
+                decompose_plan(pi, r)
+            assert str(got.value) == str(exc)
+            failures += 1
+            continue
+        dec = decompose_plan(pi, r)
+        assert [c.p.tobytes() for c in dec.components] == [c.p.tobytes() for c in want[0]]
+        assert dec.weights.tobytes() == want[1].tobytes()
+        assert np.array_equal(dec.class_of, want[2])
+    assert failures > 20
 
 
 def test_optimal_plans_transpose_feasible():

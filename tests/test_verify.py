@@ -1,10 +1,14 @@
+import importlib.util
 import math
+import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ergot.ergodic
+import ergot.transport
 import ergot.verify
 from ergot import (
     ConstraintSet,
@@ -33,7 +37,10 @@ from ergot import (
     verify_metric_decomposition,
 )
 from ergot.cli import main
-from oracles import FALSE_INFEASIBLE, averaging_kernel, same_orbit_pairs
+from ergot.core import _scale
+from oracles import (FALSE_INFEASIBLE, averaging_kernel, grid_check_certificate, grid_duals,
+                     same_orbit_pairs)
+from test_restriction import random_decomposing_kernel
 
 
 def fixture():
@@ -508,3 +515,204 @@ def test_a_side_without_any_finite_atom_is_confirmed_by_the_lifted_lp():
     assert list(rep.statuses.ravel()) == ["optimal", "infeasible", "infeasible", "optimal"]
     assert len(rep.certificates) == 2 and rep.certified and rep.passed
     assert rep.atoms_finer is True
+
+
+def verify_batch_pools():
+    """perfbench's verify-batch pools: an InstanceSpec for each perm and kernel type and seed."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    seeds = range(workloads.POOL)
+    return ([InstanceSpec(n=n, kind="perm", cycle_type=ct, seed=k)
+             for n, ct in workloads.CYCLE_TYPES for k in seeds]
+            + [InstanceSpec(n=sum(cs), kind="kernel", class_sizes=cs, seed=k)
+               for cs in workloads.CLASS_SIZES for k in seeds])
+
+
+def proof_batches(mu, nu, c, r):
+    """The two batches of transport._two_stage_proof and the multipliers verify solves for them."""
+    t, _, _, batches, ceiling = ergot.transport._two_stage_proof(mu, nu, c, r)
+    target = ergot.transport._constraint_target(t, c, ceiling)
+    return batches, ergot.verify._multipliers(r, target, _scale(c.c))
+
+
+def side_plan(mx, my, p):
+    """The part of a batch's plan field on the rectangle supp mx x supp my."""
+    return np.where((mx > 0)[:, None] & (my > 0), p, 0.0)
+
+
+def rectangle_and_grid_checks(mu, nu, c, r, lam_shift=0.0):
+    """Every side's CertificateCheck, from the rectangle check and from the grid oracle.
+
+    The multipliers are moved by lam_shift (a scalar or one value per
+    constraint), so that sides fail as well as pass. The oracle gets each
+    side's own plan and its potentials extended off the supports (grid_duals).
+    """
+    batches, lam = proof_batches(mu, nu, c, r)
+    lam = lam + lam_shift
+    rect, grid = [], []
+    for mx, my, live, p, u, v in batches:
+        rect += ergot.verify._check_sides(mx, my, live, c, r, p, u, v, r.omega.apply_T(lam),
+                                          _scale(c.c))
+        for a, b in np.argwhere(live):
+            m_x, m_y = Measure(r.row_space, mx[a]), Measure(r.col_space, my[b])
+            plan = TransportPlan(r.row_space, r.col_space, side_plan(mx[a], my[b], p))
+            duals = grid_duals(m_x, m_y, c, r, u[:, b], v[a], lam)
+            grid.append(grid_check_certificate(m_x, m_y, c, r, plan, *duals, lam))
+    return rect, grid
+
+
+def oracle_cases():
+    """(mu, nu, cost, restriction): the verify-batch pools, FALSE_INFEASIBLE and the rotations."""
+    for spec in verify_batch_pools() + [InstanceSpec(n=n, kind="kernel", class_sizes=cs, seed=k)
+                                        for n, cs, k in FALSE_INFEASIBLE]:
+        inst = generate_instance(spec)
+        yield inst.mu, inst.nu, inst.cost, inst.restriction
+    for n, step, p in [(24, 6, 1.0), (24, 9, 1.0), (30, 12, 2.0)]:
+        d, r = rotation(n, step)
+        for mu, nu in sample_member_pairs(r.mx_spec, 3, seed=n + step):
+            yield mu, nu, CostMatrix(d.space, d.space, d.d ** p), r
+
+
+def test_rectangle_checks_give_the_grid_oracles_verdicts():
+    # each side checked on its own rectangle passes or fails exactly where the
+    # grid-wide check does, honest or with every other multiplier moved; and
+    # the report lists the rectangle checks: the left-hand side, then the
+    # finite inner pairs row-major
+    cases = failing = 0
+    for mu, nu, c, r in oracle_cases():
+        rep = verify_decomposition(mu, nu, c, r)
+        rect, grid = rectangle_and_grid_checks(mu, nu, c, r)
+        assert len(rep.certificates) == 1 + np.count_nonzero(np.isfinite(rep.inner_table))
+        assert [astuple(cert) for cert in rep.certificates] == [astuple(cert) for cert in rect]
+        assert [g.failed for g in grid] == [cert.failed for cert in rect] == [()] * len(rect)
+        shift = 0.1 * _scale(c.c) * (np.arange(len(r.omega)) % 2)
+        rect, grid = rectangle_and_grid_checks(mu, nu, c, r, shift)
+        assert [g.failed for g in grid] == [cert.failed for cert in rect]
+        cases += 1
+        failing += sum(not cert.passed for cert in rect)
+    assert cases == 30 * 18 + len(FALSE_INFEASIBLE) + 9 and failing > cases
+
+
+def transient_kernel_instance():
+    """A two-kernel stationarity instance, 6 x 5 points, with a transient column."""
+    rng = np.random.default_rng(113)
+    while True:
+        qx = random_decomposing_kernel(rng, 6)
+        qy = random_decomposing_kernel(rng, 5)
+        r = stationarity_restriction(qx, qy)
+        if np.any(simplex_components(r.my_spec)[1] < 0):
+            break
+    comps = [simplex_components(spec)[0] for spec in (r.mx_spec, r.my_spec)]
+    mu, nu = (Measure(cs[0].space, np.mean([m.w for m in cs], axis=0)) for cs in comps)
+    return mu, nu, CostMatrix(qx.space, qy.space, rng.uniform(0.0, 1.0, (6, 5))), r
+
+
+def test_mass_moved_onto_a_transient_cell_fails_that_side_only():
+    mu, nu, c, r = transient_kernel_instance()
+    batches, lam = proof_batches(mu, nu, c, r)
+    mx, my, live, p, u, v = batches[1]
+    check = (lambda q: ergot.verify._check_sides(mx, my, live, c, r, q, u, v, r.omega.apply_T(lam),
+                                                 _scale(c.c)))
+    assert all(cert.passed for cert in check(p))
+    x, y = np.argwhere(p > 1e-6)[0]
+    moved = p.copy()
+    moved[x, y] *= 0.5
+    moved[x, np.flatnonzero(my.sum(axis=0) == 0)[0]] += p[x, y] * 0.5
+    side = int(np.count_nonzero(live.ravel()[:np.argmax(mx[:, x]) * live.shape[1]
+                                             + np.argmax(my[:, y])]))
+    assert [cert.failed for cert in check(moved)] == [
+        ("primal",) if s == side else () for s in range(np.count_nonzero(live))]
+
+
+def test_mass_moved_into_a_neighbouring_rectangle_fails_primal():
+    inst = generate_instance(CERTIFIED[0])
+    r, c = inst.restriction, inst.cost
+    batches, lam = proof_batches(inst.mu, inst.nu, c, r)
+    mx, my, live, p, u, v = batches[1]
+    assert live.all() and live.shape[1] > 1
+    plan = side_plan(mx[0], my[0], p)
+    x, y = np.argwhere(plan > 1e-6)[0]
+    check = (lambda q: check_certificate(Measure(inst.space, mx[0]), Measure(inst.space, my[0]), c,
+                                         r, TransportPlan(inst.space, inst.space, q), u[:, 0], v[0],
+                                         lam))
+    assert check(plan).passed
+    moved = plan.copy()
+    moved[x, y] -= 0.5 * plan[x, y]
+    moved[x, np.flatnonzero(my[1])[0]] += 0.5 * plan[x, y]
+    assert check(moved).failed == ("primal",)
+
+
+def test_mass_swapped_inside_a_rectangle_fails_primal_through_the_constraints():
+    # at a constant cost every plan costs the same; moving eps round a 2 x 2
+    # cycle of the 4-cycle's own rectangle keeps the marginals, but takes it
+    # from two of the four cells of one orbit
+    inst = generate_instance(CERTIFIED[0])
+    c, r = CostMatrix(inst.space, inst.space, np.ones((8, 8))), inst.restriction
+    batches, lam = proof_batches(inst.mu, inst.nu, c, r)
+    mx, my, live, p, u, v = batches[1]
+    check = (lambda q: [cert.failed for cert in ergot.verify._check_sides(
+        mx, my, live, c, r, q, u, v, r.omega.apply_T(lam), _scale(c.c))])
+    assert check(p) == [()] * live.size
+    a = int(np.argmax((mx > 0).sum(axis=1)))
+    (x, y), (x2, y2) = np.argwhere(side_plan(mx[a], my[a], p) > 0)[:2]
+    moved = p.copy()
+    eps = 0.5 * min(p[x, y], p[x2, y2])
+    moved[x, y] -= eps
+    moved[x2, y2] -= eps
+    moved[x, y2] += eps
+    moved[x2, y] += eps
+    side = int(np.argmax(mx[:, x])) * live.shape[1] + int(np.argmax(my[:, y]))
+    assert check(moved) == [("primal",) if s == side else () for s in range(live.size)]
+
+
+def test_overlapping_side_supports_are_named():
+    inst = generate_instance(CERTIFIED[1])
+    n, w = inst.space.n, inst.mu.w[None]
+
+    def check(mx, my):
+        return ergot.verify._check_sides(mx, my, np.ones((len(mx), len(my)), dtype=bool),
+                                         inst.cost, inst.restriction, np.zeros((n, n)),
+                                         np.zeros((n, len(my))), np.zeros((len(mx), n)),
+                                         np.zeros(n * n), 1.0)
+    point = int(np.flatnonzero(w[0] > 0)[0])
+    with pytest.raises(ValueError, match=f"^row marginals 0 and 1 overlap at point {point}$"):
+        check(np.vstack([w, w]), w)
+    with pytest.raises(ValueError, match=f"^column marginals 0 and 1 overlap at point {point}$"):
+        check(w, np.vstack([w, w]))
+
+
+@pytest.mark.parametrize("spec", [
+    InstanceSpec(n=5, kind="perm", cycle_type=(5,), seed=1),
+    InstanceSpec(n=8, kind="perm", cycle_type=(4, 2, 2), seed=3),
+    InstanceSpec(n=12, kind="kernel", class_sizes=(3, 3, 3, 3), seed=2),
+    InstanceSpec(n=12, kind="perm", cycle_type=(2,) * 6, seed=0)],
+    ids=["perm-k1", "perm-k3", "kernel-k4", "perm-k6"])
+def test_verify_checks_every_side_in_two_calls(monkeypatch, spec):
+    # one call for the left-hand side and one for all k_x * k_y inner pairs
+    inst = generate_instance(spec)
+    calls = []
+    honest = ergot.verify._check_sides
+
+    def counted(*args):
+        calls.append(np.count_nonzero(args[2]))
+        return honest(*args)
+    monkeypatch.setattr(ergot.verify, "_check_sides", counted)
+    rep = verify_decomposition(inst.mu, inst.nu, inst.cost, inst.restriction)
+    k = len(simplex_components(inst.restriction.mx_spec)[0])
+    assert rep.passed and calls == [1, k * k] and len(rep.certificates) == 1 + k * k
+
+
+def test_metric_identity_solves_its_multipliers_once(monkeypatch):
+    # under d^p, without +inf cells, one lam serves every pair of samples
+    d, r = rotation(24, 6)
+    calls = []
+    honest = ergot.verify._multipliers
+
+    def counted(*args):
+        calls.append(1)
+        return honest(*args)
+    monkeypatch.setattr(ergot.verify, "_multipliers", counted)
+    rep = verify_metric_decomposition(d, 1.0, r, samples=6)
+    assert rep.passed and len(calls) == 1
