@@ -40,7 +40,7 @@ from .core import (
     stationary_simplex,
     validate,
 )
-from .ergodic import barycenter, check_ergodic_kernel, decompose_measure, simplex_components
+from .ergodic import barycenter, decompose_measure, simplex_components
 from .restriction import (
     check_coherency,
     check_geometric,
@@ -309,11 +309,10 @@ def get_restriction(prob):
     if rnode == "invariance":
         return invariance_restriction(prob["action"])
     if rnode == "stationarity":
-        chk = check_ergodic_kernel(prob["kernel"])
-        if not chk.passed:
-            raise ParseError("kernel",
-                             f"fails the decomposing-kernel check at rows {chk.offending}")
-        return stationarity_restriction(prob["kernel"], prob["kernel"])
+        try:
+            return stationarity_restriction(prob["kernel"], prob["kernel"])
+        except ValueError as exc:   # a parsed kernel meets only the decomposing-kernel check
+            raise ParseError("kernel", str(exc).removeprefix("qx ")) from None
     if rnode == "none":
         return no_restriction(prob["space"], prob["space"])
     return subgroup_restriction(prob["action"], prob["subgroup_pairs"])

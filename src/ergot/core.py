@@ -10,6 +10,7 @@ violations as data instead of raising, so callers decide what is fatal.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,13 +165,27 @@ class CostMatrix:
                              f"({self.row_space.n}, {self.col_space.n})")
 
 
+class _CellLabels(Sequence):
+    """Row i's label family:(x,y), where cells[i] = x*m + y is its +1 cell, formatted on read."""
+
+    def __init__(self, family: str, cells: np.ndarray, m: int):
+        self.family, self.cells, self.m = family, cells, m
+
+    def __len__(self):
+        return self.cells.size
+
+    def __getitem__(self, i):
+        return "{}:({},{})".format(self.family, *divmod(int(self.cells[i]), self.m))
+
+
 @dataclass(frozen=True, eq=False)
 class ConstraintSet:
     """Labeled test matrices; a plan p is admissible when <omega, p> = 0 for all.
 
     <omega, p> is the entrywise inner product. The set may be empty, which
     means the problem is unconstrained. labels[i] records where constraint i
-    came from, e.g. "invariance:(0,4)". The constraints are stored as the
+    came from, e.g. "invariance:(0,4)"; builders' labels (_CellLabels) are
+    formatted only when read. The constraints are stored as the
     nonzero entries of the (k, n*m) matrix whose row i is constraint i
     flattened row-major: value[t] sits in row row[t] at cell cell[t] (x*m +
     y). The entries are read-only and sorted by row, then cell: when built,
@@ -182,13 +197,14 @@ class ConstraintSet:
 
     row_space: FiniteSpace
     col_space: FiniteSpace
-    labels: tuple[str, ...]
+    labels: Sequence[str]
     row: np.ndarray = field(repr=False)
     cell: np.ndarray = field(repr=False)
     value: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
+        if not isinstance(self.labels, _CellLabels):
+            object.__setattr__(self, "labels", tuple(self.labels))
         k, size = len(self.labels), self.row_space.n * self.col_space.n
         row, cell = (np.asarray(a, dtype=np.intp).ravel() for a in (self.row, self.cell))
         value = np.asarray(self.value, dtype=float).ravel()

@@ -72,14 +72,13 @@ def check_ergodic_kernel(q: StochKernel) -> KernelCheck:
     space this is equivalent to the multiplicativity identity
     Q(g Q(f)) = Q(g) Q(f) for all functions f, g.
     """
-    mat = q.q
-    offending = []
-    for x in range(q.space.n):
-        support = np.flatnonzero(mat[x] > TAU_MASS)
-        rows_differ = np.max(np.abs(mat[support] - mat[x]), axis=1, initial=0.0)
-        if np.any(rows_differ > TAU_MASS):
-            offending.append(x)
-    return KernelCheck(passed=not offending, offending=tuple(offending))
+    x, y = np.nonzero(q.q > TAU_MASS)
+    bad = np.zeros(q.space.n, dtype=bool)
+    step = 2**14 // max(q.space.n, 1) + 1   # pairs per block: temporaries of about 2**14 floats
+    for lo in range(0, x.size, step):
+        xs, ys = x[lo:lo + step], y[lo:lo + step]
+        bad[xs[np.max(np.abs(q.q[ys] - q.q[xs]), axis=1) > TAU_MASS]] = True
+    return KernelCheck(passed=not bad.any(), offending=tuple(np.flatnonzero(bad).tolist()))
 
 
 def _closed_classes(adj: np.ndarray) -> list[np.ndarray]:
@@ -144,16 +143,22 @@ def simplex_components(spec: SimplexSpec) -> tuple[list[Measure], np.ndarray]:
     remembered for as long as the spec lives; each call returns a fresh list
     and the one read-only class map.
     """
-    if spec not in _COMPONENTS:
-        _COMPONENTS[spec] = _derive_components(spec)
-    comps, class_of = _COMPONENTS[spec]
+    _, class_of, _, comps = _extreme_mass(spec)
     return list(comps), class_of
 
 
 _COMPONENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _derive_components(spec: SimplexSpec) -> tuple[tuple[Measure, ...], np.ndarray]:
+def _extreme_mass(spec: SimplexSpec) -> tuple[np.ndarray, np.ndarray, int, tuple[Measure, ...]]:
+    """Each point's mass in its extreme measure and its class (-1 if transient), both read-only,
+    the class count and the components: derived once per spec and remembered."""
+    if spec not in _COMPONENTS:
+        _COMPONENTS[spec] = _derive_components(spec)
+    return _COMPONENTS[spec]
+
+
+def _derive_components(spec: SimplexSpec) -> tuple[np.ndarray, np.ndarray, int, tuple]:
     n = spec.space.n
     if spec.kind == "full":
         comps, class_of = [Measure(spec.space, np.eye(n)[i]) for i in range(n)], np.arange(n)
@@ -167,7 +172,8 @@ def _derive_components(spec: SimplexSpec) -> tuple[tuple[Measure, ...], np.ndarr
                  for k in range(len(sizes))]
     else:
         comps, class_of = stationary_components(spec.kernel)
-    return tuple(comps), _freeze(class_of, dtype=np.intp)
+    mass = np.sum([m.w for m in comps], axis=0)
+    return _freeze(mass), _freeze(class_of, dtype=np.intp), len(comps), tuple(comps)
 
 
 def _require_member(mu: Measure, spec: SimplexSpec, what: str):

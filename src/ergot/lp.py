@@ -263,12 +263,12 @@ def transport_simplex(supply, demand, cost) -> LpSolution:
                          f"vectors and a cost of shape ({nr}, {nc}), got {c.shape}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and a.min() > 0 and b.min() > 0):
         raise ValueError("supply and demand must be positive and finite")
-    if np.isnan(c).any() or np.isneginf(c).any():
+    if not (c > -math.inf).all():        # false at NaN and -inf alike
         raise ValueError("cost has a NaN or -inf entry")
     if abs(a.sum() - b.sum()) > TAU_LP * max(a.sum(), b.sum()):
         return LpSolution(status="infeasible")
 
-    forbid = np.isposinf(c)
+    forbid = c == math.inf
     lo = np.where(forbid, 0.0, c)
     hi = forbid.astype(float) if forbid.any() else None
     tol = PIVOT_EPS * float(np.max(np.abs(lo)))

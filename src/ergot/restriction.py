@@ -39,12 +39,13 @@ from .core import (
     SimplexSpec,
     StochKernel,
     TransportPlan,
+    _CellLabels,
     _freeze,
     full_simplex,
     invariant_simplex,
     stationary_simplex,
 )
-from .ergodic import _orbit_search, check_ergodic_kernel, simplex_components
+from .ergodic import _extreme_mass, _orbit_search, check_ergodic_kernel
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +125,8 @@ def _star_rows(row_space: FiniteSpace, col_space: FiniteSpace, atom_of: np.ndarr
     root[live] = live[first][atom]
     stars = np.flatnonzero(root != np.arange(atom_of.size))
     rooted = np.flatnonzero(root[stars] >= 0)
-    c, m = stars[rooted], col_space.n
-    return ConstraintSet(row_space, col_space, [f"{family}:({x // m},{x % m})" for x in stars.tolist()],
+    c = stars[rooted]
+    return ConstraintSet(row_space, col_space, _CellLabels(family, stars, col_space.n),
                          np.concatenate([np.arange(stars.size), rooted]), np.concatenate([stars, root[c]]),
                          np.concatenate([np.ones(stars.size), -weight[c] / weight[root[c]]]))
 
@@ -224,15 +225,9 @@ def _require_feasible(pi: TransportPlan, r: LinearRestriction, what: str, error=
                     f"({len(broken)} constraints broken)")
 
 
-def _extreme_mass(spec: SimplexSpec):
-    """Each point's mass in its extreme measure, its class (-1 if transient), the class count."""
-    comps, class_of = simplex_components(spec)
-    return np.sum([m.w for m in comps], axis=0), class_of, len(comps)
-
-
 def _pair_mass(mx_spec: SimplexSpec, my_spec: SimplexSpec, cells: np.ndarray):
     """Each flat cell's pair a * k_y + b of mx_spec x my_spec (-1: transient) and its m_a m_b."""
-    (mx, cx, _), (my, cy, ky) = _extreme_mass(mx_spec), _extreme_mass(my_spec)
+    (mx, cx, _, _), (my, cy, ky, _) = _extreme_mass(mx_spec), _extreme_mass(my_spec)
     x, y = np.divmod(cells, cy.size)
     return np.where((cx[x] < 0) | (cy[y] < 0), -1, cx[x] * ky + cy[y]), mx[x] * my[y]
 
@@ -286,7 +281,7 @@ def check_geometric(r: LinearRestriction) -> CheckReport:
     if r.atom_of is None:
         raise MissingProductStructureError("restriction carries no product atoms")
     om, n = r.omega, r.row_space.n
-    mass, cls, k = _extreme_mass(r.mx_spec)
+    mass, cls, k, _ = _extreme_mass(r.mx_spec)
     x, y = np.divmod(om.cell, n)
     found = [(i, 0, a, f"{om.labels[i]}: diagonal pairing with component {a} is {v:.3g}")
              for (i, a), v in _breaks(om.value * mass[x], om.row, np.where(x == y, cls[x], -1))]

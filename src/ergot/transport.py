@@ -57,10 +57,10 @@ from .core import (
     _scale,
     pth_root,
 )
-from .ergodic import _class_weights, _require_member, simplex_components
+from .ergodic import _class_weights, _extreme_mass, _require_member, simplex_components
 from .lp import LpProblem, solve_lp, transport_simplex
-from .restriction import (LinearRestriction, _extreme_mass, _pair_mass, _require_feasible,
-                          check_geometric, plan_violations)
+from .restriction import (LinearRestriction, _pair_mass, _require_feasible, check_geometric,
+                          plan_violations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +119,9 @@ def _transport_lp(mu_w, nu_w, cost, omega, forbid=None):
 
 def _forbidden_cells(cost):
     """(+inf mask, cost with those cells set to 0); NaN or -inf raises ValueError."""
-    if np.isnan(cost).any() or np.isneginf(cost).any():
+    if not (cost > -math.inf).all():    # false at NaN and -inf alike
         raise ValueError("cost has a NaN or -inf entry")
-    forbid = np.isposinf(cost)
+    forbid = cost == math.inf
     return forbid, np.where(forbid, 0.0, cost)
 
 
@@ -134,24 +134,24 @@ def _solve_transport(mu_w, nu_w, cost, row_space, col_space,
     the objective over its largest |entry| and checked against every
     constraint (NotFeasibleError if it breaks one). Either way the value is
     the plan's cost on the raw cost. +inf cost cells carry no mass; a NaN
-    or -inf cost raises ValueError.
+    or -inf cost raises ValueError (transport_simplex checks its block).
     """
-    forbid, safe_cost = _forbidden_cells(cost)
     if r is None:
         rows = np.flatnonzero(mu_w > TAU_MASS)
         cols = np.flatnonzero(nu_w > TAU_MASS)
-        sol = transport_simplex(mu_w[rows], nu_w[cols], cost[np.ix_(rows, cols)])
+        sol = transport_simplex(mu_w[rows], nu_w[cols], cost[rows[:, None], cols])
+        safe_cost = (_forbidden_cells(cost)[1] if rows.size * cols.size < cost.size
+                     else np.where(cost == math.inf, 0.0, cost))
         keep = slice(None)
     else:
+        forbid, safe_cost = _forbidden_cells(cost)
         prob, rows, cols, keep = _transport_lp(mu_w, nu_w, safe_cost, r.omega, forbid)
         unit = _scale(prob.objective) or 1.0
         sol = solve_lp(LpProblem(prob.objective / unit, prob.eq_matrix, prob.eq_rhs))
     if sol.status != "optimal":
         return OtResult(value=math.inf, plan=None, status="infeasible")
-    cell_vals = np.zeros(rows.size * cols.size)
-    cell_vals[keep] = np.maximum(sol.x, 0.0)
     p = np.zeros(cost.shape)
-    p[np.ix_(rows, cols)] = cell_vals.reshape(rows.size, cols.size)
+    p.flat[(rows[:, None] * cost.shape[1] + cols).ravel()[keep]] = np.maximum(sol.x, 0.0)
     plan = TransportPlan(row_space, col_space, p)
     duals = None
     if r is None:
@@ -265,7 +265,7 @@ def _atom_table(c: CostMatrix, r: LinearRestriction) -> _AtomTable:
     if r.atom_of is None:
         raise MissingProductStructureError("restriction carries no product atoms")
     forbid, safe_cost = _forbidden_cells(c.c)
-    (_, class_x, kx), (_, class_y, ky) = (_extreme_mass(s) for s in (r.mx_spec, r.my_spec))
+    (class_x, kx), (class_y, ky) = (_extreme_mass(s)[1:3] for s in (r.mx_spec, r.my_spec))
     cells = np.flatnonzero(r.atom_of >= 0)
     atom, rect = r.atom_of[cells], r.atom_pair
     w = _pair_mass(r.mx_spec, r.my_spec, cells)[1]
@@ -429,9 +429,8 @@ def _outer_ot(wx: np.ndarray, wy: np.ndarray, cost: np.ndarray) -> OtResult:
     +inf cost cells carry no mass; if no coupling avoids them the result is
     infeasible (value +inf).
     """
-    k_x, k_y = cost.shape
-    return _solve_transport(wx, wy, cost, FiniteSpace.of_size(k_x, "mass-class-"),
-                            FiniteSpace.of_size(k_y, "mass-class-"))
+    return _solve_transport(wx, wy, cost,
+                            *(FiniteSpace.of_size(k, "mass-class-") for k in cost.shape))
 
 
 def component_weights(mu: Measure, spec: SimplexSpec) -> np.ndarray:

@@ -271,10 +271,10 @@ def _heads(omega) -> np.ndarray:
     The entries are sorted by row, then cell, so the first entry that meets
     its row's maximum is the one np.argmax picks from the dense row.
     """
-    starts = np.flatnonzero(np.diff(omega.row, prepend=-1))
-    peak = np.maximum.reduceat(omega.value, starts)
-    hit = np.flatnonzero(omega.value == np.repeat(peak, np.diff(starts, append=omega.row.size)))
-    first = hit[np.flatnonzero(np.diff(omega.row[hit], prepend=-1))]
+    new = omega.row != np.concatenate(([-1], omega.row[:-1]))   # rows are >= 0: True at a start
+    starts = np.flatnonzero(new)
+    at_peak = omega.value == np.maximum.reduceat(omega.value, starts)[np.cumsum(new) - 1]
+    first = np.minimum.reduceat(np.where(at_peak, np.arange(new.size), new.size), starts)
     heads = np.zeros(len(omega), dtype=np.intp)
     heads[omega.row[first]] = omega.cell[first]
     return heads

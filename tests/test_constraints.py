@@ -3,7 +3,8 @@
 ConstraintSet keeps the nonzero entries of the (k, n*m) constraint matrix.
 ConstraintSet.dense builds that matrix, O(n^4) floats on X x X, so the
 tests below make it raise and run every default path on each restriction
-family.
+family. A builder's labels are formatted only when read, so the same paths
+must format none.
 """
 
 import json
@@ -25,6 +26,7 @@ from ergot import (
     decompose_plan,
     generate_instance,
     glue_plans,
+    invariance_restriction,
     no_restriction,
     simplex_components,
     solve_constrained_ot,
@@ -33,8 +35,9 @@ from ergot import (
     verify_decomposition,
 )
 from ergot.cli import main
+from ergot.core import _CellLabels
 from test_acceptance import mixture
-from test_restriction import builder_restrictions
+from test_restriction import builder_restrictions, random_decomposing_kernel
 
 # a point mapped onto the first class: transient, its row that class's law
 LAW_A, LAW_B = [0.2, 0.5, 0.3], [0.6, 0.1, 0.3]
@@ -123,6 +126,65 @@ def test_no_default_cli_path_densifies_the_constraints(no_dense, tmp_path, capsy
     # a restriction that is not geometric exits 2 here, never on the refusal
     for argv in (["check", str(path)], ["metric", str(path)]):
         assert main(argv) in (0, 2), (argv, capsys.readouterr().err)
+
+
+@pytest.fixture
+def label_reads(monkeypatch):
+    """Every index at which a builder's label is formatted, in order."""
+    reads = []
+    original = _CellLabels.__getitem__
+
+    def counted(self, i):
+        reads.append(i)
+        return original(self, i)
+    monkeypatch.setattr(_CellLabels, "__getitem__", counted)
+    return reads
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_no_builder_or_default_solve_formats_a_label(label_reads, name):
+    r, mu, nu, cost = family(name)
+    assert solve_constrained_ot(mu, nu, cost, r).method == "atoms"
+    assert verify_decomposition(mu, nu, cost, r).passed
+    assert check_coherency(r).passed and check_weak_regularity(r).passed
+    assert label_reads == []
+    if len(r.omega):
+        assert r.omega.labels[-1].startswith(r.omega.labels.family) and label_reads == [-1]
+
+
+def eager_labels(r, family: str) -> list[str]:
+    """The labels as builders made them eagerly before: family:(x,y) of each row's +1 cell,
+    the atoms' non-root cells in increasing order."""
+    om, m = r.omega, r.col_space.n
+    stars = om.cell[om.value == 1.0]
+    assert stars.size == len(om) and np.all(np.diff(stars) > 0)
+    return [f"{family}:({x // m},{x % m})" for x in stars.tolist()]
+
+
+def test_builder_labels_read_as_the_eager_strings():
+    rng = np.random.default_rng(31)
+    built = []
+    for seed, ct in enumerate([(4, 2, 2), (3, 3), (6,), (2, 2, 1)]):
+        inst = generate_instance(InstanceSpec(n=sum(ct), kind="perm", cycle_type=ct, seed=seed))
+        g = inst.action.generators[0][1]
+        built += [(invariance_restriction(inst.action), "invariance"),
+                  (subgroup_restriction(inst.action, [(g, g), (g, np.arange(g.size))]), "subgroup")]
+    for n in (1, 4, 7):
+        qx, qy = random_decomposing_kernel(rng, n), random_decomposing_kernel(rng, n + 1)
+        built += [(stationarity_restriction(qx, qy), "stationarity"),
+                  (stationarity_restriction(qx, qx), "stationarity")]
+        built.append((no_restriction(qx.space, qy.space), "none"))
+    for r, name in built:
+        want, labels = eager_labels(r, name), r.omega.labels
+        assert list(labels) == want and len(labels) == len(want) == len(r.omega)
+        assert [labels[i] for i in range(-len(want), len(want))] == want + want
+        if want:
+            assert want[-1] in labels and "\n".join(labels) == "\n".join(want)
+    assert sum(len(r.omega) for r, _ in built) > 100
+    # hand-built and dense-built sets keep their labels as given, as a tuple
+    sp = FiniteSpace.of_size(2)
+    assert ConstraintSet(sp, sp, ["a"], [0], [1], [1.0]).labels == ("a",)
+    assert ConstraintSet.from_dense(sp, sp, ["a"], np.eye(2)).labels == ("a",)
 
 
 def assert_matches_dense(cs: ConstraintSet, rng):

@@ -17,13 +17,17 @@ from ergot import (
     barycenter,
     check_ergodic_kernel,
     decompose_measure,
+    full_simplex,
     invariant_simplex,
     pushforward,
     simplex_components,
     stationary_components,
     stationary_simplex,
 )
-from oracles import averaging_kernel
+from ergot.core import TAU_MASS
+from ergot.ergodic import _extreme_mass
+from oracles import averaging_kernel, loop_check_ergodic_kernel
+from test_restriction import random_decomposing_kernel
 
 
 def c3x2_action():
@@ -109,6 +113,56 @@ def test_swap_kernel_decomposes_into_its_one_stationary_measure():
     assert dec.weights.tolist() == [1.0]
     assert [c.w.tolist() for c in dec.components] == [[0.5, 0.5]]
     assert dec.class_of.tolist() == [0, 0]
+
+
+def check_kernels(rng):
+    """Kernels for the pairwise check: the swap, projections with and without transient rows,
+    rows and entries within a few TAU_MASS of the cut, and dense kernels that fail on most rows."""
+    yield np.array([[0.0, 1.0], [1.0, 0.0]])
+    yield np.eye(5)
+    yield averaging_kernel(c3x2_action()).q
+    for n in (1, 2, 7, 13, 40):
+        for _ in range(4):
+            yield random_decomposing_kernel(rng, n).q
+    # classes of 7, 11 and 22 points: 654 pairs, so a block of 2**14 floats (410
+    # pairs of 40 entries) ends inside a row
+    sizes = np.repeat([0, 1, 2], [7, 11, 22])
+    law = rng.uniform(0.1, 1.0, 40)
+    q = np.where(sizes[:, None] == sizes, law, 0.0)
+    projection = q / q.sum(axis=1, keepdims=True)
+    yield projection
+    for scale in (0.5, 1.0, 1.0 + 1e-6, 1.5, 3.0):
+        near = projection.copy()
+        rows = rng.choice(40, 5, replace=False)
+        near[rows, rng.integers(0, 40, 5)] += scale * TAU_MASS   # rows that differ near the cut
+        near[rng.integers(0, 40), rng.integers(0, 40)] = scale * TAU_MASS   # an entry at the cut
+        yield near
+    for n in (3, 9, 40):
+        yield rng.dirichlet(np.ones(n), size=n)
+        yield rng.dirichlet(np.full(n, 0.1), size=n) * (rng.random((n, n)) < 0.3)
+    # rows half on x and half on t(x): x offends exactly when t(t(x)) != x, decided
+    # by one pair, and 600 pairs fill eleven blocks of 55
+    for _ in range(3):
+        t = rng.permutation(300)
+        paired = rng.permutation(300)[:200]
+        t[paired[:100]], t[paired[100:]] = paired[100:], paired[:100]
+        q = np.zeros((300, 300))
+        q[np.arange(300), np.arange(300)] += 0.5
+        q[np.arange(300), t] += 0.5
+        yield q
+
+
+def test_ergodic_check_matches_the_row_loop():
+    rng = np.random.default_rng(29)
+    checked = 0
+    for q in check_kernels(rng):
+        kernel = StochKernel(FiniteSpace.of_size(len(q)), q)
+        rep = check_ergodic_kernel(kernel)
+        want = loop_check_ergodic_kernel(kernel)
+        assert rep.offending == want and rep.passed == (not want)
+        assert all(type(x) is int for x in rep.offending)
+        checked += bool(want)
+    assert checked >= 10              # the kernels that fail are not a corner case here
 
 
 def test_identity_kernel_passes_ergodic_check():
@@ -316,6 +370,21 @@ def test_full_simplex_components_are_diracs():
     assert len(comps) == 3
     assert np.array_equal(comps[1].w, [0.0, 1.0, 0.0])
     assert np.array_equal(class_of, [0, 1, 2])
+
+
+def test_extreme_masses_are_summed_once_per_spec_and_read_only():
+    q = np.zeros((4, 4))
+    q[:2, :2] = 0.5
+    q[2:, 2] = 1.0                      # point 3 is transient
+    for spec in (invariant_simplex(c3x2_action()), stationary_simplex(StochKernel(
+            FiniteSpace.of_size(4), q)), full_simplex(FiniteSpace.of_size(3))):
+        mass, class_of, k, comps = _extreme_mass(spec)
+        assert _extreme_mass(spec)[0] is mass and simplex_components(spec)[1] is class_of
+        assert not mass.flags.writeable and not class_of.flags.writeable
+        with pytest.raises(ValueError):
+            mass[0] = 2.0
+        assert k == len(comps) == len(simplex_components(spec)[0])
+        assert np.array_equal(mass, np.sum([m.w for m in comps], axis=0))
 
 
 def test_simplex_components_are_derived_once_per_spec():

@@ -40,7 +40,7 @@ from ergot.cli import main
 from ergot.core import _scale
 from oracles import (FALSE_INFEASIBLE, averaging_kernel, grid_check_certificate, grid_duals,
                      same_orbit_pairs)
-from test_restriction import random_decomposing_kernel
+from test_restriction import builder_restrictions, random_decomposing_kernel
 
 
 def fixture():
@@ -325,6 +325,25 @@ def tampered(name, mu, plan, u, v, lam, r, step=0.1):
         heads = r.omega.dense().argmax(axis=1)
         lam[np.flatnonzero(plan.p.ravel()[heads] > 1e-6)[0]] += step
     return TransportPlan(plan.row_space, plan.col_space, p), u, v, lam
+
+
+def test_heads_are_each_rows_first_largest_entry():
+    # builder rows, whose head is the +1 cell, and hand-built rows with ties,
+    # negative entries only, or no entry at all (head 0)
+    rng = np.random.default_rng(41)
+    sets = [r.omega for r in builder_restrictions()]
+    for _ in range(30):
+        n, m, k = rng.integers(1, 5, size=3)
+        matrix = rng.integers(-2, 3, (k, n * m)) * (rng.random((k, n * m)) < 0.5)
+        sets.append(ConstraintSet.from_dense(FiniteSpace.of_size(n), FiniteSpace.of_size(m),
+                                             [f"w{i}" for i in range(k)], matrix.astype(float)))
+    for om in sets:
+        want = np.zeros(len(om), dtype=np.intp)
+        for i in range(len(om)):
+            on = om.row == i
+            if on.any():
+                want[i] = om.cell[on][np.argmax(om.value[on])]
+        assert np.array_equal(ergot.verify._heads(om), want)
 
 
 @pytest.mark.parametrize("spec, scale", [
