@@ -3,7 +3,9 @@
 ``transport_simplex`` solves plain transport problems (marginal equalities
 only) on a spanning-tree basis: the network simplex of the transportation
 problem, started from a least-cost tree, each pivot O(rows + columns)
-besides pricing. Every unconstrained transport solve runs on it.
+besides pricing. The tree, its flows and its potentials are Python lists
+indexed by node, so a pivot is list updates plus one numpy pricing pass.
+Every unconstrained transport solve runs on it.
 ``solve_lp`` is the general solver, kept for the lifted LPs, whose
 constraint rows leave no tree structure.
 
@@ -216,19 +218,23 @@ def transport_simplex(supply, demand, cost) -> LpSolution:
     ValueError.
 
     The basis is a spanning tree of nr + nc - 1 cells over the row and
-    column nodes, rooted at row 0. A least-cost start builds the first one.
-    It takes the cells cheapest first, forbidden cells last and ties by
-    flat index; each cell whose row and column are both live ships the
+    column nodes, rooted at row 0; each tree cell's flow is kept on its
+    lower node. A least-cost start builds the first tree. It takes the cells
+    cheapest first, forbidden cells last and ties by flat index (a plain
+    argsort; a stable one only if two sorted neighbours are equal, -0.0 and
+    0.0 included, as only a tie-free order is unique), in blocks of
+    4 (nr + nc) cells, each cleared of cells on a retired line by one mask
+    before the Python sweep. Each cell whose row and column are both live ships the
     smaller remainder and retires that line. The row retires if its
     remainder is below the column's or is 0, or if the column is the last
     live one (which only a sum mismatch within TAU_LP can need); otherwise
     the column retires, so a tie above 0 leaves the row live at 0. Row 0
     waits until every other row has retired, then takes each live column.
-    Read backwards, the retirements give the tree: each line hangs below
-    the other end of its cell, which retired later. A column is never live
-    at 0, so every zero-flow cell retires a row and hangs it below its
-    column, and positive flow can reach the root from every node (a
-    strongly feasible tree).
+    Read backwards, the retirements give the tree: each line hangs below the
+    other end of its cell, which retired later. A column is never live at 0,
+    so every zero-flow cell retires a row and hangs it below its column, and
+    positive flow can reach the root from every node (a strongly feasible
+    tree).
 
     The potentials u, v solve u_i + v_j = c_ij on the tree. The cell with
     the most negative reduced cost enters, the lowest flat index among
@@ -261,96 +267,102 @@ def transport_simplex(supply, demand, cost) -> LpSolution:
     if a.ndim != 1 or b.ndim != 1 or c.shape != (nr, nc) or not nr or not nc:
         raise ValueError(f"need nonempty supply ({a.shape}) and demand ({b.shape}) "
                          f"vectors and a cost of shape ({nr}, {nc}), got {c.shape}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and a.min() > 0 and b.min() > 0):
-        raise ValueError("supply and demand must be positive and finite")
+    if not (a.min() > 0 and b.min() > 0 and a.max() < math.inf and b.max() < math.inf):
+        raise ValueError("supply and demand must be positive and finite")   # NaN fails too
     if not (c > -math.inf).all():        # false at NaN and -inf alike
         raise ValueError("cost has a NaN or -inf entry")
-    if abs(a.sum() - b.sum()) > TAU_LP * max(a.sum(), b.sum()):
+    total_a, total_b = float(a.sum()), float(b.sum())
+    if abs(total_a - total_b) > TAU_LP * max(total_a, total_b):
         return LpSolution(status="infeasible")
 
     forbid = c == math.inf
-    lo = np.where(forbid, 0.0, c)
     hi = forbid.astype(float) if forbid.any() else None
-    tol = PIVOT_EPS * float(np.max(np.abs(lo)))
+    lo = c if hi is None else np.where(forbid, 0.0, c)
+    tol = PIVOT_EPS * float(np.abs(lo).max())
     lo_flat = lo.ravel()
 
     # the tree: nodes 0..nr-1 are rows, nr..nr+nc-1 columns; pcell is the
-    # flat cell joining a node to its parent
+    # flat cell joining a node to its parent, flow the flow on that cell
     size = nr + nc
-    parent, pcell, depth = [-1] * size, [-1] * size, [0] * size
+    parent, pcell, depth, flow = [-1] * size, [-1] * size, [0] * size, [0.0] * size
     children: list[list[int]] = [[] for _ in range(size)]
-    order = [0]
-    flow: dict[int, float] = {}
-
-    def attach(node, par, cell):
-        parent[node], pcell[node], depth[node] = par, cell, depth[par] + 1
-        children[par].append(node)
-        order.append(node)
 
     # the least-cost start; row 0 is not live until the sweep is over
+    key = c.ravel()                      # +inf, the forbidden cells, sorts last
+    cells = key.argsort()
+    ranked = key[cells]
+    if (ranked[1:] == ranked[:-1]).any():
+        cells = key.argsort(kind="stable")
     left = a.tolist() + b.tolist()
     live = [False] + [True] * (size - 1)
     retired = []                         # (line, other end of its cell, cell)
     waiting, cols_live = nr - 1, nc
-    cells = np.lexsort((lo_flat, forbid.ravel()))
-    for cell, i, q in zip(cells.tolist(), (cells // nc).tolist(), (cells % nc + nr).tolist()):
+    for start in range(0, cells.size, 4 * size):
         if not waiting:
             break
-        if not (live[i] and live[q]):
-            continue
-        if left[i] < left[q] or left[i] == 0.0 or cols_live == 1:
-            flow[cell] = left[i]
-            left[q] -= left[i]
-            live[i] = False
-            retired.append((i, q, cell))
-            waiting -= 1
-        else:
-            flow[cell] = left[q]
-            left[i] -= left[q]
-            live[q] = False
-            retired.append((q, i, cell))
-            cols_live -= 1
+        block = cells[start:start + 4 * size]
+        rows, cols = np.divmod(block, nc)
+        cols += nr
+        alive = np.array(live)
+        keep = alive[rows] & alive[cols]
+        for cell, i, q in zip(block[keep].tolist(), rows[keep].tolist(), cols[keep].tolist()):
+            if not waiting:
+                break
+            if not (live[i] and live[q]):
+                continue
+            if left[i] < left[q] or left[i] == 0.0 or cols_live == 1:
+                line, other, waiting = i, q, waiting - 1
+            else:
+                line, other, cols_live = q, i, cols_live - 1
+            flow[line] = left[line]
+            left[other] -= left[line]
+            live[line] = False
+            retired.append((line, other, cell))
     for q in range(nr, size):
         if live[q]:
             cols_live -= 1
-            flow[q - nr] = left[q] if cols_live else left[0]
-            left[0] -= flow[q - nr]
+            flow[q] = left[q] if cols_live else left[0]
+            left[0] -= flow[q]
             retired.append((q, 0, q - nr))
     # each line hangs below the other end of its cell, which retired later
     for line, par, cell in reversed(retired):
-        attach(line, par, cell)
+        parent[line], pcell[line], depth[line] = par, cell, depth[par] + 1
+        children[par].append(line)
 
-    def potentials(costs):
-        pot = np.zeros(size)
-        flat = costs.ravel().tolist()
-        for node in order[1:]:
-            pot[node] = flat[pcell[node]] - pot[parent[node]]
+    def potentials(flat):
+        on_tree = flat[pcell].tolist()
+        pot = [0.0] * size
+        for line, par, _ in reversed(retired):
+            pot[line] = on_tree[line] - pot[par]
         return pot
 
-    pot = potentials(lo)
-    pot_hi = potentials(hi) if hi is not None else None
+    pot = potentials(lo_flat)
     red = np.empty((nr, nc))
+    red_flat = red.ravel()
+    pot_hi = potentials(hi.ravel()) if hi is not None else None
     red_hi = np.empty((nr, nc)) if hi is not None else None
     pivots = phase1 = degenerate = 0
     while True:
         if hi is not None:
-            np.subtract(hi, pot_hi[:nr, None], out=red_hi)
-            red_hi -= pot_hi[None, nr:]
+            at = np.array(pot_hi)
+            np.subtract(hi, at[:nr, None], out=red_hi)
+            red_hi -= at[nr:]
         if hi is not None and red_hi.min() < 0:
             k = int(red_hi.argmin())     # integral, so exact: lowest index of the minimum
             phase1 += 1
         else:
-            np.subtract(lo, pot[:nr, None], out=red)
-            red -= pot[None, nr:]
+            at = np.array(pot)
+            np.subtract(lo, at[:nr, None], out=red)
+            red -= at[nr:]
             if hi is not None:
                 red[red_hi != 0] = math.inf
-            flat = red.ravel()
-            k = int(flat.argmin())
-            if not flat[k] < -tol:
+            k = int(red_flat.argmin())
+            least = float(red_flat[k])
+            if not least < -tol:
                 break
             # the lowest index within tol of the minimum, so rounding noise
             # in the potentials cannot reorder tied cells
-            k = int((flat[:k + 1] <= min(flat[k] + tol, -tol)).argmax())
+            k = int((red_flat[:k + 1] <= min(least + tol, -tol)).argmax())
         i, j = divmod(k, nc)
         p, q = i, nr + j
 
@@ -370,50 +382,52 @@ def transport_simplex(supply, demand, cost) -> LpSolution:
             up_q.append(top_q)
             top_q = parent[top_q]
         losing = up_p[0::2] + up_q[0::2]
-        theta = min(flow[pcell[z]] for z in losing)
+        theta = min([flow[z] for z in losing])
         # going round along the entering cell p -> q from the apex meets p's
         # side from the apex down, then q's side from q up: scan backwards
         out, side = None, up_q
         for z in reversed(up_q[0::2]):
-            if flow[pcell[z]] == theta:
+            if flow[z] == theta:
                 out = z
                 break
         if out is None:
             side = up_p
-            out = next(z for z in up_p[0::2] if flow[pcell[z]] == theta)
+            out = next(z for z in up_p[0::2] if flow[z] == theta)
 
         for z in losing:
-            flow[pcell[z]] -= theta
+            flow[z] -= theta
         for z in up_p[1::2] + up_q[1::2]:
-            flow[pcell[z]] += theta
-        del flow[pcell[out]]
-        flow[k] = theta
+            flow[z] += theta
 
-        # re-hang the cut-off subtree from the entering endpoint on its side
+        # re-hang the cut-off subtree from the entering endpoint on its side;
+        # each edge on the path moves, flow and all, to the node below it
         s, t = (p, q) if side is up_p else (q, p)
         path = side[:side.index(out) + 1]
-        cells = [pcell[z] for z in path]
         children[parent[out]].remove(out)
         for m in range(len(path) - 1, 0, -1):
-            children[path[m]].remove(path[m - 1])
-            children[path[m - 1]].append(path[m])
-            parent[path[m]], pcell[path[m]] = path[m - 1], cells[m - 1]
-        parent[s], pcell[s] = t, k
+            z, w = path[m], path[m - 1]
+            children[z].remove(w)
+            children[w].append(z)
+            parent[z], pcell[z], flow[z] = w, pcell[w], flow[w]
+        parent[s], pcell[s], flow[s] = t, k, theta
         children[t].append(s)
         depth[s] = depth[t] + 1
+        # s's own potential moves by the entering reduced cost, its side
+        # with it and the other side against it
+        moved = lo_flat.item(k) - pot[i] - pot[q]
+        shift = (moved, -moved) if s < nr else (-moved, moved)
         sub = [s]
         for z in sub:                    # breadth first; sub grows as it is read
+            pot[z] += shift[z >= nr]
             below = children[z]
             for ch in below:
                 depth[ch] = depth[z] + 1
             sub += below
-        # s's own potential moves by the entering reduced cost, its side
-        # with it and the other side against it
-        sub = np.array(sub)
-        sign = np.where((sub < nr) == (s < nr), 1.0, -1.0)
-        pot[sub] += sign * (lo_flat[k] - pot[i] - pot[q])
         if hi is not None:
-            pot_hi[sub] += sign * red_hi.flat[k]
+            moved = red_hi.item(k)
+            shift = (moved, -moved) if s < nr else (-moved, moved)
+            for z in sub:
+                pot_hi[z] += shift[z >= nr]
 
         pivots += 1
         if theta == 0.0:
@@ -423,8 +437,8 @@ def transport_simplex(supply, demand, cost) -> LpSolution:
                                "strongly feasible trees")
 
     x = np.zeros(nr * nc)
-    cells = np.fromiter(flow, dtype=np.intp, count=len(flow))
-    x[cells] = np.maximum(np.fromiter(flow.values(), dtype=float, count=len(flow)), 0.0)
+    x[pcell[1:]] = np.maximum(flow[1:], 0.0)
+    pot = np.array(pot)
     counts = {"pivots": pivots, "phase1_pivots": phase1, "degenerate_pivots": degenerate}
     if hi is not None:
         banned = forbid.ravel()
@@ -433,8 +447,8 @@ def transport_simplex(supply, demand, cost) -> LpSolution:
         x[banned] = 0.0
         # finite cells priced out by the second level may be negative on the first
         np.subtract(lo, pot[:nr, None], out=red)
-        red -= pot[None, nr:]
+        red -= pot[nr:]
         lifted = (red_hi > 0) & ~forbid
-        pot += max(0.0, float(np.max(-red[lifted] / red_hi[lifted], initial=0.0))) * pot_hi
+        pot += max(0.0, float(np.max(-red[lifted] / red_hi[lifted], initial=0.0))) * np.array(pot_hi)
     return LpSolution(status="optimal", x=x, value=float(lo_flat @ x),
-                      basis=tuple(sorted(flow)), duals=(pot[:nr], pot[nr:]), **counts)
+                      basis=tuple(sorted(pcell[1:])), duals=(pot[:nr], pot[nr:]), **counts)

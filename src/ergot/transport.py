@@ -139,9 +139,11 @@ def _solve_transport(mu_w, nu_w, cost, row_space, col_space,
     if r is None:
         rows = np.flatnonzero(mu_w > TAU_MASS)
         cols = np.flatnonzero(nu_w > TAU_MASS)
-        sol = transport_simplex(mu_w[rows], nu_w[cols], cost[rows[:, None], cols])
-        safe_cost = (_forbidden_cells(cost)[1] if rows.size * cols.size < cost.size
-                     else np.where(cost == math.inf, 0.0, cost))
+        whole = rows.size == mu_w.size and cols.size == nu_w.size   # no gather, no scatter
+        sol = (transport_simplex(mu_w, nu_w, cost) if whole
+               else transport_simplex(mu_w[rows], nu_w[cols], cost[rows[:, None], cols]))
+        safe_cost = (np.where(cost == math.inf, 0.0, cost) if whole
+                     else _forbidden_cells(cost)[1])
         keep = slice(None)
     else:
         forbid, safe_cost = _forbidden_cells(cost)
@@ -150,8 +152,11 @@ def _solve_transport(mu_w, nu_w, cost, row_space, col_space,
         sol = solve_lp(LpProblem(prob.objective / unit, prob.eq_matrix, prob.eq_rhs))
     if sol.status != "optimal":
         return OtResult(value=math.inf, plan=None, status="infeasible")
-    p = np.zeros(cost.shape)
-    p.flat[(rows[:, None] * cost.shape[1] + cols).ravel()[keep]] = np.maximum(sol.x, 0.0)
+    if r is None and whole:
+        p = sol.x.reshape(cost.shape)    # transport_simplex's x is nonnegative already
+    else:
+        p = np.zeros(cost.shape)
+        p.flat[(rows[:, None] * cost.shape[1] + cols).ravel()[keep]] = np.maximum(sol.x, 0.0)
     plan = TransportPlan(row_space, col_space, p)
     duals = None
     if r is None:

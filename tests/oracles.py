@@ -28,6 +28,10 @@ rectangle enough; together they are the reference for the rectangle check.
 atoms, one dense conditional plan and two dense marginal sums per atom; the
 reference for the vectorised split.
 
+``reference_transport_simplex`` is transport_simplex's former body: flows
+in a dict keyed by cell, numpy potentials, a lexsorted start swept cell by
+cell. The library's solver must match it bit for bit.
+
 ``loop_check_ergodic_kernel`` is check_ergodic_kernel's former loop, one
 row's support at a time; the reference for the pairwise comparison.
 
@@ -47,7 +51,7 @@ from ergot import (CertificateCheck, CheckReport, ConstraintSet, CostMatrix, Gro
                    LinearRestriction, LpProblem, Measure, NotFeasibleError, StochKernel,
                    TransportPlan, plan_violations, simplex_components)
 from ergot.core import TAU_LP, TAU_MASS, _scale
-from ergot.lp import PIVOT_EPS
+from ergot.lp import MAX_PIVOTS, PIVOT_EPS, LpSolution
 
 TAU_RANK = 1e-8  # svd_check_geometric's singular-value cut-off
 
@@ -365,3 +369,191 @@ def loop_check_ergodic_kernel(q: StochKernel) -> tuple[int, ...]:
         if np.any(rows_differ > TAU_MASS):
             offending.append(x)
     return tuple(offending)
+
+
+def reference_transport_simplex(supply, demand, cost) -> LpSolution:
+    """transport_simplex's former body, verbatim; its rules are the library docstring's."""
+    a = np.asarray(supply, dtype=float)
+    b = np.asarray(demand, dtype=float)
+    c = np.asarray(cost, dtype=float)
+    nr, nc = a.size, b.size
+    if a.ndim != 1 or b.ndim != 1 or c.shape != (nr, nc) or not nr or not nc:
+        raise ValueError(f"need nonempty supply ({a.shape}) and demand ({b.shape}) "
+                         f"vectors and a cost of shape ({nr}, {nc}), got {c.shape}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and a.min() > 0 and b.min() > 0):
+        raise ValueError("supply and demand must be positive and finite")
+    if not (c > -math.inf).all():        # false at NaN and -inf alike
+        raise ValueError("cost has a NaN or -inf entry")
+    if abs(a.sum() - b.sum()) > TAU_LP * max(a.sum(), b.sum()):
+        return LpSolution(status="infeasible")
+
+    forbid = c == math.inf
+    lo = np.where(forbid, 0.0, c)
+    hi = forbid.astype(float) if forbid.any() else None
+    tol = PIVOT_EPS * float(np.max(np.abs(lo)))
+    lo_flat = lo.ravel()
+
+    # the tree: nodes 0..nr-1 are rows, nr..nr+nc-1 columns; pcell is the
+    # flat cell joining a node to its parent
+    size = nr + nc
+    parent, pcell, depth = [-1] * size, [-1] * size, [0] * size
+    children: list[list[int]] = [[] for _ in range(size)]
+    order = [0]
+    flow: dict[int, float] = {}
+
+    def attach(node, par, cell):
+        parent[node], pcell[node], depth[node] = par, cell, depth[par] + 1
+        children[par].append(node)
+        order.append(node)
+
+    # the least-cost start; row 0 is not live until the sweep is over
+    left = a.tolist() + b.tolist()
+    live = [False] + [True] * (size - 1)
+    retired = []                         # (line, other end of its cell, cell)
+    waiting, cols_live = nr - 1, nc
+    cells = np.lexsort((lo_flat, forbid.ravel()))
+    for cell, i, q in zip(cells.tolist(), (cells // nc).tolist(), (cells % nc + nr).tolist()):
+        if not waiting:
+            break
+        if not (live[i] and live[q]):
+            continue
+        if left[i] < left[q] or left[i] == 0.0 or cols_live == 1:
+            flow[cell] = left[i]
+            left[q] -= left[i]
+            live[i] = False
+            retired.append((i, q, cell))
+            waiting -= 1
+        else:
+            flow[cell] = left[q]
+            left[i] -= left[q]
+            live[q] = False
+            retired.append((q, i, cell))
+            cols_live -= 1
+    for q in range(nr, size):
+        if live[q]:
+            cols_live -= 1
+            flow[q - nr] = left[q] if cols_live else left[0]
+            left[0] -= flow[q - nr]
+            retired.append((q, 0, q - nr))
+    # each line hangs below the other end of its cell, which retired later
+    for line, par, cell in reversed(retired):
+        attach(line, par, cell)
+
+    def potentials(costs):
+        pot = np.zeros(size)
+        flat = costs.ravel().tolist()
+        for node in order[1:]:
+            pot[node] = flat[pcell[node]] - pot[parent[node]]
+        return pot
+
+    pot = potentials(lo)
+    pot_hi = potentials(hi) if hi is not None else None
+    red = np.empty((nr, nc))
+    red_hi = np.empty((nr, nc)) if hi is not None else None
+    pivots = phase1 = degenerate = 0
+    while True:
+        if hi is not None:
+            np.subtract(hi, pot_hi[:nr, None], out=red_hi)
+            red_hi -= pot_hi[None, nr:]
+        if hi is not None and red_hi.min() < 0:
+            k = int(red_hi.argmin())     # integral, so exact: lowest index of the minimum
+            phase1 += 1
+        else:
+            np.subtract(lo, pot[:nr, None], out=red)
+            red -= pot[None, nr:]
+            if hi is not None:
+                red[red_hi != 0] = math.inf
+            flat = red.ravel()
+            k = int(flat.argmin())
+            if not flat[k] < -tol:
+                break
+            # the lowest index within tol of the minimum, so rounding noise
+            # in the potentials cannot reorder tied cells
+            k = int((flat[:k + 1] <= min(flat[k] + tol, -tol)).argmax())
+        i, j = divmod(k, nc)
+        p, q = i, nr + j
+
+        # the cycle: both endpoints climb to their apex; on each side the
+        # cell next to the entering one loses flow, and signs alternate
+        up_p, up_q = [], []
+        top_p, top_q = p, q
+        while depth[top_p] > depth[top_q]:
+            up_p.append(top_p)
+            top_p = parent[top_p]
+        while depth[top_q] > depth[top_p]:
+            up_q.append(top_q)
+            top_q = parent[top_q]
+        while top_p != top_q:
+            up_p.append(top_p)
+            top_p = parent[top_p]
+            up_q.append(top_q)
+            top_q = parent[top_q]
+        losing = up_p[0::2] + up_q[0::2]
+        theta = min(flow[pcell[z]] for z in losing)
+        # going round along the entering cell p -> q from the apex meets p's
+        # side from the apex down, then q's side from q up: scan backwards
+        out, side = None, up_q
+        for z in reversed(up_q[0::2]):
+            if flow[pcell[z]] == theta:
+                out = z
+                break
+        if out is None:
+            side = up_p
+            out = next(z for z in up_p[0::2] if flow[pcell[z]] == theta)
+
+        for z in losing:
+            flow[pcell[z]] -= theta
+        for z in up_p[1::2] + up_q[1::2]:
+            flow[pcell[z]] += theta
+        del flow[pcell[out]]
+        flow[k] = theta
+
+        # re-hang the cut-off subtree from the entering endpoint on its side
+        s, t = (p, q) if side is up_p else (q, p)
+        path = side[:side.index(out) + 1]
+        cells = [pcell[z] for z in path]
+        children[parent[out]].remove(out)
+        for m in range(len(path) - 1, 0, -1):
+            children[path[m]].remove(path[m - 1])
+            children[path[m - 1]].append(path[m])
+            parent[path[m]], pcell[path[m]] = path[m - 1], cells[m - 1]
+        parent[s], pcell[s] = t, k
+        children[t].append(s)
+        depth[s] = depth[t] + 1
+        sub = [s]
+        for z in sub:                    # breadth first; sub grows as it is read
+            below = children[z]
+            for ch in below:
+                depth[ch] = depth[z] + 1
+            sub += below
+        # s's own potential moves by the entering reduced cost, its side
+        # with it and the other side against it
+        sub = np.array(sub)
+        sign = np.where((sub < nr) == (s < nr), 1.0, -1.0)
+        pot[sub] += sign * (lo_flat[k] - pot[i] - pot[q])
+        if hi is not None:
+            pot_hi[sub] += sign * red_hi.flat[k]
+
+        pivots += 1
+        if theta == 0.0:
+            degenerate += 1
+        if pivots > MAX_PIVOTS:
+            raise RuntimeError("pivot cap exceeded; this should be unreachable with "
+                               "strongly feasible trees")
+
+    x = np.zeros(nr * nc)
+    cells = np.fromiter(flow, dtype=np.intp, count=len(flow))
+    x[cells] = np.maximum(np.fromiter(flow.values(), dtype=float, count=len(flow)), 0.0)
+    counts = {"pivots": pivots, "phase1_pivots": phase1, "degenerate_pivots": degenerate}
+    if hi is not None:
+        banned = forbid.ravel()
+        if x[banned].sum() > TAU_LP:
+            return LpSolution(status="infeasible", **counts)
+        x[banned] = 0.0
+        # finite cells priced out by the second level may be negative on the first
+        np.subtract(lo, pot[:nr, None], out=red)
+        red -= pot[None, nr:]
+        lifted = (red_hi > 0) & ~forbid
+        pot += max(0.0, float(np.max(-red[lifted] / red_hi[lifted], initial=0.0))) * pot_hi
+    return LpSolution(status="optimal", x=x, value=float(lo_flat @ x),
+                      basis=tuple(sorted(flow)), duals=(pot[:nr], pot[nr:]), **counts)

@@ -22,7 +22,7 @@ from ergot import (
     transport_simplex,
 )
 from ergot.core import TAU_LP
-from oracles import VertexCapExceededError, enumerate_vertices
+from oracles import VertexCapExceededError, enumerate_vertices, reference_transport_simplex
 
 
 def transport_problem(mu, nu, cost):
@@ -627,3 +627,115 @@ def test_transport_simplex_rejects_bad_input():
     with pytest.raises(ValueError, match="shape"):
         transport_simplex(a, a, np.ones((2, 3)))
     assert transport_simplex(a, a * 2, np.ones((2, 2))).status == "infeasible"
+
+
+def solve_or_error(solver, a, b, c):
+    try:
+        return solver(a, b, c)
+    except ValueError as err:
+        return str(err)
+
+
+def assert_same_as_reference(a, b, c):
+    want = solve_or_error(reference_transport_simplex, a, b, c)
+    got = solve_or_error(transport_simplex, a, b, c)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got.status == want.status
+    counts = ("pivots", "phase1_pivots", "degenerate_pivots")
+    assert [getattr(got, f) for f in counts] == [getattr(want, f) for f in counts]
+    if want.status != "optimal":
+        assert got.x is None and got.duals is None
+        return
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.basis == want.basis
+    assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+    for mine, theirs in zip(got.duals, want.duals):
+        assert mine.tobytes() == theirs.tobytes()
+
+
+def reference_cases():
+    """Every plain-ot pool problem, then random shapes up to 11 x 11 in four cost kinds."""
+    for n in (16, 20, 24, 32, 40):
+        for k in range(18):
+            rng = np.random.default_rng((n, k))
+            a, b = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+            yield a, b, rng.uniform(0.0, 1.0, (n, n))
+    rng = np.random.default_rng(67)
+    for t in range(3200):
+        nr, nc = (int(v) for v in rng.integers(1, 12, size=2))
+        kind = t % 4
+        if kind == 0:
+            cost = rng.uniform(0.0, 1.0, (nr, nc))
+        elif kind == 1:                              # integer ties
+            cost = rng.integers(0, 3, size=(nr, nc)).astype(float)
+        elif kind == 2:                              # forbidden cells
+            cost = rng.uniform(0.0, 1.0, (nr, nc))
+            cost[rng.random((nr, nc)) < 0.3] = np.inf
+        else:                                        # large units, both signs
+            cost = rng.uniform(-5e6, 5e6, (nr, nc))
+        if t % 3:
+            a, b = rng.dirichlet(np.ones(nr)), rng.dirichlet(np.ones(nc))
+        else:                                        # degenerate: equal partial sums
+            a = rng.integers(1, 4, size=nr).astype(float)
+            b = rng.integers(1, 4, size=nc).astype(float)
+            gap = a.sum() - b.sum()
+            (b if gap > 0 else a)[-1] += abs(gap)
+        yield a, b, cost
+
+
+def test_transport_simplex_matches_the_reference_bit_for_bit():
+    cases = 0
+    for a, b, cost in reference_cases():
+        assert_same_as_reference(a, b, cost)
+        cases += 1
+    assert cases == 90 + 3200
+    ones = np.ones(3)
+    signed_zeros = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 0.5], [0.0, 1.0, -0.0]])
+    assert_same_as_reference(ones, ones, signed_zeros)
+    assert_same_as_reference(ones, ones, -signed_zeros)
+    # -0.0 == 0.0 is a tie, so the two cheapest cells of a row go by index;
+    # a default sort of 1,600 cells puts the later one first about half the time
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        a, b = rng.dirichlet(np.ones(40)), rng.dirichlet(np.ones(40))
+        cost = rng.uniform(0.5, 1.0, (40, 40))
+        j = np.sort(rng.choice(40, 2, replace=False))
+        cost[1 + seed % 39, j] = 0.0, -0.0
+        assert_same_as_reference(a, b, cost)
+    half = np.array([0.5, 0.5])
+    for a, b, cost in [
+        (half, half, [[0.0, np.inf], [np.inf, 0.0]]),
+        (half, half, np.full((2, 2), np.inf)),      # infeasible: all cells forbidden
+        (half, half * 2, np.ones((2, 2))),          # infeasible: totals differ
+        (half, half, [[0.0, np.nan], [1.0, 0.0]]),
+        (half, half, [[0.0, -np.inf], [1.0, 0.0]]),
+        ([1.0, 0.0], half, np.ones((2, 2))),
+        ([1.0, np.nan], half, np.ones((2, 2))),
+        ([1.0, np.inf], half, np.ones((2, 2))),
+        (half, half, np.ones((2, 3))),
+        ([], [], np.ones((0, 0))),
+        ([[0.5, 0.5]], half, np.ones((2, 2))),
+    ]:
+        assert_same_as_reference(a, b, cost)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "ties", "forbidden"])
+def test_transport_simplex_leaves_its_inputs_alone(kind):
+    rng = np.random.default_rng(71)
+    a, b = rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(5))
+    if kind == "uniform":
+        cost = rng.uniform(0.0, 1.0, (6, 5))
+    else:
+        cost = rng.integers(0, 3, size=(6, 5)).astype(float)
+        if kind == "forbidden":
+            cost[rng.random((6, 5)) < 0.3] = np.inf
+    before = [arr.tobytes() for arr in (a, b, cost)]
+    sol = transport_simplex(a, b, cost)
+    assert sol.status == "optimal"
+    assert [arr.tobytes() for arr in (a, b, cost)] == before
+    for out in (sol.x, *sol.duals):
+        for arr in (a, b, cost):
+            assert not np.shares_memory(out, arr)
+
