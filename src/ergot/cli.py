@@ -42,6 +42,7 @@ from .core import (
 )
 from .ergodic import barycenter, decompose_measure, simplex_components
 from .restriction import (
+    LinearRestriction,
     check_coherency,
     check_geometric,
     check_weak_regularity,
@@ -381,7 +382,9 @@ def cmd_solve(args) -> int:
         raise ParseError("marginals", "solve needs both mu and nu")
     p = _chosen_p(args, prob)
     cost = _cost(prob, p, "solve")
-    res = solve_constrained_ot(prob["mu"], prob["nu"], cost, get_restriction(prob), method="lp")
+    r = get_restriction(prob)   # solved without atoms: where optima tie, reports keep the LP plan
+    res = solve_constrained_ot(prob["mu"], prob["nu"], cost,
+                               LinearRestriction(r.omega, r.mx_spec, r.my_spec))
     results = {"status": res.status, "value": res.value,
                "plan": None if res.plan is None else res.plan.p.tolist()}
     if prob["cost"] is None:

@@ -166,7 +166,7 @@ def _extreme_mass(spec: SimplexSpec) -> tuple[np.ndarray, np.ndarray, int, tuple
 def _derive_components(spec: SimplexSpec) -> tuple[np.ndarray, np.ndarray, int, tuple]:
     n = spec.space.n
     if spec.kind == "full":
-        comps, class_of = [Measure(spec.space, np.eye(n)[i]) for i in range(n)], np.arange(n)
+        comps, class_of = [Measure(spec.space, row) for row in np.eye(n)], np.arange(n)
     elif spec.kind == "group":
         # orbits of the generated group, numbered by smallest point, each
         # carrying its uniform measure

@@ -1,7 +1,7 @@
 """Constrained and unconstrained Kantorovich solvers and the derived metrics.
 
 A restriction that carries product atoms (every shipped family does) is
-solved on them by default: each atom's plan spreads the product of the two
+solved on them: each atom's plan spreads the product of the two
 extreme measures over the atom, the cheapest atom of each pair of ergodic
 components gives that pair's inner cost, and one small transport between
 the component weights mixes them. That is the paper's two-stage theorem
@@ -13,23 +13,19 @@ left-hand side the certified direct distance of the metric identity.
 
 Plain transport (``solve_ot``, and the closed form's outer problem) runs on
 the transportation simplex in ``lp``, and its result carries the simplex's
-potentials, extended to the rows and columns without mass. Everything else
-is the lifted LP on the dense simplex in ``lp`` (``method="lp"`` keeps a
-restricted solve there: ``ergot solve``, the confirmation of +inf sides and
-the tests' cross-checks ask for it), posed with its objective divided by
-the largest |entry|, so the simplex's absolute pivot tolerance does not
-depend on the cost's units; its plan is checked
-against every constraint before it is returned. Both are posed over the
-support of the marginals only (zero-mass rows and columns force their
-cells to zero, so dropping them is exact). The lifted LP has one marginal equality per
-support row, one per support column except the last (the marginal system
-overdetermines by one row), and one equality per constraint matrix that
-does not vanish on the variable cells; it is the one solve that builds
-dense constraint rows, on those cells only (ConstraintSet.dense). The
-closed form checks its plan with ConstraintSet.apply and never does.
-Cost cells of +inf carry no mass: the lifted LP leaves them out of its
-variable set, the transportation simplex forbids them; a NaN or -inf cost
-is an error.
+potentials, extended to the rows and columns without mass. A restriction
+without atoms is the lifted LP on the dense simplex in ``lp`` (``ergot
+solve`` and the tests' cross-checks strip the atoms to reach it): one
+variable per support cell, the marginal equalities and one equality per
+constraint that does not vanish there (_transport_lp), its objective
+divided by the largest |entry| so that the pivot tolerance does not depend
+on the cost's units. It is the one solve that builds dense constraint rows
+(ConstraintSet.dense); both solvers' plans are checked against every
+constraint with ConstraintSet.apply. Cost cells of +inf carry no mass: the
+lifted LP leaves them out of its variable set, the transportation simplex
+forbids them; a NaN or -inf cost is an error. No path of verify solves an
+LP: a side +inf in closed form is certified by its least mass on +inf
+cells (verify._certify).
 
 Infeasibility is data here, not an error: the restricted distance of an
 infeasible pair is +inf, which keeps the metric axioms total.
@@ -204,13 +200,12 @@ def solve_ot(mu: Measure, nu: Measure, c: CostMatrix) -> OtResult:
 
 
 def solve_constrained_ot(mu: Measure, nu: Measure, c: CostMatrix,
-                         r: LinearRestriction, method: str | None = None) -> OtResult:
+                         r: LinearRestriction) -> OtResult:
     """Optimal transport over plans annihilating every constraint matrix.
 
-    By default (method None) a restriction with product atoms is solved on
-    them in closed form (see _atoms_ot), and a hand-built one, without
-    atoms, as the lifted LP, one variable per support cell. method "lp"
-    always solves the lifted LP. Both reach the same optimal value; where
+    A restriction with product atoms is solved on them in closed form (see
+    _atoms_ot), and a hand-built one, without atoms, as the lifted LP, one
+    variable per support cell. Both reach the same optimal value; where
     several plans tie they may return different ones. OtResult.method names
     the path taken.
 
@@ -218,10 +213,8 @@ def solve_constrained_ot(mu: Measure, nu: Measure, c: CostMatrix,
     otherwise). Infeasibility of the constrained polytope is reported in the
     result status, never silently relaxed.
     """
-    if method not in (None, "lp"):
-        raise ValueError(f"method must be None or 'lp', got {method!r}")
     _check_marginals(mu, nu, c, r)
-    if method == "lp" or r.atom_of is None:
+    if r.atom_of is None:
         return _solve_transport(mu.w, nu.w, c.c, c.row_space, c.col_space, r)
     res = _atoms_ot(mu, nu, c, r)[2]
     if res.plan is not None:
@@ -391,7 +384,7 @@ def wasserstein(mu: Measure, nu: Measure, d: GroundMetric, p: float,
                 r: LinearRestriction) -> float:
     """Restricted p-Wasserstein distance; +inf when no feasible plan exists.
 
-    Solved by solve_constrained_ot's default: the closed form on the product
+    Solved by solve_constrained_ot: the closed form on the product
     atoms when r has them, else the lifted LP. An optimal cost at or below
     TAU_LP times min(1, the largest entry of d^p) is reported as distance 0
     (pth_root).
@@ -488,13 +481,22 @@ def decompose_plan(pi: TransportPlan, r: LinearRestriction) -> PlanDecomposition
     the renormalized restriction of the plan to one atom; its marginals are
     checked against the extreme measure of the matching marginal class, at
     solver tolerance scaled by the component weight (renormalizing divides
-    absolute errors by the weight).
+    absolute errors by the weight). _split_plan does the checks.
     """
+    weights, class_of = _split_plan(pi, r)
+    # each plan is built alone: a (k, n*m) block would double what the plans hold
+    kept = [TransportPlan(pi.row_space, pi.col_space, np.where(class_of == j, pi.p.ravel() / w,
+                                                               0.0).reshape(pi.p.shape))
+            for j, w in enumerate(weights)]
+    return PlanDecomposition(tuple(kept), weights, class_of)
+
+
+def _split_plan(pi: TransportPlan, r: LinearRestriction) -> tuple[np.ndarray, np.ndarray]:
+    """decompose_plan's weights and class_of, and all its checks, without building the plans."""
     _require_feasible(pi, r, "plan")
     if r.atom_of is None:
         raise MissingProductStructureError("restriction carries no product atoms")
-    comps_x, _ = simplex_components(r.mx_spec)
-    comps_y, _ = simplex_components(r.my_spec)
+    (comps_x, _), (comps_y, _) = (simplex_components(s) for s in (r.mx_spec, r.my_spec))
     cells = np.flatnonzero(r.atom_of >= 0)
     atom, pair = r.atom_of[cells], r.atom_pair
     flat = pi.p.reshape(-1)
@@ -505,15 +507,10 @@ def decompose_plan(pi: TransportPlan, r: LinearRestriction) -> PlanDecomposition
     masses = np.bincount(atom, weights=flat[cells], minlength=pair.size)
     charged = np.flatnonzero(masses > TAU_MASS)
     (n, m), k = pi.p.shape, charged.size
-    # the charged atoms' cells, grouped by the atom's rank among them, each group ascending
-    rank = np.full(pair.size, -1)
-    rank[charged] = np.arange(k)
-    comp = rank[atom]
-    held = np.flatnonzero(comp >= 0)
-    held = held[np.argsort(comp[held], kind="stable")]
-    idx, comp = cells[held], comp[held]
-    share = flat[idx] / masses[charged][comp]
-    starts = np.searchsorted(comp, np.arange(k))
+    # the charged atoms' cells, ascending, and each one's atom rank among them
+    held = masses[atom] > TAU_MASS
+    idx, comp = cells[held], np.searchsorted(charged, atom[held])
+    share = flat[idx] / masses[atom[held]]
     a, b = np.divmod(pair[charged], len(comps_y))
     tol = TAU_LP / np.maximum(masses[charged], TAU_LP)
 
@@ -526,16 +523,10 @@ def decompose_plan(pi: TransportPlan, r: LinearRestriction) -> PlanDecomposition
     bad = np.flatnonzero((dev_r > tol) | (dev_c > tol))
     if bad.size:
         j = bad[0]
-        x0, y0 = divmod(int(idx[starts[j]]), m)
+        x0, y0 = divmod(int(idx[np.argmax(comp == j)]), m)
         raise NotFeasibleError(
             f"conditional plan on atom at cell ({x0},{y0}) does not have extreme marginals "
             f"(deviations {dev_r[j]:.3g}/{dev_c[j]:.3g} at weight {masses[charged[j]]:.3g})")
     class_of = np.full(len(flat), -1, dtype=np.intp)
     class_of[idx] = comp
-    # each plan is built alone: a (k, n*m) block would double what the plans hold
-    kept = []
-    for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [idx.size]):
-        q = np.zeros(n * m)
-        q[idx[lo:hi]] = share[lo:hi]
-        kept.append(TransportPlan(pi.row_space, pi.col_space, q.reshape(n, m)))
-    return PlanDecomposition(tuple(kept), masses[charged], class_of)
+    return masses[charged], class_of

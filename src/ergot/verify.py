@@ -14,8 +14,10 @@ multipliers lam from the stored constraint entries and checks every side
 on its own rectangle supp m_x x supp m_y against the raw cost,
 constraints, marginals and plan, the inner pairs in one vectorised pass.
 Only the least-squares fallback of _multipliers builds the dense
-constraint matrix. A side that is +inf in closed form has no such
-certificate; the lifted LP confirms it instead.
+constraint matrix. A side that is +inf in closed form is infeasible
+exactly when every admissible plan puts mass on a +inf cell: the same pass
+and checks under the 0/1 cost of the +inf cells prove that least mass
+positive. No LP is solved.
 
 verify_metric_decomposition does the same for distances: the restricted
 p-Wasserstein distance, from the same pass under the cost d^p with its
@@ -58,11 +60,10 @@ from .transport import (
     _constraint_target,
     _forbidden_cells,
     _metric_cost,
+    _split_plan,
     _two_stage_proof,
     boundary_metric,
-    decompose_plan,
     lifted_metric,
-    solve_constrained_ot,
 )
 
 
@@ -79,8 +80,8 @@ class DecompositionReport:
     statuses: np.ndarray
     certificates: tuple            # CertificateCheck of each finite side: the left-hand
                                    # side first, then the inner pairs in row-major order
-    certified: bool                # every certificate passes, and the lifted LP finds
-                                   # every +inf side infeasible
+    certified: bool                # every certificate passes, and every +inf side's least
+                                   # mass on the +inf cells is certified positive
     proof: tuple | None            # the left-hand side's (plan, u, v, lam), the input of
                                    # check_certificate (u, v read on supp mu, supp nu);
                                    # None when that side is +inf
@@ -332,8 +333,12 @@ def _certify(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction, inne
     Returns (values, outer, lhs, certificates, certified, proof) as
     verify_decomposition reports them. One lam is solved from the stored
     constraint entries for every side, unless given; each batch of finite
-    sides is held against the raw inputs by one _check_sides call, and the
-    lifted LP confirms each +inf side infeasible.
+    sides is held against the raw inputs by one _check_sides call. A side
+    is +inf exactly when its least mass on the +inf cells is positive: its
+    value f under their 0/1 cost F, from this pass run once more (F has no
+    +inf cell). It is certified when its F-certificate passes and f > 2
+    TAU_LP: by weak duality every admissible plan then puts at least f - 2
+    TAU_LP (reduced-cost slack plus gap, at unit mass) on +inf cells.
     """
     t, outer, lhs, batches, ceiling = _two_stage_proof(mu, nu, c, r, inner)
     scale = _scale(c.c)
@@ -342,14 +347,23 @@ def _certify(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction, inne
     values = t.inner
     del t                          # its per-cell arrays are not read past here
     omega_lam = r.omega.apply_T(lam)
-    certificates, infinite = [], []
+    certificates = []
     for mx, my, live, p, u, v in batches:
         certificates += _check_sides(mx, my, live, c, r, p, u, v, omega_lam, scale)
-        infinite += [(Measure(mu.space, mx[a]), Measure(nu.space, my[b]))
-                     for a, b in np.argwhere(~live)]
-    certified = all(cert.passed for cert in certificates) and all(
-        solve_constrained_ot(m_x, m_y, c, r, method="lp").status == "infeasible"
-        for m_x, m_y in infinite)
+    certified = all(cert.passed for cert in certificates)
+    # every side in certificate order: the left-hand side, then the inner pairs row-major
+    infinite = np.isinf(np.append(lhs.value, values if inner else ()))
+    if certified and infinite.any():
+        forbid = np.isinf(c.c)
+        certified = bool(forbid.any())   # without one, F = 0 would prove nothing and recur
+        if certified:
+            f_values, _, f_lhs, f_certs = _certify(mu, nu, CostMatrix(
+                c.row_space, c.col_space, forbid.astype(float)), r, inner)[:4]
+            least = np.append(f_lhs.value, f_values if inner else ())
+            passed = np.array([cert.passed for cert in f_certs])
+            # a side +inf under F too has no F-certificate, and cannot be proven
+            certified = passed.size == least.size and bool(
+                np.all(passed[infinite] & (least[infinite] > 2 * TAU_LP)))
     u, v = batches[0][4:]
     proof = None if lhs.plan is None else (lhs.plan, u[:, 0], v[0], lam)
     return values, outer, lhs, tuple(certificates), certified, proof
@@ -364,10 +378,12 @@ def verify_decomposition(mu: Measure, nu: Measure, c: CostMatrix,
     the proof), and _certify checks every side.
 
     Also checks, on the optimal constrained plan, that every conditional
-    piece produced by decompose_plan costs at least the inner optimum of its
+    piece of decompose_plan costs at least the inner optimum of its
     component pair, to TAU_LP times the cost's scale (the inner table really
-    is optimal piecewise). A +inf cost cell carries no mass in these pieces,
-    so they are costed with it set to 0, as the solvers cost their plans.
+    is optimal piecewise). Each piece is costed on its cells of the plan
+    (transport._split_plan), never built. A +inf cost cell carries no mass
+    in these pieces, so they are costed with it set to 0, as the solvers
+    cost their plans.
     """
     values, outer, lhs, certificates, certified, proof = _certify(mu, nu, c, r)
     gap, agree = agreement(lhs.value, outer.value, tol, c.c)
@@ -377,13 +393,13 @@ def verify_decomposition(mu: Measure, nu: Measure, c: CostMatrix,
     # the atoms are finer than the class rectangles when two share a pair
     atoms_finer = bool(np.unique(pair[pair >= 0]).size < np.count_nonzero(pair >= 0))
     if lhs.plan is not None:
-        dec = decompose_plan(lhs.plan, r)
+        weights, class_of = _split_plan(lhs.plan, r)
         # each conditional piece's cost, held on its cells against their pairs' inner values
-        on = dec.class_of >= 0
+        on = class_of >= 0
         cell_cost = _forbidden_cells(c.c)[1].ravel() * lhs.plan.p.ravel()
-        comps_costs = np.bincount(dec.class_of[on], weights=cell_cost[on]) / dec.weights
+        comps_costs = np.bincount(class_of[on], weights=cell_cost[on]) / weights
         inner = values.ravel()[pair[r.atom_of[on]]]
-        qopt_ok = not np.any(comps_costs[dec.class_of[on]] < inner - TAU_LP * _scale(c.c))
+        qopt_ok = not np.any(comps_costs[class_of[on]] < inner - TAU_LP * _scale(c.c))
     return DecompositionReport(
         lhs=lhs.value, rhs=outer.value, gap=gap, inner_table=values, outer_plan=outer.plan,
         component_costs=tuple(comps_costs.tolist()), qopt_ok=qopt_ok,
@@ -502,13 +518,9 @@ def verify_metric_decomposition(d: GroundMetric, p: float, r: LinearRestriction,
 
 
 def _perm_from_cycle_type(rng, n, cycle_type) -> np.ndarray:
-    order = rng.permutation(n)
     g = np.empty(n, dtype=np.intp)
-    pos = 0
-    for length in cycle_type:
-        cyc = order[pos:pos + length]
+    for cyc in np.split(rng.permutation(n), np.cumsum(cycle_type)[:-1]):
         g[cyc] = np.roll(cyc, -1)
-        pos += length
     return g
 
 
@@ -523,21 +535,14 @@ def generate_instance(spec: InstanceSpec) -> GeneratedInstance:
         comps, _ = simplex_components(restriction.mx_spec)
         kernel = None
     else:
-        order = rng.permutation(spec.n)
         q = np.zeros((spec.n, spec.n))
-        pos = 0
-        for size in spec.class_sizes:
-            idx = order[pos:pos + size]
-            block = rng.uniform(0.1, 1.0, (size, size))
+        for idx in np.split(rng.permutation(spec.n), np.cumsum(spec.class_sizes)[:-1]):
+            block = rng.uniform(0.1, 1.0, (idx.size, idx.size))
             block /= block.sum(axis=1, keepdims=True)
             q[np.ix_(idx, idx)] = block
-            pos += size
         raw = StochKernel(space, q)
         comps, class_of = stationary_components(raw)
-        proj = np.empty((spec.n, spec.n))
-        for x in range(spec.n):
-            proj[x] = comps[class_of[x]].w
-        kernel = StochKernel(space, proj)
+        kernel = StochKernel(space, np.array([comps[k].w for k in class_of]))
         restriction = stationarity_restriction(kernel, kernel)
         action = None
     cost = CostMatrix(space, space, rng.uniform(0.0, 1.0, (spec.n, spec.n)))

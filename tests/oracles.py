@@ -1,5 +1,8 @@
 """Reference oracles and input builders for the tests, kept out of the library.
 
+``lifted_lp`` solves a restricted problem as the lifted LP, the atoms
+stripped from its restriction; the cross-check of the closed form.
+
 ``enumerate_vertices`` is an independent brute-force oracle: it tries every
 basis-sized column subset of the equality system and keeps the nonnegative
 solutions. Exponential on purpose; it exists to cross-check the simplex on
@@ -49,7 +52,7 @@ import numpy as np
 
 from ergot import (CertificateCheck, CheckReport, ConstraintSet, CostMatrix, GroupAction,
                    LinearRestriction, LpProblem, Measure, NotFeasibleError, StochKernel,
-                   TransportPlan, plan_violations, simplex_components)
+                   TransportPlan, plan_violations, simplex_components, solve_constrained_ot)
 from ergot.core import TAU_LP, TAU_MASS, _scale
 from ergot.lp import MAX_PIVOTS, PIVOT_EPS, LpSolution
 
@@ -60,6 +63,11 @@ TAU_RANK = 1e-8  # svd_check_geometric's singular-value cut-off
 # "optimal" above sum(b)
 FALSE_INFEASIBLE = [(6, (3, 3), 126), (7, (4, 3), 102), (12, (4, 4, 4), 98),
                     (12, (4, 4, 4), 150)]
+
+
+def lifted_lp(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction):
+    """solve_constrained_ot on the lifted LP: r without its atoms."""
+    return solve_constrained_ot(mu, nu, c, LinearRestriction(r.omega, r.mx_spec, r.my_spec))
 
 
 class VertexCapExceededError(RuntimeError):

@@ -47,7 +47,7 @@ from ergot import (
     verify_metric_decomposition,
     wasserstein,
 )
-from oracles import averaging_kernel, enumerate_vertices
+from oracles import averaging_kernel, enumerate_vertices, lifted_lp
 
 # (n, cycle type) combos, all with at most four cycles and n <= 12
 CYCLE_TYPES = [
@@ -133,7 +133,7 @@ def test_two_stage_decomposition_equality_on_200_instances_under_a_minute():
         # solver, agrees with the certified left-hand side
         assert rep.certified and len(rep.certificates) == 1 + rep.inner_table.size
         assert all(cert.passed and cert.gap <= 1e-12 for cert in rep.certificates)
-        lifted = solve_constrained_ot(inst.mu, inst.nu, inst.cost, inst.restriction, method="lp")
+        lifted = lifted_lp(inst.mu, inst.nu, inst.cost, inst.restriction)
         assert abs(lifted.value - rep.lhs) <= 1e-12, f"instance {i}: lifted LP {lifted.value!r}"
         worst = max(worst, rep.gap)
     elapsed = time.perf_counter() - start

@@ -1,10 +1,11 @@
-"""The closed form on product atoms against the lifted LP it replaces by default.
+"""The closed form on product atoms against the lifted LP it replaces.
 
 solve_constrained_ot solves a restriction that carries atoms as an outer
-transport between component weights (method "atoms"). The lifted LP
-(method "lp") stays as the oracle: on every family the two must reach the
-same value, the closed-form plan must have the right marginals and break no
-constraint, and on LPs small enough the vertex enumeration settles both.
+transport between component weights (OtResult.method "atoms"). The lifted
+LP, reached by stripping the atoms (oracles.lifted_lp), stays as the
+oracle: on every family the two must reach the same value, the
+closed-form plan must have the right marginals and break no constraint,
+and on LPs small enough the vertex enumeration settles both.
 """
 
 import time
@@ -40,7 +41,7 @@ from ergot import (
 )
 from ergot.cli import main
 from ergot.transport import _transport_lp
-from oracles import enumerate_vertices
+from oracles import enumerate_vertices, lifted_lp
 from test_acceptance import CYCLE_TYPES
 from test_restriction import random_decomposing_kernel, random_partition
 
@@ -61,7 +62,7 @@ def assert_atoms_match_lp(mu, nu, cost, r):
     least vertex objective must match too.
     """
     atoms = solve_constrained_ot(mu, nu, cost, r)
-    lp = solve_constrained_ot(mu, nu, cost, r, method="lp")
+    lp = lifted_lp(mu, nu, cost, r)
     assert (atoms.method, lp.method) == ("atoms", "lp")
     assert atoms.status == lp.status == "optimal"
     assert abs(atoms.value - lp.value) <= VALUE_TOL
@@ -142,7 +143,7 @@ LP_STALLED_SUBGROUP = [(12, (7, 4, 1), 2)] + [(20, (5, 5, 5, 5), seed)
 def test_lifted_lp_solves_the_stalled_subgroup_instances(n, cycle_type, seed):
     inst, r = subgroup_instance(n, cycle_type, seed)
     start = time.perf_counter()
-    res = solve_constrained_ot(inst.mu, inst.nu, inst.cost, r, method="lp")
+    res = lifted_lp(inst.mu, inst.nu, inst.cost, r)
     assert time.perf_counter() - start < 6.0
     assert res.status == "optimal"
     assert not plan_violations(res.plan, r)
@@ -180,7 +181,7 @@ def test_verify_certifies_transient_states_and_two_kernels():
         cost = CostMatrix(qx.space, qy.space, rng.uniform(0.0, 1.0, (qx.space.n, qy.space.n)))
         rep = verify_decomposition(mu, nu, cost, r)
         assert rep.passed, [cert.failed for cert in rep.certificates]
-        lifted = solve_constrained_ot(mu, nu, cost, r, method="lp")
+        lifted = lifted_lp(mu, nu, cost, r)
         assert abs(lifted.value - rep.lhs) <= VALUE_TOL
         transient += bool(np.any(r.atom_of < 0))
     assert transient > 15
@@ -189,7 +190,7 @@ def test_verify_certifies_transient_states_and_two_kernels():
 @pytest.mark.parametrize("n,cycle_type,seed", FULL_PRODUCT_ORBIT)
 def test_lifted_lp_solves_the_full_product_orbit(n, cycle_type, seed):
     inst, r = subgroup_instance(n, cycle_type, seed)
-    res = solve_constrained_ot(inst.mu, inst.nu, inst.cost, r, method="lp")
+    res = lifted_lp(inst.mu, inst.nu, inst.cost, r)
     assert res.status == "optimal"
     assert not plan_violations(res.plan, r)
     assert abs(res.value - inst.cost.c.mean()) <= VALUE_TOL
@@ -224,7 +225,7 @@ def test_fixture_tie_goes_to_the_lowest_atom():
     # holding cell (0, 3), the LP's Bland vertex the one holding (0, 4)
     mu, nu, cost, r = fixture()
     atoms = solve_constrained_ot(mu, nu, cost, r)
-    lp = solve_constrained_ot(mu, nu, cost, r, method="lp")
+    lp = lifted_lp(mu, nu, cost, r)
     assert atoms.value == pytest.approx(lp.value, abs=VALUE_TOL)
     lowest = r.atom_of[3]
     assert lowest < r.atom_of[4] and lowest < r.atom_of[5]
@@ -243,8 +244,8 @@ def test_atoms_that_miss_the_constraints_raise():
         LinearRestriction(r.omega, r.mx_spec, r.my_spec, atom_of=np.zeros(36))
     with pytest.raises(ValueError, match="atom_of"):
         LinearRestriction(r.omega, r.mx_spec, r.my_spec, atom_of=np.arange(25))
-    # the lifted LP never reads atom_of
-    assert solve_constrained_ot(mu, nu, cost, dirac_atoms, method="lp").status == "optimal"
+    # the constraints are sound; only the atoms are wrong, and without them the lifted LP solves
+    assert lifted_lp(mu, nu, cost, dirac_atoms).status == "optimal"
 
 
 def joined_atoms(r, cells):
@@ -266,21 +267,10 @@ def test_atoms_that_join_component_pairs_raise_on_every_path(cells):
         joined_atoms(r, cells)
 
 
-def test_method_is_validated():
-    mu, nu, cost, r = fixture()
-    with pytest.raises(ValueError, match="method"):
-        solve_constrained_ot(mu, nu, cost, r, method="simplex")
-    # the closed form is the default wherever atoms exist, so there is no name for it
-    with pytest.raises(ValueError, match="method"):
-        solve_constrained_ot(mu, nu, cost, r, method="atoms")
-
-
 def test_result_names_the_path_it_took():
     mu, nu, cost, r = fixture()
     assert solve_constrained_ot(mu, nu, cost, r).method == "atoms"
-    assert solve_constrained_ot(mu, nu, cost, r, method="lp").method == "lp"
-    hand_built = LinearRestriction(r.omega, r.mx_spec, r.my_spec)
-    res = solve_constrained_ot(mu, nu, cost, hand_built)
+    res = lifted_lp(mu, nu, cost, r)   # the same restriction, hand-built without atoms
     assert res.method == "lp"
     assert res.value == pytest.approx(solve_constrained_ot(mu, nu, cost, r).value, abs=VALUE_TOL)
     assert solve_ot(mu, nu, cost).method == "lp"
@@ -313,7 +303,7 @@ def test_verify_decomposition_solves_no_lifted_lp(monkeypatch, spec):
     assert rep.passed and len(rep.certificates) == 1 + k * k
     assert all(cert.passed for cert in rep.certificates)
     monkeypatch.undo()
-    lifted = solve_constrained_ot(inst.mu, inst.nu, inst.cost, inst.restriction, method="lp")
+    lifted = lifted_lp(inst.mu, inst.nu, inst.cost, inst.restriction)
     assert abs(lifted.value - rep.lhs) <= VALUE_TOL
 
 

@@ -370,6 +370,11 @@ def test_full_simplex_components_are_diracs():
     assert len(comps) == 3
     assert np.array_equal(comps[1].w, [0.0, 1.0, 0.0])
     assert np.array_equal(class_of, [0, 1, 2])
+    # the rows of one identity, each its own read-only copy, bit for bit
+    comps, _ = simplex_components(full_simplex(FiniteSpace.of_size(64)))
+    assert b"".join(c.w.tobytes() for c in comps) == np.eye(64).tobytes()
+    assert not any(c.w.flags.writeable or np.shares_memory(c.w, d.w)
+                   for c, d in zip(comps, comps[1:]))
 
 
 def test_extreme_masses_are_summed_once_per_spec_and_read_only():

@@ -14,7 +14,7 @@ from ergot import (
     transport_simplex,
 )
 
-from oracles import same_orbit_pairs
+from oracles import lifted_lp, same_orbit_pairs
 
 pytest.importorskip("scipy")
 from scipy.optimize import linprog  # noqa: E402
@@ -121,7 +121,7 @@ def test_lifted_lp_matches_highs(family, n, shape, seed):
         pairs = {"subgroup": [(g, g), (g, np.arange(n))], **same_orbit_pairs(g)}
         r = (inst.restriction if family == "invariance"
              else subgroup_restriction(inst.action, pairs[family]))
-    res = solve_constrained_ot(inst.mu, inst.nu, inst.cost, r, method="lp")
+    res = lifted_lp(inst.mu, inst.nu, inst.cost, r)
     status, value = highs_lifted(inst.mu.w, inst.nu.w, inst.cost.c, r)
     assert res.status == status == "optimal"
     assert abs(res.value - value) <= 1e-9 * max(abs(value), np.max(inst.cost.c))

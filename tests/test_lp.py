@@ -22,7 +22,8 @@ from ergot import (
     transport_simplex,
 )
 from ergot.core import TAU_LP
-from oracles import VertexCapExceededError, enumerate_vertices, reference_transport_simplex
+from oracles import (VertexCapExceededError, enumerate_vertices, lifted_lp,
+                     reference_transport_simplex)
 
 
 def transport_problem(mu, nu, cost):
@@ -311,7 +312,7 @@ def test_sparse_pivots_match_dense_on_verification_lps(monkeypatch, spec):
     # the lifted left-hand side, then every inner pair, as verification solved them
     sides = [(inst.mu, inst.nu)] + [(a, b) for a in comps for b in comps]
     lps = recorded_lps(monkeypatch, lambda: [
-        solve_constrained_ot(m_x, m_y, inst.cost, r, method="lp") for m_x, m_y in sides])
+        lifted_lp(m_x, m_y, inst.cost, r) for m_x, m_y in sides])
     assert len(lps) == len(sides)
     statuses = [assert_matches_dense(prob).status for prob in lps]
     if (spec.n, spec.class_sizes, spec.seed) in PINNED_FALSE_INFEASIBLE:

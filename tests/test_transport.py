@@ -49,7 +49,7 @@ from ergot import (
 )
 from ergot.cli import main
 from ergot.lp import LpProblem, LpSolution, solve_lp
-from oracles import atom_cells, enumerate_vertices, loop_decompose_plan
+from oracles import atom_cells, enumerate_vertices, lifted_lp, loop_decompose_plan
 from test_acceptance import random_metric, retraction_kernel
 
 
@@ -208,7 +208,7 @@ def test_lifted_plan_that_breaks_a_constraint_raises(monkeypatch, capsys):
     dirac[0, 0] = 1.0
     label, size = plan_violations(TransportPlan(sp, sp, dirac), r)[0]
     with pytest.raises(NotFeasibleError, match=re.escape(f"breaks {label} by {size:.3g} ")):
-        solve_constrained_ot(mu, nu, CostMatrix(sp, sp, metric.d), r, method="lp")
+        lifted_lp(mu, nu, CostMatrix(sp, sp, metric.d), r)
     fixture_path = Path(__file__).parent / "fixtures" / "c3x2.json"
     assert main(["solve", str(fixture_path)]) == 2
     assert "NotFeasibleError" in capsys.readouterr().err
@@ -260,8 +260,8 @@ def test_all_inf_cost_is_infeasible(solve):
     mu, nu, c, r = _three_point_problem(slice(None), np.inf)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        res = solve_ot(mu, nu, c) if solve == "plain" else solve_constrained_ot(
-            mu, nu, c, r, method=None if solve == "atoms" else solve)
+        res = solve_ot(mu, nu, c) if solve == "plain" else (
+            solve_constrained_ot if solve == "atoms" else lifted_lp)(mu, nu, c, r)
     assert (res.status, res.value, res.plan) == ("infeasible", np.inf, None)
 
 
@@ -270,9 +270,9 @@ def test_nan_or_negative_inf_cost_is_rejected(bad):
     mu, nu, c, r = _three_point_problem((0, 1), bad)
     with pytest.raises(ValueError, match="cost"):
         solve_ot(mu, nu, c)
-    for method in (None, "lp"):
+    for solve in (solve_constrained_ot, lifted_lp):
         with pytest.raises(ValueError, match="cost"):
-            solve_constrained_ot(mu, nu, c, r, method=method)
+            solve(mu, nu, c, r)
 
 
 def test_wasserstein_identity():

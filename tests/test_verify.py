@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import ergot.ergodic
+import ergot.lp
 import ergot.transport
 import ergot.verify
 from ergot import (
@@ -39,7 +41,7 @@ from ergot import (
 from ergot.cli import main
 from ergot.core import _scale
 from oracles import (FALSE_INFEASIBLE, averaging_kernel, grid_check_certificate, grid_duals,
-                     same_orbit_pairs)
+                     lifted_lp, same_orbit_pairs)
 from test_restriction import builder_restrictions, random_decomposing_kernel
 
 
@@ -226,7 +228,7 @@ def test_theorem_equality_small_batch():
 @pytest.mark.parametrize("n,class_sizes,seed", FALSE_INFEASIBLE)
 def test_feasible_kernel_instances_are_solved(n, class_sizes, seed):
     inst = generate_instance(InstanceSpec(n=n, kind="kernel", class_sizes=class_sizes, seed=seed))
-    res = solve_constrained_ot(inst.mu, inst.nu, inst.cost, inst.restriction, method="lp")
+    res = lifted_lp(inst.mu, inst.nu, inst.cost, inst.restriction)
     rep = verify_decomposition(inst.mu, inst.nu, inst.cost, inst.restriction)
     assert res.status == "optimal"
     assert abs(res.value - rep.rhs) <= 1e-8
@@ -520,33 +522,187 @@ def test_kernel_sweep_certifies_every_instance():
                    for cert in rep.certificates), (class_sizes, seed)
 
 
-def test_a_side_without_any_finite_atom_is_confirmed_by_the_lifted_lp():
-    # +inf on every cell between the two cycles: the cross pairs have no
-    # finite atom and nothing can ship across, so the left-hand side is +inf
-    # too; the lifted LP agrees that each such side is infeasible. Each class
-    # rectangle still holds three diagonal orbits, whatever the cost
+def cross_forbidden_instance():
+    """n = 6, two 3-cycles, +inf on every cell between them: the left-hand side is +inf."""
     inst = generate_instance(InstanceSpec(n=6, kind="perm", cycle_type=(3, 3), seed=1))
     _, cls = simplex_components(inst.restriction.mx_spec)
     c = np.where(cls[:, None] != cls, np.inf, inst.cost.c)
-    rep = verify_decomposition(inst.mu, inst.nu, CostMatrix(inst.space, inst.space, c),
-                               inst.restriction)
+    return inst, CostMatrix(inst.space, inst.space, c)
+
+
+def inner_forbidden_instance(n=16):
+    """Four n/4-cycles, +inf from the first point of class 0 to class 1.
+
+    Each atom of the pair (0, 1) passes through that row once, so the pair
+    is +inf while the left-hand side stays finite.
+    """
+    inst = generate_instance(InstanceSpec(n=n, kind="perm", cycle_type=(n // 4,) * 4, seed=0))
+    _, cls = simplex_components(inst.restriction.mx_spec)
+    c = inst.cost.c.copy()
+    c[np.argmax(cls == 0), cls == 1] = np.inf
+    return inst, CostMatrix(inst.space, inst.space, c)
+
+
+def test_a_side_without_any_finite_atom_is_certified_by_its_forbidden_mass():
+    # the cross pairs have no finite atom and nothing can ship across, so the
+    # left-hand side is +inf too; under the 0/1 cost of the +inf cells each
+    # such side has a certified positive value. Each class rectangle still
+    # holds three diagonal orbits, whatever the cost
+    inst, c = cross_forbidden_instance()
+    rep = verify_decomposition(inst.mu, inst.nu, c, inst.restriction)
     assert rep.lhs == math.inf and rep.proof is None
     assert list(rep.statuses.ravel()) == ["optimal", "infeasible", "infeasible", "optimal"]
     assert len(rep.certificates) == 2 and rep.certified and rep.passed
     assert rep.atoms_finer is True
 
 
+def forbidden_patterns():
+    """320 seeded perm and kernel instances, n <= 16, with +inf on 2-60% of the cells."""
+    rng = np.random.default_rng(2024)
+    for i in range(320):
+        n = int(rng.choice([3, 4, 5, 6, 8, 10, 12, 16]))
+        parts = []
+        while sum(parts) < n:
+            parts.append(int(rng.integers(1, min(n - sum(parts), 4) + 1)))
+        spec = (InstanceSpec(n=n, kind="perm", cycle_type=tuple(parts), seed=i) if i % 2 == 0
+                else InstanceSpec(n=n, kind="kernel", class_sizes=tuple(parts), seed=i))
+        inst = generate_instance(spec)
+        forbid = rng.random((n, n)) < (0.02, 0.1, 0.3, 0.6)[i % 4]
+        yield inst, CostMatrix(inst.space, inst.space, np.where(forbid, np.inf, inst.cost.c))
+
+
+def test_infinite_sides_agree_with_the_lifted_lp_on_random_forbidden_patterns():
+    # the forbidden-mass certificate decides every +inf side as the lifted LP
+    # does: the left-hand side and each inner pair, feasible or not
+    counts = np.zeros(3, dtype=int)    # +inf left-hand sides, +inf inner pairs, inner pairs
+    for inst, c in forbidden_patterns():
+        r = inst.restriction
+        rep = verify_decomposition(inst.mu, inst.nu, c, r)
+        lifted = lifted_lp(inst.mu, inst.nu, c, r)
+        comps, _ = simplex_components(r.mx_spec)
+        statuses = [lifted_lp(a, b, c, r).status for a in comps for b in comps]
+        assert (rep.lhs == math.inf) == (lifted.status == "infeasible")
+        assert list(rep.statuses.ravel()) == statuses
+        assert rep.certified and rep.passed
+        counts += [rep.lhs == math.inf, statuses.count("infeasible"), len(statuses)]
+    assert 50 <= counts[0] <= 270 and 0.2 < counts[1] / counts[2] < 0.8
+
+
+def patched_calls(monkeypatch, module, name, change, at):
+    """Wrap module.name so that the calls numbered in at are changed: 1 under c, 2 under 0/1."""
+    original, calls = getattr(module, name), []
+
+    def wrapper(*args):
+        out = original(*args)
+        calls.append(name)
+        return change(out) if len(calls) in at else out
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("shift", [0.0, 2.0])
+@pytest.mark.parametrize("case", ["inner", "lhs"])
+def test_a_moved_forbidden_mass_multiplier_is_refused(monkeypatch, case, shift):
+    # one multiplier of the second pass moved by 2, at a row whose head lies
+    # on a +inf side's rectangle: that cell's reduced cost, at most 1 under a
+    # 0/1 cost, turns negative, and the side is no longer certified
+    inst, c = inner_forbidden_instance() if case == "inner" else cross_forbidden_instance()
+    r = inst.restriction
+    _, cls = simplex_components(r.mx_spec)
+    x, y = np.divmod(ergot.verify._heads(r.omega), r.col_space.n)
+    row = np.argmax((cls[x] == 0) & (cls[y] == 1))
+    calls = patched_calls(monkeypatch, ergot.verify, "_multipliers",
+                          lambda lam: lam + shift * (np.arange(lam.size) == row), at={2})
+    rep = verify_decomposition(inst.mu, inst.nu, c, r)
+    assert len(calls) == 2 and rep.statuses[0, 1] == "infeasible"
+    assert all(cert.passed for cert in rep.certificates)
+    assert rep.certified is (shift == 0.0)
+
+
+@pytest.mark.parametrize("at,finite", [({1}, False), ({1, 2}, False), ({1, 2}, True)],
+                         ids=["under-c", "both-passes", "finite-c"])
+def test_a_feasible_pair_reported_infinite_is_not_certified(monkeypatch, at, finite):
+    # a mutant atom table calls the feasible pair (2, 3) +inf: every finite
+    # certificate still passes, but that side's least forbidden mass is 0
+    # (or, mutated in both passes, has no certificate at all); under a cost
+    # without +inf cells no second pass runs and nothing proves the side
+    inst, c = inner_forbidden_instance()
+    if finite:
+        c = inst.cost
+
+    def infinite_pair(t):
+        inner = t.inner.copy()
+        inner[2, 3] = math.inf
+        return dataclasses.replace(t, inner=inner)
+    calls = patched_calls(monkeypatch, ergot.transport, "_atom_table", infinite_pair, at)
+    rep = verify_decomposition(inst.mu, inst.nu, c, inst.restriction)
+    assert len(calls) == (1 if finite else 2) and rep.statuses[2, 3] == "infeasible"
+    assert all(cert.passed for cert in rep.certificates)
+    assert not rep.certified and not rep.passed
+
+
+def test_verify_solves_no_lp(monkeypatch, capsys):
+    # every verify path, a +inf side's included, runs on the closed form and
+    # its certificates alone; solve_lp raises wherever it is reached from
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_lp was called")
+    monkeypatch.setattr(ergot.lp, "solve_lp", forbidden)
+    monkeypatch.setattr(ergot.transport, "solve_lp", forbidden)
+    sp, d, r, comps = fixture()
+    mu, nu = mixture(comps, [0.5, 0.5]), mixture(comps, [0.25, 0.75])
+    reports = [verify_decomposition(mu, nu, CostMatrix(sp, sp, d.d), r)]
+    for inst, c in (inner_forbidden_instance(), cross_forbidden_instance()):
+        reports.append(verify_decomposition(inst.mu, inst.nu, c, inst.restriction))
+    assert all(rep.passed and rep.certified for rep in reports)
+    assert reports[1].lhs < math.inf == reports[2].lhs
+    assert verify_metric_decomposition(d, 1.0, r, [(mu, nu), (nu, mu)]).passed
+    path = str(Path(__file__).parent / "fixtures" / "c3x2.json")
+    for command in ("verify", "metric", "decompose", "check"):
+        assert main([command, path]) == 0, command
+    capsys.readouterr()
+
+
+def perfbench_module(name):
+    """perfbench/<name>.py, loaded as perfbench_<name> (only read, never changed)."""
+    path = Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module
+
+
 def verify_batch_pools():
     """perfbench's verify-batch pools: an InstanceSpec for each perm and kernel type and seed."""
-    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(workloads)
+    workloads = perfbench_module("workloads")
     seeds = range(workloads.POOL)
     return ([InstanceSpec(n=n, kind="perm", cycle_type=ct, seed=k)
              for n, ct in workloads.CYCLE_TYPES for k in seeds]
             + [InstanceSpec(n=sum(cs), kind="kernel", class_sizes=cs, seed=k)
                for cs in workloads.CLASS_SIZES for k in seeds])
+
+
+def test_traced_verify_batch_round_and_census_run_no_lp():
+    # perfbench's tracer wraps every layer's public functions (and
+    # transport._outer_ot) in every ergot module; one verify-batch round and
+    # the census, an in-process ergot verify on the fixture, record spans but
+    # none of solve_lp, and uninstalling puts every original back
+    spans, workloads = perfbench_module("spans"), perfbench_module("workloads")
+    modules = [m for k, m in sorted(sys.modules.items()) if k.split(".")[0] == "ergot"]
+    before = [dict(vars(m)) for m in modules]
+    wl = workloads.build("verify-batch", 0)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for i, op in enumerate(wl.make_round(0) + [wl.census]):
+            with tracer.recording(i):
+                out = op.call()
+            assert op.check(out) is None, op.label
+    finally:
+        tracer.uninstall()
+    names = {s[spans.NAME] for s in tracer.spans}
+    assert {"verify_decomposition", "_outer_ot", "transport_simplex", "main"} <= names
+    assert "solve_lp" not in names
+    assert all(vars(m).get(k) is v for m, b in zip(modules, before) for k, v in b.items())
 
 
 def proof_batches(mu, nu, c, r):
