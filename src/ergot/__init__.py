@@ -36,9 +36,7 @@ from .lp import (
     transport_simplex,
 )
 from .ergodic import (
-    KernelCheck,
     barycenter,
-    check_ergodic_kernel,
     decompose_measure,
     membership_violation,
     simplex_components,

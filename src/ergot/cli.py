@@ -310,10 +310,7 @@ def get_restriction(prob):
     if rnode == "invariance":
         return invariance_restriction(prob["action"])
     if rnode == "stationarity":
-        try:
-            return stationarity_restriction(prob["kernel"], prob["kernel"])
-        except ValueError as exc:   # a parsed kernel meets only the decomposing-kernel check
-            raise ParseError("kernel", str(exc).removeprefix("qx ")) from None
+        return stationarity_restriction(prob["kernel"], prob["kernel"])
     if rnode == "none":
         return no_restriction(prob["space"], prob["space"])
     return subgroup_restriction(prob["action"], prob["subgroup_pairs"])

@@ -287,9 +287,7 @@ class SimplexSpec:
     invariant under a group action) or "kernel" (measures stationary for a
     Markov kernel). The components of a "kernel" spec are the stationary
     distributions of the kernel's recurrent classes, for any kernel: the
-    swap of two points has one component, the uniform measure. Only
-    restriction.stationarity_restriction, and so cli.get_restriction, need
-    a decomposing kernel, one that passes ergodic.check_ergodic_kernel.
+    swap of two points has one component, the uniform measure.
     """
 
     kind: str

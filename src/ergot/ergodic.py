@@ -16,7 +16,6 @@ points; barycenter mixes it back. The round trip is exact to TAU_MASS.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,12 +30,6 @@ from .core import (
     _freeze,
     pushforward,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class KernelCheck:
-    passed: bool
-    offending: tuple[int, ...]      # points x whose row charges a different row
 
 
 def _orbit_search(size: int, perms) -> list[int]:
@@ -64,28 +57,6 @@ def _orbit_search(size: int, perms) -> list[int]:
     return orbit_of
 
 
-def check_ergodic_kernel(q: StochKernel) -> KernelCheck:
-    """Finite test that a kernel decomposes its own stationary measures.
-
-    Passes iff for every x the support of row x lies inside the set of
-    points whose rows coincide with row x (within TAU_MASS). On a finite
-    space this is equivalent to the multiplicativity identity
-    Q(g Q(f)) = Q(g) Q(f) for all functions f, g.
-    """
-    x, y = np.nonzero(q.q > TAU_MASS)
-    # rows with the same bytes differ by exactly 0; compare only across groups
-    ids: dict[bytes, int] = {}
-    group = np.array([ids.setdefault(row.tobytes(), len(ids)) for row in q.q])
-    cross = group[x] != group[y]
-    x, y = x[cross], y[cross]
-    bad = np.zeros(q.space.n, dtype=bool)
-    step = 2**14 // max(q.space.n, 1) + 1   # pairs per block: temporaries of about 2**14 floats
-    for lo in range(0, x.size, step):
-        xs, ys = x[lo:lo + step], y[lo:lo + step]
-        bad[xs[np.max(np.abs(q.q[ys] - q.q[xs]), axis=1) > TAU_MASS]] = True
-    return KernelCheck(passed=not bad.any(), offending=tuple(np.flatnonzero(bad).tolist()))
-
-
 def _closed_classes(adj: np.ndarray) -> list[np.ndarray]:
     """Closed communicating classes of the digraph with Boolean adjacency adj.
 
@@ -104,6 +75,29 @@ def _closed_classes(adj: np.ndarray) -> list[np.ndarray]:
     recurrent = ~np.any(reach & ~reach.T, axis=1)
     smallest = ~np.any(np.tril(reach, -1), axis=1)
     return [np.flatnonzero(reach[x]) for x in np.flatnonzero(recurrent & smallest)]
+
+
+def _phases(spec: SimplexSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Each recurrent class's period and each point's phase (0 where transient) under a kernel.
+
+    One breadth-first search of the graph of _closed_classes starts at every
+    class's smallest point; classes are closed, so the searches never meet.
+    A class's period is the gcd of level(x) + 1 - level(y) over its edges
+    x -> y, and a point's phase its level mod that period (Levin, Peres and
+    Wilmer, Markov Chains and Mixing Times, section 1.3).
+    """
+    _, class_of, k, _ = _extreme_mass(spec)
+    adj = spec.kernel.q > TAU_MASS
+    rec = np.flatnonzero(class_of >= 0)
+    level = np.full(class_of.size, -1, dtype=np.intp)
+    frontier, depth = rec[np.unique(class_of[rec], return_index=True)[1]], 0
+    while frontier.size:
+        level[frontier] = depth
+        frontier, depth = np.flatnonzero(adj[frontier].any(axis=0) & (level < 0)), depth + 1
+    x, y = np.nonzero(adj[rec])
+    period = np.zeros(k, dtype=np.intp)
+    np.gcd.at(period, class_of[rec[x]], level[rec[x]] + 1 - level[y])
+    return period, np.where(class_of >= 0, level % period[class_of], 0)
 
 
 def stationary_components(q: StochKernel) -> tuple[list[Measure], np.ndarray]:

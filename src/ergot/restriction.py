@@ -3,19 +3,19 @@
 A restriction bundles a finite set of test matrices omega (a plan is
 admissible when <omega, p> = 0 for each), the simplexes its marginals must
 live in, and, for the shipped families, the product atoms: the map from each
-product cell to its atom, a product orbit (invariance, subgroup) or a
-rectangle of recurrent classes (stationarity). The atoms are what later
-decompose admissible plans into ergodic components.
+product cell to its atom, a product orbit (invariance, subgroup) or a phase
+class of a rectangle of recurrent classes (stationarity). The atoms are
+what later decompose admissible plans into ergodic components.
 
 Every admissible plan of a shipped family is, on each atom, a multiple of
-one weight: constant on a product orbit, and pi_a x pi_b on a rectangle of
-recurrent classes (the paper's theorem for stationarity). So every builder
-states its constraints the same way (_star_rows): each atom's root is its
-heaviest cell, and every other cell gets one row, +1 at the cell and minus
-its weight relative to the root's at the root: one independent constraint
-per non-root cell of an atom. A transient cell gets +1 alone. Only these
-nonzero entries are stored (core.ConstraintSet), at most two per cell,
-never the dense matrix.
+one weight: constant on a product orbit, and pi_a x pi_b on a phase class
+of the rectangle C_a x C_b (the paper's theorem for stationarity). So
+every builder states its constraints the same way (_star_rows): each
+atom's root is its heaviest cell, and every other cell gets one row, +1 at
+the cell and minus its weight relative to the root's at the root: one
+independent constraint per non-root cell of an atom. A transient cell gets
++1 alone. Only these nonzero entries are stored (core.ConstraintSet), at
+most two per cell, never the dense matrix.
 
 The checkers (weak regularity, geometricity, coherency) read only the
 restriction and return reports with recorded failures instead of raising,
@@ -45,7 +45,7 @@ from .core import (
     invariant_simplex,
     stationary_simplex,
 )
-from .ergodic import _extreme_mass, _orbit_search, check_ergodic_kernel
+from .ergodic import _extreme_mass, _orbit_search, _phases
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,23 +181,27 @@ def subgroup_restriction(action: GroupAction, pair_generators) -> LinearRestrict
 
 
 def stationarity_restriction(qx: StochKernel, qy: StochKernel) -> LinearRestriction:
-    """Plans stationary for the product kernel Q(x,y) = Q^x tensor Q^y.
+    """Plans stationary for the product kernel Q(x,y) = Q^x tensor Q^y, for any two kernels.
 
-    Both kernels must individually pass check_ergodic_kernel. A stationary
-    plan is then a multiple of pi_a x pi_b on each rectangle of recurrent
-    classes, which are the atoms, and 0 where either coordinate is
-    transient; so the constraints are the star rows (_star_rows) of the
-    weights m_a(x) m_b(y), at most two entries per product cell. When qy is
-    qx, one simplex serves both sides, so its classes are derived once.
+    The atoms are the product chain's closed classes: on the rectangle of
+    recurrent classes a of qx and b of qy, of periods d_a and d_b, one per
+    phase difference (phase(x) - phase(y)) mod g = gcd(d_a, d_b)
+    (ergodic._phases), numbered by pair a * k_y + b, then by that
+    difference; with period 1, one atom per rectangle, numbered by its pair.
+    A stationary plan is a multiple of pi_a x pi_b on each atom and 0 where
+    either coordinate is transient, so the constraints are the star rows
+    (_star_rows) of the weights m_a(x) m_b(y). When qy is qx, one simplex
+    serves both sides, so its classes and phases are derived once.
     """
-    for name, q in (("qx", qx),) if qy is qx else (("qx", qx), ("qy", qy)):
-        chk = check_ergodic_kernel(q)
-        if not chk.passed:
-            raise ValueError(
-                f"{name} fails the decomposing-kernel check at rows {chk.offending}")
     mx_spec = stationary_simplex(qx)
     my_spec = mx_spec if qy is qx else stationary_simplex(qy)
+    dx, px = _phases(mx_spec)
+    dy, py = (dx, px) if qy is qx else _phases(my_spec)
     atom_of, weight = _pair_mass(mx_spec, my_spec, np.arange(qx.space.n * qy.space.n))
+    g = np.gcd.outer(dx, dy).ravel()
+    pair = np.maximum(atom_of, 0)
+    phase = np.subtract.outer(px, py).ravel() % g[pair]
+    atom_of = np.where(atom_of >= 0, (np.cumsum(g) - g)[pair] + phase, -1)
     return LinearRestriction(omega=_star_rows(qx.space, qy.space, atom_of, weight, "stationarity"),
                              mx_spec=mx_spec, my_spec=my_spec, atom_of=atom_of)
 

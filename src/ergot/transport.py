@@ -253,10 +253,10 @@ def _atom_table(c: CostMatrix, r: LinearRestriction) -> _AtomTable:
     Each live product cell (x, y) gets the weight m_a(x) m_b(y), where m_a
     and m_b are the extreme measures of the classes of x and y. Normalised
     on one atom, that weight is a feasible plan between m_a and m_b (the
-    uniform measure on a product orbit, or the product measure on a
-    rectangle of recurrent classes), and the restricted plans between m_a
-    and m_b are the mixtures of these. So the inner cost of the component
-    pair (a, b) is the least mean cost over its atoms, attained on the
+    uniform measure on a product orbit, or the product measure on a phase
+    class of a rectangle of recurrent classes), and the restricted plans
+    between m_a and m_b are the mixtures of these. So the inner cost of the
+    component pair (a, b) is the least mean cost over its atoms, attained on the
     cheapest atom (ties go to the lowest atom id); an atom with a +inf cell
     costs +inf.
     """
@@ -368,6 +368,9 @@ def _constraint_target(t: _AtomTable, c: CostMatrix, ceiling: float) -> np.ndarr
         off = np.bincount(t.atom, weights=t.weight * diff, minlength=t.mass.size)
         held = np.bincount(t.atom, weights=t.weight * ~fin, minlength=t.mass.size)
         diff[~fin] = -off[t.atom[~fin]] / held[t.atom[~fin]]
+    # the head rule (verify._multipliers) needs each atom's weighted sum 0: take off the rounding
+    rest = np.bincount(t.atom, weights=t.weight * diff, minlength=t.mass.size)
+    diff -= rest[t.atom] / t.mass[t.atom]
     target = np.zeros(c.c.size)
     target[t.cells] = diff
     return target

@@ -35,9 +35,6 @@ reference for the vectorised split.
 in a dict keyed by cell, numpy potentials, a lexsorted start swept cell by
 cell. The library's solver must match it bit for bit.
 
-``loop_check_ergodic_kernel`` is check_ergodic_kernel's former loop, one
-row's support at a time; the reference for the pairwise comparison.
-
 ``svd_check_geometric`` is check_geometric's former rule on caller-chosen
 samples: conditions (1) and (2) by dense pairings, and (3) by projecting
 each transposed constraint off the row space of the dense constraint
@@ -365,18 +362,6 @@ def loop_decompose_plan(pi: TransportPlan, r: LinearRestriction):
         class_of[idx] = len(kept)
         kept.append(comp)
     return tuple(kept), masses[charged], class_of
-
-
-def loop_check_ergodic_kernel(q: StochKernel) -> tuple[int, ...]:
-    """The points x whose row charges a row that differs from row x by more than TAU_MASS."""
-    mat = q.q
-    offending = []
-    for x in range(q.space.n):
-        support = np.flatnonzero(mat[x] > TAU_MASS)
-        rows_differ = np.max(np.abs(mat[support] - mat[x]), axis=1, initial=0.0)
-        if np.any(rows_differ > TAU_MASS):
-            offending.append(x)
-    return tuple(offending)
 
 
 def reference_transport_simplex(supply, demand, cost) -> LpSolution:

@@ -401,18 +401,43 @@ def test_order_that_overflows_the_metric_is_input_error(capsys, argv, path):
     assert captured.err.strip().endswith(f"at {path}")
 
 
+def assert_close_leaves(got, want, tol=1e-12):
+    """Equal JSON trees, numbers within tol."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want)
+        for key in want:
+            assert_close_leaves(got[key], want[key], tol)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_close_leaves(g, w, tol)
+    elif isinstance(want, float):
+        assert abs(got - want) <= tol
+    else:
+        assert got == want
+
+
 def test_kernel_that_does_not_decompose_is_named(tmp_path, capsys):
-    doc = {"version": 1, "space": 2, "kernel": [[0.0, 1.0], [1.0, 0.0]],
-           "cost": [[0.0, 1.0], [1.0, 0.0]], "restriction": "stationarity",
-           "marginals": {"mu": [0.5, 0.5], "nu": [0.5, 0.5]}}
-    path = write_problem(tmp_path, doc)
-    for command in ("solve", "check", "verify"):
-        assert main([command, path]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.strip().endswith("at kernel")
-    # decompose needs only the stationary components, which this kernel has
-    assert main(["decompose", path]) == 0
+    # a permutation kernel is not a projection and was once refused at kernel;
+    # now each command's results match those of the same permutation as an action
+    rng = np.random.default_rng(5)
+    for g, perm, mu, nu in (("(0 1)", [1, 0], [0.5, 0.5], [0.5, 0.5]),
+                            ("(0 1 2)", [1, 2, 0, 3], [0.2, 0.2, 0.2, 0.4], [0.3, 0.3, 0.3, 0.1])):
+        n = len(perm)
+        pts = rng.uniform(0.0, 1.0, (n, 2))
+        base = {"version": 1, "space": n, "p": 2, "marginals": {"mu": mu, "nu": nu},
+                "metric": np.linalg.norm(pts[:, None] - pts, axis=2).tolist()}
+        kernel = write_problem(tmp_path, {**base, "kernel": np.eye(n)[perm].tolist(),
+                                          "restriction": "stationarity"}, "kernel.json")
+        action = write_problem(tmp_path, {**base, "action": {"g": g},
+                                          "restriction": "invariance"}, "action.json")
+        for command in ("solve", "verify", "metric", "check"):
+            reports = []
+            for path in (kernel, action):
+                assert main([command, path]) == 0
+                reports.append(json.loads(capsys.readouterr().out)["results"])
+            assert_close_leaves(*reports)
+        assert reports[0]["geometric"]["passed"]
 
 
 @pytest.mark.parametrize("kind", ["directory", "not-utf8"])

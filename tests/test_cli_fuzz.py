@@ -1,7 +1,7 @@
 """Problem-file fuzzing: every mutated problem ends in a report or a clean exit.
 
-Each example takes one of three well-formed problems (the fixture, a
-stationarity problem and a subgroup problem), replaces or deletes one or two
+Each example takes one of four well-formed problems (the fixture, a
+stationarity problem, a subgroup problem and a periodic kernel), replaces or deletes one or two
 of its fields, and runs one command on it in process. Whatever the input,
 no exception may escape, the exit code is 0, 1 or 2, a report is strict
 JSON, and every input-error line names the field or flag it is about.
@@ -30,6 +30,11 @@ BASES = [
     {"version": 1, "space": 6, "action": {"g": "(0 1 2)(3 4 5)"}, "metric": FIXTURE["metric"],
      "restriction": {"subgroup": [["(0 1 2)(3 4 5)", ""], ["", [1, 2, 0, 4, 5, 3]]]},
      "marginals": {"mu": [1 / 6] * 6, "nu": {"weights": [0.25, 0.75]}}},
+    # (0 1 2)(3 4) as a kernel: periodic classes, not a projection
+    {"version": 1, "space": 5, "restriction": "stationarity",
+     "kernel": [[float(j == g) for j in range(5)] for g in (1, 2, 0, 4, 3)],
+     "metric": [[float(abs(i - j)) for j in range(5)] for i in range(5)],
+     "marginals": {"mu": [0.2] * 5, "nu": {"weights": [0.25, 0.75]}}},
 ]
 TOP_KEYS = ("version", "space", "action", "kernel", "metric", "cost", "marginals", "p",
             "restriction", "tol")

@@ -1,4 +1,5 @@
 import gc
+import math
 import subprocess
 import sys
 import weakref
@@ -15,7 +16,6 @@ from ergot import (
     StochKernel,
     TransientMassError,
     barycenter,
-    check_ergodic_kernel,
     decompose_measure,
     full_simplex,
     invariant_simplex,
@@ -25,9 +25,9 @@ from ergot import (
     stationary_simplex,
 )
 from ergot.core import TAU_MASS
-from ergot.ergodic import _extreme_mass
-from oracles import averaging_kernel, loop_check_ergodic_kernel
-from test_restriction import random_decomposing_kernel
+from ergot.ergodic import _extreme_mass, _phases
+from oracles import averaging_kernel
+from test_restriction import random_decomposing_kernel, random_periodic_kernel
 
 
 def c3x2_action():
@@ -93,20 +93,19 @@ def test_averaging_kernel_transitive_action():
     assert np.allclose(averaging_kernel(act).q, np.full((4, 4), 0.25))
 
 
-def test_averaging_kernel_passes_ergodic_check():
-    assert check_ergodic_kernel(averaging_kernel(c3x2_action())).passed
+def test_averaging_kernel_has_period_one():
+    period, phase = _phases(stationary_simplex(averaging_kernel(c3x2_action())))
+    assert period.tolist() == [1, 1] and phase.tolist() == [0] * 6
 
 
-def test_swap_kernel_fails_ergodic_check():
-    sp = FiniteSpace.of_size(2)
-    rep = check_ergodic_kernel(StochKernel(sp, np.array([[0.0, 1.0], [1.0, 0.0]])))
-    assert not rep.passed
-    assert 0 in rep.offending
+def test_swap_kernel_has_period_two():
+    period, phase = _phases(stationary_simplex(
+        StochKernel(FiniteSpace.of_size(2), np.array([[0.0, 1.0], [1.0, 0.0]]))))
+    assert period.tolist() == [2] and phase.tolist() == [0, 1]
 
 
 def test_swap_kernel_decomposes_into_its_one_stationary_measure():
-    # a kernel spec's kernel need not pass the check above to decompose: the
-    # swap's one recurrent class gives one component, the uniform measure
+    # the swap's one recurrent class gives one component, the uniform measure
     sp = FiniteSpace.of_size(2)
     spec = stationary_simplex(StochKernel(sp, np.array([[0.0, 1.0], [1.0, 0.0]])))
     dec = decompose_measure(Measure(sp, np.array([0.5, 0.5])), spec)
@@ -115,58 +114,65 @@ def test_swap_kernel_decomposes_into_its_one_stationary_measure():
     assert dec.class_of.tolist() == [0, 0]
 
 
-def check_kernels(rng):
-    """Kernels for the pairwise check: the swap, projections with and without transient rows,
-    rows and entries within a few TAU_MASS of the cut, and dense kernels that fail on most rows."""
+def walk_phases(q):
+    """Periods and phases from boolean matrix powers, sharing no code with _phases.
+
+    A class of s points has every simple cycle of length at most s, so its
+    period is the gcd of the t <= s with a closed walk of length t inside it,
+    and a point's phase is the length, mod the period, of any walk to it from
+    the class's smallest point.
+    """
+    n = len(q)
+    comps, class_of = stationary_components(StochKernel(FiniteSpace.of_size(n), q))
+    step = (q > TAU_MASS).astype(np.int64)
+    walks = [np.eye(n, dtype=np.int64)]
+    for _ in range(n):
+        walks.append(np.minimum(walks[-1] @ step, 1))
+    period, phase = [], np.zeros(n, dtype=int)
+    for k in range(len(comps)):
+        members = np.flatnonzero(class_of == k)
+        d = math.gcd(*(t for t in range(1, members.size + 1)
+                       if walks[t][members, members].any()))
+        period.append(d)
+        for y in members:
+            phase[y] = next(t for t in range(n + 1) if walks[t][members[0], y]) % d
+    return period, phase.tolist()
+
+
+def phase_kernels(rng):
+    """The swap, the identity, projections, cyclic-block chains of periods 1 to 5 with
+    transient points, permutations and sparse random kernels."""
     yield np.array([[0.0, 1.0], [1.0, 0.0]])
     yield np.eye(5)
     yield averaging_kernel(c3x2_action()).q
-    for n in (1, 2, 7, 13, 40):
-        for _ in range(4):
-            yield random_decomposing_kernel(rng, n).q
-    # classes of 7, 11 and 22 points: 654 pairs, so a block of 2**14 floats (410
-    # pairs of 40 entries) ends inside a row
-    sizes = np.repeat([0, 1, 2], [7, 11, 22])
-    law = rng.uniform(0.1, 1.0, 40)
-    q = np.where(sizes[:, None] == sizes, law, 0.0)
-    projection = q / q.sum(axis=1, keepdims=True)
-    yield projection
-    for scale in (0.5, 1.0, 1.0 + 1e-6, 1.5, 3.0):
-        near = projection.copy()
-        rows = rng.choice(40, 5, replace=False)
-        near[rows, rng.integers(0, 40, 5)] += scale * TAU_MASS   # rows that differ near the cut
-        near[rng.integers(0, 40), rng.integers(0, 40)] = scale * TAU_MASS   # an entry at the cut
-        yield near
-    for n in (3, 9, 40):
+    for n in (1, 2, 7, 13):
+        yield random_decomposing_kernel(rng, n).q
+    for period in (1, 2, 3, 4, 5):
+        for _ in range(6):
+            yield random_periodic_kernel(rng, period).q
+    for n in (1, 5, 12):
+        yield np.eye(n)[rng.permutation(n)]
+    for n in (3, 9, 20):
         yield rng.dirichlet(np.ones(n), size=n)
-        yield rng.dirichlet(np.full(n, 0.1), size=n) * (rng.random((n, n)) < 0.3)
-    # rows half on x and half on t(x): x offends exactly when t(t(x)) != x, decided
-    # by one pair, and 600 pairs fill eleven blocks of 55
-    for _ in range(3):
-        t = rng.permutation(300)
-        paired = rng.permutation(300)[:200]
-        t[paired[:100]], t[paired[100:]] = paired[100:], paired[:100]
-        q = np.zeros((300, 300))
-        q[np.arange(300), np.arange(300)] += 0.5
-        q[np.arange(300), t] += 0.5
-        yield q
+        mask = rng.random((n, n)) < 0.2
+        mask[np.arange(n), rng.integers(0, n, n)] = True
+        w = rng.uniform(0.1, 1.0, (n, n)) * mask
+        yield w / w.sum(axis=1, keepdims=True)
 
 
-def test_ergodic_check_matches_the_row_loop():
+def test_phases_match_the_walk_lengths():
     rng = np.random.default_rng(29)
-    checked = 0
-    for q in check_kernels(rng):
-        kernel = StochKernel(FiniteSpace.of_size(len(q)), q)
-        rep = check_ergodic_kernel(kernel)
-        want = loop_check_ergodic_kernel(kernel)
-        assert rep.offending == want and rep.passed == (not want)
-        assert all(type(x) is int for x in rep.offending)
-        checked += bool(want)
-    assert checked >= 10              # the kernels that fail are not a corner case here
+    periods = set()
+    for q in phase_kernels(rng):
+        period, phase = _phases(stationary_simplex(StochKernel(FiniteSpace.of_size(len(q)), q)))
+        assert (period.tolist(), phase.tolist()) == walk_phases(q)
+        periods.update(period.tolist())
+    assert periods >= {1, 2, 3, 4, 5}
 
 
-def test_identity_kernel_passes_ergodic_check():
-    assert check_ergodic_kernel(StochKernel(FiniteSpace.of_size(3), np.eye(3))).passed
+def test_identity_kernel_has_period_one():
+    period, phase = _phases(stationary_simplex(StochKernel(FiniteSpace.of_size(3), np.eye(3))))
+    assert period.tolist() == [1, 1, 1] and phase.tolist() == [0, 0, 0]
 
 
 def test_stationary_components_identity():

@@ -7,14 +7,20 @@ import numpy as np
 import pytest
 
 from ergot import (
+    CostMatrix,
     InstanceSpec,
+    LinearRestriction,
+    Measure,
     generate_instance,
+    simplex_components,
     solve_constrained_ot,
+    stationarity_restriction,
     subgroup_restriction,
     transport_simplex,
 )
 
-from oracles import lifted_lp, same_orbit_pairs
+from oracles import lifted_lp, literal_stationarity_rows, same_orbit_pairs
+from test_restriction import periodic_kernel_pairs
 
 pytest.importorskip("scipy")
 from scipy.optimize import linprog  # noqa: E402
@@ -125,3 +131,27 @@ def test_lifted_lp_matches_highs(family, n, shape, seed):
     status, value = highs_lifted(inst.mu.w, inst.nu.w, inst.cost.c, r)
     assert res.status == status == "optimal"
     assert abs(res.value - value) <= 1e-9 * max(abs(value), np.max(inst.cost.c))
+
+
+def random_member(rng, spec):
+    """A random mixture of the simplex's extreme measures."""
+    comps = np.array([m.w for m in simplex_components(spec)[0]])
+    return Measure(spec.space, rng.dirichlet(np.ones(len(comps))) @ comps)
+
+
+def test_periodic_stationarity_matches_highs_on_the_literal_rows():
+    # HiGHS reads the rows e_w - K[:, w] of the product kernel, which know
+    # nothing of phases; the closed form and the lifted LP read the star rows
+    rng = np.random.default_rng(149)
+    sample = [(qx, qy) for qx, qy in periodic_kernel_pairs(per_pair=3, seed=151)
+              if max(qx.space.n, qy.space.n) <= 12]
+    assert len(sample) >= 12
+    for qx, qy in sample:
+        r = stationarity_restriction(qx, qy)
+        mu, nu = (random_member(rng, spec) for spec in (r.mx_spec, r.my_spec))
+        c = CostMatrix(qx.space, qy.space, rng.uniform(0.0, 1.0, (qx.space.n, qy.space.n)))
+        literal = LinearRestriction(literal_stationarity_rows(qx, qy), r.mx_spec, r.my_spec)
+        status, value = highs_lifted(mu.w, nu.w, c.c, literal)
+        assert status == "optimal"
+        for res in (solve_constrained_ot(mu, nu, c, r), lifted_lp(mu, nu, c, r)):
+            assert res.status == "optimal" and abs(res.value - value) <= 1e-9

@@ -21,7 +21,6 @@ from ergot import (
     StochKernel,
     TransportPlan,
     check_coherency,
-    check_ergodic_kernel,
     check_geometric,
     check_weak_regularity,
     full_simplex,
@@ -197,20 +196,22 @@ def test_stationarity_of_averaging_kernel_is_product_group_invariance():
 
 
 def test_stationarity_product_kernel_passes_check():
-    # the restriction stores only the atoms; the product kernel they come
-    # from must still decompose its own stationary measures
+    # the restriction stores only the atoms; they are the recurrent classes
+    # of the product kernel they come from, numbered alike
     q = averaging_kernel(c3x2_action())
     r = stationarity_restriction(q, q)
     prod = StochKernel(FiniteSpace.of_size(36), np.kron(q.q, q.q))
-    assert check_ergodic_kernel(prod).passed
     assert np.array_equal(r.atom_of, stationary_components(prod)[1])
 
 
 def test_stationarity_rejects_non_decomposing_kernel():
-    sp = FiniteSpace.of_size(2)
-    swap = StochKernel(sp, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        stationarity_restriction(swap, swap)
+    # the swap, which is not a projection, was once refused; it has period 2,
+    # so stationarity splits its one rectangle into the diagonal and the
+    # anti-diagonal, the orbits of invariance under (0 1)
+    swap = StochKernel(FiniteSpace.of_size(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    r = stationarity_restriction(swap, swap)
+    assert r.atom_of.tolist() == [0, 1, 1, 0]
+    assert same_partition(r.atom_of, invariance_restriction(swap_action()).atom_of)
 
 
 def test_weak_regularity_of_invariance():
@@ -530,7 +531,6 @@ def test_rectangle_atoms_match_product_kernel_with_transient_states():
     transient_unequal = multi_class = 0
     for qx, qy in decomposing_kernel_pairs():
         want = kernel_oracle(qx, qy)
-        assert check_ergodic_kernel(qx).passed and check_ergodic_kernel(qy).passed
         assert_same_atoms(stationarity_restriction(qx, qy), want)
         transient_unequal += bool(np.any(want[1] < 0)) and qx.space.n != qy.space.n
         multi_class += len(want[0]) > 1
@@ -544,6 +544,85 @@ def test_star_rows_span_the_literal_stationarity_rows():
         star = stationarity_restriction(qx, qy).omega.dense()
         literal = literal_stationarity_rows(qx, qy).dense()
         assert numerical_rank(star) == numerical_rank(literal) == numerical_rank(star, literal)
+
+
+def same_partition(a, b):
+    """Whether two cell -> atom maps (-1: in no atom) group the cells alike, whatever the ids."""
+    a, b = np.asarray(a).tolist(), np.asarray(b).tolist()
+    pairs = set(zip(a, b))
+    return (all((i < 0) == (j < 0) for i, j in pairs)
+            and len(pairs) == len(set(a)) == len(set(b)))
+
+
+def random_periodic_kernel(rng, period):
+    """1 or 2 recurrent classes of the given period, and 0 to 2 transient points.
+
+    Each class is a cycle of period blocks of 1 or 2 points, every row
+    spread at random over all of the next block. A transient row charges
+    one or two recurrent points and every later transient point. Points
+    are shuffled, so classes and blocks interleave.
+    """
+    blocks = [rng.integers(1, 3, period) for _ in range(int(rng.integers(1, 3)))]
+    n_rec = int(sum(b.sum() for b in blocks))
+    n = n_rec + int(rng.integers(0, 3))
+    label = rng.permutation(n)
+    q = np.zeros((n, n))
+    start = 0
+    for sizes in blocks:
+        edge = start + np.concatenate([[0], np.cumsum(sizes)])
+        start = edge[-1]
+        for i in range(period):
+            j = (i + 1) % period
+            rows, nxt = label[edge[i]:edge[i + 1]], label[edge[j]:edge[j + 1]]
+            q[np.ix_(rows, nxt)] = rng.uniform(0.1, 1.0, (rows.size, nxt.size))
+    for t in range(n_rec, n):
+        picks = rng.choice(n_rec, int(rng.integers(1, min(n_rec, 2) + 1)), replace=False)
+        hit = label[np.concatenate([picks, np.arange(t + 1, n)])]
+        q[label[t], hit] = rng.uniform(0.1, 1.0, hit.size)
+    return StochKernel(FiniteSpace.of_size(n), q / q.sum(axis=1, keepdims=True))
+
+
+PERIOD_PAIRS = ((2, 2), (3, 3), (2, 3), (4, 2), (1, 2))
+
+
+def periodic_kernel_pairs(per_pair=12, seed=131):
+    """Seeded pairs of cyclic-block kernels (random_periodic_kernel), per_pair of each
+    period pair, drawn one after the other, so qx != qy."""
+    rng = np.random.default_rng(seed)
+    for dx, dy in PERIOD_PAIRS:
+        for _ in range(per_pair):
+            yield random_periodic_kernel(rng, dx), random_periodic_kernel(rng, dy)
+
+
+def test_periodic_atoms_match_product_kernel_oracle():
+    # the product chain's closed classes, from its own reachability, against the phase classes
+    split = transient = 0
+    for qx, qy in periodic_kernel_pairs():
+        r = stationarity_restriction(qx, qy)
+        want = kernel_oracle(qx, qy)[1]
+        assert same_partition(r.atom_of, want)
+        split += r.atom_pair.size > np.unique(r.atom_pair).size
+        transient += bool(np.any(want < 0))
+    # every pair of periods (2,2), (3,3) and (4,2) splits its rectangles; (2,3) and (1,2) do not
+    assert split == 36 and transient >= 20
+
+
+def test_star_rows_span_the_literal_stationarity_rows_of_periodic_kernels():
+    for qx, qy in periodic_kernel_pairs(per_pair=4):
+        star = stationarity_restriction(qx, qy).omega.dense()
+        literal = literal_stationarity_rows(qx, qy).dense()
+        assert numerical_rank(star) == numerical_rank(literal) == numerical_rank(star, literal)
+
+
+def test_permutation_kernel_atoms_are_invariance_atoms():
+    rng = np.random.default_rng(137)
+    for n in range(1, 13):
+        for _ in range(3):
+            g = rng.permutation(n).astype(np.intp)
+            q = StochKernel(FiniteSpace.of_size(n), np.eye(n)[g])   # x -> g(x)
+            act = GroupAction(FiniteSpace.of_size(n), (("g", g),))
+            assert same_partition(stationarity_restriction(q, q).atom_of,
+                                  invariance_restriction(act).atom_of)
 
 
 def test_no_restriction_atoms_are_singletons():

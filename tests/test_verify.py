@@ -10,6 +10,7 @@ import pytest
 
 import ergot.ergodic
 import ergot.lp
+import ergot.restriction
 import ergot.transport
 import ergot.verify
 from ergot import (
@@ -42,7 +43,8 @@ from ergot.cli import main
 from ergot.core import _scale
 from oracles import (FALSE_INFEASIBLE, averaging_kernel, grid_check_certificate, grid_duals,
                      lifted_lp, same_orbit_pairs)
-from test_restriction import builder_restrictions, random_decomposing_kernel
+from test_restriction import (builder_restrictions, periodic_kernel_pairs,
+                              random_decomposing_kernel)
 
 
 def fixture():
@@ -288,9 +290,13 @@ def test_verify_derives_each_simplex_once(monkeypatch, spec):
 def test_stationarity_build_and_solve_derive_each_simplex_once(monkeypatch):
     inst = generate_instance(InstanceSpec(n=9, kind="kernel", class_sizes=(3, 3, 3), seed=4))
     calls = count_derivations(monkeypatch)
+    phases = []
+    honest = ergot.restriction._phases
+    monkeypatch.setattr(ergot.restriction, "_phases", lambda spec: phases.append(spec) or honest(spec))
     r = stationarity_restriction(inst.kernel, inst.kernel)
     assert solve_constrained_ot(inst.mu, inst.nu, inst.cost, r).method == "atoms"
     assert len(calls) == 1, calls
+    assert phases == [r.mx_spec]
 
 
 def test_stationarity_on_two_kernels_keeps_two_simplexes():
@@ -891,3 +897,26 @@ def test_metric_identity_solves_its_multipliers_once(monkeypatch):
     monkeypatch.setattr(ergot.verify, "_multipliers", counted)
     rep = verify_metric_decomposition(d, 1.0, r, samples=6)
     assert rep.passed and len(calls) == 1
+
+
+def test_periodic_kernels_verify_certify_and_match_the_lifted_lp():
+    rng = np.random.default_rng(139)
+    for qx, qy in periodic_kernel_pairs():
+        r = stationarity_restriction(qx, qy)
+        mu, nu = (mixture(comps, rng.dirichlet(np.ones(len(comps))))
+                  for comps in (simplex_components(s)[0] for s in (r.mx_spec, r.my_spec)))
+        c = CostMatrix(qx.space, qy.space, rng.uniform(0.0, 1.0, (qx.space.n, qy.space.n)))
+        rep = verify_decomposition(mu, nu, c, r)
+        assert rep.passed and rep.certified
+        assert abs(rep.lhs - lifted_lp(mu, nu, c, r).value) <= 1e-9
+
+
+def test_head_rule_fits_the_target_of_large_rectangles():
+    # the head rule needs each atom's weighted target sum to vanish; on these
+    # 65,536-cell rectangles, one mean taken off leaves about 4e-10 of rounding
+    inst = generate_instance(InstanceSpec(n=1024, kind="kernel", class_sizes=(256,) * 4, seed=0))
+    t, _, _, _, ceiling = ergot.transport._two_stage_proof(inst.mu, inst.nu, inst.cost,
+                                                           inst.restriction, inner=False)
+    target = ergot.transport._constraint_target(t, inst.cost, ceiling)
+    om = inst.restriction.omega
+    assert np.max(np.abs(om.apply_T(target[ergot.verify._heads(om)]) - target)) <= 1e-11
