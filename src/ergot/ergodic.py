@@ -69,12 +69,13 @@ def _closed_classes(adj: np.ndarray) -> list[np.ndarray]:
     while True:
         step = reach.astype(np.float32)   # BLAS product; only positivity is read
         closed = step @ step > 0
-        if np.array_equal(closed, reach):
+        # closed holds reach, as reach holds the diagonal: equal counts mean equal sets
+        if np.count_nonzero(closed) == np.count_nonzero(reach):
             break
         reach = closed
-    recurrent = ~np.any(reach & ~reach.T, axis=1)
-    smallest = ~np.any(np.tril(reach, -1), axis=1)
-    return [np.flatnonzero(reach[x]) for x in np.flatnonzero(recurrent & smallest)]
+    recurrent = ~(reach & ~reach.T).any(axis=1)
+    smallest = reach.argmax(axis=1) == np.arange(len(reach))   # x reaches no point below it
+    return [reach[x].nonzero()[0] for x in (recurrent & smallest).nonzero()[0]]
 
 
 def _phases(spec: SimplexSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -88,12 +89,13 @@ def _phases(spec: SimplexSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     _, class_of, k, _ = _extreme_mass(spec)
     adj = spec.kernel.q > TAU_MASS
-    rec = np.flatnonzero(class_of >= 0)
+    rec = (class_of >= 0).nonzero()[0]
     level = np.full(class_of.size, -1, dtype=np.intp)
-    frontier, depth = rec[np.unique(class_of[rec], return_index=True)[1]], 0
+    frontier, depth = np.full(k, class_of.size), 0
+    np.minimum.at(frontier, class_of[rec], rec)       # each class's smallest point
     while frontier.size:
         level[frontier] = depth
-        frontier, depth = np.flatnonzero(adj[frontier].any(axis=0) & (level < 0)), depth + 1
+        frontier, depth = (adj[frontier].any(axis=0) & (level < 0)).nonzero()[0], depth + 1
     x, y = np.nonzero(adj[rec])
     period = np.zeros(k, dtype=np.intp)
     np.gcd.at(period, class_of[rec[x]], level[rec[x]] + 1 - level[y])
@@ -113,15 +115,17 @@ def stationary_components(q: StochKernel) -> tuple[list[Measure], np.ndarray]:
     comps: list[Measure] = []
     class_of = np.full(n, -1, dtype=np.intp)
     for k, idx in enumerate(_closed_classes(q.q > TAU_MASS)):
-        block = q.q[np.ix_(idx, idx)]
+        block = q.q[idx[:, None], idx]
         s = len(idx)
-        lhs = np.vstack([block.T - np.eye(s), np.ones((1, s))])
+        lhs = np.ones((s + 1, s))          # block^T - I over a row of ones
+        lhs[:s] = block.T
+        lhs[:s].reshape(-1)[::s + 1] -= 1.0
         rhs = np.zeros(s + 1)
         rhs[-1] = 1.0
         pi, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
         pi = np.maximum(pi, 0.0)
         pi /= pi.sum()
-        if np.max(np.abs(pi @ block - pi)) > 1e-10:
+        if np.abs(pi @ block - pi).max() > 1e-10:
             raise RuntimeError(
                 f"stationary solve did not converge on class {idx.tolist()}; "
                 "the block is not numerically stochastic-irreducible")
@@ -167,8 +171,9 @@ def _derive_components(spec: SimplexSpec) -> tuple[np.ndarray, np.ndarray, int, 
         class_of = np.array(_orbit_search(n, [g.tolist() for _, g in spec.action.generators]),
                             dtype=np.intp)
         sizes = np.bincount(class_of)
-        comps = [Measure(spec.space, np.where(class_of == k, 1.0 / sizes[k], 0.0))
-                 for k in range(len(sizes))]
+        mass = (1.0 / sizes)[class_of]            # each point's share of its orbit
+        comps = [Measure(spec.space, np.where(class_of == k, mass, 0.0)) for k in range(len(sizes))]
+        return _freeze(mass), _freeze(class_of, dtype=np.intp), len(comps), tuple(comps)
     else:
         comps, class_of = stationary_components(spec.kernel)
     mass = np.sum([m.w for m in comps], axis=0)
@@ -228,8 +233,15 @@ def decompose_measure(mu: Measure, spec: SimplexSpec) -> ErgodicDecomposition:
 
 
 def _class_weights(w: np.ndarray, class_of: np.ndarray, k: int) -> np.ndarray:
-    """Mass of w on each of the classes 0..k-1 of class_of."""
-    return np.array([w[class_of == j].sum() for j in range(k)], dtype=float)
+    """Mass of w on each of the classes 0..k-1 of class_of (-1: no class).
+
+    One np.bincount over the points that have a class adds each class's
+    masses in point order. Below 8 points that is the order numpy's
+    pairwise sum takes, so such a class's weight is bit for bit w's masked
+    sum; a larger class may differ from it in the last bits.
+    """
+    on = class_of >= 0
+    return np.bincount(class_of[on], weights=w[on], minlength=k)
 
 
 def barycenter(dec: ErgodicDecomposition) -> Measure:

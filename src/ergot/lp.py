@@ -223,8 +223,10 @@ def transport_simplex(supply, demand, cost) -> LpSolution:
     cheapest first, forbidden cells last and ties by flat index (a plain
     argsort; a stable one only if two sorted neighbours are equal, -0.0 and
     0.0 included, as only a tie-free order is unique), in blocks of
-    4 (nr + nc) cells, each cleared of cells on a retired line by one mask
-    before the Python sweep. Each cell whose row and column are both live ships the
+    4 (nr + nc) cells. Every block after the first is cleared of cells on a
+    retired line by one mask before the Python sweep; the first is swept
+    whole, as only row 0 is retired then and the sweep skips its cells.
+    Each cell whose row and column are both live ships the
     smaller remainder and retires that line. The row retires if its
     remainder is below the column's or is 0, or if the column is the last
     live one (which only a sum mismatch within TAU_LP can need); otherwise
@@ -267,18 +269,24 @@ def transport_simplex(supply, demand, cost) -> LpSolution:
     if a.ndim != 1 or b.ndim != 1 or c.shape != (nr, nc) or not nr or not nc:
         raise ValueError(f"need nonempty supply ({a.shape}) and demand ({b.shape}) "
                          f"vectors and a cost of shape ({nr}, {nc}), got {c.shape}")
-    if not (a.min() > 0 and b.min() > 0 and a.max() < math.inf and b.max() < math.inf):
-        raise ValueError("supply and demand must be positive and finite")   # NaN fails too
-    if not (c > -math.inf).all():        # false at NaN and -inf alike
-        raise ValueError("cost has a NaN or -inf entry")
     total_a, total_b = float(a.sum()), float(b.sum())
+    left = a.tolist() + b.tolist()       # each node's remainder in the start below
+    # a NaN or +inf entry makes its sum NaN or +inf; past that, positive entries are finite
+    if not (total_a < math.inf and total_b < math.inf and min(left) > 0):
+        raise ValueError("supply and demand must be positive and finite")
+    top = float(np.abs(c).max())         # NaN or +inf unless every cell is finite
+    hi = forbid = None
+    lo = c
+    if not top < math.inf:
+        if not (c > -math.inf).all():    # false at NaN and -inf alike
+            raise ValueError("cost has a NaN or -inf entry")
+        forbid = c == math.inf
+        hi = forbid.astype(float)
+        lo = np.where(forbid, 0.0, c)
+        top = float(np.abs(lo).max())
     if abs(total_a - total_b) > TAU_LP * max(total_a, total_b):
         return LpSolution(status="infeasible")
-
-    forbid = c == math.inf
-    hi = forbid.astype(float) if forbid.any() else None
-    lo = c if hi is None else np.where(forbid, 0.0, c)
-    tol = PIVOT_EPS * float(np.abs(lo).max())
+    tol = PIVOT_EPS * top
     lo_flat = lo.ravel()
 
     # the tree: nodes 0..nr-1 are rows, nr..nr+nc-1 columns; pcell is the
@@ -293,7 +301,6 @@ def transport_simplex(supply, demand, cost) -> LpSolution:
     ranked = key[cells]
     if (ranked[1:] == ranked[:-1]).any():
         cells = key.argsort(kind="stable")
-    left = a.tolist() + b.tolist()
     live = [False] + [True] * (size - 1)
     retired = []                         # (line, other end of its cell, cell)
     waiting, cols_live = nr - 1, nc
@@ -303,9 +310,11 @@ def transport_simplex(supply, demand, cost) -> LpSolution:
         block = cells[start:start + 4 * size]
         rows, cols = np.divmod(block, nc)
         cols += nr
-        alive = np.array(live)
-        keep = alive[rows] & alive[cols]
-        for cell, i, q in zip(block[keep].tolist(), rows[keep].tolist(), cols[keep].tolist()):
+        if start:                        # before the first block only row 0 is retired
+            keep = np.array(live)
+            keep = keep[rows] & keep[cols]
+            block, rows, cols = block[keep], rows[keep], cols[keep]
+        for cell, i, q in zip(block.tolist(), rows.tolist(), cols.tolist()):
             if not waiting:
                 break
             if not (live[i] and live[q]):

@@ -24,6 +24,7 @@ except where their preconditions are violated outright.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +57,12 @@ class LinearRestriction:
     x*m + y to its atom id, or to -1 if the cell is transient; it is None
     when the restriction carries no product structure. Both simplexes must
     live on the constraints' spaces, and every atom's points in one pair of
-    components (a, b); atom_pair, derived here, maps atom k to a * k_y + b,
-    or to -1 at an id with no cell. ValueError otherwise.
+    components (a, b); ValueError otherwise. Three read-only fields are
+    derived here from atom_of and the simplexes, once, and are None without
+    atoms: atom_pair maps atom k to a * k_y + b, or to -1 at an id with no
+    cell; cells holds the live product cells, ascending; weight holds their
+    weights m_a(x) m_b(y), the extreme measures' product, which normalised
+    on one atom is that atom's plan (transport._atom_table reads them).
     """
 
     omega: ConstraintSet
@@ -65,6 +70,8 @@ class LinearRestriction:
     my_spec: SimplexSpec
     atom_of: np.ndarray | None = None
     atom_pair: np.ndarray | None = field(init=False, default=None)
+    cells: np.ndarray | None = field(init=False, default=None, repr=False)
+    weight: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         for spec, space, side in ((self.mx_spec, self.row_space, "mx_spec"),
@@ -80,13 +87,16 @@ class LinearRestriction:
             raise ValueError(f"atom_of has shape {self.atom_of.shape}, "
                              f"expected one entry per product cell ({cells},)")
         live = np.flatnonzero(self.atom_of >= 0)
-        atom, cell_pair = self.atom_of[live], _pair_mass(self.mx_spec, self.my_spec, live)[0]
+        atom = self.atom_of[live]
+        cell_pair, weight = _pair_mass(self.mx_spec, self.my_spec, live)
         pair = np.full(int(atom.max(initial=-1)) + 1, -1, dtype=np.intp)
         pair[atom] = cell_pair
-        if np.any(cell_pair < 0) or np.any(pair[atom] != cell_pair):
+        if (cell_pair < 0).any() or (pair[atom] != cell_pair).any():
             raise ValueError("atom_of does not fit the marginal simplexes: an atom holds a "
                              "transient point or spans two component pairs")
-        object.__setattr__(self, "atom_pair", _freeze(pair, dtype=np.intp))
+        for name, a in (("atom_pair", pair), ("cells", live), ("weight", weight)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def row_space(self) -> FiniteSpace:
@@ -114,21 +124,37 @@ def _star_rows(row_space: FiniteSpace, col_space: FiniteSpace, atom_of: np.ndarr
     """The plans that are a multiple of weight on each atom of atom_of and 0 off them.
 
     Each atom's root is its heaviest cell, the smallest cell among equal
-    weights. Every other cell c, in increasing order, gets one constraint
-    labelled family:(x,y): +1 at c and -weight[c] / weight[root], in [-1, 0),
-    at its atom's root, or +1 alone where c is transient (atom -1).
+    weights: one np.maximum.at takes each atom's largest weight, one
+    np.minimum.at the smallest cell at it, so no array of cells is sorted.
+    Every other cell c, in increasing order, gets one constraint labelled
+    family:(x,y): +1 at c and -weight[c] / weight[root], in [-1, 0), at its
+    atom's root, or +1 alone where c is transient (atom -1). The entries are
+    emitted sorted by row, then cell, as ConstraintSet stores them, so it
+    has nothing to sort.
     """
-    live = np.argsort(-weight, kind="stable")
-    live = live[atom_of[live] >= 0]
-    _, first, atom = np.unique(atom_of[live], return_index=True, return_inverse=True)
+    live = np.flatnonzero(atom_of >= 0)
+    atom, w = atom_of[live], weight[live]
+    top = np.full(int(atom.max(initial=-1)) + 1, -math.inf)
+    np.maximum.at(top, atom, w)
+    lowest = np.full(top.size, atom_of.size)
+    at_top = w == top[atom]
+    np.minimum.at(lowest, atom[at_top], live[at_top])
     root = np.full(atom_of.size, -1)
-    root[live] = live[first][atom]
+    root[live] = lowest[atom]
     stars = np.flatnonzero(root != np.arange(atom_of.size))
-    rooted = np.flatnonzero(root[stars] >= 0)
+    count = 1 + (root[stars] >= 0)               # entries per row
+    start = np.cumsum(count) - count             # each row's first entry
+    rooted = np.flatnonzero(count == 2)
     c = stars[rooted]
+    r = root[c]
+    ahead = r < c                                # the root's entry comes first
+    at_star, at_root = start.copy(), start[rooted] + ~ahead
+    at_star[rooted] += ahead
+    cell = np.empty(stars.size + rooted.size, dtype=np.intp)
+    value = np.ones(cell.size)
+    cell[at_star], cell[at_root], value[at_root] = stars, r, -weight[c] / weight[r]
     return ConstraintSet(row_space, col_space, _CellLabels(family, stars, col_space.n),
-                         np.concatenate([np.arange(stars.size), rooted]), np.concatenate([stars, root[c]]),
-                         np.concatenate([np.ones(stars.size), -weight[c] / weight[root[c]]]))
+                         np.repeat(np.arange(stars.size), count), cell, value)
 
 
 def _orbit_restriction(action: GroupAction, product_gens, family: str) -> LinearRestriction:
@@ -218,7 +244,7 @@ def no_restriction(row_space: FiniteSpace, col_space: FiniteSpace) -> LinearRest
 def plan_violations(pi: TransportPlan, r: LinearRestriction) -> list[tuple[str, float]]:
     """(label, |<omega, p>|) for every constraint the plan breaks beyond TAU_LP."""
     v = np.abs(r.omega.apply(pi.p))
-    return [(r.omega.labels[i], float(v[i])) for i in np.flatnonzero(v > TAU_LP)]
+    return [(r.omega.labels[i], float(v[i])) for i in (v > TAU_LP).nonzero()[0]]
 
 
 def _require_feasible(pi: TransportPlan, r: LinearRestriction, what: str, error=NotFeasibleError):
@@ -233,7 +259,8 @@ def _pair_mass(mx_spec: SimplexSpec, my_spec: SimplexSpec, cells: np.ndarray):
     """Each flat cell's pair a * k_y + b of mx_spec x my_spec (-1: transient) and its m_a m_b."""
     (mx, cx, _, _), (my, cy, ky, _) = _extreme_mass(mx_spec), _extreme_mass(my_spec)
     x, y = np.divmod(cells, cy.size)
-    return np.where((cx[x] < 0) | (cy[y] < 0), -1, cx[x] * ky + cy[y]), mx[x] * my[y]
+    a, b = cx[x], cy[y]
+    return np.where((a < 0) | (b < 0), -1, a * ky + b), mx[x] * my[y]
 
 
 def _breaks(weights: np.ndarray, *keys: np.ndarray) -> list[tuple[list[int], float]]:

@@ -33,6 +33,7 @@ infeasible pair is +inf, which keeps the metric axioms total.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,8 +56,7 @@ from .core import (
 )
 from .ergodic import _class_weights, _extreme_mass, _require_member, simplex_components
 from .lp import LpProblem, solve_lp, transport_simplex
-from .restriction import (LinearRestriction, _pair_mass, _require_feasible, check_geometric,
-                          plan_violations)
+from .restriction import LinearRestriction, _require_feasible, check_geometric, plan_violations
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +114,12 @@ def _transport_lp(mu_w, nu_w, cost, omega, forbid=None):
 
 
 def _forbidden_cells(cost):
-    """(+inf mask, cost with those cells set to 0); NaN or -inf raises ValueError."""
+    """(+inf mask, cost with those cells set to 0); NaN or -inf raises ValueError.
+
+    Where every cell is finite the mask is None and the cost itself is returned.
+    """
+    if np.abs(cost).max(initial=0.0) < math.inf:     # NaN fails too
+        return None, cost
     if not (cost > -math.inf).all():    # false at NaN and -inf alike
         raise ValueError("cost has a NaN or -inf entry")
     forbid = cost == math.inf
@@ -133,13 +138,14 @@ def _solve_transport(mu_w, nu_w, cost, row_space, col_space,
     or -inf cost raises ValueError (transport_simplex checks its block).
     """
     if r is None:
-        rows = np.flatnonzero(mu_w > TAU_MASS)
-        cols = np.flatnonzero(nu_w > TAU_MASS)
-        whole = rows.size == mu_w.size and cols.size == nu_w.size   # no gather, no scatter
-        sol = (transport_simplex(mu_w, nu_w, cost) if whole
-               else transport_simplex(mu_w[rows], nu_w[cols], cost[rows[:, None], cols]))
-        safe_cost = (np.where(cost == math.inf, 0.0, cost) if whole
-                     else _forbidden_cells(cost)[1])
+        whole = mu_w.min(initial=math.inf) > TAU_MASS and nu_w.min(initial=math.inf) > TAU_MASS
+        if whole:                        # no gather, no scatter
+            sol = transport_simplex(mu_w, nu_w, cost)
+        else:
+            rows = np.flatnonzero(mu_w > TAU_MASS)
+            cols = np.flatnonzero(nu_w > TAU_MASS)
+            sol = transport_simplex(mu_w[rows], nu_w[cols], cost[rows[:, None], cols])
+        safe_cost = _forbidden_cells(cost)[1]
         keep = slice(None)
     else:
         forbid, safe_cost = _forbidden_cells(cost)
@@ -156,10 +162,10 @@ def _solve_transport(mu_w, nu_w, cost, row_space, col_space,
     plan = TransportPlan(row_space, col_space, p)
     duals = None
     if r is None:
-        duals = _extend_potentials(*sol.duals, rows, cols, cost)
+        duals = sol.duals if whole else _extend_potentials(*sol.duals, rows, cols, cost)
     else:
         _require_feasible(plan, r, "the lifted LP plan")
-    return OtResult(value=float(np.sum(safe_cost * p)), plan=plan, status="optimal", duals=duals)
+    return OtResult(value=float((safe_cost * p).sum()), plan=plan, status="optimal", duals=duals)
 
 
 def _extend_potentials(u_known, v_known, rows, cols, cost):
@@ -171,8 +177,6 @@ def _extend_potentials(u_known, v_known, rows, cols, cost):
     finite cell off the known block, tightly where it decides the min.
     """
     nr, nc = cost.shape
-    if rows.size == nr and cols.size == nc:
-        return np.asarray(u_known, dtype=float), np.asarray(v_known, dtype=float)
     u, v = np.zeros(nr), np.zeros(nc)
     u[rows], v[cols] = u_known, v_known
     free = np.ones(nc, dtype=bool)
@@ -250,33 +254,37 @@ class _AtomTable:
 def _atom_table(c: CostMatrix, r: LinearRestriction) -> _AtomTable:
     """Each atom's weights and mean cost, and the cheapest atom of each component pair.
 
-    Each live product cell (x, y) gets the weight m_a(x) m_b(y), where m_a
-    and m_b are the extreme measures of the classes of x and y. Normalised
-    on one atom, that weight is a feasible plan between m_a and m_b (the
-    uniform measure on a product orbit, or the product measure on a phase
-    class of a rectangle of recurrent classes), and the restricted plans
-    between m_a and m_b are the mixtures of these. So the inner cost of the
-    component pair (a, b) is the least mean cost over its atoms, attained on the
-    cheapest atom (ties go to the lowest atom id); an atom with a +inf cell
-    costs +inf.
+    Each live product cell (x, y) has the weight m_a(x) m_b(y), where m_a
+    and m_b are the extreme measures of the classes of x and y, derived
+    once with the restriction (r.cells, r.weight) and only read here.
+    Normalised on one atom, that weight is a feasible plan between m_a and
+    m_b (the uniform measure on a product orbit, or the product measure on a
+    phase class of a rectangle of recurrent classes), and the restricted
+    plans between m_a and m_b are the mixtures of these. So the inner cost
+    of the component pair (a, b) is the least mean cost over its atoms,
+    attained on the cheapest atom (ties go to the lowest atom id); an atom
+    with a +inf cell costs +inf.
     """
     if r.atom_of is None:
         raise MissingProductStructureError("restriction carries no product atoms")
     forbid, safe_cost = _forbidden_cells(c.c)
     (class_x, kx), (class_y, ky) = (_extreme_mass(s)[1:3] for s in (r.mx_spec, r.my_spec))
-    cells = np.flatnonzero(r.atom_of >= 0)
-    atom, rect = r.atom_of[cells], r.atom_pair
-    w = _pair_mass(r.mx_spec, r.my_spec, cells)[1]
+    cells, w, rect = r.cells, r.weight, r.atom_pair
+    atom = r.atom_of[cells]
     mass = np.bincount(atom, weights=w, minlength=rect.size)
     used = ((rect >= 0) & (mass > 0)).nonzero()[0]
     mean = np.full(rect.size, math.inf)
     mean[used] = np.bincount(atom, weights=w * safe_cost.ravel()[cells],
                              minlength=rect.size)[used] / mass[used]
-    mean[np.bincount(atom, weights=forbid.ravel()[cells], minlength=rect.size) > 0] = math.inf
+    if forbid is not None:
+        mean[np.bincount(atom, weights=forbid.ravel()[cells], minlength=rect.size) > 0] = math.inf
 
-    # the cheapest atom of each rectangle, the lowest id among equals
+    # the cheapest atom of each rectangle, the lowest id among equals: the first of its
+    # rectangle in this order
     order = used[np.lexsort((used, mean[used], rect[used]))]
-    best = order[np.unique(rect[order], return_index=True)[1]]
+    first, head = np.ones(order.size, dtype=bool), rect[order]
+    first[1:] = head[1:] != head[:-1]
+    best = order[first]
     best_of = np.full(kx * ky, -1, dtype=np.intp)
     best_of[rect[best]] = best
     inner = np.full(kx * ky, math.inf)
@@ -287,9 +295,10 @@ def _atom_table(c: CostMatrix, r: LinearRestriction) -> _AtomTable:
 
 def _atom_plan(t: _AtomTable, pair_mass: np.ndarray, c: CostMatrix) -> TransportPlan:
     """pair_mass[a * k_y + b] spread over the cheapest atom of each pair, as its weights."""
-    on = np.flatnonzero(t.best >= 0)
+    on = (t.best >= 0).nonzero()[0]
+    best = t.best[on]
     share = np.zeros(t.mass.size)
-    share[t.best[on]] = pair_mass[on] / t.mass[t.best[on]]
+    share[best] = pair_mass[on] / t.mass[best]
     p = np.zeros(c.c.size)
     p[t.cells] = t.weight * share[t.atom]
     return TransportPlan(c.row_space, c.col_space, p.reshape(c.c.shape))
@@ -310,7 +319,7 @@ def _atoms_ot(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction):
     if outer.status != "optimal":
         return t, outer, OtResult(value=math.inf, plan=None, status="infeasible", method="atoms")
     plan = _atom_plan(t, outer.plan.p.ravel(), c)
-    return t, outer, OtResult(value=float(np.sum(t.safe_cost * plan.p)), plan=plan,
+    return t, outer, OtResult(value=float((t.safe_cost * plan.p).sum()), plan=plan,
                               status="optimal", method="atoms")
 
 
@@ -430,8 +439,13 @@ def _outer_ot(wx: np.ndarray, wy: np.ndarray, cost: np.ndarray) -> OtResult:
     +inf cost cells carry no mass; if no coupling avoids them the result is
     infeasible (value +inf).
     """
-    return _solve_transport(wx, wy, cost,
-                            *(FiniteSpace.of_size(k, "mass-class-") for k in cost.shape))
+    return _solve_transport(wx, wy, cost, *map(_mass_classes, cost.shape))
+
+
+@functools.lru_cache(maxsize=64)
+def _mass_classes(k: int) -> FiniteSpace:
+    """The space of k component classes that outer plans live on, built once per recent size."""
+    return FiniteSpace.of_size(k, "mass-class-")
 
 
 def component_weights(mu: Measure, spec: SimplexSpec) -> np.ndarray:
@@ -500,8 +514,8 @@ def _split_plan(pi: TransportPlan, r: LinearRestriction) -> tuple[np.ndarray, np
     if r.atom_of is None:
         raise MissingProductStructureError("restriction carries no product atoms")
     (comps_x, _), (comps_y, _) = (simplex_components(s) for s in (r.mx_spec, r.my_spec))
-    cells = np.flatnonzero(r.atom_of >= 0)
-    atom, pair = r.atom_of[cells], r.atom_pair
+    cells, pair = r.cells, r.atom_pair
+    atom = r.atom_of[cells]
     flat = pi.p.reshape(-1)
     stray = float(flat[r.atom_of < 0].sum())
     if stray > TAU_MASS:

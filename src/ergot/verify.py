@@ -33,6 +33,7 @@ invariant, marginals are random mixtures of the ergodic components.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +79,9 @@ class DecompositionReport:
     qopt_ok: bool                  # every conditional piece >= its inner value
     atoms_finer: bool              # some class rectangle holds two or more product atoms
     statuses: np.ndarray
-    certificates: tuple            # CertificateCheck of each finite side: the left-hand
-                                   # side first, then the inner pairs in row-major order
+    certificates: Sequence         # CertificateCheck of each finite side, built when read
+                                   # (_Certificates): the left-hand side first, then the
+                                   # inner pairs in row-major order
     certified: bool                # every certificate passes, and every +inf side's least
                                    # mass on the +inf cells is certified positive
     proof: tuple | None            # the left-hand side's (plan, u, v, lam), the input of
@@ -149,9 +151,13 @@ def agreement(a: float, b: float, tol: float, m: np.ndarray) -> tuple[float, boo
     return gap, bool(gap <= tol * _scale(m))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CertificateCheck:
-    """The three residuals of an optimality certificate; see check_certificate."""
+    """The three residuals of an optimality certificate; see check_certificate.
+
+    Two checks with the same residuals and failures are equal, so a side read
+    twice from a report (_Certificates) gives equal checks.
+    """
 
     primal: float                  # largest marginal, sign, +inf-cell or constraint residual
     reduced: float                 # least reduced cost c - u (+) v - omega^T lam over the
@@ -162,6 +168,46 @@ class CertificateCheck:
     @property
     def passed(self) -> bool:
         return not self.failed
+
+
+class _Certificates(Sequence):
+    """Read-only CertificateChecks of a run of sides, each built when read.
+
+    The three residuals are held per side as arrays, and passed decides
+    every side at once from them; side i's CertificateCheck holds their
+    i-th entries and names the residuals beyond their tolerance: primal
+    above TAU_LP, reduced below -tol, gap above tol. A slice is a tuple of
+    checks, and a sequence of equal checks in the same order is equal.
+    """
+
+    def __init__(self, primal: np.ndarray, reduced: np.ndarray, gap: np.ndarray, tol: float):
+        self.primal, self.reduced, self.gap, self.tol = primal, reduced, gap, tol
+
+    @classmethod
+    def join(cls, parts) -> "_Certificates":
+        """The sides of parts, one after another; they share one tolerance."""
+        return cls(*(np.concatenate([getattr(part, name) for part in parts])
+                     for name in ("primal", "reduced", "gap")), parts[0].tol)
+
+    @property
+    def passed(self) -> np.ndarray:
+        return (self.primal <= TAU_LP) & (self.reduced >= -self.tol) & (self.gap <= self.tol)
+
+    def __len__(self):
+        return self.primal.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        pr, rd, gp = float(self.primal[i]), float(self.reduced[i]), float(self.gap[i])
+        return CertificateCheck(pr, rd, gp, tuple(name for name, ok in (
+            ("primal", pr <= TAU_LP), ("reduced", rd >= -self.tol), ("gap", gp <= self.tol))
+            if not ok))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return tuple(self) == tuple(other)
 
 
 def check_certificate(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction,
@@ -196,14 +242,16 @@ def check_certificate(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestrict
 
 
 def _check_sides(mx, my, live, c: CostMatrix, r: LinearRestriction, p, u, v, omega_lam,
-                 scale: float) -> tuple[CertificateCheck, ...]:
+                 scale: float) -> _Certificates:
     """check_certificate on every side of a batch at once, each on its own rectangle.
 
     Side (a, b), one per live[a, b] in row-major order, holds p against the
     marginals mx[a] and my[b] on supp mx[a] x supp my[b], with potentials
     u[x, b] and v[a, y]. The rows of mx, and those of my, must have disjoint
     supports (ValueError naming two that overlap). omega_lam is omega^T lam,
-    flat, and scale is _scale(c.c).
+    flat, and scale is _scale(c.c). The residuals are returned as one array
+    each, at tolerance TAU_LP * scale; a side's CertificateCheck is built
+    only when read.
     """
     (kx, ky), (n, m) = live.shape, c.c.shape
     classes = []
@@ -241,11 +289,7 @@ def _check_sides(mx, my, live, c: CostMatrix, r: LinearRestriction, p, u, v, ome
     gap = np.bincount(np.concatenate([cell_side.ravel(), row_side.ravel(), col_side.ravel()]),
                       np.concatenate([(np.where(finite, c.c, 0.0) * p).ravel(),
                                       -(u * row_w).ravel(), -(v * col_w).ravel()]), count + 1)
-    tol = TAU_LP * scale
-    return tuple(CertificateCheck(pr, rd, gp, tuple(
-        name for name, ok in (("primal", pr <= TAU_LP), ("reduced", rd >= -tol), ("gap", gp <= tol))
-        if not ok)) for pr, rd, gp in zip(np.maximum(worst, off)[1:].tolist(), least[1:].tolist(),
-                                          gap[1:].tolist()))
+    return _Certificates(np.maximum(worst, off)[1:], least[1:], gap[1:], TAU_LP * scale)
 
 
 def _pairings(om, cell_side: np.ndarray, p: np.ndarray, worst: np.ndarray):
@@ -347,10 +391,9 @@ def _certify(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction, inne
     values = t.inner
     del t                          # its per-cell arrays are not read past here
     omega_lam = r.omega.apply_T(lam)
-    certificates = []
-    for mx, my, live, p, u, v in batches:
-        certificates += _check_sides(mx, my, live, c, r, p, u, v, omega_lam, scale)
-    certified = all(cert.passed for cert in certificates)
+    certificates = _Certificates.join([_check_sides(mx, my, live, c, r, p, u, v, omega_lam, scale)
+                                       for mx, my, live, p, u, v in batches])
+    certified = bool(certificates.passed.all())
     # every side in certificate order: the left-hand side, then the inner pairs row-major
     infinite = np.isinf(np.append(lhs.value, values if inner else ()))
     if certified and infinite.any():
@@ -360,13 +403,13 @@ def _certify(mu: Measure, nu: Measure, c: CostMatrix, r: LinearRestriction, inne
             f_values, _, f_lhs, f_certs = _certify(mu, nu, CostMatrix(
                 c.row_space, c.col_space, forbid.astype(float)), r, inner)[:4]
             least = np.append(f_lhs.value, f_values if inner else ())
-            passed = np.array([cert.passed for cert in f_certs])
+            passed = f_certs.passed
             # a side +inf under F too has no F-certificate, and cannot be proven
             certified = passed.size == least.size and bool(
                 np.all(passed[infinite] & (least[infinite] > 2 * TAU_LP)))
     u, v = batches[0][4:]
     proof = None if lhs.plan is None else (lhs.plan, u[:, 0], v[0], lam)
-    return values, outer, lhs, tuple(certificates), certified, proof
+    return values, outer, lhs, certificates, certified, proof
 
 
 def verify_decomposition(mu: Measure, nu: Measure, c: CostMatrix,
@@ -391,7 +434,7 @@ def verify_decomposition(mu: Measure, nu: Measure, c: CostMatrix,
     qopt_ok = True
     pair = r.atom_pair
     # the atoms are finer than the class rectangles when two share a pair
-    atoms_finer = bool(np.unique(pair[pair >= 0]).size < np.count_nonzero(pair >= 0))
+    atoms_finer = bool(np.bincount(pair[pair >= 0]).max(initial=0) > 1)
     if lhs.plan is not None:
         weights, class_of = _split_plan(lhs.plan, r)
         # each conditional piece's cost, held on its cells against their pairs' inner values

@@ -35,6 +35,12 @@ reference for the vectorised split.
 in a dict keyed by cell, numpy potentials, a lexsorted start swept cell by
 cell. The library's solver must match it bit for bit.
 
+``reference_star_rows`` is restriction._star_rows's former body: each
+atom's root found by a stable argsort of all cells by weight and one
+np.unique, and the entries handed over unsorted, all +1 entries first, for
+ConstraintSet to sort. ``reference_class_weights`` is
+ergodic._class_weights's former rule, one masked sum per class.
+
 ``svd_check_geometric`` is check_geometric's former rule on caller-chosen
 samples: conditions (1) and (2) by dense pairings, and (3) by projecting
 each transposed constraint off the row space of the dense constraint
@@ -47,10 +53,11 @@ import math
 
 import numpy as np
 
-from ergot import (CertificateCheck, CheckReport, ConstraintSet, CostMatrix, GroupAction,
-                   LinearRestriction, LpProblem, Measure, NotFeasibleError, StochKernel,
-                   TransportPlan, plan_violations, simplex_components, solve_constrained_ot)
-from ergot.core import TAU_LP, TAU_MASS, _scale
+from ergot import (CertificateCheck, CheckReport, ConstraintSet, CostMatrix, FiniteSpace,
+                   GroupAction, LinearRestriction, LpProblem, Measure, NotFeasibleError,
+                   StochKernel, TransportPlan, plan_violations, simplex_components,
+                   solve_constrained_ot)
+from ergot.core import TAU_LP, TAU_MASS, _CellLabels, _scale
 from ergot.lp import MAX_PIVOTS, PIVOT_EPS, LpSolution
 
 TAU_RANK = 1e-8  # svd_check_geometric's singular-value cut-off
@@ -550,3 +557,25 @@ def reference_transport_simplex(supply, demand, cost) -> LpSolution:
         pot += max(0.0, float(np.max(-red[lifted] / red_hi[lifted], initial=0.0))) * pot_hi
     return LpSolution(status="optimal", x=x, value=float(lo_flat @ x),
                       basis=tuple(sorted(flow)), duals=(pot[:nr], pot[nr:]), **counts)
+
+
+def reference_star_rows(row_space: FiniteSpace, col_space: FiniteSpace, atom_of: np.ndarray,
+                        weight: np.ndarray, family: str) -> ConstraintSet:
+    """restriction._star_rows by two sorts of all cells; ConstraintSet sorts the entries."""
+    live = np.argsort(-weight, kind="stable")
+    live = live[atom_of[live] >= 0]
+    _, first, atom = np.unique(atom_of[live], return_index=True, return_inverse=True)
+    root = np.full(atom_of.size, -1)
+    root[live] = live[first][atom]
+    stars = np.flatnonzero(root != np.arange(atom_of.size))
+    rooted = np.flatnonzero(root[stars] >= 0)
+    c = stars[rooted]
+    return ConstraintSet(row_space, col_space, _CellLabels(family, stars, col_space.n),
+                         np.concatenate([np.arange(stars.size), rooted]),
+                         np.concatenate([stars, root[c]]),
+                         np.concatenate([np.ones(stars.size), -weight[c] / weight[root[c]]]))
+
+
+def reference_class_weights(w: np.ndarray, class_of: np.ndarray, k: int) -> np.ndarray:
+    """ergodic._class_weights by one masked sum per class."""
+    return np.array([w[class_of == j].sum() for j in range(k)], dtype=float)

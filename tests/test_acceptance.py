@@ -122,6 +122,8 @@ def test_two_stage_decomposition_equality_on_200_instances_under_a_minute():
         assert rep.gap <= 1e-8, f"instance {i} ({n}, {ct}): gap {rep.gap:.3g}"
         assert np.all(rep.statuses == "optimal")
         assert rep.qopt_ok
+        pair = inst.restriction.atom_pair[inst.restriction.atom_pair >= 0]
+        assert rep.atoms_finer is (np.unique(pair).size < pair.size)
         plain = solve_ot(inst.mu, inst.nu, inst.cost).value
         assert rep.lhs >= plain - 1e-9
         wx = component_weights(inst.mu, inst.restriction.mx_spec)

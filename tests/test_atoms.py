@@ -347,7 +347,8 @@ def test_certificate_check_names_no_atoms_and_no_transport_helper():
     # certifies: it reads the constraints' stored entries, not plan_violations
     helpers = {name for name, obj in vars(ergot.transport).items()
                if callable(obj) and getattr(obj, "__module__", None) == "ergot.transport"}
-    banned = helpers | {"atom_of", "atom_pair", "simplex_components", "plan_violations"}
+    banned = helpers | {"atom_of", "atom_pair", "cells", "weight", "simplex_components",
+                        "plan_violations"}
     for check in (check_certificate, ergot.verify._check_sides, ergot.verify._pairings):
         assert helpers and not code_names(check.__code__) & banned, check.__name__
 

@@ -25,8 +25,8 @@ from ergot import (
     stationary_simplex,
 )
 from ergot.core import TAU_MASS
-from ergot.ergodic import _extreme_mass, _phases
-from oracles import averaging_kernel
+from ergot.ergodic import _class_weights, _extreme_mass, _phases
+from oracles import averaging_kernel, reference_class_weights
 from test_restriction import random_decomposing_kernel, random_periodic_kernel
 
 
@@ -411,3 +411,18 @@ def test_simplex_components_are_derived_once_per_spec():
     del spec
     gc.collect()
     assert gone() is None
+
+
+def test_class_weights_are_the_masked_sums():
+    # one bincount adds each class's masses in point order, as numpy's pairwise
+    # sum does below 8 points: those weights are the same bytes, larger ones
+    # agree to 1e-12 relative
+    rng = np.random.default_rng(8)
+    for _ in range(2000):
+        n, k = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+        class_of = rng.integers(-1, k, n)
+        w = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-6, 1, n)
+        got, want = _class_weights(w, class_of, k), reference_class_weights(w, class_of, k)
+        small = np.bincount(class_of[class_of >= 0], minlength=k) < 8
+        assert got[small].tobytes() == want[small].tobytes()
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import itertools
 import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,15 +31,18 @@ from ergot import (
     no_restriction,
     plan_violations,
     simplex_components,
+    solve_constrained_ot,
     stationarity_restriction,
     stationary_components,
     subgroup_restriction,
+    verify_decomposition,
 )
 from oracles import (
     atom_cells,
     averaging_kernel,
     literal_stationarity_rows,
     orbit_ids,
+    reference_star_rows,
     same_orbit_pairs,
     svd_check_geometric,
 )
@@ -706,6 +710,80 @@ def test_every_builder_row_is_a_star_row_on_its_own_cell():
         assert np.all(r.atom_of[head] >= 0)
 
 
+def builder_weight(r):
+    """The weight r's builder handed to _star_rows: m_a(x) m_b(y) for stationarity, else 1."""
+    if r.omega.labels.family != "stationarity":
+        return np.ones(r.atom_of.size)
+    mx, my = (np.sum([m.w for m in simplex_components(s)[0]], axis=0) for s in (r.mx_spec, r.my_spec))
+    return np.outer(mx, my).ravel()
+
+
+def test_star_rows_match_the_sorting_reference_bit_for_bit():
+    # roots by per-atom maximum and entries emitted in order give the former
+    # two-sort construction's rows, cells, values and labels, byte for byte, on
+    # every builder and on random atom maps with tied weights, transient cells,
+    # one-cell atoms and gaps in the atom ids
+    cases = [(r.row_space, r.col_space, r.atom_of, builder_weight(r), r.omega.labels.family)
+             for r in builder_restrictions()]
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        n, m = (int(v) for v in rng.integers(1, 7, 2))
+        atom_of = rng.integers(-1, int(rng.integers(1, n * m + 1)), n * m)
+        atom_of = np.where(atom_of >= 0, atom_of * int(rng.integers(1, 4)), -1)
+        weight = (rng.choice([0.25, 0.5, 1.0], n * m) if rng.random() < 0.5
+                  else rng.uniform(0.1, 1.0, n * m))
+        cases.append((FiniteSpace.of_size(n), FiniteSpace.of_size(m), atom_of, weight, "random"))
+    for X, Y, atom_of, weight, family in cases:
+        got = ergot.restriction._star_rows(X, Y, atom_of, weight, family)
+        want = reference_star_rows(X, Y, atom_of, weight, family)
+        for name in ("row", "cell", "value"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (family, name)
+        assert list(got.labels) == list(want.labels)
+
+
+def family_builds():
+    """(family, builder call, instance whose marginals and cost fit it) for every family."""
+    perm = generate_instance(InstanceSpec(n=8, kind="perm", cycle_type=(4, 2, 2), seed=3))
+    kern = generate_instance(InstanceSpec(n=9, kind="kernel", class_sizes=(3, 3, 3), seed=2))
+    g = perm.action.generators[0][1]
+    yield "invariance", lambda: invariance_restriction(perm.action), perm
+    yield "subgroup", lambda: subgroup_restriction(perm.action, [(g, g), (g, np.arange(8))]), perm
+    yield "stationarity", lambda: stationarity_restriction(kern.kernel, kern.kernel), kern
+    yield "none", lambda: no_restriction(perm.space, perm.space), perm
+
+
+def test_builders_hand_over_sorted_entries_and_solvers_derive_no_weights(monkeypatch):
+    # counts are deterministic: each builder hands ConstraintSet its entries
+    # strictly increasing in (row, cell), so they never reach its sort, and the
+    # closed form and verify read the weights the restriction derived once
+    handed, derived = [], []
+    real_set, real_mass = ergot.restriction.ConstraintSet, ergot.restriction._pair_mass
+
+    def recording_set(row_space, col_space, labels, row, cell, value):
+        key = np.asarray(row) * (row_space.n * col_space.n) + np.asarray(cell)
+        handed.append(bool(np.all(key[1:] > key[:-1])))
+        return real_set(row_space, col_space, labels, row, cell, value)
+
+    def counting_mass(*args):
+        derived.append(args)
+        return real_mass(*args)
+
+    monkeypatch.setattr(ergot.restriction, "ConstraintSet", recording_set)
+    for module in [m for name, m in sys.modules.items() if name.startswith("ergot")]:
+        if getattr(module, "_pair_mass", None) is real_mass:    # imported by name too
+            monkeypatch.setattr(module, "_pair_mass", counting_mass)
+    for family, build, inst in family_builds():
+        handed.clear()
+        r = build()
+        assert handed == [True], family
+        derived.clear()
+        res = solve_constrained_ot(inst.mu, inst.nu, inst.cost, r)
+        rep = verify_decomposition(inst.mu, inst.nu, inst.cost, r)
+        assert res.status == "optimal" and rep.passed, family
+        assert derived == [], family
+
+
 def test_restriction_rejects_simplexes_off_the_constraint_spaces():
     sp3, sp4 = FiniteSpace.of_size(3), FiniteSpace.of_size(4)
     omega = ConstraintSet.from_dense(sp3, sp3, (), np.zeros((0, 9)))
@@ -715,6 +793,12 @@ def test_restriction_rejects_simplexes_off_the_constraint_spaces():
         LinearRestriction(omega, full_simplex(sp3), full_simplex(sp4))
     r = LinearRestriction(omega, full_simplex(sp3), full_simplex(sp3), atom_of=np.arange(9))
     assert np.array_equal(r.atom_pair, np.arange(9)) and not r.atom_pair.flags.writeable
+    # the live cells and their weights are derived once, read-only, and not parameters
+    assert np.array_equal(r.cells, np.arange(9)) and np.array_equal(r.weight, np.ones(9))
+    assert not (r.cells.flags.writeable or r.weight.flags.writeable)
+    with pytest.raises(TypeError):
+        LinearRestriction(omega, full_simplex(sp3), full_simplex(sp3), np.arange(9),
+                          weight=np.ones(9))
 
 
 def test_every_public_restriction_function_has_a_span_group():

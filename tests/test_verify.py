@@ -864,6 +864,27 @@ def test_overlapping_side_supports_are_named():
         check(w, np.vstack([w, w]))
 
 
+def test_report_certificates_are_a_read_only_sequence_built_on_read():
+    # the report holds each side's residuals as arrays; every read builds the
+    # side's CertificateCheck, equal to the one check_certificate gives
+    inst = generate_instance(InstanceSpec(n=8, kind="perm", cycle_type=(4, 2, 2), seed=3))
+    rep = verify_decomposition(inst.mu, inst.nu, inst.cost, inst.restriction)
+    certs = rep.certificates
+    checks = tuple(certs)
+    assert len(certs) == len(checks) == 1 + rep.inner_table.size
+    assert all(isinstance(cert, ergot.CertificateCheck) and cert.passed for cert in checks)
+    assert certs[0] == certs[0] == checks[0] and certs[-1] == checks[-1]
+    assert certs[1:3] == checks[1:3] and certs == checks and certs == list(checks)
+    assert certs != checks[:-1] and certs != "certificates"
+    plan, u, v, lam = rep.proof
+    assert check_certificate(inst.mu, inst.nu, inst.cost, inst.restriction, plan, u, v,
+                             lam) == certs[0]
+    with pytest.raises(IndexError):
+        certs[len(checks)]
+    with pytest.raises(TypeError):
+        certs[0] = checks[0]
+
+
 @pytest.mark.parametrize("spec", [
     InstanceSpec(n=5, kind="perm", cycle_type=(5,), seed=1),
     InstanceSpec(n=8, kind="perm", cycle_type=(4, 2, 2), seed=3),
