@@ -6,12 +6,15 @@ with a stable schema {command, version, inputs: {digest}, results}, or CSV
 for matrix-valued results. Exit codes: 0 success, 1 input error, 2
 mathematical infeasibility, membership failure or a restriction that is
 not geometric.
+
+parse_problem derives the dynamics' simplex only for marginals written as
+component weights, so a command on vector marginals derives one simplex:
+its restriction's, or in decompose the one it decomposes.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import hashlib
 import json
@@ -64,10 +67,10 @@ MAX_MAGNITUDE = 1e300
 # --random builds its whole batch of instance specs before solving any.
 MAX_RANDOM_COUNT = 10_000
 # A worker process costs about 0.1 s to start and an instance of n <= 24
-# takes 2-6 ms to verify, so --jobs pools only batches that give each worker
-# at least this many instances; on 2 CPUs that is about where pooled runs of
-# n = 8 to 24 start to beat serial ones.
-MIN_BATCH_PER_WORKER = 16
+# about 1 ms to verify, so --jobs gives each worker at least this many. On 2
+# CPUs (medians of 5 runs, perm and kernel, n = 8, 12, 24) two workers beat
+# one process from 256 instances on, and tied or lost at 32 to 128.
+MIN_BATCH_PER_WORKER = 128
 
 
 class ParseError(ValueError):
@@ -145,12 +148,13 @@ def parse_permutation(text, n: int, path: str) -> np.ndarray:
     return g
 
 
-def _measure(node, space, comps, path) -> Measure:
+def _measure(node, space, spec, path) -> Measure:
     if isinstance(node, dict):
         if "weights" not in node:
             raise ParseError(path, "expected a vector or {\"weights\": [...]}")
-        if comps is None:
+        if spec.kind == "full":
             raise ParseError(path, "component weights need an action or kernel restriction")
+        comps, _ = simplex_components(spec)
         w = _array(node["weights"], path + ".weights", (len(comps),),
                    lambda a: f"{a.size} weights for {len(comps)} components")
         with np.errstate(invalid="ignore"):  # inf * 0 is NaN, which _checked names
@@ -233,25 +237,14 @@ def parse_problem(doc: dict):
     # The decomposition basis comes from the dynamics alone; the restriction
     # itself (which may be "none" even when an action is present) is built on
     # demand by get_restriction.
-    if action is not None:
-        spec = invariant_simplex(action)
-    elif kernel is not None:
-        spec = stationary_simplex(kernel)
-    else:
-        spec = full_simplex(space)
-    comps = None
-    if spec.kind != "full":
-        comps, _ = simplex_components(spec)
+    spec = (invariant_simplex(action) if action is not None else
+            stationary_simplex(kernel) if kernel is not None else full_simplex(space))
 
-    mu = nu = None
     marg = doc.get("marginals")
-    if marg is not None:
-        if not isinstance(marg, dict):
-            raise ParseError("marginals", "expected {\"mu\": ..., \"nu\": ...}")
-        if "mu" in marg:
-            mu = _measure(marg["mu"], space, comps, "marginals.mu")
-        if "nu" in marg:
-            nu = _measure(marg["nu"], space, comps, "marginals.nu")
+    if marg is not None and not isinstance(marg, dict):
+        raise ParseError("marginals", "expected {\"mu\": ..., \"nu\": ...}")
+    mu, nu = (_measure(marg[k], space, spec, f"marginals.{k}") if marg and k in marg else None
+              for k in ("mu", "nu"))
 
     tol = doc.get("tol")
     return {
@@ -382,6 +375,11 @@ def cmd_solve(args) -> int:
     r = get_restriction(prob)   # solved without atoms: where optima tie, reports keep the LP plan
     res = solve_constrained_ot(prob["mu"], prob["nu"], cost,
                                LinearRestriction(r.omega, r.mx_spec, r.my_spec))
+    # every restriction built here has atoms; their closed form overrules the LP, which can
+    # go wrong on ill-conditioned rows, on a differing status or a value off at TAU_THM
+    closed = solve_constrained_ot(prob["mu"], prob["nu"], cost, r)
+    if closed.status != res.status or not agreement(res.value, closed.value, TAU_THM, cost.c)[1]:
+        res = closed
     results = {"status": res.status, "value": res.value,
                "plan": None if res.plan is None else res.plan.p.tolist()}
     if prob["cost"] is None:
@@ -513,6 +511,7 @@ def cmd_verify(args) -> int:
         # the pool forks all its workers on the first submit, so size it to the batch
         workers = min(jobs, len(specs) // MIN_BATCH_PER_WORKER)
         if workers > 1:
+            import concurrent.futures
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 runs = list(pool.map(functools.partial(_verify_one, tol=tol), specs))
         else:

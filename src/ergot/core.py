@@ -206,18 +206,19 @@ class ConstraintSet:
         if not isinstance(self.labels, _CellLabels):
             object.__setattr__(self, "labels", tuple(self.labels))
         k, size = len(self.labels), self.row_space.n * self.col_space.n
-        row, cell = (np.asarray(a, dtype=np.intp).ravel() for a in (self.row, self.cell))
-        value = np.asarray(self.value, dtype=float).ravel()
+        row, cell = (np.array(a, dtype=np.intp).ravel() for a in (self.row, self.cell))  # copies
+        value = np.array(self.value, dtype=float).ravel()
         if not row.shape == cell.shape == value.shape:
             raise ValueError(f"entry arrays differ in length: {row.size} rows, {cell.size} cells, "
                              f"{value.size} values")
         if row.size and not (0 <= row.min() and row.max() < k and 0 <= cell.min()
                              and cell.max() < size):
             raise ValueError(f"an entry lies outside the ({k}, {size}) constraint matrix")
-        on = value != 0
-        row, cell, value = row[on], cell[on], value[on]
-        key = row * size + cell
-        if np.any(key[1:] <= key[:-1]):
+        if not value.all():
+            on = value != 0
+            row, cell, value = row[on], cell[on], value[on]
+        if np.any((row[1:] < row[:-1]) | ((row[1:] == row[:-1]) & (cell[1:] <= cell[:-1]))):
+            key = row * size + cell
             order = np.argsort(key, kind="stable")
             row, cell, value, key = row[order], cell[order], value[order], key[order]
             if np.any(key[1:] == key[:-1]):

@@ -11,6 +11,9 @@ Three families of simplexes are supported, named by SimplexSpec:
 
 decompose_measure writes a member of the simplex as a mixture of extreme
 points; barycenter mixes it back. The round trip is exact to TAU_MASS.
+
+_derive_components is the one place a simplex's structure is computed, and
+_extreme_mass remembers it per spec: an action's orbits are searched there.
 """
 
 from __future__ import annotations
@@ -32,13 +35,14 @@ from .core import (
 )
 
 
-def _orbit_search(size: int, perms) -> list[int]:
-    """Orbit ids of the points 0..size-1 under the permutation lists perms.
+def _orbit_search(size: int, perms) -> np.ndarray:
+    """Orbit ids of the points 0..size-1 under the permutations perms (index arrays).
 
     Each point not yet numbered, in increasing order, starts the next orbit,
     so orbits are numbered by smallest member, and a search that follows
     perms numbers the rest of that orbit.
     """
+    perms = [g.tolist() for g in perms]          # lists index one point faster than arrays
     orbit_of = [-1] * size
     orbits = 0
     for root in range(size):
@@ -54,7 +58,7 @@ def _orbit_search(size: int, perms) -> list[int]:
                     orbit_of[child] = orbits
                     stack.append(child)
         orbits += 1
-    return orbit_of
+    return np.array(orbit_of, dtype=np.intp)
 
 
 def _closed_classes(adj: np.ndarray) -> list[np.ndarray]:
@@ -140,11 +144,10 @@ def simplex_components(spec: SimplexSpec) -> tuple[list[Measure], np.ndarray]:
     """All extreme measures of the simplex, with the point -> class map.
 
     Unlike decompose_measure this does not depend on any particular member:
-    it enumerates Diracs (full), orbit-uniform measures (group) or recurrent
-    stationary distributions (kernel). Transient points map to -1. A spec and
-    all it holds are frozen, so its components are derived once and
-    remembered for as long as the spec lives; each call returns a fresh list
-    and the one read-only class map.
+    it lists Diracs (full), orbit-uniform measures (group) or recurrent
+    stationary distributions (kernel); transient points map to -1. A spec is
+    frozen, so they are derived once and remembered while it lives
+    (_extreme_mass); each call returns a fresh list and the one class map.
     """
     _, class_of, _, comps = _extreme_mass(spec)
     return list(comps), class_of
@@ -163,20 +166,17 @@ def _extreme_mass(spec: SimplexSpec) -> tuple[np.ndarray, np.ndarray, int, tuple
 
 def _derive_components(spec: SimplexSpec) -> tuple[np.ndarray, np.ndarray, int, tuple]:
     n = spec.space.n
-    if spec.kind == "full":
-        comps, class_of = [Measure(spec.space, row) for row in np.eye(n)], np.arange(n)
-    elif spec.kind == "group":
+    if spec.kind == "group":
         # orbits of the generated group, numbered by smallest point, each
         # carrying its uniform measure
-        class_of = np.array(_orbit_search(n, [g.tolist() for _, g in spec.action.generators]),
-                            dtype=np.intp)
+        class_of = _orbit_search(n, [g for _, g in spec.action.generators])
         sizes = np.bincount(class_of)
         mass = (1.0 / sizes)[class_of]            # each point's share of its orbit
         comps = [Measure(spec.space, np.where(class_of == k, mass, 0.0)) for k in range(len(sizes))]
-        return _freeze(mass), _freeze(class_of, dtype=np.intp), len(comps), tuple(comps)
     else:
-        comps, class_of = stationary_components(spec.kernel)
-    mass = np.sum([m.w for m in comps], axis=0)
+        comps, class_of = (([Measure(spec.space, row) for row in np.eye(n)], np.arange(n))
+                           if spec.kind == "full" else stationary_components(spec.kernel))
+        mass = np.sum([m.w for m in comps], axis=0)
     return _freeze(mass), _freeze(class_of, dtype=np.intp), len(comps), tuple(comps)
 
 

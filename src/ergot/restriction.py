@@ -17,6 +17,10 @@ independent constraint per non-root cell of an atom. A transient cell gets
 +1 alone. Only these nonzero entries are stored (core.ConstraintSet), at
 most two per cell, never the dense matrix.
 
+A builder reads each side's classes from its simplex's one derivation
+(ergodic._extreme_mass); the orbit builders search only product orbits
+and, for a subgroup, each factor's orbits.
+
 The checkers (weak regularity, geometricity, coherency) read only the
 restriction and return reports with recorded failures instead of raising,
 except where their preconditions are violated outright.
@@ -157,16 +161,15 @@ def _star_rows(row_space: FiniteSpace, col_space: FiniteSpace, atom_of: np.ndarr
                          np.repeat(np.arange(stars.size), count), cell, value)
 
 
-def _orbit_restriction(action: GroupAction, product_gens, family: str) -> LinearRestriction:
-    """Plans constant on the orbits of product_gens, permutations of the product cells.
+def _orbit_restriction(spec: SimplexSpec, product_gens, family: str) -> LinearRestriction:
+    """Plans in spec x spec constant on the orbits of product_gens, permutations of the cells.
 
     One search (ergodic._orbit_search) numbers the orbits, which are the
     atoms, by smallest cell; with unit weights that cell is each star's root.
     """
-    n = action.space.n
-    atom_of = np.array(_orbit_search(n * n, [g.tolist() for g in product_gens]), dtype=np.intp)
-    spec = invariant_simplex(action)
-    return LinearRestriction(omega=_star_rows(action.space, action.space, atom_of, np.ones(n * n),
+    n = spec.space.n
+    atom_of = _orbit_search(n * n, product_gens)
+    return LinearRestriction(omega=_star_rows(spec.space, spec.space, atom_of, np.ones(n * n),
                                               family), mx_spec=spec, my_spec=spec, atom_of=atom_of)
 
 
@@ -177,8 +180,8 @@ def invariance_restriction(action: GroupAction) -> LinearRestriction:
     the diagonal action on the product space. Marginals must be invariant
     measures.
     """
-    return _orbit_restriction(action, [_product_generator(g, g) for _, g in action.generators],
-                              "invariance")
+    gens = [_product_generator(g, g) for _, g in action.generators]
+    return _orbit_restriction(invariant_simplex(action), gens, "invariance")
 
 
 def subgroup_restriction(action: GroupAction, pair_generators) -> LinearRestriction:
@@ -190,7 +193,7 @@ def subgroup_restriction(action: GroupAction, pair_generators) -> LinearRestrict
     group's orbits, so then the marginals of every admissible plan lie in
     the action's simplex. Otherwise ProjectionNotFullError, naming the
     factor, is raised; a pair that does not permute action's points is a
-    ValueError.
+    ValueError. The action's orbits are its simplex's classes.
     """
     n = action.space.n
     pairs = [(np.asarray(g, dtype=np.intp), np.asarray(h, dtype=np.intp))
@@ -198,12 +201,13 @@ def subgroup_restriction(action: GroupAction, pair_generators) -> LinearRestrict
     if not all(p.shape == (n,) and np.array_equal(np.sort(p), np.arange(n))
                for pair in pairs for p in pair):
         raise ValueError("pair generators must permute the same space as action")
-    orbits = _orbit_search(n, [g.tolist() for _, g in action.generators])
+    spec = invariant_simplex(action)
+    orbits = _extreme_mass(spec)[1]              # the action's orbits, its simplex's classes
     for side, factor in enumerate(("first", "second")):
-        if _orbit_search(n, [pair[side].tolist() for pair in pairs]) != orbits:
+        if not np.array_equal(_orbit_search(n, [pair[side] for pair in pairs]), orbits):
             raise ProjectionNotFullError(
                 f"the {factor} factors of the pair generators do not have the action's orbits")
-    return _orbit_restriction(action, [_product_generator(g, h) for g, h in pairs], "subgroup")
+    return _orbit_restriction(spec, [_product_generator(g, h) for g, h in pairs], "subgroup")
 
 
 def stationarity_restriction(qx: StochKernel, qy: StochKernel) -> LinearRestriction:

@@ -476,14 +476,13 @@ def sample_member_pairs(spec: SimplexSpec, count: int,
     """Random pairs of simplex members as Dirichlet mixtures of the components."""
     comps, _ = simplex_components(spec)
     rng = np.random.default_rng(seed)
-    pairs = []
-    for _ in range(count):
-        wa = rng.dirichlet(np.ones(len(comps)))
-        wb = rng.dirichlet(np.ones(len(comps)))
-        pairs.append((
-            Measure(spec.space, sum(a * c.w for a, c in zip(wa, comps))),
-            Measure(spec.space, sum(b * c.w for b, c in zip(wb, comps)))))
-    return pairs
+    return [(_random_member(rng, spec.space, comps), _random_member(rng, spec.space, comps))
+            for _ in range(count)]
+
+
+def _random_member(rng, space: FiniteSpace, comps) -> Measure:
+    """The mixture of comps with weights drawn from rng's flat Dirichlet."""
+    return Measure(space, sum(w * c.w for w, c in zip(rng.dirichlet(np.ones(len(comps))), comps)))
 
 
 def _memo(dist):
@@ -589,10 +588,6 @@ def generate_instance(spec: InstanceSpec) -> GeneratedInstance:
         restriction = stationarity_restriction(kernel, kernel)
         action = None
     cost = CostMatrix(space, space, rng.uniform(0.0, 1.0, (spec.n, spec.n)))
-    k = len(comps)
-    w_mu = rng.dirichlet(np.ones(k))
-    w_nu = rng.dirichlet(np.ones(k))
-    mu = Measure(space, sum(w * comp.w for w, comp in zip(w_mu, comps)))
-    nu = Measure(space, sum(w * comp.w for w, comp in zip(w_nu, comps)))
+    mu, nu = _random_member(rng, space, comps), _random_member(rng, space, comps)
     return GeneratedInstance(space=space, action=action, kernel=kernel,
                              cost=cost, mu=mu, nu=nu, restriction=restriction)

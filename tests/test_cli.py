@@ -11,10 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergot import InstanceSpec, generate_instance, simplex_components, verify_decomposition
+from ergot import (FiniteSpace, InstanceSpec, StochKernel, generate_instance, simplex_components,
+                   stationary_components, verify_decomposition)
 from ergot.cli import (
     MAX_POINTS,
     MAX_RANDOM_COUNT,
+    MIN_BATCH_PER_WORKER,
     build_parser,
     get_restriction,
     main,
@@ -188,9 +190,43 @@ def test_solve_finds_the_optimum_of_the_false_infeasible_kernel_reproducers(
     assert abs(res["value"] - rep.lhs) <= 1e-9
 
 
+def ill_conditioned_stationarity_problem():
+    """7 points in two classes whose stationary weights span four orders of magnitude.
+
+    The lifted LP reads rows scaled by these weights and calls a wrong
+    value (0.48186) optimal; the closed form, which verify certifies,
+    gives 0.407136.
+    """
+    rng = np.random.default_rng(1)
+    order = rng.permutation(7)
+    q = np.zeros((7, 7))
+    for idx in np.split(order, [4]):
+        block = 10 ** rng.uniform(-5, 0, (idx.size, idx.size))
+        block /= block.sum(axis=1, keepdims=True)
+        q[np.ix_(idx, idx)] = block
+    comps, class_of = stationary_components(StochKernel(FiniteSpace.of_size(7), q))
+    return {"version": 1, "space": 7, "kernel": [comps[k].w.tolist() for k in class_of],
+            "cost": rng.uniform(0, 1, (7, 7)).tolist(), "restriction": "stationarity",
+            "marginals": {"mu": {"weights": rng.dirichlet(np.ones(2)).tolist()},
+                          "nu": {"weights": rng.dirichlet(np.ones(2)).tolist()}}}
+
+
+def test_solve_reports_the_closed_form_where_the_lifted_lp_disagrees(tmp_path, capsys):
+    path = write_problem(tmp_path, ill_conditioned_stationarity_problem())
+    assert main(["verify", path]) == 0
+    certified = _strict_json(capsys.readouterr().out)["results"]["lhs"]
+    assert abs(certified - 0.407136) <= 1e-6
+    assert main(["solve", path]) == 0
+    res = _strict_json(capsys.readouterr().out)["results"]
+    assert res["status"] == "optimal"
+    assert abs(res["value"] - certified) <= 1e-9
+    plan = np.array(res["plan"])
+    assert abs(plan.sum() - 1.0) <= 1e-12 and plan.min() >= 0.0
+
+
 def test_verify_random_parallel_matches_serial():
-    # 32 instances give each of 2 workers MIN_BATCH_PER_WORKER, so a real pool runs
-    args = ("verify", "--random", "perm:n=6,cycles=3+3,count=32,seed=3")
+    # these instances give each of 2 workers MIN_BATCH_PER_WORKER, so a real pool runs
+    args = ("verify", "--random", f"perm:n=6,cycles=3+3,count={2 * MIN_BATCH_PER_WORKER},seed=3")
     serial = run_cli(*args)
     parallel = run_cli(*args, "--jobs", "2")
     a = json.loads(serial.stdout)["results"]["gaps"]
@@ -711,14 +747,10 @@ def test_jobs_below_one_is_input_error(capsys, jobs):
     assert captured.err.strip().endswith("at --jobs")
 
 
-@pytest.mark.parametrize("jobs, count, sizes", [("5000", 48, [3]), ("2", 48, [2]), ("4", 1, []),
-                                                 ("2", 31, [])])
-def test_verify_pool_is_sized_to_the_batch(tmp_path, monkeypatch, jobs, count, sizes):
-    # the pool forks all max_workers processes on its first submit, so a
-    # large --jobs must not reach it, and each worker gets at least
-    # MIN_BATCH_PER_WORKER (16) instances, so a small batch runs serially;
-    # the stand-in pool maps in process
-    import ergot.cli
+def recording_pool(monkeypatch):
+    """Stand in for ProcessPoolExecutor with a pool that maps in process; returns the
+    max_workers of every pool made."""
+    import concurrent.futures
     recorded = []
 
     class RecordingPool:
@@ -734,15 +766,42 @@ def test_verify_pool_is_sized_to_the_batch(tmp_path, monkeypatch, jobs, count, s
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(ergot.cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return recorded
+
+
+def run_pooled_and_serial(tmp_path, jobs, count):
+    """verify --random on count instances with --jobs jobs, then with --jobs 1; both results."""
     argv = ["verify", "--random", f"perm:n=4,cycles=2+2,count={count},seed=1",
             "--out", str(tmp_path / "out.json")]
     assert main(argv + ["--jobs", jobs]) == 0
-    assert recorded == sizes
     pooled = (tmp_path / "out.json").read_text()
     assert main(argv + ["--jobs", "1"]) == 0
     serial = (tmp_path / "out.json").read_text()
-    assert json.loads(pooled)["results"] == json.loads(serial)["results"]
+    return json.loads(pooled)["results"], json.loads(serial)["results"]
+
+
+@pytest.mark.parametrize("jobs, count, sizes", [("5000", 48, [3]), ("2", 48, [2]), ("4", 1, []),
+                                                 ("2", 31, [])])
+def test_verify_pool_is_sized_to_the_batch(tmp_path, monkeypatch, jobs, count, sizes):
+    # the pool forks all max_workers processes on its first submit, so a
+    # large --jobs must not reach it, and each worker gets at least
+    # MIN_BATCH_PER_WORKER instances, so a small batch runs serially; the
+    # rule is read here at 16 per worker, which keeps the batches small
+    import ergot.cli
+    monkeypatch.setattr(ergot.cli, "MIN_BATCH_PER_WORKER", 16)
+    recorded = recording_pool(monkeypatch)
+    pooled, serial = run_pooled_and_serial(tmp_path, jobs, count)
+    assert recorded == sizes
+    assert pooled == serial
+
+
+@pytest.mark.parametrize("extra, sizes", [(-1, []), (0, [2])])
+def test_verify_pools_from_two_shipped_batches(tmp_path, monkeypatch, extra, sizes):
+    recorded = recording_pool(monkeypatch)
+    pooled, serial = run_pooled_and_serial(tmp_path, "2", 2 * MIN_BATCH_PER_WORKER + extra)
+    assert recorded == sizes
+    assert pooled == serial
 
 
 @pytest.mark.parametrize("command, flag, value", [

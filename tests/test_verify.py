@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import json
 import math
 import sys
 from dataclasses import astuple
@@ -297,6 +298,64 @@ def test_stationarity_build_and_solve_derive_each_simplex_once(monkeypatch):
     assert solve_constrained_ot(inst.mu, inst.nu, inst.cost, r).method == "atoms"
     assert len(calls) == 1, calls
     assert phases == [r.mx_spec]
+
+
+def kernel_file(tmp_path):
+    """A 9-point stationarity problem file with vector marginals and a ground metric.
+
+    The kernel moves 0..5 along two 3-cycles and sends 6..8 to them at
+    random, so its classes are periodic, it has transient points, and its
+    restriction is geometric (metric runs to the end).
+    """
+    rng = np.random.default_rng(4)
+    q = np.zeros((9, 9))
+    q[np.arange(6), [1, 2, 0, 4, 5, 3]] = 1.0
+    q[6:, :6] = rng.dirichlet(np.ones(6), 3)
+    pts = np.arange(9.0)
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({
+        "version": 1, "space": 9, "kernel": q.tolist(),
+        "metric": (np.abs(pts[:, None] - pts) / 8).tolist(),
+        "marginals": {"mu": [0.1, 0.1, 0.1, 0.7 / 3, 0.7 / 3, 0.7 / 3, 0, 0, 0],
+                      "nu": [0.2, 0.2, 0.2, 0.4 / 3, 0.4 / 3, 0.4 / 3, 0, 0, 0]}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "metric", "check", "decompose"])
+def test_cli_commands_on_vector_marginals_derive_one_simplex(tmp_path, monkeypatch, capsys,
+                                                             command):
+    # parse_problem leaves the dynamics' simplex alone when no marginal is
+    # written as component weights; the builder's spec (or, in decompose,
+    # the one decomposed) is the only one derived
+    path = kernel_file(tmp_path)
+    calls = count_derivations(monkeypatch)
+    assert main([command, path]) == 0
+    assert capsys.readouterr().err == ""
+    assert calls == ["kernel"]
+
+
+@pytest.mark.parametrize("family", ["invariance", "subgroup"])
+def test_orbit_builds_search_the_action_once(monkeypatch, family):
+    # the action's orbits are searched once, inside its simplex's derivation;
+    # a subgroup build adds one search per factor side and the product search
+    inst = generate_instance(InstanceSpec(n=8, kind="perm", cycle_type=(4, 2, 2), seed=3))
+    g = inst.action.generators[0][1]
+    calls = count_derivations(monkeypatch)
+    searches = []
+    for module, where in ((ergot.ergodic, "simplex"), (ergot.restriction, "restriction")):
+        def counted(size, perms, honest=module._orbit_search, where=where):
+            searches.append((where, size))
+            return honest(size, perms)
+        monkeypatch.setattr(module, "_orbit_search", counted)
+    if family == "invariance":
+        r = invariance_restriction(inst.action)
+        assert searches == [("restriction", 64), ("simplex", 8)]
+    else:
+        r = subgroup_restriction(inst.action, [(g, g), (g, np.arange(8))])
+        assert searches == [("simplex", 8), ("restriction", 8), ("restriction", 8),
+                            ("restriction", 64)]
+    assert r.mx_spec is r.my_spec
+    assert calls == ["group"]
 
 
 def test_stationarity_on_two_kernels_keeps_two_simplexes():
